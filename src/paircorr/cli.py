@@ -67,8 +67,23 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _free_list(text: str) -> tuple:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    names = tuple(part.strip() for part in text.split(",") if part.strip())
+    try:
+        FitConfig(free=names)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return names
 
 
 def _add_model_flags(sub):
@@ -226,8 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fixed p_tilde when not free (default: tied to 0.1 * sigma)",
     )
-    fit_cmd.add_argument("--starts", type=int, default=16, help="multistart count")
-    fit_cmd.add_argument("--max-iter", type=int, default=200)
+    fit_cmd.add_argument("--starts", type=_positive_int, default=16, help="multistart count")
+    fit_cmd.add_argument("--max-iter", type=_positive_int, default=200)
     fit_cmd.add_argument("--seed", type=int, default=0)
     fit_cmd.add_argument("--out", required=True, help="output JSON path")
     fit_cmd.set_defaults(func=_cmd_fit)
@@ -242,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="delta_p grid MIN:MAX:COUNT (default 0.5,1,2,4 times sigma)",
     )
-    check.add_argument("--samples", type=int, default=2_000_000, help="Monte-Carlo samples per channel")
+    check.add_argument("--samples", type=_positive_int, default=2_000_000, help="Monte-Carlo samples per channel")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--tol", type=_nonneg_float, default=1e-3, help="relative tolerance")
     check.add_argument("--out", required=True, help="output report CSV path")

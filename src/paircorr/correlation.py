@@ -134,17 +134,36 @@ def _mix_core(z, inv_s, sh):
 
 
 def _check_physical(sigma, triplet_fraction, momentum_split):
-    sigma = float(sigma)
-    if not math.isfinite(sigma) or sigma <= 0.0:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    f = float(triplet_fraction)
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"triplet_fraction must lie in [0, 1], got {f}")
+    """Validated (sigma, f, s): floats, or float arrays when any is an array.
+
+    A shape-(3,) momentum_split is a vector and contributes its
+    magnitude; any other array holds split magnitudes that broadcast
+    with sigma and f.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    f = np.asarray(triplet_fraction, dtype=float)
     split = np.asarray(momentum_split, dtype=float)
-    s = float(np.linalg.norm(split)) if split.ndim else float(split)
-    if not math.isfinite(s) or s < 0.0:
+    s = np.linalg.norm(split) if split.shape == (3,) else split
+    if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not np.all((f >= 0.0) & (f <= 1.0)):
+        raise ValueError(f"triplet_fraction must lie in [0, 1], got {f}")
+    if not np.all(np.isfinite(s) & (s >= 0.0)):
         raise ValueError(f"momentum_split must be finite and >= 0, got {s}")
+    if sigma.ndim == f.ndim == np.ndim(s) == 0:
+        return float(sigma), float(f), float(s)
     return sigma, f, s
+
+
+def _check_scalar_physical(sigma, triplet_fraction, momentum_split):
+    """_check_physical for the entry points that take one parameter point."""
+    checked = _check_physical(sigma, triplet_fraction, momentum_split)
+    if any(np.ndim(v) for v in checked):
+        raise ValueError(
+            "sigma, triplet_fraction and the split magnitude must be scalars here;"
+            " correlation_R takes arrays of them"
+        )
+    return checked
 
 
 def _check_delta_p(delta_p):
@@ -154,7 +173,77 @@ def _check_delta_p(delta_p):
     return dp
 
 
-def _reduced_brackets(delta, y):
+def _check_n_pairs(n_pairs):
+    n = float(n_pairs)
+    if not math.isfinite(n) or n < 0.0:
+        raise ValueError(f"n_pairs must be finite and >= 0, got {n}")
+    return n
+
+
+def _point_terms(q, f):
+    """Scalars of one parameter point, from q = split/sigma and f.
+
+    Returns d = q^2/4, J^2 = e^{-d}, J^4, J^{1/2} = e^{-d/4}, 1 - J^2,
+    e^{-2d} - 1, e^{-5d/4} - 1 and the denominator weights (1 - f)^2,
+    f^2 and 2 f (1 - f).
+    """
+    delta = q**2 / 4.0
+    return (
+        delta,
+        math.exp(-delta),
+        math.exp(-2.0 * delta),
+        math.exp(-0.25 * delta),
+        -math.expm1(-delta),  # 1 - J^2, exactly 0 at d = 0
+        math.expm1(-2.0 * delta),
+        math.expm1(-1.25 * delta),
+        (1.0 - f) ** 2,
+        f * f,
+        2.0 * f * (1.0 - f),
+    )
+
+
+_point_terms_each = np.frompyfunc(_point_terms, 2, 10)
+
+
+def _per_point(q, f):
+    """_point_terms of every parameter point of the broadcast q and f.
+
+    NumPy's vector exp and power may differ from libm in the last bit;
+    taking the per-point scalars from libm keeps each row of a batched
+    call bitwise equal to the one-parameter call. Scalars come back as
+    floats, arrays as float arrays of the broadcast shape.
+    """
+    return tuple(
+        np.asarray(t, dtype=float) if np.ndim(t) else t for t in _point_terms_each(q, f)
+    )
+
+
+def _by_rows(mask, when_true, when_false, *args):
+    """when_true's arrays where mask holds and when_false's elsewhere.
+
+    ``mask`` is per parameter point and the args broadcast against it.
+    Each form sees only the elements it serves, so it is computed only
+    on the rows that need it; a mask that is all true or all false
+    (every one-parameter call) passes the args through untouched.
+    """
+    if np.all(mask):
+        return when_true(*args)
+    if not np.any(mask):
+        return when_false(*args)
+    shape = np.broadcast_shapes(np.shape(mask), *(np.shape(a) for a in args))
+    pick = np.broadcast_to(mask, shape)
+    full = [np.broadcast_to(a, shape) for a in args]
+    parts = zip(when_true(*(a[pick] for a in full)), when_false(*(a[~pick] for a in full)))
+    out = []
+    for yes, no in parts:
+        merged = np.empty(shape)
+        merged[pick] = yes
+        merged[~pick] = no
+        out.append(merged)
+    return tuple(out)
+
+
+def _reduced_brackets(delta, y, j2, j4, jh, om, em2, em54):
     """Brackets of the intensity formulas as they enter the ratio R.
 
     Returns (bc0, bc1, bu0, bu1, buc): the singlet and triplet
@@ -165,40 +254,37 @@ def _reduced_brackets(delta, y):
     underflow on their own: the lone growing factor e^{d - z} appears
     explicitly, and where it overflows the true R has already pinned to
     -1, which the inf propagates to exactly.
-    """
-    y = np.asarray(y, dtype=float)
-    z = math.sqrt(delta) * y
-    j2 = math.exp(-delta)
-    j4 = math.exp(-2.0 * delta)
-    jh = math.exp(-0.25 * delta)
-    op = 1.0 + j2
-    om = -math.expm1(-delta)  # 1 - J^2, exactly 0 at d = 0
 
+    ``delta`` and the exponentials of it (``_point_terms``) are scalars
+    or arrays per parameter point; ``y`` has the full broadcast shape.
+    The tiny-d, series and saturated forms run only on the rows whose d
+    selects them.
+    """
+    return _by_rows(delta < _TINY_DELTA, _tiny_brackets, _brackets, delta, y, j2, j4, jh, om, em2, em54)
+
+
+def _tiny_brackets(delta, y, j2, j4, jh, om, em2, em54):
+    """The d -> 0 limits, for d below the smallest normal double."""
+    z = np.sqrt(delta) * y
+    inv_s = inv_sinhc(z)
+    op = 1.0 + j2
+    y2 = y * y
+    bc0 = (1.0 + inv_s) / op
+    bc1 = y2 / 6.0
+    bu0 = (3.0 * inv_s + 1.0 + 4.0 * sech(0.5 * z)) / (op * op)
+    bu1 = inv_s * _nb_series(0.0, y2)
+    buc = (3.0 + y2 / 6.0) / 2.0
+    return bc0, bc1, bu0, bu1, buc
+
+
+def _brackets(delta, y, j2, j4, jh, om, em2, em54):
+    """The brackets wherever d is at least the smallest normal double."""
+    z = np.sqrt(delta) * y
     inv_s = inv_sinhc(z)
     sh = sech(0.5 * z)
+    op = 1.0 + j2
     bc0 = (1.0 + inv_s) / op
-
-    if delta < _TINY_DELTA:
-        y2 = y * y
-        bc1 = y2 / 6.0
-        bu0 = (3.0 * inv_s + 1.0 + 4.0 * sh) / (op * op)
-        bu1 = inv_s * _nb_series(0.0, y2)
-        buc = (3.0 + y2 / 6.0) / 2.0
-        return bc0, bc1, bu0, bu1, buc
-
-    # inv_sinhc(z) / J^2. While j2 is a normal float the plain quotient
-    # is the most accurate form; past d = 700 the exponentials must be
-    # combined, and e^{d - z} saturating to inf is the intended limit.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if delta <= 700.0:
-            eds = inv_s / j2
-        else:
-            safe = np.where(z == 0.0, 1.0, z)
-            eds = np.where(
-                z == 0.0,
-                np.exp(delta),
-                -2.0 * safe * np.exp(delta - safe) / np.expm1(-2.0 * safe),
-            )
+    (eds,) = _by_rows(delta <= 700.0, _eds_plain, _eds_saturated, delta, z, inv_s, j2)
     bu0 = ((1.0 + 2.0 * j4) * eds + 1.0 + 4.0 * jh * sh) / (op * op)
 
     bc1 = one_minus_inv_sinhc(z) / om
@@ -214,24 +300,52 @@ def _reduced_brackets(delta, y):
         # inf/nan never survives the where
         grouped = (
             _mix_core(zg, inv_sinhc(zg), sech(0.5 * zg))
-            + 2.0 * inv_sinhc(zg) * math.expm1(-2.0 * delta)
-            + math.expm1(-delta)
-            - 4.0 * math.expm1(-1.25 * delta) * sech(0.5 * zg)
+            + 2.0 * inv_sinhc(zg) * em2
+            - om
+            - 4.0 * em54 * sech(0.5 * zg)
         ) / j2
         plain = (1.0 + 2.0 * j4) * eds + 1.0 - 4.0 * jh * sh
         # divide by om twice, not by om * om: for subnormal d the square
         # underflows to zero while the staged quotient stays exact
         direct = np.where(grouped_mask, grouped, plain) / om / om
-    if delta <= _SERIES_DELTA:
-        ratio = x_over_expm1(-delta)  # d / (1 - J^2)
-        ser = inv_s * _nb_series(delta, y * y) * ratio * ratio / j2
-        bu1 = np.where(z <= _SERIES_Z, ser, direct)
-    else:
-        bu1 = direct
+    (bu1,) = _by_rows(
+        delta <= _SERIES_DELTA, _bu1_series, _bu1_direct, direct, delta, y, z, inv_s, j2
+    )
     # the cross bracket's constant part factors exactly:
     # (1 - J^4) - J^2 (1 - J^2) = (1 - J^2)(1 + 2 J^2), cancelling om
     buc = ((1.0 + 2.0 * j2) * eds + bc1) / op
     return bc0, bc1, bu0, bu1, buc
+
+
+def _eds_plain(delta, z, inv_s, j2):
+    """inv_sinhc(z) / J^2 while J^2 is a normal float (d <= 700)."""
+    return (inv_s / j2,)
+
+
+def _eds_saturated(delta, z, inv_s, j2):
+    """inv_sinhc(z) / J^2 past d = 700, with the exponentials combined.
+
+    e^{d - z} saturating to inf is the intended limit.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        safe = np.where(z == 0.0, 1.0, z)
+        eds = np.where(
+            z == 0.0,
+            np.exp(delta),
+            -2.0 * safe * np.exp(delta - safe) / np.expm1(-2.0 * safe),
+        )
+    return (eds,)
+
+
+def _bu1_series(direct, delta, y, z, inv_s, j2):
+    """Triplet event-mixed bracket with the series at small (d, z)."""
+    ratio = x_over_expm1(-delta)  # d / (1 - J^2)
+    ser = inv_s * _nb_series(delta, y * y) * ratio * ratio / j2
+    return (np.where(z <= _SERIES_Z, ser, direct),)
+
+
+def _bu1_direct(direct, delta, y, z, inv_s, j2):
+    return (direct,)
 
 
 def correlation_R(delta_p, sigma, triplet_fraction, momentum_split):
@@ -241,13 +355,18 @@ def correlation_R(delta_p, sigma, triplet_fraction, momentum_split):
     ----------
     delta_p : array_like
         Relative momentum magnitudes |p1 - p2|, >= 0 (a.u.).
-    sigma : float
+    sigma : float or array_like
         Wavepacket momentum width (a.u.).
-    triplet_fraction : float
+    triplet_fraction : float or array_like
         Weight f of the antisymmetric channel, in [0, 1].
-    momentum_split : float or 3-vector
+    momentum_split : float, 3-vector or array_like
         Splitting momentum between the packet centers; only its
-        magnitude matters here.
+        magnitude matters here. A shape-(3,) array is one vector; any
+        other array holds magnitudes.
+
+    Array-valued parameters broadcast against delta_p, so an (m, 1)
+    column of each with an n-point grid evaluates m curves in one call;
+    each row equals the one-parameter call bit for bit.
 
     Returns
     -------
@@ -259,20 +378,21 @@ def correlation_R(delta_p, sigma, triplet_fraction, momentum_split):
     """
     sigma, f, split = _check_physical(sigma, triplet_fraction, momentum_split)
     dp = _check_delta_p(delta_p)
+    delta, j2, j4, jh, om, em2, em54, w0, w1, w2 = _per_point(split / sigma, f)
     y = dp / sigma
-    delta = (split / sigma) ** 2 / 4.0
-    bc0, bc1, bu0, bu1, buc = _reduced_brackets(delta, y)
+    y = np.broadcast_to(y, np.broadcast_shapes(y.shape, np.shape(delta)))
+    bc0, bc1, bu0, bu1, buc = _reduced_brackets(delta, y, j2, j4, jh, om, em2, em54)
     num = (1.0 - f) * bc0 + f * bc1
     # brackets may be inf for enormous splitting; sum only terms whose
     # weight is nonzero (f*f can underflow) so 0 * inf cannot poison it
     den = 0.0
-    for coef, bracket in (
-        ((1.0 - f) ** 2, bu0),
-        (f * f, bu1),
-        (2.0 * f * (1.0 - f), buc),
-    ):
-        if coef != 0.0:
+    for coef, bracket in ((w0, bu0), (w1, bu1), (w2, buc)):
+        live = coef != 0.0
+        if np.all(live):
             den = den + coef * bracket
+        elif np.any(live):
+            with np.errstate(invalid="ignore"):
+                den = den + np.where(live, coef * bracket, 0.0)
     return (2.0 * num / den - 1.0)[()]
 
 
@@ -369,17 +489,19 @@ def coincidence_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pa
 
     Integrates the mixture pair density over all orientations of the
     relative momentum (full 4 pi) and over the absolute momentum scale,
-    leaving a function of dp alone. Scales linearly with ``n_pairs``.
+    leaving a function of dp alone. Scales linearly with ``n_pairs``,
+    which must be finite and >= 0.
 
     Returns values in (pair count) / (a.u. momentum) such that the
     integral over dp counts detected pairs.
     """
-    sigma, f, split = _check_physical(sigma, triplet_fraction, momentum_split)
+    sigma, f, split = _check_scalar_physical(sigma, triplet_fraction, momentum_split)
+    n_pairs = _check_n_pairs(n_pairs)
     dp = _check_delta_p(delta_p)
     y = dp / sigma
     delta = (split / sigma) ** 2 / 4.0
     icor0, icor1, _, _, _ = _intensity_pieces(delta, y)
-    pref = float(n_pairs) * dp * dp / (2.0 * _SQRT_PI * sigma**3)
+    pref = n_pairs * dp * dp / (2.0 * _SQRT_PI * sigma**3)
     return (pref * ((1.0 - f) * icor0 + f * icor1))[()]
 
 
@@ -388,14 +510,16 @@ def accidental_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pai
 
     Built from products of independently drawn single-particle spectra
     of the same mixture; this is the uncorrelated reference against
-    which R is defined.
+    which R is defined. Scales linearly with ``n_pairs``, which must be
+    finite and >= 0.
     """
-    sigma, f, split = _check_physical(sigma, triplet_fraction, momentum_split)
+    sigma, f, split = _check_scalar_physical(sigma, triplet_fraction, momentum_split)
+    n_pairs = _check_n_pairs(n_pairs)
     dp = _check_delta_p(delta_p)
     y = dp / sigma
     delta = (split / sigma) ** 2 / 4.0
     _, _, iu00, iu11, iu01 = _intensity_pieces(delta, y)
-    pref = float(n_pairs) * dp * dp / (4.0 * _SQRT_PI * sigma**3)
+    pref = n_pairs * dp * dp / (4.0 * _SQRT_PI * sigma**3)
     mix = (1.0 - f) ** 2 * iu00 + f * f * iu11 + 2.0 * f * (1.0 - f) * iu01
     return (pref * mix)[()]
 
@@ -419,7 +543,7 @@ class CorrelationCurve:
 
 def correlation_curve(delta_p, sigma, triplet_fraction, momentum_split):
     """Evaluate R on a grid and bundle the result with its parameters."""
-    sigma_v, f, split = _check_physical(sigma, triplet_fraction, momentum_split)
+    sigma_v, f, split = _check_scalar_physical(sigma, triplet_fraction, momentum_split)
     dp = np.atleast_1d(_check_delta_p(delta_p))
     r = np.atleast_1d(correlation_R(dp, sigma_v, f, split))
     return CorrelationCurve(dp, r, sigma_v, f, split)

@@ -3,9 +3,15 @@
 The model curve R(dp; sigma, f, p_tilde) is fitted to digitized
 correlation data by weighted least squares. The optimizer is a small
 bounded Levenberg-Marquardt loop with forward-difference Jacobians,
-restarted from a Latin-hypercube set of initial points because the
-objective is multimodal when sigma and f are both free. Everything is
-deterministic for a fixed rng_seed.
+started from a Latin-hypercube set of initial points because the
+objective is multimodal when sigma and f are both free. The starts run
+in lockstep: each round evaluates every running start's probes or trial
+point in one parameter-batched correlation_R call and solves all their
+damped systems in one stacked solve. A parameter pinned on a bound whose
+step points out of the box is held fixed for that step, so a start
+parked on a bound still converges in the other parameters instead of
+crawling. Each start follows the same path it would alone, and
+everything is deterministic for a fixed rng_seed.
 
 The quality-of-fit number reported alongside the estimates is
 
@@ -152,8 +158,12 @@ class FitResult:
 
 
 def _resolve(theta, config: FitConfig):
-    """Full (sigma, f, p_tilde) from the free-parameter vector."""
-    values = dict(zip(config.free, (float(v) for v in theta)))
+    """Full (sigma, f, p_tilde) from a (k, n_free) stack of free vectors.
+
+    Free parameters come back as (k, 1) columns and fixed ones as
+    floats, ready to broadcast against a delta_p grid.
+    """
+    values = {name: theta[:, j : j + 1] for j, name in enumerate(config.free)}
     sigma = values.get("sigma", config.sigma)
     f = values.get("f", config.f)
     if "p_tilde" in values:
@@ -196,75 +206,112 @@ def _latin_starts(config: FitConfig, rng: np.random.Generator):
     return np.stack(columns, axis=1)
 
 
-def _jacobian(resid_fn, theta, resid, lo, hi):
-    """Forward-difference Jacobian, stepping backward at upper bounds."""
-    n = theta.size
-    jac = np.empty((resid.size, n))
-    for k in range(n):
-        h = 1e-6 * (abs(theta[k]) + 1e-3)
-        if theta[k] + h > hi[k]:
-            h = -h
-        shifted = theta.copy()
-        shifted[k] = np.clip(theta[k] + h, lo[k], hi[k])
-        step = shifted[k] - theta[k]
-        if step == 0.0:
-            jac[:, k] = 0.0
-            continue
-        r_shift, _ = resid_fn(shifted)
-        jac[:, k] = (r_shift - resid) / step
-    return jac
+def _lm_lockstep(evaluate, theta0, lo, hi, config: FitConfig):
+    """Bounded Levenberg-Marquardt descents from every start, in lockstep.
 
+    ``evaluate`` maps a (k, n) stack of parameter vectors to their
+    (k, N) weighted residuals and (k,) model scales max |R_model| with
+    one model call. Each round makes one such call, covering every
+    running start's pending points: the n forward-difference probes of
+    a start that needs a new Jacobian (stepping backward at upper
+    bounds), or the trial point of a start with a proposed step. One
+    stacked solve then gives the damped steps
+    (Marquardt's diagonal scaling, damping cut by 3 on success and
+    raised 4x on failure). A parameter that sits on a bound while its
+    step points out of the box is held fixed for that step, and the
+    system is solved in the others. A start drops out once it converges
+    or reaches max_iterations.
 
-def _lm_minimize(resid_fn, theta0, lo, hi, config: FitConfig):
-    """Bounded Levenberg-Marquardt descent from one start.
-
-    Returns (theta, cost, converged, trace, iterations, model_scale)
-    where model_scale is max |R_model| at the final point, used by the
-    identifiability guard.
+    Returns per-start arrays (theta, cost, converged, iterations,
+    model_scale) and the accepted-step objective trace of each start.
     """
-    theta = np.clip(np.asarray(theta0, dtype=float), lo, hi)
-    resid, model_scale = resid_fn(theta)
-    cost = float(np.sum(resid * resid))
-    trace = [cost]
-    lam = 1e-3
+    theta = np.clip(theta0, lo, hi)
+    count, n = theta.shape
+    resid, scale = evaluate(theta)
+    cost = np.sum(resid * resid, axis=1)
+    traces = [[c] for c in cost.tolist()]
+    lam = np.full(count, 1e-3)
+    iterations = np.zeros(count, dtype=int)
+    rejected = np.zeros(count, dtype=int)
     converged = cost <= config.residual_tol
-    iterations = 0
-    while not converged and iterations < config.max_iterations:
-        iterations += 1
-        jac = _jacobian(resid_fn, theta, resid, lo, hi)
-        jtj = jac.T @ jac
-        grad = jac.T @ resid
-        diag = np.maximum(np.diag(jtj), 1e-14 * max(np.max(np.diag(jtj)), 1.0))
-        accepted = False
-        for _ in range(30):
-            try:
-                delta = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                lam = min(lam * 4.0, 1e12)
-                continue
-            trial = np.clip(theta + delta, lo, hi)
-            step = trial - theta
-            if np.max(np.abs(step)) <= config.step_tol * (1.0 + np.max(np.abs(theta))):
-                converged = True
-                break
-            r_trial, scale_trial = resid_fn(trial)
-            cost_trial = float(np.sum(r_trial * r_trial))
-            if cost_trial < cost:
-                theta, resid, cost, model_scale = trial, r_trial, cost_trial, scale_trial
-                trace.append(cost)
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                break
-            lam = min(lam * 4.0, 1e12)
-        if converged:
-            break
-        if not accepted:
-            # damping exhausted without descent: a stationary point
-            converged = True
-            break
-        if cost <= config.residual_tol:
-            converged = True
-    return theta, cost, converged, trace, iterations, model_scale
+    jtj = np.zeros((count, n, n))
+    grad = np.zeros((count, n))
+    diag = np.zeros((count, n))
+    trial = theta.copy()
+    eye = np.arange(n)
+    probing = ~converged  # next evaluation: the Jacobian probes
+    pending = np.zeros(count, dtype=bool)  # next evaluation: the trial point
+    while probing.any() or pending.any():
+        ip, it = np.flatnonzero(probing), np.flatnonzero(pending)
+        base = theta[ip]
+        h = 1e-6 * (np.abs(base) + 1e-3)
+        shifted = np.clip(np.where(base + h > hi, base - h, base + h), lo, hi)
+        step = shifted - base
+        pi, pk = np.nonzero(step)
+        probes = base[pi]
+        probes[np.arange(pi.size), pk] = shifted[pi, pk]
+        r_all, s_all = evaluate(np.concatenate([probes, trial[it]]))
+
+        # Jacobians of the probed starts; a probe the box pinned stays a
+        # zero column
+        jac = np.zeros((ip.size, resid.shape[1], n))
+        jac[pi, :, pk] = (r_all[: pi.size] - resid[ip][pi]) / step[pi, pk][:, None]
+        jac_t = jac.transpose(0, 2, 1)
+        jtj[ip] = jac_t @ jac
+        grad[ip] = (jac_t @ resid[ip][:, :, None])[:, :, 0]
+        d = np.diagonal(jtj[ip], axis1=1, axis2=2)
+        diag[ip] = np.maximum(d, 1e-14 * np.maximum(d.max(axis=1), 1.0)[:, None])
+        iterations[ip] += 1
+        rejected[ip] = 0
+
+        # trial points: accept on descent, otherwise raise the damping
+        r_trial = r_all[pi.size :]
+        c_trial = np.sum(r_trial * r_trial, axis=1)
+        better = c_trial < cost[it]
+        acc, rej = it[better], it[~better]
+        theta[acc] = trial[acc]
+        resid[acc] = r_trial[better]
+        cost[acc] = c_trial[better]
+        scale[acc] = s_all[pi.size :][better]
+        for i, c in zip(acc.tolist(), cost[acc].tolist()):
+            traces[i].append(c)
+        lam[acc] = np.maximum(lam[acc] / 3.0, 1e-12)
+        lam[rej] = np.minimum(lam[rej] * 4.0, 1e12)
+        rejected[rej] += 1
+        converged[acc] = cost[acc] <= config.residual_tol
+        # damping exhausted without descent: a stationary point
+        converged[rej] = rejected[rej] >= 30
+        probing[:] = False
+        probing[acc] = ~converged[acc] & (iterations[acc] < config.max_iterations)
+        pending[:] = False
+
+        solve = np.concatenate([ip, rej[~converged[rej]]])
+        if not solve.size:
+            continue
+        # J^T J plus a positive diagonal is positive definite, so no
+        # system here is singular
+        a = jtj[solve]
+        a[:, eye, eye] += lam[solve, None] * diag[solve]
+        b = -grad[solve]
+        delta = np.linalg.solve(a, b[:, :, None])[:, :, 0]
+        at = theta[solve]
+        held = ((at <= lo) & (delta < 0.0)) | ((at >= hi) & (delta > 0.0))
+        rows = np.flatnonzero(held.any(axis=1))
+        if rows.size:
+            # unit rows and columns with a zero right-hand side pin the
+            # held parameters; the others get the reduced solve
+            a_red, b_red, h_red = a[rows], b[rows], held[rows]
+            a_red[h_red[:, :, None] | h_red[:, None, :]] = 0.0
+            hr, hk = np.nonzero(h_red)
+            a_red[hr, hk, hk] = 1.0
+            b_red[h_red] = 0.0
+            delta[rows] = np.linalg.solve(a_red, b_red[:, :, None])[:, :, 0]
+        trial[solve] = np.clip(at + delta, lo, hi)
+        moved = np.max(np.abs(trial[solve] - at), axis=1)
+        small = moved <= config.step_tol * (1.0 + np.max(np.abs(at), axis=1))
+        converged[solve[small]] = True
+        pending[solve[~small]] = True
+    return theta, cost, converged, iterations, scale, traces
 
 
 def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
@@ -297,27 +344,27 @@ def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     sqrt_w = np.sqrt(data.weights())
     data_scale = float(np.max(np.abs(robs)))
 
-    def resid_fn(theta):
-        sigma, f, p_tilde = _resolve(theta, config)
-        r_model = correlation_R(dp, sigma, f, p_tilde)
-        return sqrt_w * (r_model - robs), float(np.max(np.abs(r_model)))
+    def evaluate(thetas):
+        grid = np.broadcast_to(dp, (thetas.shape[0], dp.size))
+        r_model = correlation_R(grid, *_resolve(thetas, config))
+        return sqrt_w * (r_model - robs), np.max(np.abs(r_model), axis=1)
 
     lo, hi = _bounds_arrays(config)
     rng = np.random.default_rng(config.rng_seed)
     starts = _latin_starts(config, rng)
-    outcomes = []
-    for index in range(starts.shape[0]):
-        outcomes.append(_lm_minimize(resid_fn, starts[index], lo, hi, config))
-    if all(out[5] <= _SENSITIVITY_FLOOR * (1.0 + data_scale) for out in outcomes):
+    thetas, costs, converged, iterations, scales, traces = _lm_lockstep(
+        evaluate, starts, lo, hi, config
+    )
+    if np.all(scales <= _SENSITIVITY_FLOOR * (1.0 + data_scale)):
         raise InsufficientSensitivityError(
             "the model curve is identically negligible at every multistart"
             " optimum; the free parameters are not identifiable from this"
             " configuration (is the correlation switched off, f = 0 with"
             " p_tilde = 0?)"
         )
-    best_index = min(range(len(outcomes)), key=lambda i: (outcomes[i][1], i))
-    theta, cost, converged, trace, iterations, _ = outcomes[best_index]
-    sigma, f, p_tilde = _resolve(theta, config)
+    best_index = int(np.argmin(costs))  # first minimum: ties go to the lower index
+    theta = thetas[best_index]
+    sigma, f, p_tilde = (float(np.ravel(v)[0]) for v in _resolve(theta[None], config))
     r_model = correlation_R(dp, sigma, f, p_tilde)
     params = ModelParams(sigma, p_tilde, triplet_fraction=f)
     result = FitResult(
@@ -327,13 +374,13 @@ def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
         estimates={name: float(v) for name, v in zip(config.free, theta)},
         approx_error_pct=approximation_error(data, params),
         residuals=tuple(float(v) for v in (r_model - robs)),
-        converged=bool(converged),
-        iterations=int(iterations),
-        objective=float(cost),
-        objective_trace=tuple(trace),
-        start_index=int(best_index),
+        converged=bool(converged[best_index]),
+        iterations=int(iterations[best_index]),
+        objective=float(costs[best_index]),
+        objective_trace=tuple(traces[best_index]),
+        start_index=best_index,
     )
-    if not any(out[2] for out in outcomes):
+    if not converged.any():
         raise NonConvergenceError(
             f"no start converged within {config.max_iterations} iterations",
             result=result,

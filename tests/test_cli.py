@@ -166,6 +166,24 @@ def test_usage_errors(tmp_path):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--data", "d.csv", "--out", "o.json", "--starts", "0"],
+        ["fit", "--data", "d.csv", "--out", "o.json", "--max-iter", "0"],
+        ["fit", "--data", "d.csv", "--out", "o.json", "--free", "sigma,q"],
+        ["fit", "--data", "d.csv", "--out", "o.json", "--free", "sigma,sigma"],
+        ["oracle-check", "--sigma", "0.5", "--samples", "0", "--out", "r.csv"],
+    ],
+)
+def test_config_usage_errors(argv, capsys):
+    # rejected while parsing, before any file is read or written
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

@@ -210,6 +210,14 @@ def test_intensity_scales_with_n_pairs():
     np.testing.assert_allclose(ten, 10.0 * one, rtol=1e-15)
 
 
+def test_n_pairs_validation():
+    for fn in (coincidence_intensity, accidental_intensity):
+        for bad in (np.nan, np.inf, -3.0):
+            with pytest.raises(ValueError, match="n_pairs"):
+                fn(0.3, 0.22, 0.5, 0.022, n_pairs=bad)
+        assert float(fn(0.3, 0.22, 0.5, 0.022, n_pairs=0.0)) == 0.0
+
+
 def test_intensities_vanish_at_contact():
     assert float(coincidence_intensity(0.0, 0.5, 0.5, 0.5)) == 0.0
     assert float(accidental_intensity(0.0, 0.5, 0.5, 0.5)) == 0.0
@@ -222,6 +230,36 @@ def test_vector_split_uses_magnitude():
     assert float(a) == pytest.approx(float(b), rel=1e-15)
 
 
+def test_parameter_batch_matches_scalar_calls():
+    # one (m, 1) column per parameter evaluates m curves in one call;
+    # rows span every regime (d = p_tilde^2 / 4 sigma^2): tiny-d,
+    # series, grouped, plain and saturated (d = 900), each at f = 0,
+    # an interior f and f = 1
+    regimes = [(0.3, 1e-160), (0.5, 0.005), (0.22, 0.022), (0.2, 0.6), (1.0, 4.0), (0.1, 6.0)]
+    rows = [(sigma, f, split) for sigma, split in regimes for f in (0.0, 0.3, 1.0)]
+    sigma, f, split = (np.array(col)[:, None] for col in zip(*rows))
+    dp = np.concatenate([[0.0], np.geomspace(1e-4, 60.0, 40)])
+    batch = correlation_R(dp, sigma, f, split)
+    assert batch.shape == (len(rows), dp.size)
+    for row, (s, fr, sp) in zip(batch, rows):
+        want = correlation_R(dp, s, fr, sp)
+        assert np.all(np.abs(row - want) <= 1e-14 * (1.0 + np.abs(want)))
+        # the per-point constants come from the same scalar code, so
+        # the rows agree bit for bit
+        np.testing.assert_array_equal(row, want)
+    # a per-row grid, and a split column against scalar sigma and f
+    grids = dp[None, :] * sigma
+    np.testing.assert_array_equal(
+        correlation_R(grids, sigma, f, split),
+        [correlation_R(g, s, fr, sp) for g, (s, fr, sp) in zip(grids, rows)],
+    )
+    np.testing.assert_array_equal(
+        correlation_R(dp, 0.5, 0.3, split),
+        [correlation_R(dp, 0.5, 0.3, sp) for sp in split[:, 0]],
+    )
+    assert correlation_R(dp, np.empty((0, 1)), 0.3, 0.1).shape == (0, dp.size)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         correlation_R(1.0, -0.5, 0.5, 0.5)
@@ -231,6 +269,16 @@ def test_input_validation():
         correlation_R(-1.0, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         coincidence_intensity(np.array([1.0, np.nan]), 0.5, 0.5, 0.5)
+    # array-valued parameters are checked elementwise
+    with pytest.raises(ValueError):
+        correlation_R(1.0, np.array([[0.5], [0.0]]), 0.5, 0.5)
+    with pytest.raises(ValueError):
+        correlation_R(1.0, 0.5, np.array([[0.5], [np.nan]]), 0.5)
+    with pytest.raises(ValueError):
+        correlation_R(1.0, 0.5, 0.5, np.array([[0.5], [-0.1]]))
+    # the intensities take one parameter point
+    with pytest.raises(ValueError):
+        coincidence_intensity(1.0, np.array([[0.5], [0.6]]), 0.5, 0.5)
 
 
 @given(
