@@ -57,24 +57,25 @@ def _grid_type(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _nonneg_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not np.isfinite(value) or value < 0.0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
-    return value
+def _checked(cast, ok, expected):
+    """argparse type: ``cast`` the flag, then require ``ok`` of the value."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+_nonneg_float = _checked(float, lambda v: np.isfinite(v) and v >= 0.0, "a non-negative number")
+_positive_float = _checked(float, lambda v: np.isfinite(v) and v > 0.0, "a positive number")
+_nonneg_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 
 
 def _free_list(text: str) -> tuple:
@@ -243,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fit_cmd.add_argument("--starts", type=_positive_int, default=16, help="multistart count")
     fit_cmd.add_argument("--max-iter", type=_positive_int, default=200)
-    fit_cmd.add_argument("--seed", type=int, default=0)
+    fit_cmd.add_argument("--seed", type=_nonneg_int, default=0)
     fit_cmd.add_argument("--out", required=True, help="output JSON path")
     fit_cmd.set_defaults(func=_cmd_fit)
 
@@ -258,8 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="delta_p grid MIN:MAX:COUNT (default 0.5,1,2,4 times sigma)",
     )
     check.add_argument("--samples", type=_positive_int, default=2_000_000, help="Monte-Carlo samples per channel")
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--tol", type=_nonneg_float, default=1e-3, help="relative tolerance")
+    check.add_argument("--seed", type=_nonneg_int, default=0)
+    check.add_argument("--tol", type=_positive_float, default=1e-3, help="relative tolerance")
     check.add_argument("--out", required=True, help="output report CSV path")
     check.set_defaults(func=_cmd_oracle_check)
 
@@ -274,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument(
         "--noise", type=_nonneg_float, default=0.1, help="relative noise level (>= 0)"
     )
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_nonneg_int, default=0)
     synth.add_argument("--out", required=True, help="output dataset CSV path")
     synth.set_defaults(func=_cmd_synth)
 

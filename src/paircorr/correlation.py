@@ -18,26 +18,34 @@ model densities in the oracle test suite.
 
 Numerics
 --------
-With d = s^2/(4 sigma^2) and z = s dp / (2 sigma^2), the raw formulas
-contain sinh(z)/z factors that overflow for large z and brackets that
-cancel to O(d^2) for small splitting. Internally the ratio's numerator
-is reduced by sinh(z)/z and its denominator by J^2 sinh(z)/z, built
-from cancellation-free primitives, so R stays finite even where J^2 or
-z/sinh(z) underflow on their own; the one genuinely cancelling bracket
-(the triplet event-mixed term) switches to a bivariate series in
-(d, y^2), y = dp/sigma, below d = 1e-4, z = 0.05. Worst-case relative
-error of the assembled forms is a few 1e-12 over the full parameter
-domain (measured against 50-digit references in the tests).
+With d = s^2/(4 sigma^2), z = s dp / (2 sigma^2) and y = dp/sigma, the
+raw formulas contain sinh(z)/z factors that overflow for large z and
+brackets that cancel to O(d^2) for small splitting. One bracket kernel
+serves every entry point. It builds the brackets of R from
+cancellation-free primitives, with the ratio's numerator reduced by
+sinh(z)/z and its denominator by J^2 sinh(z)/z, so R stays finite even
+where J^2 or z/sinh(z) underflow on their own; the one genuinely
+cancelling bracket (the triplet event-mixed term) switches to a
+bivariate series in (d, y^2) below d = 1e-4, z = 0.05. The intensities
+are the same brackets times the envelope g1 = e^{-y^2/4} J^2 sinh(z)/z.
+The event-mixed brackets carry a term eds = z/sinh(z) / J^2, and g1 eds
+is e^{-y^2/4} exactly; the kernel takes that product as one factor
+instead of multiplying g1 by eds, because past d = 700 g1 underflows
+while eds overflows. Worst-case relative error of the assembled forms
+is a few 1e-12 over the full parameter domain (measured against
+50-digit references in the tests).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._stable import inv_sinhc, one_minus_inv_sinhc, sech, sinhc_m1, x_over_expm1
+from ._stable import inv_sinhc, one_minus_inv_sinhc, sech, x_over_expm1
+from ._stable import sinhc_m1  # noqa: F401  # wrapped by name in perfbench/tracing.py
 
 __all__ = [
     "coincidence_intensity",
@@ -243,77 +251,105 @@ def _by_rows(mask, when_true, when_false, *args):
     return tuple(out)
 
 
-def _reduced_brackets(delta, y, j2, j4, jh, om, em2, em54):
-    """Brackets of the intensity formulas as they enter the ratio R.
+def _reduced_brackets(delta, y, j2, j4, jh, om, em2, em54, scale):
+    """Brackets of the intensity formulas, times the factor ``scale`` picks.
 
     Returns (bc0, bc1, bu0, bu1, buc): the singlet and triplet
     coincidence brackets divided by sinh(z)/z, and the three event-mixed
-    brackets (singlet^2, triplet^2, cross) divided by J^2 sinh(z)/z, so
-    that R = 2 num/den - 1 directly. Reducing the denominator by the
-    extra J^2 keeps the ratio well defined even where J^2 or z/sinh(z)
-    underflow on their own: the lone growing factor e^{d - z} appears
-    explicitly, and where it overflows the true R has already pinned to
-    -1, which the inf propagates to exactly.
+    brackets (singlet^2, triplet^2, cross) divided by J^2 sinh(z)/z,
+    each multiplied by the g of ``scale`` (``_ratio_scale`` or
+    ``_intensity_scale``). With g = 1 they enter R = 2 num/den - 1
+    directly. Reducing the denominator by the extra J^2 keeps the ratio
+    well defined even where J^2 or z/sinh(z) underflow on their own: the
+    lone growing factor e^{d - z} appears explicitly, and where it
+    overflows the true R has already pinned to -1, which the inf
+    propagates to exactly.
 
     ``delta`` and the exponentials of it (``_point_terms``) are scalars
     or arrays per parameter point; ``y`` has the full broadcast shape.
     The tiny-d, series and saturated forms run only on the rows whose d
     selects them.
     """
-    return _by_rows(delta < _TINY_DELTA, _tiny_brackets, _brackets, delta, y, j2, j4, jh, om, em2, em54)
+    return _by_rows(
+        delta < _TINY_DELTA,
+        functools.partial(_tiny_brackets, scale),
+        functools.partial(_brackets, scale),
+        delta, y, j2, j4, jh, om, em2, em54,
+    )
 
 
-def _tiny_brackets(delta, y, j2, j4, jh, om, em2, em54):
+def _ratio_scale(delta, y, z, inv_s, j2):
+    """(g, g * eds) = (1, eds), eds = inv_sinhc(z) / J^2: the brackets R uses."""
+    return (1.0,) + _by_rows(delta <= 700.0, _eds_plain, _eds_saturated, delta, z, inv_s, j2)
+
+
+def _intensity_scale(delta, y, z, inv_s, j2):
+    """(g1, g1 * eds): the envelope g1 = e^{-y^2/4} J^2 sinh(z)/z and e^{-y^2/4}.
+
+    Times g1 the brackets are the intensity pieces. g1 is evaluated as
+    e^{z - y^2/4 - d} (1 - e^{-2z}) / (2z), and g1 * eds exactly as
+    e^{-y^2/4}, so past d = 700, where g1 underflows and eds overflows,
+    the eds terms keep their value instead of turning into 0 * inf.
+    """
+    w = 0.25 * y * y
+    return np.exp(z - w - delta) / x_over_expm1(-2.0 * z), np.exp(-w)
+
+
+def _tiny_brackets(scale, delta, y, j2, j4, jh, om, em2, em54):
     """The d -> 0 limits, for d below the smallest normal double."""
     z = np.sqrt(delta) * y
     inv_s = inv_sinhc(z)
+    g, ge = scale(delta, y, z, inv_s, j2)
     op = 1.0 + j2
     y2 = y * y
-    bc0 = (1.0 + inv_s) / op
-    bc1 = y2 / 6.0
-    bu0 = (3.0 * inv_s + 1.0 + 4.0 * sech(0.5 * z)) / (op * op)
-    bu1 = inv_s * _nb_series(0.0, y2)
-    buc = (3.0 + y2 / 6.0) / 2.0
+    bc0 = (1.0 + inv_s) / op * g
+    bc1 = y2 / 6.0 * g
+    bu0 = (3.0 * ge + g + 4.0 * sech(0.5 * z) * g) / (op * op)
+    bu1 = inv_s * _nb_series(0.0, y2) * g
+    buc = (3.0 * g + bc1) / 2.0
     return bc0, bc1, bu0, bu1, buc
 
 
-def _brackets(delta, y, j2, j4, jh, om, em2, em54):
-    """The brackets wherever d is at least the smallest normal double."""
+def _brackets(scale, delta, y, j2, j4, jh, om, em2, em54):
+    """The brackets wherever d is at least the smallest normal double.
+
+    Every eds term is written with ge = g * eds, never as g times eds.
+    """
     z = np.sqrt(delta) * y
     inv_s = inv_sinhc(z)
     sh = sech(0.5 * z)
+    g, ge = scale(delta, y, z, inv_s, j2)
     op = 1.0 + j2
-    bc0 = (1.0 + inv_s) / op
-    (eds,) = _by_rows(delta <= 700.0, _eds_plain, _eds_saturated, delta, z, inv_s, j2)
-    bu0 = ((1.0 + 2.0 * j4) * eds + 1.0 + 4.0 * jh * sh) / (op * op)
+    bc0 = (1.0 + inv_s) / op * g
+    bu0 = ((1.0 + 2.0 * j4) * ge + g + 4.0 * jh * sh * g) / (op * op)
 
-    bc1 = one_minus_inv_sinhc(z) / om
+    bc1 = one_minus_inv_sinhc(z) / om * g
     # N_B * inv_sinhc / J^2 in three regimes: grouped expm1 form while
     # the bracket still cancels (there d < 10, so dividing by j2 is
     # harmless), plain exponentials once nothing cancels, series at the
-    # origin.
+    # origin. zg is z on the grouped rows and 0 elsewhere, so the
+    # primitives of z serve it too, masked to their value at 0.
     grouped_mask = 0.25 * delta + 0.5 * z < _PLAIN_SWITCH
     zg = np.where(grouped_mask, z, 0.0)
+    inv_sg = np.where(grouped_mask, inv_s, 1.0)
+    shg = np.where(grouped_mask, sh, 1.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # where the mask discards the grouped form, j2 may have
         # underflowed to 0 and the staged quotient may overflow; the
         # inf/nan never survives the where
         grouped = (
-            _mix_core(zg, inv_sinhc(zg), sech(0.5 * zg))
-            + 2.0 * inv_sinhc(zg) * em2
-            - om
-            - 4.0 * em54 * sech(0.5 * zg)
-        ) / j2
-        plain = (1.0 + 2.0 * j4) * eds + 1.0 - 4.0 * jh * sh
+            _mix_core(zg, inv_sg, shg) + 2.0 * inv_sg * em2 - om - 4.0 * em54 * shg
+        ) / j2 * g
+        plain = (1.0 + 2.0 * j4) * ge + g - 4.0 * jh * sh * g
         # divide by om twice, not by om * om: for subnormal d the square
         # underflows to zero while the staged quotient stays exact
         direct = np.where(grouped_mask, grouped, plain) / om / om
     (bu1,) = _by_rows(
-        delta <= _SERIES_DELTA, _bu1_series, _bu1_direct, direct, delta, y, z, inv_s, j2
+        delta <= _SERIES_DELTA, _bu1_series, _bu1_direct, direct, delta, y, z, inv_s, j2, g
     )
     # the cross bracket's constant part factors exactly:
     # (1 - J^4) - J^2 (1 - J^2) = (1 - J^2)(1 + 2 J^2), cancelling om
-    buc = ((1.0 + 2.0 * j2) * eds + bc1) / op
+    buc = ((1.0 + 2.0 * j2) * ge + bc1) / op
     return bc0, bc1, bu0, bu1, buc
 
 
@@ -337,15 +373,39 @@ def _eds_saturated(delta, z, inv_s, j2):
     return (eds,)
 
 
-def _bu1_series(direct, delta, y, z, inv_s, j2):
+def _bu1_series(direct, delta, y, z, inv_s, j2, g):
     """Triplet event-mixed bracket with the series at small (d, z)."""
     ratio = x_over_expm1(-delta)  # d / (1 - J^2)
-    ser = inv_s * _nb_series(delta, y * y) * ratio * ratio / j2
+    ser = inv_s * _nb_series(delta, y * y) * ratio * ratio / j2 * g
     return (np.where(z <= _SERIES_Z, ser, direct),)
 
 
-def _bu1_direct(direct, delta, y, z, inv_s, j2):
+def _bu1_direct(direct, delta, y, z, inv_s, j2, g):
     return (direct,)
+
+
+def _mixture(dp, sigma, f, split, scale):
+    """(num, den): the singlet/triplet mixtures of the scaled brackets.
+
+    num weighs the coincidence brackets by 1 - f and f, den the
+    event-mixed ones by (1 - f)^2, f^2 and 2 f (1 - f).
+    """
+    delta, j2, j4, jh, om, em2, em54, w0, w1, w2 = _per_point(split / sigma, f)
+    y = dp / sigma
+    y = np.broadcast_to(y, np.broadcast_shapes(y.shape, np.shape(delta)))
+    bc0, bc1, bu0, bu1, buc = _reduced_brackets(delta, y, j2, j4, jh, om, em2, em54, scale)
+    num = (1.0 - f) * bc0 + f * bc1
+    # brackets may be inf for enormous splitting; sum only terms whose
+    # weight is nonzero (f*f can underflow) so 0 * inf cannot poison it
+    den = 0.0
+    for coef, bracket in ((w0, bu0), (w1, bu1), (w2, buc)):
+        live = coef != 0.0
+        if np.all(live):
+            den = den + coef * bracket
+        elif np.any(live):
+            with np.errstate(invalid="ignore"):
+                den = den + np.where(live, coef * bracket, 0.0)
+    return num, den
 
 
 def correlation_R(delta_p, sigma, triplet_fraction, momentum_split):
@@ -377,22 +437,7 @@ def correlation_R(delta_p, sigma, triplet_fraction, momentum_split):
         splitting gives exactly 0).
     """
     sigma, f, split = _check_physical(sigma, triplet_fraction, momentum_split)
-    dp = _check_delta_p(delta_p)
-    delta, j2, j4, jh, om, em2, em54, w0, w1, w2 = _per_point(split / sigma, f)
-    y = dp / sigma
-    y = np.broadcast_to(y, np.broadcast_shapes(y.shape, np.shape(delta)))
-    bc0, bc1, bu0, bu1, buc = _reduced_brackets(delta, y, j2, j4, jh, om, em2, em54)
-    num = (1.0 - f) * bc0 + f * bc1
-    # brackets may be inf for enormous splitting; sum only terms whose
-    # weight is nonzero (f*f can underflow) so 0 * inf cannot poison it
-    den = 0.0
-    for coef, bracket in ((w0, bu0), (w1, bu1), (w2, buc)):
-        live = coef != 0.0
-        if np.all(live):
-            den = den + coef * bracket
-        elif np.any(live):
-            with np.errstate(invalid="ignore"):
-                den = den + np.where(live, coef * bracket, 0.0)
+    num, den = _mixture(_check_delta_p(delta_p), sigma, f, split, _ratio_scale)
     return (2.0 * num / den - 1.0)[()]
 
 
@@ -404,84 +449,6 @@ def correlation_R0(delta_p, sigma, momentum_split):
 def correlation_R1(delta_p, sigma, momentum_split):
     """Pure triplet correlation function (triplet_fraction = 1)."""
     return correlation_R(delta_p, sigma, 1.0, momentum_split)
-
-
-def _intensity_pieces(delta, y):
-    """Exponential-weighted brackets entering the absolute intensities.
-
-    Every returned array is a bounded combination of decaying
-    exponentials; sinh factors appear only through the identity
-    E J^2 sinh(z)/z = e^{z - y^2/4 - d} (1 - e^{-2z}) / (2 z),
-    which keeps the large-z regime finite.
-    """
-    y = np.asarray(y, dtype=float)
-    y2 = y * y
-    z = math.sqrt(delta) * y
-    op = 1.0 + math.exp(-delta)
-    om = -math.expm1(-delta)
-
-    e0 = np.exp(-0.25 * y2)
-    ej2 = np.exp(-0.25 * y2 - delta)
-    ej4 = np.exp(-0.25 * y2 - 2.0 * delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g1 = np.where(
-            z == 0.0,
-            ej2,
-            np.exp(z - 0.25 * y2 - delta) * -np.expm1(-2.0 * z) / (2.0 * z),
-        )
-        g12 = np.where(
-            z == 0.0,
-            0.5 * np.exp(-0.25 * y2 - 1.25 * delta),
-            np.exp(0.5 * z - 0.25 * y2 - 1.25 * delta) * -np.expm1(-z) / (2.0 * z),
-        )
-
-    icor0 = (g1 + ej2) / op
-    iu00 = (e0 + 2.0 * ej4 + g1 + 8.0 * g12) / (op * op)
-
-    if delta < _TINY_DELTA:
-        icor1 = e0 * y2 / 6.0
-        iu11 = e0 * _nb_series(0.0, y2)
-        iu01 = e0 * (3.0 + y2 / 6.0) / 2.0
-        return icor0, icor1, iu00, iu11, iu01
-
-    minus_term = np.where(z < 0.5, ej2 * sinhc_m1(np.minimum(z, 0.5)), g1 - ej2)
-    icor1 = minus_term / om
-
-    # Triplet event-mixed bracket, same three regimes as the ratio path:
-    # series at small (d, z), grouped expm1 form while the bracket
-    # cancels, plain combination of decaying exponentials beyond.
-    grouped_mask = 0.25 * delta + 0.5 * z < _PLAIN_SWITCH
-    zg = np.where(grouped_mask, z, 0.0)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # staged / om / om quotients survive subnormal d, where om * om
-        # would underflow; whichever branch still overflows is the one
-        # the masks discard, so the inf never reaches a result
-        grouped = e0 * (
-            _zfun(zg)
-            + 2.0 * math.expm1(-2.0 * delta)
-            + math.expm1(-delta) * (1.0 + sinhc_m1(zg))
-            - 8.0 * math.expm1(-1.25 * delta) * _half_sinhc(zg)
-        ) / om / om
-        plain = (e0 + 2.0 * ej4 + g1 - 8.0 * g12) / om / om
-        direct = np.where(grouped_mask, grouped, plain)
-    if delta <= _SERIES_DELTA:
-        ratio = x_over_expm1(-delta)
-        ser = e0 * _nb_series(delta, y2) * ratio * ratio
-        iu11 = np.where(z <= _SERIES_Z, ser, direct)
-    else:
-        iu11 = direct
-
-    # cross term via the exact factorization
-    # E (1 - J^4) + E J^2 (1 - J^2) = om (E op + E J^2), cancelling om
-    iu01 = e0 + (ej2 + icor1) / op
-    return icor0, icor1, iu00, iu11, iu01
-
-
-def _half_sinhc(z):
-    """sinh(z/2)/z with the z = 0 limit 1/2; callers keep z < 5."""
-    z = np.asarray(z, dtype=float)
-    zc = np.where(z == 0.0, 1.0, z)
-    return np.where(z == 0.0, 0.5, np.sinh(0.5 * zc) / zc)
 
 
 def coincidence_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pairs=1.0):
@@ -498,11 +465,9 @@ def coincidence_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pa
     sigma, f, split = _check_scalar_physical(sigma, triplet_fraction, momentum_split)
     n_pairs = _check_n_pairs(n_pairs)
     dp = _check_delta_p(delta_p)
-    y = dp / sigma
-    delta = (split / sigma) ** 2 / 4.0
-    icor0, icor1, _, _, _ = _intensity_pieces(delta, y)
+    num, _ = _mixture(dp, sigma, f, split, _intensity_scale)
     pref = n_pairs * dp * dp / (2.0 * _SQRT_PI * sigma**3)
-    return (pref * ((1.0 - f) * icor0 + f * icor1))[()]
+    return (pref * num)[()]
 
 
 def accidental_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pairs=1.0):
@@ -516,12 +481,9 @@ def accidental_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pai
     sigma, f, split = _check_scalar_physical(sigma, triplet_fraction, momentum_split)
     n_pairs = _check_n_pairs(n_pairs)
     dp = _check_delta_p(delta_p)
-    y = dp / sigma
-    delta = (split / sigma) ** 2 / 4.0
-    _, _, iu00, iu11, iu01 = _intensity_pieces(delta, y)
+    _, den = _mixture(dp, sigma, f, split, _intensity_scale)
     pref = n_pairs * dp * dp / (4.0 * _SQRT_PI * sigma**3)
-    mix = (1.0 - f) ** 2 * iu00 + f * f * iu11 + 2.0 * f * (1.0 - f) * iu01
-    return (pref * mix)[()]
+    return (pref * den)[()]
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,8 @@ class FitConfig:
             raise ValueError("multistart_count and max_iterations must be >= 1")
         if self.step_tol <= 0.0 or self.residual_tol < 0.0:
             raise ValueError("step_tol must be > 0 and residual_tol >= 0")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Everything the closed-form module computes analytically is recomputed
 here by direct numerical integration of the two-particle densities:
 
 * pair-density normalization, by separable Gauss-Legendre quadrature or
-  by importance-sampled Monte Carlo;
+  by importance-sampled Monte Carlo; the mixture's yield normalization
+  is the weighted sum of the singlet and triplet norms, by either
+  method;
 * the single-particle density rho(p) = integral of the pair density over
   the partner momentum, by 3-d tensor quadrature;
 * the coincidence intensity, the 5-d integral
@@ -20,7 +22,10 @@ variance entirely, leaving only the angular integral. The polar cosine
 u is drawn from a mixture of a uniform density and cosh-tilted
 densities matched to the exp(z u) factors of the integrand, with
 stratified inversion per chunk, so the realized error falls much faster
-than the reported (conservative) 1/sqrt(N) standard error.
+than the reported (conservative) 1/sqrt(N) standard error. One runner
+serves every coincidence channel: a channel whose (P, s) is jittered
+draws them per sample, and a point channel is the same code with no
+jitter draws and (P, s) as single vectors.
 
 Sampling is chunked; each chunk has its own seed spawned from the
 spec's rng_seed and the per-chunk sums are combined with math.fsum, so
@@ -58,7 +63,6 @@ __all__ = [
     "QuadratureSpec",
     "OracleResult",
     "ChannelCrossSection",
-    "phi_differential",
     "pair_norm_oracle",
     "phi_norm_oracle",
     "rho_single",
@@ -111,6 +115,8 @@ class QuadratureSpec:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         if int(self.nodes_per_axis) < 8:
             raise ValueError(f"nodes_per_axis must be >= 8, got {self.nodes_per_axis}")
+        if int(self.rng_seed) < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not (float(self.target_rel_tol) > 0.0):
             raise ValueError(f"target_rel_tol must be > 0, got {self.target_rel_tol}")
         object.__setattr__(self, "sample_count", int(self.sample_count))
@@ -179,11 +185,6 @@ def _thread_count() -> int:
     return n
 
 
-def phi_differential(p1, p2, params: ModelParams):
-    """Differential pair yield n_pairs * [(1-f)|Psi_0|^2 + f|Psi_1|^2]."""
-    return params.n_pairs * mixture_density(p1, p2, params)
-
-
 # ---------------------------------------------------------------------------
 # shared Monte-Carlo machinery
 
@@ -212,26 +213,34 @@ def _mc_sum(total: int, seed_seq: np.random.SeedSequence, chunk_fn):
     return mean, math.sqrt(variance / total), total
 
 
-def _finish_mc(value, se, used, spec: QuadratureSpec, what: str) -> OracleResult:
-    result = OracleResult(float(value), float(se), int(used))
-    if 3.0 * se > spec.target_rel_tol * abs(value):
-        raise ToleranceNotMetError(
-            f"{what}: 3*SE = {3.0 * se:.3e} exceeds {spec.target_rel_tol:g} * |{value:.6e}|"
-            " after the full sample budget; increase sample_count",
-            result=result,
-        )
-    return result
+def _finish(value, est, used, spec: QuadratureSpec, what: str) -> OracleResult:
+    """The result, or ToleranceNotMetError carrying it when it misses the target.
 
-
-def _finish_quad(value, est, used, spec: QuadratureSpec, what: str) -> OracleResult:
+    Monte Carlo is held to 3 * SE, quadrature to its refinement delta.
+    """
     result = OracleResult(float(value), float(est), int(used))
-    if est > spec.target_rel_tol * abs(value):
+    mc = spec.method == "monte-carlo"
+    spread = 3.0 * est if mc else est
+    if spread > spec.target_rel_tol * abs(value):
         raise ToleranceNotMetError(
-            f"{what}: refinement delta {est:.3e} exceeds {spec.target_rel_tol:g} *"
-            f" |{value:.6e}|; increase nodes_per_axis",
+            f"{what}: {'3*SE' if mc else 'refinement delta'} {spread:.3e} exceeds"
+            f" {spec.target_rel_tol:g} * |{value:.6e}|; increase"
+            f" {'sample_count' if mc else 'nodes_per_axis'}",
             result=result,
         )
     return result
+
+
+def _intensity_delta_p(delta_p, spec: QuadratureSpec) -> float:
+    """delta_p of a 5-d intensity integral, checked along with the method."""
+    if spec.method != "monte-carlo":
+        raise UnsupportedMethodError(
+            "the 5-d intensity integrals support method='monte-carlo' only"
+        )
+    delta_p = float(delta_p)
+    if not np.isfinite(delta_p) or delta_p < 0.0:
+        raise ValueError(f"delta_p must be finite and >= 0, got {delta_p}")
+    return delta_p
 
 
 def _stratified(rng: np.random.Generator, count: int):
@@ -301,28 +310,16 @@ def _unc_tilt_pdf(u, z):
     return 0.25 + 0.25 * _cosh_tilt_pdf(u, 0.5 * z) + 0.25 * _cosh_tilt_pdf(u, z)
 
 
-def _orthonormal_frame(axis):
-    """Right-handed frame with e3 along axis (or +z for a zero axis)."""
-    a = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        e3 = np.array([0.0, 0.0, 1.0])
-    else:
-        e3 = a / norm
-    helper = np.array([1.0, 0.0, 0.0]) if abs(e3[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(helper, e3)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(e3, e1)
-    return e1, e2, e3
-
-
 def _frames(axes):
-    """Per-row orthonormal frames for an (m, 3) array of axis vectors."""
+    """Orthonormal frames with e3 along each axis (+z for a zero axis).
+
+    ``axes`` is one 3-vector or an (m, 3) array of them.
+    """
     a = np.asarray(axes, dtype=float)
     norms = np.linalg.norm(a, axis=-1, keepdims=True)
     e3 = np.where(norms > 0.0, a / np.where(norms == 0.0, 1.0, norms), [0.0, 0.0, 1.0])
     helper = np.where(
-        (np.abs(e3[:, 0]) <= 0.9)[:, None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+        (np.abs(e3[..., 0]) <= 0.9)[..., None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
     )
     e1 = np.cross(helper, e3)
     e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
@@ -344,49 +341,18 @@ def _direction(u, phi, e1, e2, e3):
 # coincidence intensity (5-d: p1 and the detector direction)
 
 
-def _cor_point_runner(delta_p, ccs: ChannelCrossSection, spec, seed_seq):
-    """Coincidence integral for one fixed-(P, s) channel."""
-    sigma = ccs.sigma
-    sign = ccs.channel.sign
-    p_total = np.asarray(ccs.p_total)
-    p_split = np.asarray(ccs.p_split)
-    split = float(np.linalg.norm(p_split))
-    if sign < 0.0 and split < DEGENERACY_RATIO * sigma:
-        raise DegenerateChannelError(
-            f"triplet channel with |p_split| = {split:g} < {DEGENERACY_RATIO:g} * sigma"
-        )
-    c1 = (p_total + p_split) / 2.0
-    c2 = (p_total - p_split) / 2.0
-    j2 = math.exp(-split * split / (4.0 * sigma * sigma))
-    z = split * delta_p / (2.0 * sigma * sigma)
-    e1, e2, e3 = _orthonormal_frame(p_split)
-    scale = sigma / math.sqrt(2.0)
-    pdf_norm = (math.pi * sigma * sigma) ** -1.5
-    norm = 2.0 * (1.0 + sign * j2)
+def _cor_runner(delta_p, ccs: ChannelCrossSection, spec, seed_seq):
+    """Coincidence integral of one channel, (P, s) Gaussian-smeared per sample.
 
-    def chunk(seed, count):
-        rng = np.random.default_rng(seed)
-        v = _stratified(rng, count)
-        phi = 2.0 * math.pi * rng.random(count)
-        xi = rng.standard_normal((count, 3))
-        u = _cor_tilt_sample(v, z)
-        n_hat = _direction(u, phi, e1, e2, e3)
-        q = delta_p * n_hat
-        p1 = (p_total - q) / 2.0 + scale * xi
-        dens = _pair_density_kernel(p1, p1 + q, c1, c2, sigma, sign) / norm
-        pdf1 = pdf_norm * np.exp(-0.5 * np.sum(xi * xi, axis=-1))
-        w = (delta_p * delta_p * 2.0 * math.pi) * dens / (pdf1 * _cor_tilt_pdf(u, z))
-        return float(np.sum(w)), float(np.sum(w * w))
-
-    return _mc_sum(spec.sample_count, seed_seq, chunk)
-
-
-def _cor_jitter_runner(delta_p, ccs: ChannelCrossSection, spec, seed_seq):
-    """Coincidence integral with Gaussian-smeared (P, s) per sample."""
+    A chunk draws the polar and azimuthal variables, then the two jitter
+    normals only if a spread is nonzero, then the p1 normals; a point
+    channel keeps (P, s) as single vectors.
+    """
     sigma = ccs.sigma
     sign = ccs.channel.sign
     p_total0 = np.asarray(ccs.p_total)
     p_split0 = np.asarray(ccs.p_split)
+    jitter = ccs.spread_split != 0.0 or ccs.spread_total != 0.0
     scale = sigma / math.sqrt(2.0)
     pdf_norm = (math.pi * sigma * sigma) ** -1.5
 
@@ -394,16 +360,16 @@ def _cor_jitter_runner(delta_p, ccs: ChannelCrossSection, spec, seed_seq):
         rng = np.random.default_rng(seed)
         v = _stratified(rng, count)
         phi = 2.0 * math.pi * rng.random(count)
-        xi_split = rng.standard_normal((count, 3))
-        xi_total = rng.standard_normal((count, 3))
+        p_split, p_total = p_split0, p_total0
+        if jitter:
+            p_split = p_split0 + ccs.spread_split * rng.standard_normal((count, 3))
+            p_total = p_total0 + ccs.spread_total * rng.standard_normal((count, 3))
         xi = rng.standard_normal((count, 3))
-        p_split = p_split0 + ccs.spread_split * xi_split
-        p_total = p_total0 + ccs.spread_total * xi_total
         split = np.linalg.norm(p_split, axis=-1)
         if sign < 0.0 and np.any(split < DEGENERACY_RATIO * sigma):
             raise DegenerateChannelError(
-                "spread_split jitter produced a degenerate triplet sample;"
-                " shrink spread_split or move p_split away from zero"
+                f"triplet channel with |p_split| < {DEGENERACY_RATIO:g} * sigma"
+                " (at p_split or in its spread_split jitter)"
             )
         j2 = np.exp(-split * split / (4.0 * sigma * sigma))
         z = split * delta_p / (2.0 * sigma * sigma)
@@ -424,13 +390,7 @@ def _cor_jitter_runner(delta_p, ccs: ChannelCrossSection, spec, seed_seq):
 
 
 def _run_cor_channels(channels, delta_p, spec: QuadratureSpec, what: str) -> OracleResult:
-    if spec.method != "monte-carlo":
-        raise UnsupportedMethodError(
-            "the 5-d intensity integrals support method='monte-carlo' only"
-        )
-    delta_p = float(delta_p)
-    if not np.isfinite(delta_p) or delta_p < 0.0:
-        raise ValueError(f"delta_p must be finite and >= 0, got {delta_p}")
+    delta_p = _intensity_delta_p(delta_p, spec)
     if not channels:
         raise ValueError("at least one channel is required")
     if delta_p == 0.0:
@@ -440,16 +400,13 @@ def _run_cor_channels(channels, delta_p, spec: QuadratureSpec, what: str) -> Ora
     for ccs, child in zip(channels, children):
         if ccs.weight == 0.0:
             continue
-        if ccs.spread_split == 0.0 and ccs.spread_total == 0.0:
-            mean, se, n = _cor_point_runner(delta_p, ccs, spec, child)
-        else:
-            mean, se, n = _cor_jitter_runner(delta_p, ccs, spec, child)
+        mean, se, n = _cor_runner(delta_p, ccs, spec, child)
         values.append(ccs.weight * mean)
         variances.append((ccs.weight * se) ** 2)
         used += n
     value = math.fsum(values)
     se = math.sqrt(math.fsum(variances))
-    return _finish_mc(value, se, used, spec, what)
+    return _finish(value, se, used, spec, what)
 
 
 def _mixture_channels(params: ModelParams):
@@ -500,13 +457,7 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
     by rho_single); the 5-d integral over p1 and the direction is done
     by Monte Carlo with a three-center Gaussian proposal for p1.
     """
-    if spec.method != "monte-carlo":
-        raise UnsupportedMethodError(
-            "the 5-d intensity integrals support method='monte-carlo' only"
-        )
-    delta_p = float(delta_p)
-    if not np.isfinite(delta_p) or delta_p < 0.0:
-        raise ValueError(f"delta_p must be finite and >= 0, got {delta_p}")
+    delta_p = _intensity_delta_p(delta_p, spec)
     if delta_p == 0.0:
         return OracleResult(0.0, 0.0, 0)
     if params.triplet_fraction > 0.0 and params.is_degenerate():
@@ -518,7 +469,7 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
     p_split = np.asarray(params.p_split)
     split = params.split_magnitude
     z = split * delta_p / (2.0 * sigma * sigma)
-    e1, e2, e3 = _orthonormal_frame(p_split)
+    e1, e2, e3 = _frames(p_split)
     # Proposal for p1: Gaussians at the three possible term centers
     # (offsets -s/2, 0, +s/2 from (P - q)/2), inflated to 0.75 sigma^2
     # so every product term's sigma^2/2 profile is dominated.
@@ -551,7 +502,7 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
     mean, se, used = _mc_sum(
         spec.sample_count, np.random.SeedSequence(spec.rng_seed), chunk
     )
-    return _finish_mc(mean, se, used, spec, "intensity_uncor_oracle")
+    return _finish(mean, se, used, spec, "intensity_uncor_oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +536,8 @@ def _pair_norm_quad_value(params: ModelParams, channel: SpinChannel, n: int) -> 
     return total * (2.0 * math.pi * sig2) ** -3.0 / (2.0 * (1.0 + sign * j * j))
 
 
-def pair_norm_oracle(params: ModelParams, channel: SpinChannel, spec: QuadratureSpec) -> OracleResult:
-    """Check that the pair density integrates to 1 over (p1, p2).
+def _pair_norm(params: ModelParams, channel: SpinChannel, spec: QuadratureSpec):
+    """(value, est_error, samples used) of the pair-density norm, unchecked.
 
     tensor-quadrature exploits separability (the 6-d integral is a
     product of 1-d Gaussian integrals per axis); monte-carlo importance
@@ -597,8 +548,7 @@ def pair_norm_oracle(params: ModelParams, channel: SpinChannel, spec: Quadrature
         n = spec.nodes_per_axis
         coarse = _pair_norm_quad_value(params, channel, n // 2)
         fine = _pair_norm_quad_value(params, channel, n)
-        used = 9 * (n + n // 2)
-        return _finish_quad(fine, abs(fine - coarse), used, spec, "pair_norm_oracle")
+        return fine, abs(fine - coarse), 9 * (n + n // 2)
     c1, c2 = params.centers
     sigma = params.sigma
     pdf_norm = (2.0 * math.pi * sigma * sigma) ** -1.5
@@ -617,53 +567,34 @@ def pair_norm_oracle(params: ModelParams, channel: SpinChannel, spec: Quadrature
         w = two_particle_density(p1, p2, params, channel) / pdf
         return float(np.sum(w)), float(np.sum(w * w))
 
-    mean, se, used = _mc_sum(
-        spec.sample_count, np.random.SeedSequence(spec.rng_seed), chunk
-    )
-    return _finish_mc(mean, se, used, spec, "pair_norm_oracle")
+    return _mc_sum(spec.sample_count, np.random.SeedSequence(spec.rng_seed), chunk)
+
+
+def pair_norm_oracle(params: ModelParams, channel: SpinChannel, spec: QuadratureSpec) -> OracleResult:
+    """Check that the pair density integrates to 1 over (p1, p2)."""
+    return _finish(*_pair_norm(params, channel, spec), spec, "pair_norm_oracle")
 
 
 def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
-    """Check that the differential pair yield integrates to n_pairs."""
+    """Check that the differential pair yield integrates to n_pairs.
+
+    The yield is n_pairs times the singlet and triplet pair norms weighted
+    by 1 - f and f. Their error estimates add linearly. The two
+    Monte-Carlo runs share their draws, so the value is the joint
+    estimate of the mixture, and the linear sum of the SEs bounds its
+    SE; where the channels' errors cancel, it overstates it.
+    """
     f = params.triplet_fraction
-    if spec.method == "tensor-quadrature":
-        n = spec.nodes_per_axis
-        value = est = 0.0
-        used = 0
-        for frac, channel in ((1.0 - f, SpinChannel.SINGLET), (f, SpinChannel.TRIPLET)):
-            if frac == 0.0:
-                continue
-            part = pair_norm_oracle(params, channel, spec)
-            value += frac * part.value
-            est += frac * part.est_error
-            used += part.samples_used
-        return _finish_quad(params.n_pairs * value, params.n_pairs * est, used, spec, "phi_norm_oracle")
-    if f > 0.0 and params.is_degenerate():
-        raise DegenerateChannelError(
-            "mixture with triplet weight requires a non-degenerate splitting"
-        )
-    c1, c2 = params.centers
-    sigma = params.sigma
-    pdf_norm = (2.0 * math.pi * sigma * sigma) ** -1.5
-
-    def gauss(p, c):
-        return pdf_norm * np.exp(-np.sum((p - c) ** 2, axis=-1) / (2.0 * sigma * sigma))
-
-    def chunk(seed, count):
-        rng = np.random.default_rng(seed)
-        swap = rng.random(count) < 0.5
-        xi1 = rng.standard_normal((count, 3))
-        xi2 = rng.standard_normal((count, 3))
-        p1 = np.where(swap[:, None], c2, c1) + sigma * xi1
-        p2 = np.where(swap[:, None], c1, c2) + sigma * xi2
-        pdf = 0.5 * (gauss(p1, c1) * gauss(p2, c2) + gauss(p1, c2) * gauss(p2, c1))
-        w = phi_differential(p1, p2, params) / pdf
-        return float(np.sum(w)), float(np.sum(w * w))
-
-    mean, se, used = _mc_sum(
-        spec.sample_count, np.random.SeedSequence(spec.rng_seed), chunk
-    )
-    return _finish_mc(mean, se, used, spec, "phi_norm_oracle")
+    value = est = 0.0
+    used = 0
+    for frac, channel in ((1.0 - f, SpinChannel.SINGLET), (f, SpinChannel.TRIPLET)):
+        if frac == 0.0:
+            continue
+        part_value, part_est, part_used = _pair_norm(params, channel, spec)
+        value += frac * part_value
+        est += frac * part_est
+        used += part_used
+    return _finish(params.n_pairs * value, params.n_pairs * est, used, spec, "phi_norm_oracle")
 
 
 def _rho_single_value(p, params: ModelParams, n: int) -> float:
@@ -681,7 +612,7 @@ def _rho_single_value(p, params: ModelParams, n: int) -> float:
     wgt = (
         weights[0][:, None, None] * weights[1][None, :, None] * weights[2][None, None, :]
     ).ravel()
-    values = phi_differential(np.asarray(p, dtype=float), grid, params)
+    values = params.n_pairs * mixture_density(np.asarray(p, dtype=float), grid, params)
     return float(np.sum(wgt * values))
 
 
@@ -702,4 +633,4 @@ def rho_single(p, params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     coarse = _rho_single_value(p, params, n // 2)
     fine = _rho_single_value(p, params, n)
     used = n**3 + (n // 2) ** 3
-    return _finish_quad(fine, abs(fine - coarse), used, spec, "rho_single")
+    return _finish(fine, abs(fine - coarse), used, spec, "rho_single")

@@ -174,6 +174,10 @@ def test_usage_errors(tmp_path):
         ["fit", "--data", "d.csv", "--out", "o.json", "--free", "sigma,q"],
         ["fit", "--data", "d.csv", "--out", "o.json", "--free", "sigma,sigma"],
         ["oracle-check", "--sigma", "0.5", "--samples", "0", "--out", "r.csv"],
+        ["fit", "--data", "d.csv", "--out", "o.json", "--seed", "-1"],
+        ["synth", "--sigma", "0.5", "--out", "x.csv", "--seed", "-1"],
+        ["oracle-check", "--sigma", "0.5", "--seed", "-1", "--out", "r.csv"],
+        ["oracle-check", "--sigma", "0.5", "--tol", "0", "--out", "r.csv"],
     ],
 )
 def test_config_usage_errors(argv, capsys):

@@ -57,7 +57,9 @@ def _mp_reference(dp, sigma, f, split):
 
     icor = pref_c * j2 * bracket_c
     iunc = pref_u * bracket_u
-    return icor, iunc, icor / iunc - 1
+    # the ratio with dp^2 and the envelope cancelled, so that it is
+    # defined at dp = 0 as well
+    return icor, iunc, 2 * j2 * bracket_c / bracket_u - 1
 
 
 def _scan_points():
@@ -82,6 +84,12 @@ def _scan_points():
         dp = 2.0 * zz / p_tilde
         for f in (0.0, 0.3, 1.0):
             seams.append((1.0, p_tilde, f, dp))
+    # saturated rows, d > 700: J^2 sinh(z)/z underflows while
+    # z/sinh(z) / J^2 overflows, from contact out to y = dp/sigma = 60
+    for dlt in (701.0, 900.0):
+        for ydp in (0.0, 1e-6, 0.5, 3.0, 20.0, 60.0):
+            for f in (0.0, 0.3, 1.0):
+                seams.append((1.0, 2.0 * math.sqrt(dlt), f, ydp))
     return pts + seams
 
 
@@ -101,6 +109,32 @@ def test_closed_forms_match_reference():
         want = float(r_ref)
         worst = max(worst, abs(r - want) / (1.0 + abs(want)))
     assert worst < 5e-12, f"worst relative error {worst:.3e}"
+
+
+# the curve-sweep benchmark regimes with d <= 700: (sigma, p_tilde, f, top
+# of the grid in units of sigma)
+_SWEEP_REGIMES = [
+    (0.3, 1e-160, 1.0, 12.0),
+    (0.5, 0.005, 0.5, 10.0),
+    (0.22, 0.022, 0.5, 10.0),
+    (0.5, 0.05, 0.0, 10.0),
+    (0.2, 0.6, 1.0, 20.0),
+    (1.0, 4.0, 0.3, 30.0),
+]
+
+
+@pytest.mark.parametrize("sigma, p_tilde, f, top", _SWEEP_REGIMES)
+def test_intensity_ratio_is_R(sigma, p_tilde, f, top):
+    # the intensities are the brackets of R times one envelope, so their
+    # ratio reproduces R to rounding wherever both are normal floats
+    dp = np.linspace(0.0, top * sigma, 20001)[1:]
+    r = correlation_R(dp, sigma, f, p_tilde)
+    icor = coincidence_intensity(dp, sigma, f, p_tilde)
+    iunc = accidental_intensity(dp, sigma, f, p_tilde)
+    normal = (icor >= np.finfo(float).tiny) & (iunc >= np.finfo(float).tiny)
+    assert normal.sum() > dp.size // 2
+    dev = np.abs(icor[normal] / iunc[normal] - 1.0 - r[normal]) / (1.0 + np.abs(r[normal]))
+    assert dev.max() <= 1e-14, f"worst deviation {dev.max():.3e}"
 
 
 def test_zero_split_limit_matches_reference():

@@ -115,6 +115,8 @@ def test_config_validation():
         FitConfig(f=1.2)
     with pytest.raises(ValueError):
         FitConfig(multistart_count=0)
+    with pytest.raises(ValueError):
+        FitConfig(rng_seed=-1)
 
 
 def test_offset_data_approximation_error():

@@ -131,6 +131,34 @@ def test_point_mass_channels_reduce_to_mixture():
     )
 
 
+def test_frozen_oracle_outputs():
+    # (value, est_error, samples_used) pinned bit for bit: a restructured
+    # sampler must keep the draws and the arithmetic of a point channel,
+    # a jittered channel and the accidental integral
+    spec = _mc(1 << 18)
+    point = ChannelCrossSection(
+        1.8, SpinChannel.TRIPLET, sigma=0.6, p_split=(0.2, 0.1, -0.5), p_total=(0.1, 0, 0.2)
+    )
+    jittered = ChannelCrossSection(
+        1.3,
+        SpinChannel.TRIPLET,
+        sigma=0.5,
+        p_split=PARAMS.p_split,
+        p_total=PARAMS.p_total,
+        spread_split=0.05,
+        spread_total=0.1,
+    )
+    assert general_channel_integral([point], 0.9, spec) == OracleResult(
+        0.37461775233676486, 0.000630161661757, 262144
+    )
+    assert general_channel_integral([jittered], 0.9, spec) == OracleResult(
+        0.45955332462657195, 0.0007056983960405865, 262144
+    )
+    assert intensity_uncor_oracle(1.2, PARAMS, spec) == OracleResult(
+        1.47115023682443, 0.0011432407007761398, 262144
+    )
+
+
 def test_zero_weight_channel_is_skipped():
     spec = _mc(1 << 18)
     keep = ChannelCrossSection(0.7, SpinChannel.SINGLET, sigma=0.4, p_split=(0, 0, 0.3))
@@ -243,6 +271,8 @@ def test_spec_and_channel_validation():
         QuadratureSpec(nodes_per_axis=4)
     with pytest.raises(ValueError):
         QuadratureSpec(target_rel_tol=0.0)
+    with pytest.raises(ValueError):
+        QuadratureSpec(rng_seed=-1)
     with pytest.raises(ValueError):
         ChannelCrossSection(-1.0, SpinChannel.SINGLET, sigma=0.5)
     with pytest.raises(ValueError):
