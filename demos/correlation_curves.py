@@ -12,7 +12,7 @@ All quantities are in Hartree atomic units.
 
 import numpy as np
 
-from paircorr import correlation_R, correlation_R0, correlation_R1
+from paircorr import correlation_R
 
 
 def main():
@@ -25,12 +25,7 @@ def main():
     header = "  dp/sigma   R(f=0)     R(f=0.5)   R(f=0.75)  R(f=1)"
     print(header)
     print("-" * len(header))
-    curves = [
-        np.atleast_1d(correlation_R0(dp, sigma, split)),
-        np.atleast_1d(correlation_R(dp, sigma, 0.5, split)),
-        np.atleast_1d(correlation_R(dp, sigma, 0.75, split)),
-        np.atleast_1d(correlation_R1(dp, sigma, split)),
-    ]
+    curves = [np.atleast_1d(correlation_R(dp, sigma, f, split)) for f in (0.0, 0.5, 0.75, 1.0)]
     for i, x in enumerate(dp):
         row = "  ".join(f"{c[i]:+9.4f}" for c in curves)
         print(f"  {x / sigma:8.2f}  {row}")

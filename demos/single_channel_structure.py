@@ -4,8 +4,9 @@ The degree of exchange (anti)correlation is set by a single number, the
 overlap J = exp(-p~^2 / 8 sigma^2) of the two wavepackets. This script
 walks through the pieces: the overlap itself, the symmetrized pair
 density at a few momentum points, the coordinate-space width the
-momentum width implies, and the pure singlet/triplet correlation curves
-as the splitting grows from degenerate to well separated.
+momentum width implies, and the pure singlet (R0, f = 0) and triplet
+(R1, f = 1) correlation curves as the splitting grows from degenerate
+to well separated.
 
 All quantities are in Hartree atomic units.
 """
@@ -16,8 +17,7 @@ from paircorr import (
     ModelParams,
     SpinChannel,
     coordinate_uncertainty,
-    correlation_R0,
-    correlation_R1,
+    correlation_R,
     overlap_j,
     two_particle_density,
 )
@@ -51,8 +51,8 @@ def main():
     for x in dp:
         cells = []
         for r in ratios:
-            r0 = float(correlation_R0(x, sigma, r * sigma))
-            r1 = float(correlation_R1(x, sigma, r * sigma))
+            r0 = float(correlation_R(x, sigma, 0.0, r * sigma))
+            r1 = float(correlation_R(x, sigma, 1.0, r * sigma))
             cells.append(f"R0 {r0:+.3f} R1 {r1:+.3f}")
         print(f"  dp={x:4.2f}  " + "  ".join(cells))
     print()

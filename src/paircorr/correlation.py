@@ -46,13 +46,12 @@ import numpy as np
 
 from ._stable import inv_sinhc, one_minus_inv_sinhc, sech, x_over_expm1
 from ._stable import sinhc_m1  # noqa: F401  # wrapped by name in perfbench/tracing.py
+from .model import _fraction, _nonnegative, _positive
 
 __all__ = [
     "coincidence_intensity",
     "accidental_intensity",
     "correlation_R",
-    "correlation_R0",
-    "correlation_R1",
     "correlation_curve",
     "CorrelationCurve",
 ]
@@ -142,50 +141,31 @@ def _mix_core(z, inv_s, sh):
 
 
 def _check_physical(sigma, triplet_fraction, momentum_split):
-    """Validated (sigma, f, s): floats, or float arrays when any is an array.
+    """Validated (sigma, f, s), each a float, or a float array where given as one.
 
     A shape-(3,) momentum_split is a vector and contributes its
     magnitude; any other array holds split magnitudes that broadcast
     with sigma and f.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    f = np.asarray(triplet_fraction, dtype=float)
     split = np.asarray(momentum_split, dtype=float)
-    s = np.linalg.norm(split) if split.shape == (3,) else split
-    if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    if not np.all((f >= 0.0) & (f <= 1.0)):
-        raise ValueError(f"triplet_fraction must lie in [0, 1], got {f}")
-    if not np.all(np.isfinite(s) & (s >= 0.0)):
-        raise ValueError(f"momentum_split must be finite and >= 0, got {s}")
-    if sigma.ndim == f.ndim == np.ndim(s) == 0:
-        return float(sigma), float(f), float(s)
-    return sigma, f, s
+    return (
+        _positive("sigma", sigma),
+        _fraction("triplet_fraction", triplet_fraction),
+        _nonnegative("momentum_split", np.linalg.norm(split) if split.shape == (3,) else split),
+    )
 
 
-def _check_scalar_physical(sigma, triplet_fraction, momentum_split):
-    """_check_physical for the entry points that take one parameter point."""
+def _check_scalar_physical(sigma, triplet_fraction, momentum_split, n_pairs=0.0):
+    """_check_physical and n_pairs for the entry points that take one parameter point."""
     checked = _check_physical(sigma, triplet_fraction, momentum_split)
+    checked += (_nonnegative("n_pairs", n_pairs),)
     if any(np.ndim(v) for v in checked):
-        raise ValueError(
-            "sigma, triplet_fraction and the split magnitude must be scalars here;"
-            " correlation_R takes arrays of them"
-        )
+        raise ValueError("parameters must be scalars here; correlation_R takes arrays of them")
     return checked
 
 
 def _check_delta_p(delta_p):
-    dp = np.asarray(delta_p, dtype=float)
-    if not np.all(np.isfinite(dp)) or np.any(dp < 0.0):
-        raise ValueError("delta_p values must be finite and >= 0")
-    return dp
-
-
-def _check_n_pairs(n_pairs):
-    n = float(n_pairs)
-    if not math.isfinite(n) or n < 0.0:
-        raise ValueError(f"n_pairs must be finite and >= 0, got {n}")
-    return n
+    return np.asarray(_nonnegative("delta_p", delta_p), dtype=float)
 
 
 def _point_terms(q, f):
@@ -441,16 +421,6 @@ def correlation_R(delta_p, sigma, triplet_fraction, momentum_split):
     return (2.0 * num / den - 1.0)[()]
 
 
-def correlation_R0(delta_p, sigma, momentum_split):
-    """Pure singlet correlation function (triplet_fraction = 0)."""
-    return correlation_R(delta_p, sigma, 0.0, momentum_split)
-
-
-def correlation_R1(delta_p, sigma, momentum_split):
-    """Pure triplet correlation function (triplet_fraction = 1)."""
-    return correlation_R(delta_p, sigma, 1.0, momentum_split)
-
-
 def coincidence_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pairs=1.0):
     """True pair-coincidence intensity at relative momentum dp.
 
@@ -462,8 +432,9 @@ def coincidence_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pa
     Returns values in (pair count) / (a.u. momentum) such that the
     integral over dp counts detected pairs.
     """
-    sigma, f, split = _check_scalar_physical(sigma, triplet_fraction, momentum_split)
-    n_pairs = _check_n_pairs(n_pairs)
+    sigma, f, split, n_pairs = _check_scalar_physical(
+        sigma, triplet_fraction, momentum_split, n_pairs
+    )
     dp = _check_delta_p(delta_p)
     num, _ = _mixture(dp, sigma, f, split, _intensity_scale)
     pref = n_pairs * dp * dp / (2.0 * _SQRT_PI * sigma**3)
@@ -478,8 +449,9 @@ def accidental_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pai
     which R is defined. Scales linearly with ``n_pairs``, which must be
     finite and >= 0.
     """
-    sigma, f, split = _check_scalar_physical(sigma, triplet_fraction, momentum_split)
-    n_pairs = _check_n_pairs(n_pairs)
+    sigma, f, split, n_pairs = _check_scalar_physical(
+        sigma, triplet_fraction, momentum_split, n_pairs
+    )
     dp = _check_delta_p(delta_p)
     _, den = _mixture(dp, sigma, f, split, _intensity_scale)
     pref = n_pairs * dp * dp / (4.0 * _SQRT_PI * sigma**3)
@@ -505,7 +477,7 @@ class CorrelationCurve:
 
 def correlation_curve(delta_p, sigma, triplet_fraction, momentum_split):
     """Evaluate R on a grid and bundle the result with its parameters."""
-    sigma_v, f, split = _check_scalar_physical(sigma, triplet_fraction, momentum_split)
+    sigma_v, f, split, _ = _check_scalar_physical(sigma, triplet_fraction, momentum_split)
     dp = np.atleast_1d(_check_delta_p(delta_p))
     r = np.atleast_1d(correlation_R(dp, sigma_v, f, split))
     return CorrelationCurve(dp, r, sigma_v, f, split)

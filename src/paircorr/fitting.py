@@ -38,7 +38,7 @@ from .errors import (
     NonConvergenceError,
     UndefinedMetricError,
 )
-from .model import ModelParams
+from .model import ModelParams, _fraction, _nonnegative, _positive, _set_scalars
 
 __all__ = [
     "FitConfig",
@@ -108,29 +108,25 @@ class FitConfig:
             if name not in _PARAM_NAMES:
                 raise ValueError(f"unknown parameter {name!r}; choose from {_PARAM_NAMES}")
         object.__setattr__(self, "free", free)
-        for name, (lo, hi) in (
-            ("sigma_bounds", self.sigma_bounds),
-            ("f_bounds", self.f_bounds),
-            ("p_tilde_bounds", self.p_tilde_bounds),
+        for name, check in (
+            ("sigma_bounds", _positive),
+            ("f_bounds", _fraction),
+            ("p_tilde_bounds", _nonnegative),
         ):
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ValueError(f"{name} must be a finite ordered pair, got ({lo}, {hi})")
-        if self.sigma_bounds[0] <= 0.0:
-            raise ValueError("sigma_bounds must be positive")
-        if self.f_bounds[0] < 0.0 or self.f_bounds[1] > 1.0:
-            raise ValueError("f_bounds must lie within [0, 1]")
-        if self.p_tilde_bounds[0] < 0.0:
-            raise ValueError("p_tilde_bounds must be non-negative")
-        if self.sigma <= 0.0:
-            raise ValueError(f"fixed sigma must be > 0, got {self.sigma}")
-        if not 0.0 <= self.f <= 1.0:
-            raise ValueError(f"fixed f must lie in [0, 1], got {self.f}")
-        if self.p_tilde is not None and self.p_tilde < 0.0:
-            raise ValueError(f"fixed p_tilde must be >= 0, got {self.p_tilde}")
+            lo, hi = check(name, getattr(self, name))
+            if not lo < hi:
+                raise ValueError(f"{name} must be an ordered pair, got ({lo}, {hi})")
+        _set_scalars(
+            self,
+            sigma=_positive("fixed sigma", self.sigma),
+            f=_fraction("fixed f", self.f),
+            step_tol=_positive("step_tol", self.step_tol),
+            residual_tol=_nonnegative("residual_tol", self.residual_tol),
+        )
+        if self.p_tilde is not None:
+            _set_scalars(self, p_tilde=_nonnegative("fixed p_tilde", self.p_tilde))
         if self.multistart_count < 1 or self.max_iterations < 1:
             raise ValueError("multistart_count and max_iterations must be >= 1")
-        if self.step_tol <= 0.0 or self.residual_tol < 0.0:
-            raise ValueError("step_tol must be > 0 and residual_tol >= 0")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 

@@ -53,14 +53,41 @@ class SpinChannel(enum.Enum):
         return 1.0 if self is SpinChannel.SINGLET else -1.0
 
 
+def _checked(name, value, ok, rule):
+    """value as a float, or a float array for array input, once ok holds everywhere."""
+    v = np.asarray(value, dtype=float)
+    if not np.all(ok(v)):
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return float(v) if v.ndim == 0 else v
+
+
+def _positive(name, value):
+    return _checked(name, value, lambda v: np.isfinite(v) & (v > 0.0), "positive and finite")
+
+
+def _nonnegative(name, value):
+    return _checked(name, value, lambda v: np.isfinite(v) & (v >= 0.0), "finite and >= 0")
+
+
+def _fraction(name, value):
+    return _checked(name, value, lambda v: (v >= 0.0) & (v <= 1.0), "in [0, 1]")
+
+
+def _set_scalars(obj, **checked):
+    """Store checked values on the frozen dataclass obj; arrays are refused."""
+    for name, value in checked.items():
+        if np.ndim(value):
+            raise ValueError(f"{name} must be a scalar, got {value!r}")
+        object.__setattr__(obj, name, value)
+
+
 def _as_vec3(value, name: str) -> tuple[float, float, float]:
-    """Coerce a scalar (interpreted as +z magnitude) or 3-sequence to a tuple."""
-    if np.ndim(value) == 0:
-        v = float(value)
-        return (0.0, 0.0, v)
+    """Coerce a finite scalar (interpreted as +z magnitude) or 3-sequence to a tuple."""
     arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must be a scalar or length-3 vector, got shape {arr.shape}")
+    if arr.ndim == 0:
+        arr = np.array([0.0, 0.0, arr])
+    if arr.shape != (3,) or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be a finite scalar or length-3 vector, got {value!r}")
     return (float(arr[0]), float(arr[1]), float(arr[2]))
 
 
@@ -93,18 +120,14 @@ class ModelParams:
     n_pairs: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.sigma) or self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         object.__setattr__(self, "p_split", _as_vec3(self.p_split, "p_split"))
         object.__setattr__(self, "p_total", _as_vec3(self.p_total, "p_total"))
-        f = float(self.triplet_fraction)
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"triplet_fraction must lie in [0, 1], got {f}")
-        object.__setattr__(self, "triplet_fraction", f)
-        n = float(self.n_pairs)
-        if not np.isfinite(n) or n <= 0.0:
-            raise ValueError(f"n_pairs must be positive and finite, got {n}")
-        object.__setattr__(self, "n_pairs", n)
+        _set_scalars(
+            self,
+            sigma=_positive("sigma", self.sigma),
+            triplet_fraction=_fraction("triplet_fraction", self.triplet_fraction),
+            n_pairs=_positive("n_pairs", self.n_pairs),
+        )
 
     @property
     def split_magnitude(self) -> float:
@@ -251,23 +274,30 @@ def two_particle_density(p1, p2, params: ModelParams, channel: SpinChannel):
     return kern / _channel_norm(params, s)
 
 
-def mixture_density(p1, p2, params: ModelParams, triplet_fraction=None):
+def _channel_weights(f: float):
+    """(weight, channel) pairs of the singlet/triplet mixture with weight 1 - f and f.
+
+    A channel of weight zero is left out, so f = 0 and f = 1 give the
+    pure channels exactly and a degenerate triplet is never touched.
+    """
+    pairs = ((1.0 - f, SpinChannel.SINGLET), (f, SpinChannel.TRIPLET))
+    return [(w, channel) for w, channel in pairs if w != 0.0]
+
+
+def _mixed(density, params: ModelParams):
+    """Sum of weight * density(channel) over the mixture's channels."""
+    first, *rest = (w * density(c) for w, c in _channel_weights(params.triplet_fraction))
+    return sum(rest, first)
+
+
+def mixture_density(p1, p2, params: ModelParams):
     """Incoherent singlet/triplet mixture of pair densities.
 
-    ``triplet_fraction`` f weights the triplet channel; f = 0 and f = 1
-    reduce to the pure channels. Any f > 0 requires a non-degenerate
-    triplet state. Defaults to ``params.triplet_fraction``.
+    ``params.triplet_fraction`` f weights the triplet channel; f = 0 and
+    f = 1 reduce to the pure channels. Any f > 0 requires a
+    non-degenerate triplet state.
     """
-    f = float(params.triplet_fraction if triplet_fraction is None else triplet_fraction)
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"triplet_fraction must lie in [0, 1], got {f}")
-    if f == 0.0:
-        return two_particle_density(p1, p2, params, SpinChannel.SINGLET)
-    if f == 1.0:
-        return two_particle_density(p1, p2, params, SpinChannel.TRIPLET)
-    return (1.0 - f) * two_particle_density(p1, p2, params, SpinChannel.SINGLET) + f * two_particle_density(
-        p1, p2, params, SpinChannel.TRIPLET
-    )
+    return _mixed(lambda channel: two_particle_density(p1, p2, params, channel), params)
 
 
 def rho_marginal(p, params: ModelParams, channel: SpinChannel):
@@ -299,15 +329,6 @@ def rho_marginal(p, params: ModelParams, channel: SpinChannel):
     return norm * num
 
 
-def mixture_marginal(p, params: ModelParams, triplet_fraction=None):
+def mixture_marginal(p, params: ModelParams):
     """Single-particle density of the singlet/triplet mixture."""
-    f = float(params.triplet_fraction if triplet_fraction is None else triplet_fraction)
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"triplet_fraction must lie in [0, 1], got {f}")
-    if f == 0.0:
-        return rho_marginal(p, params, SpinChannel.SINGLET)
-    if f == 1.0:
-        return rho_marginal(p, params, SpinChannel.TRIPLET)
-    return (1.0 - f) * rho_marginal(p, params, SpinChannel.SINGLET) + f * rho_marginal(
-        p, params, SpinChannel.TRIPLET
-    )
+    return _mixed(lambda channel: rho_marginal(p, params, channel), params)

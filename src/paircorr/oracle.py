@@ -52,8 +52,12 @@ from .model import (
     ModelParams,
     SpinChannel,
     _as_vec3,
+    _channel_weights,
+    _nonnegative,
     _pair_density_kernel,
+    _positive,
     _require_nondegenerate,
+    _set_scalars,
     mixture_marginal,
     mixture_density,
     two_particle_density,
@@ -117,12 +121,10 @@ class QuadratureSpec:
             raise ValueError(f"nodes_per_axis must be >= 8, got {self.nodes_per_axis}")
         if int(self.rng_seed) < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if not (float(self.target_rel_tol) > 0.0):
-            raise ValueError(f"target_rel_tol must be > 0, got {self.target_rel_tol}")
         object.__setattr__(self, "sample_count", int(self.sample_count))
         object.__setattr__(self, "nodes_per_axis", int(self.nodes_per_axis))
         object.__setattr__(self, "rng_seed", int(self.rng_seed))
-        object.__setattr__(self, "target_rel_tol", float(self.target_rel_tol))
+        _set_scalars(self, target_rel_tol=_positive("target_rel_tol", self.target_rel_tol))
 
 
 @dataclass(frozen=True)
@@ -161,17 +163,15 @@ class ChannelCrossSection:
     spread_total: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.weight) or self.weight < 0.0:
-            raise ValueError(f"weight must be >= 0 and finite, got {self.weight}")
-        if not np.isfinite(self.sigma) or self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         object.__setattr__(self, "p_split", _as_vec3(self.p_split, "p_split"))
         object.__setattr__(self, "p_total", _as_vec3(self.p_total, "p_total"))
-        for name in ("spread_split", "spread_total"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be >= 0 and finite, got {v}")
-            object.__setattr__(self, name, v)
+        _set_scalars(
+            self,
+            weight=_nonnegative("weight", self.weight),
+            sigma=_positive("sigma", self.sigma),
+            spread_split=_nonnegative("spread_split", self.spread_split),
+            spread_total=_nonnegative("spread_total", self.spread_total),
+        )
 
 
 def _thread_count() -> int:
@@ -237,10 +237,7 @@ def _intensity_delta_p(delta_p, spec: QuadratureSpec) -> float:
         raise UnsupportedMethodError(
             "the 5-d intensity integrals support method='monte-carlo' only"
         )
-    delta_p = float(delta_p)
-    if not np.isfinite(delta_p) or delta_p < 0.0:
-        raise ValueError(f"delta_p must be finite and >= 0, got {delta_p}")
-    return delta_p
+    return _nonnegative("delta_p", float(delta_p))
 
 
 def _stratified(rng: np.random.Generator, count: int):
@@ -411,15 +408,10 @@ def _run_cor_channels(channels, delta_p, spec: QuadratureSpec, what: str) -> Ora
 
 def _mixture_channels(params: ModelParams):
     """Point-mass channel list of the singlet/triplet mixture."""
-    f = params.triplet_fraction
     common = dict(sigma=params.sigma, p_split=params.p_split, p_total=params.p_total)
-    if f == 0.0:
-        return [ChannelCrossSection(params.n_pairs, SpinChannel.SINGLET, **common)]
-    if f == 1.0:
-        return [ChannelCrossSection(params.n_pairs, SpinChannel.TRIPLET, **common)]
     return [
-        ChannelCrossSection(params.n_pairs * (1.0 - f), SpinChannel.SINGLET, **common),
-        ChannelCrossSection(params.n_pairs * f, SpinChannel.TRIPLET, **common),
+        ChannelCrossSection(params.n_pairs * w, channel, **common)
+        for w, channel in _channel_weights(params.triplet_fraction)
     ]
 
 
@@ -460,10 +452,6 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
     delta_p = _intensity_delta_p(delta_p, spec)
     if delta_p == 0.0:
         return OracleResult(0.0, 0.0, 0)
-    if params.triplet_fraction > 0.0 and params.is_degenerate():
-        raise DegenerateChannelError(
-            "mixture with triplet weight requires a non-degenerate splitting"
-        )
     sigma = params.sigma
     p_total = np.asarray(params.p_total)
     p_split = np.asarray(params.p_split)
@@ -584,12 +572,9 @@ def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     estimate of the mixture, and the linear sum of the SEs bounds its
     SE; where the channels' errors cancel, it overstates it.
     """
-    f = params.triplet_fraction
     value = est = 0.0
     used = 0
-    for frac, channel in ((1.0 - f, SpinChannel.SINGLET), (f, SpinChannel.TRIPLET)):
-        if frac == 0.0:
-            continue
+    for frac, channel in _channel_weights(params.triplet_fraction):
         part_value, part_est, part_used = _pair_norm(params, channel, spec)
         value += frac * part_value
         est += frac * part_est
@@ -625,10 +610,6 @@ def rho_single(p, params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     """
     if spec.method != "tensor-quadrature":
         raise UnsupportedMethodError("rho_single supports method='tensor-quadrature' only")
-    if params.triplet_fraction > 0.0 and params.is_degenerate():
-        raise DegenerateChannelError(
-            "mixture with triplet weight requires a non-degenerate splitting"
-        )
     n = spec.nodes_per_axis
     coarse = _rho_single_value(p, params, n // 2)
     fine = _rho_single_value(p, params, n)

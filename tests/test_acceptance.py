@@ -28,8 +28,6 @@ from paircorr import (
     accidental_intensity,
     coincidence_intensity,
     correlation_R,
-    correlation_R0,
-    correlation_R1,
     fit,
     intensity_cor_oracle,
     intensity_uncor_oracle,
@@ -122,15 +120,16 @@ def test_c_analytic_limits():
     for sigma in (0.22, 0.5, 1.0):
         for split in (sigma, 3.0 * sigma):
             for dp in (0.0, 1e-6):
-                worst_r1 = max(worst_r1, abs(float(correlation_R1(dp, sigma, split)) + 1.0))
+                worst_r1 = max(worst_r1, abs(float(correlation_R(dp, sigma, 1.0, split)) + 1.0))
     # degenerate splitting: the singlet curve vanishes identically
     dp = np.linspace(0.0, 4.0, 200)
-    worst_r0 = float(np.max(np.abs(correlation_R0(dp, 0.5, 0.0))))
-    # mixture endpoints reduce to the pure curves
+    worst_r0 = float(np.max(np.abs(correlation_R(dp, 0.5, 0.0, 0.0))))
+    # mixture endpoints reduce to the pure curves f = 0 and f = 1
     grid = np.linspace(0.0, 6.0, 200)
+    ends = correlation_R(grid, 0.5, np.array([[1e-14], [1.0 - 1e-14]]), 0.7)
     worst_end = max(
-        float(np.max(np.abs(correlation_R(grid, 0.5, 0.0, 0.7) - correlation_R0(grid, 0.5, 0.7)))),
-        float(np.max(np.abs(correlation_R(grid, 0.5, 1.0, 0.7) - correlation_R1(grid, 0.5, 0.7)))),
+        float(np.max(np.abs(ends[0] - correlation_R(grid, 0.5, 0.0, 0.7)))),
+        float(np.max(np.abs(ends[1] - correlation_R(grid, 0.5, 1.0, 0.7)))),
     )
     ok = worst_r1 <= 1e-10 and worst_r0 <= 1e-12 and worst_end <= 1e-12
     _verdict(

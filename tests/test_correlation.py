@@ -19,8 +19,6 @@ from paircorr.correlation import (
     accidental_intensity,
     coincidence_intensity,
     correlation_R,
-    correlation_R0,
-    correlation_R1,
     correlation_curve,
 )
 
@@ -164,34 +162,36 @@ def test_frozen_values():
 
 
 def test_pure_triplet_contact_limit():
-    # antisymmetry forbids dp = 0 pairs: R1(0) = -1 exactly, any split
+    # antisymmetry forbids dp = 0 pairs: R(0) = -1 exactly at f = 1, any split
     for split in (0.1, 0.5, 2.0):
-        assert float(correlation_R1(0.0, 0.5, split)) == -1.0
+        assert float(correlation_R(0.0, 0.5, 1.0, split)) == -1.0
     # and exactly -1 in the zero-split limit curve as well
-    assert float(correlation_R1(0.0, 0.5, 0.0)) == -1.0
+    assert float(correlation_R(0.0, 0.5, 1.0, 0.0)) == -1.0
 
 
 def test_pure_singlet_zero_split_is_flat():
     # indistinguishable packets: event mixing reproduces the coincidence
     # spectrum and R vanishes identically
     dp = np.linspace(0.0, 10.0, 200)
-    np.testing.assert_array_equal(correlation_R0(dp, 0.5, 0.0), np.zeros_like(dp))
+    np.testing.assert_array_equal(correlation_R(dp, 0.5, 0.0, 0.0), np.zeros_like(dp))
 
 
 def test_endpoint_fractions_match_pure_curves():
+    # the pure curves are f = 0 and f = 1; a batched f column reproduces
+    # them bitwise, and the mixture approaches them continuously
     dp = np.linspace(0.0, 8.0, 50)
-    np.testing.assert_array_equal(
-        correlation_R(dp, 0.7, 0.0, 0.9), correlation_R0(dp, 0.7, 0.9)
-    )
-    np.testing.assert_array_equal(
-        correlation_R(dp, 0.7, 1.0, 0.9), correlation_R1(dp, 0.7, 0.9)
-    )
+    pure = [correlation_R(dp, 0.7, f, 0.9) for f in (0.0, 1.0)]
+    batched = correlation_R(dp, 0.7, np.array([[0.0], [0.5], [1.0]]), 0.9)
+    np.testing.assert_array_equal(batched[0], pure[0])
+    np.testing.assert_array_equal(batched[2], pure[1])
+    np.testing.assert_allclose(correlation_R(dp, 0.7, 1e-9, 0.9), pure[0], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(correlation_R(dp, 0.7, 1.0 - 1e-9, 0.9), pure[1], rtol=0, atol=1e-8)
 
 
 def test_singlet_contact_value_at_half_overlap():
     # frozen from the 50-digit limit dp -> 0 of R0 at J = 1/2
     split = 2.0 * math.sqrt(math.log(4.0))  # J^2 = 1/4 at sigma = 1
-    assert float(correlation_R0(0.0, 1.0, split)) == pytest.approx(
+    assert float(correlation_R(0.0, 1.0, 0.0, split)) == pytest.approx(
         -0.39964654488678429, rel=1e-13
     )
 

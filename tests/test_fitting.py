@@ -117,6 +117,20 @@ def test_config_validation():
         FitConfig(multistart_count=0)
     with pytest.raises(ValueError):
         FitConfig(rng_seed=-1)
+    for bad in (
+        dict(sigma=np.nan),
+        dict(sigma=np.inf),
+        dict(f=np.nan),
+        dict(p_tilde=np.nan),
+        dict(p_tilde=np.inf),
+        dict(p_tilde=-0.1),
+        dict(step_tol=np.nan),
+        dict(step_tol=0.0),
+        dict(residual_tol=np.nan),
+        dict(sigma=np.array([0.5, 0.6])),
+    ):
+        with pytest.raises(ValueError):
+            FitConfig(**bad)
 
 
 def test_offset_data_approximation_error():

@@ -1,5 +1,6 @@
 """Pair-state construction: densities, marginals, overlap, spreading."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -29,6 +30,10 @@ PARAMS = ModelParams(
     p_total=(0.2, 0.0, -0.4),
     triplet_fraction=0.3,
 )
+
+
+def _with_f(f):
+    return dataclasses.replace(PARAMS, triplet_fraction=f)
 
 
 def _random_points(n, seed):
@@ -77,7 +82,7 @@ def test_degenerate_triplet_refused():
     with pytest.raises(DegenerateChannelError):
         pair_amplitude(p1, p2, degen, SpinChannel.TRIPLET)
     with pytest.raises(DegenerateChannelError):
-        mixture_density(p1, p2, degen, triplet_fraction=0.5)
+        mixture_density(p1, p2, dataclasses.replace(degen, triplet_fraction=0.5))
     # the singlet channel is fine at zero splitting
     assert np.all(np.isfinite(two_particle_density(p1, p2, degen, SpinChannel.SINGLET)))
     # barely above the threshold the triplet is accepted
@@ -90,13 +95,13 @@ def test_mixture_density_is_convex_combination():
     p1, p2 = _random_points(30, 23)
     s = two_particle_density(p1, p2, PARAMS, SpinChannel.SINGLET)
     t = two_particle_density(p1, p2, PARAMS, SpinChannel.TRIPLET)
-    np.testing.assert_array_equal(mixture_density(p1, p2, PARAMS, 0.0), s)
-    np.testing.assert_array_equal(mixture_density(p1, p2, PARAMS, 1.0), t)
-    np.testing.assert_array_equal(mixture_density(p1, p2, PARAMS, 0.3), 0.7 * s + 0.3 * t)
-    # default comes from params.triplet_fraction
+    np.testing.assert_array_equal(mixture_density(p1, p2, _with_f(0.0)), s)
+    np.testing.assert_array_equal(mixture_density(p1, p2, _with_f(1.0)), t)
+    np.testing.assert_array_equal(mixture_density(p1, p2, _with_f(0.3)), 0.7 * s + 0.3 * t)
+    # PARAMS carries f = 0.3
     np.testing.assert_array_equal(mixture_density(p1, p2, PARAMS), 0.7 * s + 0.3 * t)
     with pytest.raises(ValueError):
-        mixture_density(p1, p2, PARAMS, 1.5)
+        _with_f(1.5)
 
 
 def test_wavepacket_magnitude():
@@ -176,7 +181,7 @@ def test_mixture_marginal_is_convex_combination():
     p, _ = _random_points(25, 37)
     s = rho_marginal(p, PARAMS, SpinChannel.SINGLET)
     t = rho_marginal(p, PARAMS, SpinChannel.TRIPLET)
-    np.testing.assert_array_equal(mixture_marginal(p, PARAMS, 0.25), 0.75 * s + 0.25 * t)
+    np.testing.assert_array_equal(mixture_marginal(p, _with_f(0.25)), 0.75 * s + 0.25 * t)
     np.testing.assert_array_equal(mixture_marginal(p, PARAMS), 0.7 * s + 0.3 * t)
 
 
@@ -191,6 +196,21 @@ def test_params_validation():
         ModelParams(sigma=1.0, n_pairs=0.0)
     with pytest.raises(ValueError):
         ModelParams(sigma=1.0, p_split=(1.0, 2.0))
+    # non-finite vectors and numbers, and array-valued scalar fields
+    for bad in (
+        dict(sigma=np.nan),
+        dict(sigma=np.inf),
+        dict(sigma=np.array([0.5, 0.6])),
+        dict(sigma=1.0, p_split=np.nan),
+        dict(sigma=1.0, p_split=(0.0, np.inf, 0.0)),
+        dict(sigma=1.0, p_total=(np.nan, 0.0, 0.0)),
+        dict(sigma=1.0, p_total=np.inf),
+        dict(sigma=1.0, triplet_fraction=np.nan),
+        dict(sigma=1.0, triplet_fraction=np.array([0.2, 0.4])),
+        dict(sigma=1.0, n_pairs=np.inf),
+    ):
+        with pytest.raises(ValueError):
+            ModelParams(**bad)
 
 
 def test_params_vector_coercion():

@@ -273,6 +273,9 @@ def test_spec_and_channel_validation():
         QuadratureSpec(target_rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(rng_seed=-1)
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            QuadratureSpec(target_rel_tol=tol)
     with pytest.raises(ValueError):
         ChannelCrossSection(-1.0, SpinChannel.SINGLET, sigma=0.5)
     with pytest.raises(ValueError):
@@ -283,6 +286,23 @@ def test_spec_and_channel_validation():
         general_channel_integral([], 1.0, _mc(1024))
     with pytest.raises(ValueError):
         intensity_cor_oracle(-1.0, PARAMS, _mc(1024))
+    # non-finite inputs are refused up front instead of yielding nan
+    good = dict(weight=1.0, channel=SpinChannel.SINGLET, sigma=0.5)
+    for bad in (
+        dict(weight=np.nan),
+        dict(sigma=np.inf),
+        dict(p_split=(np.nan, 0.0, 0.0)),
+        dict(p_total=(0.0, np.inf, 0.0)),
+        dict(spread_total=np.nan),
+        dict(weight=np.array([1.0, 2.0])),
+    ):
+        with pytest.raises(ValueError):
+            ChannelCrossSection(**{**good, **bad})
+    for dp in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            intensity_cor_oracle(dp, PARAMS, _mc(1024))
+        with pytest.raises(ValueError):
+            intensity_uncor_oracle(dp, PARAMS, _mc(1024))
 
 
 def test_thread_env_validation(monkeypatch):
