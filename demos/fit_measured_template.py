@@ -31,18 +31,26 @@ from paircorr import (
 )
 
 
-def stand_in_csv() -> Path:
+def stand_in_csv(directory: Path) -> Path:
     truth = ModelParams(sigma=0.22, p_split=0.022, triplet_fraction=0.6)
     grid = np.linspace(0.03, 1.1, 24)
     data = synthesize(truth, grid, noise_rel=0.12, rng_seed=5)
-    path = Path(tempfile.mkdtemp()) / "stand_in.csv"
+    path = directory / "stand_in.csv"
     save_dataset(path, data)
     print(f"no CSV given; wrote a stand-in with truth sigma=0.22, f=0.6 to {path}")
     return path
 
 
 def main(argv):
-    path = Path(argv[1]) if len(argv) > 1 else stand_in_csv()
+    if len(argv) > 1:
+        report(Path(argv[1]))
+        return
+    # the stand-in lives only as long as the run
+    with tempfile.TemporaryDirectory() as tmp:
+        report(stand_in_csv(Path(tmp)))
+
+
+def report(path: Path):
     data = load_dataset(path)
     n = len(data.delta_p)
     print(f"loaded {n} points from {path}" + (f" ({data.label})" if data.label else ""))

@@ -30,7 +30,7 @@ def main():
 
     print("overlap J and its square (the correlation strength):")
     for ratio in (0.25, 0.5, 1.0, 2.0, 4.0):
-        j = overlap_j(ratio * sigma, sigma)
+        j = overlap_j(sigma, ratio * sigma)
         print(f"  p~ = {ratio:4.2f} sigma: J = {j:.6f}, J^2 = {j * j:.6f}")
     print()
 

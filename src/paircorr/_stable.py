@@ -40,9 +40,10 @@ def sinhc_m1(z):
     for fac in (272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):
         tail = 1.0 + z2 / fac * tail
     ser = ser * tail
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct = np.where(z >= 0.5, np.sinh(np.where(z >= 0.5, z, 1.0)) / np.where(z == 0.0, 1.0, z) - 1.0, 0.0)
-    return np.where(z < 0.5, ser, direct)[()]
+    if np.any(z >= 0.5):  # the direct form runs only when some z needs it
+        with np.errstate(over="ignore", invalid="ignore"):
+            ser = np.where(z < 0.5, ser, np.sinh(z) / z - 1.0)
+    return ser[()]
 
 
 def one_minus_inv_sinhc(z):

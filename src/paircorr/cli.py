@@ -34,7 +34,7 @@ from .errors import (
     ToleranceNotMetError,
 )
 from .fitting import FitConfig, fit, synthesize
-from .model import ModelParams
+from .model import ModelParams, _nonnegative
 from .oracle import QuadratureSpec, intensity_cor_oracle, intensity_uncor_oracle
 
 __all__ = ["main"]
@@ -99,7 +99,8 @@ def _add_model_flags(sub):
 
 
 def _resolve_p_tilde(args) -> float:
-    return 0.1 * args.sigma if args.p_tilde is None else args.p_tilde
+    """The given p_tilde, checked here for every command that takes it, or 0.1 sigma."""
+    return 0.1 * args.sigma if args.p_tilde is None else _nonnegative("p_tilde", args.p_tilde)
 
 
 def _cmd_curve(args) -> int:

@@ -31,8 +31,11 @@ are the same brackets times the envelope g1 = e^{-y^2/4} J^2 sinh(z)/z.
 The event-mixed brackets carry a term eds = z/sinh(z) / J^2, and g1 eds
 is e^{-y^2/4} exactly; the kernel takes that product as one factor
 instead of multiplying g1 by eds, because past d = 700 g1 underflows
-while eds overflows. Worst-case relative error of the assembled forms
-is a few 1e-12 over the full parameter domain (measured against
+while eds overflows. Each form runs only on the points it serves, and
+grids longer than two blocks pass through the kernel _BLOCK (8192)
+points at a time, so its temporaries stay in cache; neither changes
+any point's arithmetic. Worst-case relative error of the assembled
+forms is a few 1e-12 over the full parameter domain (measured against
 50-digit references in the tests).
 """
 
@@ -44,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stable import inv_sinhc, one_minus_inv_sinhc, sech, x_over_expm1
-from ._stable import sinhc_m1  # noqa: F401  # wrapped by name in perfbench/tracing.py
+from ._stable import inv_sinhc, sech, sinhc_m1, x_over_expm1
+from ._stable import one_minus_inv_sinhc  # noqa: F401  # wrapped by name in perfbench/tracing.py
 from .model import _fraction, _nonnegative, _positive
 
 __all__ = [
@@ -91,6 +94,9 @@ _Z_SWITCH = 1.75
 # decaying exponentials is cancellation-free (its one subtracted term is
 # at most 8 e^{-(d/4 + z/2)} ~ 0.66 of the positive part) and exact.
 _PLAIN_SWITCH = 2.5
+# Points per kernel call along the dp axis of long grids: a block's float
+# temporaries fit a 2 MiB L2 cache (best of a sweep over 2k-32k points).
+_BLOCK = 8192
 
 
 def _horner(coefs, x):
@@ -111,19 +117,9 @@ def _nb_series(delta, y2):
 
 
 def _zfun(z):
-    """Z(z) = 3 + sinh(z)/z - 8 sinh(z/2)/z, cancellation-free.
-
-    Series below z = 1.75 (truncation ~1e-14 relative at the seam),
-    direct above. Callers mask z to the grouped region (z < 5), so
-    the direct branch never overflows.
-    """
-    z = np.asarray(z, dtype=float)
+    """Z(z) = 3 + sinh(z)/z - 8 sinh(z/2)/z by its series (z < 1.75; ~1e-14 at the seam)."""
     z2 = z * z
-    ser = z2 * z2 * _horner(_Z_COEFS, z2)
-    zc = np.where(z < _Z_SWITCH, 1.0, z)  # keep sinh off the dead branch
-    with np.errstate(over="ignore"):
-        direct = 3.0 + np.sinh(zc) / zc - 8.0 * np.sinh(0.5 * zc) / zc
-    return np.where(z < _Z_SWITCH, ser, direct)
+    return z2 * z2 * _horner(_Z_COEFS, z2)
 
 
 def _mix_core(z, inv_s, sh):
@@ -134,10 +130,8 @@ def _mix_core(z, inv_s, sh):
     inv_sinhc * Z = 3 inv_sinhc + 1 - 4 sech(z/2) takes over; its mild
     cancellation near the seam costs a few 1e-14.
     """
-    z = np.asarray(z, dtype=float)
-    small = inv_s * _zfun(np.where(z < _Z_SWITCH, z, 0.0))
     large = 3.0 * inv_s + 1.0 - 4.0 * sh
-    return np.where(z < _Z_SWITCH, small, large)
+    return _fill(large, z < _Z_SWITCH, lambda zs, i: i * _zfun(zs), z, inv_s)
 
 
 def _check_physical(sigma, triplet_fraction, momentum_split):
@@ -206,6 +200,22 @@ def _per_point(q, f):
     )
 
 
+def _at(mask, *args):
+    """Each arg at the points where the full-shape ``mask`` holds; scalars pass through."""
+    # broadcast_to costs microseconds, so only per-parameter-point arrays take it
+    full = [a if np.shape(a) in ((), mask.shape) else np.broadcast_to(a, mask.shape) for a in args]
+    return [a[mask] if np.ndim(a) else a for a in full]
+
+
+def _fill(out, mask, form, *args):
+    """out, with form(*args) written where mask holds; form sees only those points."""
+    if np.ndim(out) == 0:  # a one-point call runs on scalars
+        return form(*args) if mask else out
+    if mask.any():
+        out[mask] = form(*_at(mask, *args))
+    return out
+
+
 def _by_rows(mask, when_true, when_false, *args):
     """when_true's arrays where mask holds and when_false's elsewhere.
 
@@ -220,10 +230,8 @@ def _by_rows(mask, when_true, when_false, *args):
         return when_false(*args)
     shape = np.broadcast_shapes(np.shape(mask), *(np.shape(a) for a in args))
     pick = np.broadcast_to(mask, shape)
-    full = [np.broadcast_to(a, shape) for a in args]
-    parts = zip(when_true(*(a[pick] for a in full)), when_false(*(a[~pick] for a in full)))
     out = []
-    for yes, no in parts:
+    for yes, no in zip(when_true(*_at(pick, *args)), when_false(*_at(~pick, *args))):
         merged = np.empty(shape)
         merged[pick] = yes
         merged[~pick] = no
@@ -301,36 +309,37 @@ def _brackets(scale, delta, y, j2, j4, jh, om, em2, em54):
     g, ge = scale(delta, y, z, inv_s, j2)
     op = 1.0 + j2
     bc0 = (1.0 + inv_s) / op * g
-    bu0 = ((1.0 + 2.0 * j4) * ge + g + 4.0 * jh * sh * g) / (op * op)
+    # bu0 and the plain form of N_B below share these two terms
+    ends = (1.0 + 2.0 * j4) * ge + g
+    mid = 4.0 * jh * sh * g
+    bu0 = (ends + mid) / (op * op)
 
-    bc1 = one_minus_inv_sinhc(z) / om * g
-    # N_B * inv_sinhc / J^2 in three regimes: grouped expm1 form while
-    # the bracket still cancels (there d < 10, so dividing by j2 is
-    # harmless), plain exponentials once nothing cancels, series at the
-    # origin. zg is z on the grouped rows and 0 elsewhere, so the
-    # primitives of z serve it too, masked to their value at 0.
-    grouped_mask = 0.25 * delta + 0.5 * z < _PLAIN_SWITCH
-    zg = np.where(grouped_mask, z, 0.0)
-    inv_sg = np.where(grouped_mask, inv_s, 1.0)
-    shg = np.where(grouped_mask, sh, 1.0)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # where the mask discards the grouped form, j2 may have
-        # underflowed to 0 and the staged quotient may overflow; the
-        # inf/nan never survives the where
-        grouped = (
-            _mix_core(zg, inv_sg, shg) + 2.0 * inv_sg * em2 - om - 4.0 * em54 * shg
-        ) / j2 * g
-        plain = (1.0 + 2.0 * j4) * ge + g - 4.0 * jh * sh * g
-        # divide by om twice, not by om * om: for subnormal d the square
-        # underflows to zero while the staged quotient stays exact
-        direct = np.where(grouped_mask, grouped, plain) / om / om
-    (bu1,) = _by_rows(
-        delta <= _SERIES_DELTA, _bu1_series, _bu1_direct, direct, delta, y, z, inv_s, j2, g
-    )
+    # 1 - inv_sinhc(z), through the series of sinh(z)/z - 1 below z = 0.5
+    bc1 = _fill(1.0 - inv_s, z < 0.5, lambda zs, i: i * sinhc_m1(zs), z, inv_s) / om * g
+    # N_B * inv_sinhc / J^2 in three regimes, each evaluated only on its
+    # points: series at the origin, grouped expm1 form while the bracket
+    # still cancels, plain exponentials once nothing cancels.
+    series = (delta <= _SERIES_DELTA) & (z <= _SERIES_Z)
+    grouped = (0.25 * delta + 0.5 * z < _PLAIN_SWITCH) & ~series
+    bu1 = _fill(ends - mid, grouped, _nb_grouped, z, inv_s, sh, g, om, em2, em54, j2)
+    # divide by om twice, not by om * om: for subnormal d the square
+    # underflows to zero while the staged quotient stays exact
+    bu1 = _fill(bu1 / om / om, series, _nb_at_origin, delta, y, inv_s, j2, g)
     # the cross bracket's constant part factors exactly:
     # (1 - J^4) - J^2 (1 - J^2) = (1 - J^2)(1 + 2 J^2), cancelling om
     buc = ((1.0 + 2.0 * j2) * ge + bc1) / op
     return bc0, bc1, bu0, bu1, buc
+
+
+def _nb_grouped(z, inv_s, sh, g, om, em2, em54, j2):
+    """N_B * inv_sinhc / J^2 times g in the grouped expm1 form (d < 10, z < 5)."""
+    return (_mix_core(z, inv_s, sh) + 2.0 * inv_s * em2 - om - 4.0 * em54 * sh) / j2 * g
+
+
+def _nb_at_origin(delta, y, inv_s, j2, g):
+    """The triplet event-mixed bracket times g from the series at small (d, z)."""
+    ratio = x_over_expm1(-delta)  # d / (1 - J^2)
+    return inv_s * _nb_series(delta, y * y) * ratio * ratio / j2 * g
 
 
 def _eds_plain(delta, z, inv_s, j2):
@@ -353,26 +362,30 @@ def _eds_saturated(delta, z, inv_s, j2):
     return (eds,)
 
 
-def _bu1_series(direct, delta, y, z, inv_s, j2, g):
-    """Triplet event-mixed bracket with the series at small (d, z)."""
-    ratio = x_over_expm1(-delta)  # d / (1 - J^2)
-    ser = inv_s * _nb_series(delta, y * y) * ratio * ratio / j2 * g
-    return (np.where(z <= _SERIES_Z, ser, direct),)
-
-
-def _bu1_direct(direct, delta, y, z, inv_s, j2, g):
-    return (direct,)
-
-
 def _mixture(dp, sigma, f, split, scale):
     """(num, den): the singlet/triplet mixtures of the scaled brackets.
 
     num weighs the coincidence brackets by 1 - f and f, den the
-    event-mixed ones by (1 - f)^2, f^2 and 2 f (1 - f).
+    event-mixed ones by (1 - f)^2, f^2 and 2 f (1 - f). Grids longer than
+    two blocks go through the kernel _BLOCK points at a time along the
+    last axis; each point's arithmetic is the same either way.
     """
-    delta, j2, j4, jh, om, em2, em54, w0, w1, w2 = _per_point(split / sigma, f)
+    terms = (f,) + _per_point(split / sigma, f)
     y = dp / sigma
-    y = np.broadcast_to(y, np.broadcast_shapes(y.shape, np.shape(delta)))
+    y = np.broadcast_to(y, np.broadcast_shapes(np.shape(y), np.shape(terms[1])))
+    n = y.shape[-1] if y.ndim else 1
+    if n <= 2 * _BLOCK:
+        return _mixture_block(scale, y, *terms)
+    num, den = np.empty(y.shape), np.empty(y.shape)
+    for lo in range(0, n, _BLOCK):
+        cut = np.s_[..., lo : lo + _BLOCK]
+        parts = (t[cut] if np.shape(t)[-1:] == (n,) else t for t in terms)
+        num[cut], den[cut] = _mixture_block(scale, y[cut], *parts)
+    return num, den
+
+
+def _mixture_block(scale, y, f, delta, j2, j4, jh, om, em2, em54, w0, w1, w2):
+    """_mixture on one block of y, with f and the _point_terms cut to match."""
     bc0, bc1, bu0, bu1, buc = _reduced_brackets(delta, y, j2, j4, jh, om, em2, em54, scale)
     num = (1.0 - f) * bc0 + f * bc1
     # brackets may be inf for enormous splitting; sum only terms whose

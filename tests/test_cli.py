@@ -154,6 +154,15 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["curve", "synth", "oracle-check"])
+def test_negative_p_tilde_exit_code(command, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main([command, "--sigma", "0.3", "--p-tilde", "-1", "--out", str(out)])
+    assert rc == 1
+    assert "p_tilde" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["synth", "--sigma", "0.5", "--noise", "-0.1", "--out", "x.csv"])

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paircorr.correlation import (
+    _BLOCK,
     CorrelationCurve,
     accidental_intensity,
     coincidence_intensity,
@@ -292,6 +293,54 @@ def test_parameter_batch_matches_scalar_calls():
         [correlation_R(dp, 0.5, 0.3, sp) for sp in split[:, 0]],
     )
     assert correlation_R(dp, np.empty((0, 1)), 0.3, 0.1).shape == (0, dp.size)
+
+
+# (sigma, p_tilde) of each kernel regime: tiny-d, series, grouped, plain
+# beyond a grouped core, saturated (d = 900)
+_REGIMES = [(0.3, 1e-160), (0.5, 0.005), (0.22, 0.022), (0.2, 0.6), (0.1, 6.0)]
+_CLOSED_FORMS = (correlation_R, coincidence_intensity, accidental_intensity)
+
+
+def _assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, 2 * _BLOCK + 1, 3 * _BLOCK + 7])
+def test_blocked_grids_match_per_slice_calls(n):
+    # grids longer than two blocks run through the kernel block by block;
+    # each point must come out as it does from a call on its block alone
+    cuts = range(0, n, _BLOCK)
+    for sigma, split in _REGIMES:
+        dp = sigma * np.linspace(0.0, 12.0, n)
+        for f in (0.0, 0.3, 1.0):
+            for fn in _CLOSED_FORMS:
+                want = np.concatenate([fn(dp[lo : lo + _BLOCK], sigma, f, split) for lo in cuts])
+                _assert_same_bytes(fn(dp, sigma, f, split), want)
+    # per-point parameters along the blocked axis are cut with the grid
+    sigmas = np.linspace(0.1, 2.0, n)
+    want = np.concatenate([correlation_R(0.4, sigmas[lo : lo + _BLOCK], 0.3, 0.1) for lo in cuts])
+    _assert_same_bytes(correlation_R(0.4, sigmas, 0.3, 0.1), want)
+
+
+def test_blocked_batch_and_scalar_calls():
+    n = 2 * _BLOCK + 1
+    rows = [(0.22, 0.0, 0.022), (0.2, 0.3, 0.6), (0.1, 1.0, 6.0)]
+    sigma, f, split = (np.array(col)[:, None] for col in zip(*rows))
+    dp = np.linspace(0.0, 6.0, n)
+    batch = correlation_R(dp, sigma, f, split)
+    assert batch.shape == (3, n)
+    grids = correlation_R(dp * sigma, sigma, f, split)
+    for k, (s, fr, sp) in enumerate(rows):
+        _assert_same_bytes(batch[k], correlation_R(dp, s, fr, sp))
+        _assert_same_bytes(grids[k], correlation_R(dp * s, s, fr, sp))
+    # a 0-d dp gives a float equal to the one-point grid's value
+    for sigma, split in _REGIMES:
+        for fn in _CLOSED_FORMS:
+            scalar = fn(0.7 * sigma, sigma, 0.3, split)
+            assert isinstance(scalar, float)
+            _assert_same_bytes(scalar, fn(np.array([0.7 * sigma]), sigma, 0.3, split)[0])
 
 
 def test_input_validation():
