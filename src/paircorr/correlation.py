@@ -141,15 +141,20 @@ def _check_physical(sigma, triplet_fraction, momentum_split):
     magnitude; any other array holds split magnitudes that broadcast
     with sigma and f.
     """
-    split = np.asarray(momentum_split, dtype=float)
     return (
         _positive("sigma", sigma),
         _fraction("triplet_fraction", triplet_fraction),
-        _nonnegative("momentum_split", np.linalg.norm(split) if split.shape == (3,) else split),
+        _nonnegative("momentum_split", _split_magnitude(momentum_split)),
     )
 
 
-def _check_scalar_physical(sigma, triplet_fraction, momentum_split, n_pairs=0.0):
+def _split_magnitude(momentum_split):
+    """The magnitude of a shape-(3,) momentum_split; any other value holds magnitudes."""
+    split = np.asarray(momentum_split, dtype=float)
+    return np.linalg.norm(split) if split.shape == (3,) else split
+
+
+def _check_scalar_physical(sigma, triplet_fraction, momentum_split, n_pairs):
     """_check_physical and n_pairs for the entry points that take one parameter point."""
     checked = _check_physical(sigma, triplet_fraction, momentum_split)
     checked += (_nonnegative("n_pairs", n_pairs),)
@@ -489,8 +494,10 @@ class CorrelationCurve:
 
 
 def correlation_curve(delta_p, sigma, triplet_fraction, momentum_split):
-    """Evaluate R on a grid and bundle the result with its parameters."""
-    sigma_v, f, split, _ = _check_scalar_physical(sigma, triplet_fraction, momentum_split)
-    dp = np.atleast_1d(_check_delta_p(delta_p))
-    r = np.atleast_1d(correlation_R(dp, sigma_v, f, split))
-    return CorrelationCurve(dp, r, sigma_v, f, split)
+    """Evaluate R on a grid and bundle the result with its (validated) parameters."""
+    params = (sigma, triplet_fraction, _split_magnitude(momentum_split))
+    if any(np.ndim(v) for v in params):
+        raise ValueError("parameters must be scalars here; correlation_R takes arrays of them")
+    r = np.atleast_1d(correlation_R(delta_p, sigma, triplet_fraction, momentum_split))
+    dp = np.atleast_1d(np.asarray(delta_p, dtype=float))
+    return CorrelationCurve(dp, r, *(float(v) for v in params))

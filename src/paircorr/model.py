@@ -227,17 +227,30 @@ def pair_amplitude(p1, p2, params: ModelParams, channel: SpinChannel, t=0.0):
     return (direct + s * exchanged) / np.sqrt(_channel_norm(params, s))
 
 
+def _components(p):
+    """The (3, ...) component-first view of (..., 3) momenta."""
+    return np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+
+
+def _sq_dist(p, c):
+    """|p - c|^2 of component-first p and c (c may lack trailing axes), summed as np.sum does."""
+    d = p - np.reshape(c, np.shape(c) + (1,) * (np.ndim(p) - np.ndim(c)))
+    d = d * d
+    return d[0] + d[1] + d[2]
+
+
 def _pair_density_kernel(p1, p2, c1, c2, sigma, sign):
     """Unnormalized pair density (e^{-A/2} +/- e^{-B/2})^2 (2 pi sigma^2)^-3.
 
     A/2 and B/2 are the direct and exchanged Gaussian exponents. The
     antisymmetric difference is written through expm1 so it stays
-    accurate when the two exponents nearly coincide. Broadcasts over all
-    leading axes of the inputs.
+    accurate when the two exponents nearly coincide. Component-wise:
+    p1, p2, c1 and c2 are component-first, (3, ...) with p[k] the k-th
+    component, and broadcast together as _sq_dist does.
     """
     sig2 = sigma * sigma
-    a2 = (np.sum((p1 - c1) ** 2, axis=-1) + np.sum((p2 - c2) ** 2, axis=-1)) / (4.0 * sig2)
-    b2 = (np.sum((p1 - c2) ** 2, axis=-1) + np.sum((p2 - c1) ** 2, axis=-1)) / (4.0 * sig2)
+    a2 = (_sq_dist(p1, c1) + _sq_dist(p2, c2)) / (4.0 * sig2)
+    b2 = (_sq_dist(p1, c2) + _sq_dist(p2, c1)) / (4.0 * sig2)
     lo = np.minimum(a2, b2)
     gap = np.abs(a2 - b2)
     base = np.exp(-2.0 * lo)
@@ -268,9 +281,7 @@ def two_particle_density(p1, p2, params: ModelParams, channel: SpinChannel):
     _require_nondegenerate(params, channel)
     c1, c2 = params.centers
     s = channel.sign
-    kern = _pair_density_kernel(
-        np.asarray(p1, dtype=float), np.asarray(p2, dtype=float), c1, c2, params.sigma, s
-    )
+    kern = _pair_density_kernel(_components(p1), _components(p2), c1, c2, params.sigma, s)
     return kern / _channel_norm(params, s)
 
 
@@ -300,6 +311,29 @@ def mixture_density(p1, p2, params: ModelParams):
     return _mixed(lambda channel: two_particle_density(p1, p2, params, channel), params)
 
 
+def _marginal(p, params: ModelParams):
+    """channel -> its single-particle density at component-first p, sharing e1, e2, cross."""
+    c1, c2 = params.centers
+    sig2 = params.sigma**2
+    e1 = _sq_dist(p, c1) / (4.0 * sig2)  # exponent of sqrt(g1)
+    e2 = _sq_dist(p, c2) / (4.0 * sig2)
+    cross = np.exp(-(e1 + e2))  # sqrt(g1 g2)
+
+    def rho(channel: SpinChannel):
+        _require_nondegenerate(params, channel)
+        if channel is SpinChannel.SINGLET:
+            num = np.exp(-2.0 * e1) + np.exp(-2.0 * e2) + 2.0 * params.overlap() * cross
+        else:
+            lo = np.minimum(e1, e2)
+            diff2 = (np.exp(-lo) * np.expm1(-np.abs(e1 - e2))) ** 2
+            one_minus_j = -np.expm1(-params.split_magnitude**2 / (8.0 * sig2))
+            num = diff2 + 2.0 * one_minus_j * cross
+        norm = (2.0 * np.pi * sig2) ** (-1.5) / _channel_norm(params, channel.sign)
+        return norm * num
+
+    return rho
+
+
 def rho_marginal(p, params: ModelParams, channel: SpinChannel):
     """Single-particle momentum density, the pair density integrated over
     the partner momentum.
@@ -308,27 +342,12 @@ def rho_marginal(p, params: ModelParams, channel: SpinChannel):
     the Gaussian normalization, with g_i the squared packet envelopes.
     The triplet numerator is assembled from two non-negative pieces,
     (sqrt(g1) - sqrt(g2))^2 + 2 (1 - J) sqrt(g1 g2), so no cancellation
-    occurs for small splitting.
+    occurs for small splitting. ``p`` has shape (..., 3); its components
+    go through the component-wise body that mixture_marginal shares.
     """
-    _require_nondegenerate(params, channel)
-    p = np.asarray(p, dtype=float)
-    c1, c2 = params.centers
-    sig2 = params.sigma**2
-    e1 = np.sum((p - c1) ** 2, axis=-1) / (4.0 * sig2)  # exponent of sqrt(g1)
-    e2 = np.sum((p - c2) ** 2, axis=-1) / (4.0 * sig2)
-    jmod = params.overlap()
-    cross = np.exp(-(e1 + e2))  # sqrt(g1 g2)
-    if channel is SpinChannel.SINGLET:
-        num = np.exp(-2.0 * e1) + np.exp(-2.0 * e2) + 2.0 * jmod * cross
-    else:
-        lo = np.minimum(e1, e2)
-        diff2 = (np.exp(-lo) * np.expm1(-np.abs(e1 - e2))) ** 2
-        one_minus_j = -np.expm1(-params.split_magnitude**2 / (8.0 * sig2))
-        num = diff2 + 2.0 * one_minus_j * cross
-    norm = (2.0 * np.pi * sig2) ** (-1.5) / _channel_norm(params, channel.sign)
-    return norm * num
+    return _marginal(_components(p), params)(channel)
 
 
 def mixture_marginal(p, params: ModelParams):
-    """Single-particle density of the singlet/triplet mixture."""
-    return _mixed(lambda channel: rho_marginal(p, params, channel), params)
+    """Single-particle density of the singlet/triplet mixture, one body for both channels."""
+    return _mixed(_marginal(_components(p), params), params)

@@ -27,10 +27,11 @@ serves every coincidence channel: a channel whose (P, s) is jittered
 draws them per sample, and a point channel is the same code with no
 jitter draws and (P, s) as single vectors.
 
-Sampling is chunked; each chunk has its own seed spawned from the
-spec's rng_seed and the per-chunk sums are combined with math.fsum, so
-results are bit-identical across runs and across thread counts. Set
-PAIRCORR_THREADS to evaluate chunks in a thread pool.
+Sampling is chunked. A chunk makes its draws whole from its own seed
+(spawned from the spec's rng_seed), then works column-wise in blocks
+and sums its weights once; math.fsum adds the chunk sums, so neither
+block size nor thread count changes a bit. Set PAIRCORR_THREADS to
+evaluate chunks in a thread pool.
 """
 
 from __future__ import annotations
@@ -53,11 +54,13 @@ from .model import (
     SpinChannel,
     _as_vec3,
     _channel_weights,
+    _components,
     _nonnegative,
     _pair_density_kernel,
     _positive,
     _require_nondegenerate,
     _set_scalars,
+    _sq_dist,
     mixture_marginal,
     mixture_density,
     two_particle_density,
@@ -76,6 +79,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 18
+# Samples per block of a chunk: smaller blocks stay in cache but pay
+# NumPy's per-call cost (and, threaded, a lock handover) more often.
+_BLOCK = 1 << 15
 # Below this z the cosh-tilted polar density is indistinguishable from
 # uniform; sampler and density must switch together.
 _TINY_Z = 1e-8
@@ -190,22 +196,30 @@ def _thread_count() -> int:
 
 
 def _mc_sum(total: int, seed_seq: np.random.SeedSequence, chunk_fn):
-    """Run chunk_fn(seed, count) over fixed-size chunks; fsum the sums.
+    """Mean and SE of the weights w over fixed-size chunks, in blocks.
 
-    chunk_fn returns (sum w, sum w^2) for its chunk. The chunk layout
-    and per-chunk seeds depend only on (total, seed_seq), and the final
-    reduction is ordered, so the result is independent of the thread
-    count.
+    chunk_fn(seed, count) makes a chunk's draws and returns the function
+    from a block slice to that block's w. The chunk layout and seeds
+    depend only on (total, seed_seq); w is summed once per chunk.
     """
+
+    def chunk_sums(seed, count):
+        block_fn = chunk_fn(seed, count)
+        w = np.empty(count)
+        for lo in range(0, count, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            w[block] = block_fn(block)
+        return float(np.sum(w)), float(np.sum(w * w))
+
     n_chunks = (total + _CHUNK - 1) // _CHUNK
     counts = [_CHUNK] * (n_chunks - 1) + [total - _CHUNK * (n_chunks - 1)]
     seeds = seed_seq.spawn(n_chunks)
     threads = _thread_count()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(chunk_fn, seeds, counts))
+            sums = list(pool.map(chunk_sums, seeds, counts))
     else:
-        sums = [chunk_fn(seed, count) for seed, count in zip(seeds, counts)]
+        sums = [chunk_sums(seed, count) for seed, count in zip(seeds, counts)]
     s1 = math.fsum(pair[0] for pair in sums)
     s2 = math.fsum(pair[1] for pair in sums)
     mean = s1 / total
@@ -252,8 +266,6 @@ def _sample_cosh_tilt(xi, z):
     inverts the exponential tilt through log/expm1-safe algebra. Falls
     back to uniform below _TINY_Z. Broadcasts over per-sample z.
     """
-    xi = np.asarray(xi, dtype=float)
-    z = np.asarray(z, dtype=float)
     pos = xi < 0.5
     eta = np.clip(np.where(pos, 2.0 * xi, 2.0 * xi - 1.0), 0.0, 1.0)
     zc = np.where(z < _TINY_Z, 1.0, z)
@@ -264,47 +276,34 @@ def _sample_cosh_tilt(xi, z):
 
 def _cosh_tilt_pdf(u, z):
     """Density z*cosh(z*u)/(2 sinh z) on [-1, 1], stable at any z >= 0."""
-    u = np.asarray(u, dtype=float)
-    z = np.asarray(z, dtype=float)
     zc = np.where(z < _TINY_Z, 1.0, z)
     val = zc * (np.exp(zc * (u - 1.0)) + np.exp(-zc * (u + 1.0))) / (-2.0 * np.expm1(-2.0 * zc))
     return np.where(z < _TINY_Z, 0.5, val)
 
 
-def _cor_tilt_sample(v, z):
-    """Polar cosine for coincidence sampling: 1/2 uniform + 1/2 cosh tilt."""
-    uniform = 4.0 * v - 1.0
-    xi = np.clip(2.0 * (v - 0.5), 0.0, 1.0)
-    return np.where(v < 0.5, np.clip(uniform, -1.0, 1.0), _sample_cosh_tilt(xi, z))
+# Polar proposals: u uniform for v < 1/2, then per (lo, hi, factor) the
+# cosh tilt at factor * z for lo <= v < hi. The event-mixed integrand
+# carries exp(z u), exp(z u / 2) and flat angular factors (center
+# offsets of s, s/2 and 0), the coincidence one only exp(z u).
+_COR_TILTS = ((0.5, 1.0, 1.0),)
+_UNC_TILTS = ((0.5, 0.75, 0.5), (0.75, 1.0, 1.0))
 
 
-def _cor_tilt_pdf(u, z):
-    return 0.25 + 0.5 * _cosh_tilt_pdf(u, z)
+def _tilt_sample(v, z, tilts):
+    """Polar cosines of the proposal; each branch runs on its own samples only."""
+    u = np.empty_like(v)
+    low = v < 0.5
+    u[low] = np.clip(4.0 * v[low] - 1.0, -1.0, 1.0)
+    for lo, hi, factor in tilts:
+        sel = (v >= lo) & (v < hi)
+        zs = z[sel] if np.ndim(z) else z
+        u[sel] = _sample_cosh_tilt(np.clip((v[sel] - lo) / (hi - lo), 0.0, 1.0), factor * zs)
+    return u
 
 
-def _unc_tilt_sample(v, z):
-    """Polar cosine for event-mixed sampling: uniform + cosh(z/2) + cosh(z).
-
-    The event-mixed integrand carries exp(z u), exp(z u / 2) and flat
-    angular factors (center offsets of s, s/2 and 0), so the proposal
-    mixes all three shapes with weights 1/2, 1/4, 1/4.
-    """
-    uniform = 4.0 * v - 1.0
-    xi_half = np.clip(4.0 * (v - 0.5), 0.0, 1.0)
-    xi_full = np.clip(4.0 * (v - 0.75), 0.0, 1.0)
-    return np.where(
-        v < 0.5,
-        np.clip(uniform, -1.0, 1.0),
-        np.where(
-            v < 0.75,
-            _sample_cosh_tilt(xi_half, 0.5 * z),
-            _sample_cosh_tilt(xi_full, z),
-        ),
-    )
-
-
-def _unc_tilt_pdf(u, z):
-    return 0.25 + 0.25 * _cosh_tilt_pdf(u, 0.5 * z) + 0.25 * _cosh_tilt_pdf(u, z)
+def _tilt_pdf(u, z, tilts):
+    """Density of the proposal at u; each tilt has weight hi - lo."""
+    return sum(((hi - lo) * _cosh_tilt_pdf(u, factor * z) for lo, hi, factor in tilts), 0.25)
 
 
 def _frames(axes):
@@ -324,14 +323,17 @@ def _frames(axes):
     return e1, e2, e3
 
 
+def _rows(a):
+    """Component rows, (3, m) or (3, 1), of an (m, 3) array or a 3-vector."""
+    return _components(a).reshape(3, -1)
+
+
 def _direction(u, phi, e1, e2, e3):
-    """Unit vectors with polar cosine u around e3; frame axes may be (m, 3)."""
+    """Unit vectors as (3, m) rows, polar cosine u around e3; axes may be (m, 3)."""
     sin_theta = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    return (
-        (sin_theta * np.cos(phi))[:, None] * e1
-        + (sin_theta * np.sin(phi))[:, None] * e2
-        + u[:, None] * e3
-    )
+    a = sin_theta * np.cos(phi)
+    b = sin_theta * np.sin(phi)
+    return a * _rows(e1) + b * _rows(e2) + u * _rows(e3)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +345,7 @@ def _cor_runner(delta_p, ccs: ChannelCrossSection, spec, seed_seq):
 
     A chunk draws the polar and azimuthal variables, then the two jitter
     normals only if a spread is nonzero, then the p1 normals; a point
-    channel keeps (P, s) as single vectors.
+    channel keeps (P, s) as single vectors and builds its frame once.
     """
     sigma = ccs.sigma
     sign = ccs.channel.sign
@@ -353,35 +355,40 @@ def _cor_runner(delta_p, ccs: ChannelCrossSection, spec, seed_seq):
     scale = sigma / math.sqrt(2.0)
     pdf_norm = (math.pi * sigma * sigma) ** -1.5
 
+    frame = None if jitter else _frames(p_split0)
+
     def chunk(seed, count):
         rng = np.random.default_rng(seed)
         v = _stratified(rng, count)
         phi = 2.0 * math.pi * rng.random(count)
-        p_split, p_total = p_split0, p_total0
         if jitter:
-            p_split = p_split0 + ccs.spread_split * rng.standard_normal((count, 3))
-            p_total = p_total0 + ccs.spread_total * rng.standard_normal((count, 3))
+            split_normals = rng.standard_normal((count, 3))
+            total_normals = rng.standard_normal((count, 3))
         xi = rng.standard_normal((count, 3))
-        split = np.linalg.norm(p_split, axis=-1)
-        if sign < 0.0 and np.any(split < DEGENERACY_RATIO * sigma):
-            raise DegenerateChannelError(
-                f"triplet channel with |p_split| < {DEGENERACY_RATIO:g} * sigma"
-                " (at p_split or in its spread_split jitter)"
-            )
-        j2 = np.exp(-split * split / (4.0 * sigma * sigma))
-        z = split * delta_p / (2.0 * sigma * sigma)
-        e1, e2, e3 = _frames(p_split)
-        u = _cor_tilt_sample(v, z)
-        n_hat = _direction(u, phi, e1, e2, e3)
-        q = delta_p * n_hat
-        p1 = (p_total - q) / 2.0 + scale * xi
-        c1 = (p_total + p_split) / 2.0
-        c2 = (p_total - p_split) / 2.0
-        dens = _pair_density_kernel(p1, p1 + q, c1, c2, sigma, sign)
-        dens /= 2.0 * (1.0 + sign * j2)
-        pdf1 = pdf_norm * np.exp(-0.5 * np.sum(xi * xi, axis=-1))
-        w = (delta_p * delta_p * 2.0 * math.pi) * dens / (pdf1 * _cor_tilt_pdf(u, z))
-        return float(np.sum(w)), float(np.sum(w * w))
+
+        def block(b):
+            p_split, p_total = p_split0, p_total0
+            if jitter:
+                p_split = p_split0 + ccs.spread_split * split_normals[b]
+                p_total = p_total0 + ccs.spread_total * total_normals[b]
+            split = np.linalg.norm(p_split, axis=-1)
+            if sign < 0.0 and np.any(split < DEGENERACY_RATIO * sigma):
+                raise DegenerateChannelError(
+                    f"triplet channel with |p_split| < {DEGENERACY_RATIO:g} * sigma"
+                    " (at p_split or in its spread_split jitter)"
+                )
+            j2 = np.exp(-split * split / (4.0 * sigma * sigma))
+            z = split * delta_p / (2.0 * sigma * sigma)
+            u = _tilt_sample(v[b], z, _COR_TILTS)
+            q = delta_p * _direction(u, phi[b], *(frame or _frames(p_split)))
+            ps, pt, x = _rows(p_split), _rows(p_total), xi[b].T
+            p1 = (pt - q) / 2.0 + scale * x
+            dens = _pair_density_kernel(p1, p1 + q, (pt + ps) / 2.0, (pt - ps) / 2.0, sigma, sign)
+            dens /= 2.0 * (1.0 + sign * j2)
+            pdf = pdf_norm * np.exp(-0.5 * _sq_dist(x, np.zeros(3)))
+            return (delta_p * delta_p * 2.0 * math.pi) * dens / (pdf * _tilt_pdf(u, z, _COR_TILTS))
+
+        return block
 
     return _mc_sum(spec.sample_count, seed_seq, chunk)
 
@@ -473,19 +480,23 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
         phi = 2.0 * math.pi * rng.random(count)
         pick = rng.random(count)
         xi = rng.standard_normal((count, 3))
-        u = _unc_tilt_sample(v, z)
-        n_hat = _direction(u, phi, e1, e2, e3)
-        q = delta_p * n_hat
-        base = (p_total - q) / 2.0
-        comp = (pick >= 0.25).astype(np.int64) + (pick >= 0.75)
-        p1 = base + offsets[comp] + math.sqrt(var) * xi
-        pdf1 = np.zeros(count)
-        for k in range(3):
-            d2 = np.sum((p1 - base - offsets[k]) ** 2, axis=-1)
-            pdf1 += comp_weights[k] * pdf_norm * np.exp(-d2 / (2.0 * var))
-        integrand = n_pairs * mixture_marginal(p1, params) * mixture_marginal(p1 + q, params)
-        w = (delta_p * delta_p * 2.0 * math.pi) * integrand / (pdf1 * _unc_tilt_pdf(u, z))
-        return float(np.sum(w)), float(np.sum(w * w))
+
+        def block(b):
+            u = _tilt_sample(v[b], z, _UNC_TILTS)
+            q = delta_p * _direction(u, phi[b], e1, e2, e3)
+            base = (p_total[:, None] - q) / 2.0
+            comp = (pick[b] >= 0.25).astype(np.int64) + (pick[b] >= 0.75)
+            p1 = base + offsets[comp].T + math.sqrt(var) * xi[b].T
+            rel = p1 - base
+            pdf1 = np.zeros(len(u))
+            for k in range(3):
+                d2 = _sq_dist(rel, offsets[k])
+                pdf1 += comp_weights[k] * pdf_norm * np.exp(-d2 / (2.0 * var))
+            # the marginal takes (m, 3) momenta: transposed views of the component rows
+            rho = n_pairs * mixture_marginal(p1.T, params) * mixture_marginal((p1 + q).T, params)
+            return (delta_p * delta_p * 2.0 * math.pi) * rho / (pdf1 * _tilt_pdf(u, z, _UNC_TILTS))
+
+        return block
 
     mean, se, used = _mc_sum(
         spec.sample_count, np.random.SeedSequence(spec.rng_seed), chunk
@@ -542,18 +553,21 @@ def _pair_norm(params: ModelParams, channel: SpinChannel, spec: QuadratureSpec):
     pdf_norm = (2.0 * math.pi * sigma * sigma) ** -1.5
 
     def gauss(p, c):
-        return pdf_norm * np.exp(-np.sum((p - c) ** 2, axis=-1) / (2.0 * sigma * sigma))
+        return pdf_norm * np.exp(-_sq_dist(p, c) / (2.0 * sigma * sigma))
 
     def chunk(seed, count):
         rng = np.random.default_rng(seed)
         swap = rng.random(count) < 0.5
         xi1 = rng.standard_normal((count, 3))
         xi2 = rng.standard_normal((count, 3))
-        p1 = np.where(swap[:, None], c2, c1) + sigma * xi1
-        p2 = np.where(swap[:, None], c1, c2) + sigma * xi2
-        pdf = 0.5 * (gauss(p1, c1) * gauss(p2, c2) + gauss(p1, c2) * gauss(p2, c1))
-        w = two_particle_density(p1, p2, params, channel) / pdf
-        return float(np.sum(w)), float(np.sum(w * w))
+
+        def block(b):
+            p1 = np.where(swap[b], c2[:, None], c1[:, None]) + sigma * xi1[b].T
+            p2 = np.where(swap[b], c1[:, None], c2[:, None]) + sigma * xi2[b].T
+            pdf = 0.5 * (gauss(p1, c1) * gauss(p2, c2) + gauss(p1, c2) * gauss(p2, c1))
+            return two_particle_density(p1.T, p2.T, params, channel) / pdf
+
+        return block
 
     return _mc_sum(spec.sample_count, np.random.SeedSequence(spec.rng_seed), chunk)
 

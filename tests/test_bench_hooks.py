@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 
 import paircorr.correlation
+import paircorr.oracle
+from paircorr.model import ModelParams
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,3 +35,22 @@ def test_wrapped_names_resolve():
     with tracing.instrument(tracer):
         paircorr.correlation.correlation_R(np.linspace(0.0, 1.0, 5), 0.22, 0.5, 0.022)
     assert any(name.startswith("_stable.") for name in tracer.names)
+
+
+def test_uncor_oracle_records_marginal_points():
+    # model.marginal_ns_per_point divides the marginal's time by the
+    # points it was called on: the accidental integrand evaluates the
+    # marginal at p1 and at p2 once per sample, through the name the
+    # tracer wraps and with (m, 3) arguments
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    params = ModelParams(sigma=0.5, p_split=(0.3, -0.1, 0.7), triplet_fraction=0.3)
+    spec = paircorr.oracle.QuadratureSpec(
+        sample_count=3 * paircorr.oracle._BLOCK + 5, target_rel_tol=0.5
+    )
+    with tracing.instrument(tracer):
+        result = paircorr.oracle.intensity_uncor_oracle(1.2, params, spec)
+    table = tracing.SpanTable(tracer)
+    marginal = table.ids("model.mixture_marginal")
+    assert len(marginal) > 0
+    assert int(table.points[marginal].sum()) == 2 * result.samples_used

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paircorr.model
 from paircorr.correlation import (
     _BLOCK,
     CorrelationCurve,
@@ -416,3 +417,25 @@ def test_curve_bundles_parameters():
     assert curve.momentum_split == 0.3
     with pytest.raises(ValueError):
         CorrelationCurve(np.zeros(3), np.zeros(4), 0.5, 0.25, 0.3)
+
+
+def test_curve_validates_once(monkeypatch):
+    # correlation_R checks sigma, f, the split and dp; the curve makes
+    # no second pass over them and returns correlation_R's values
+    names = []
+    checked = paircorr.model._checked
+    monkeypatch.setattr(
+        paircorr.model, "_checked", lambda name, *rest: names.append(name) or checked(name, *rest)
+    )
+    dp = np.linspace(0.0, 5.0, 11)
+    split = (0.1, -0.2, 0.3)
+    curve = correlation_curve(dp, 0.5, 0.25, split)
+    assert sorted(names) == ["delta_p", "momentum_split", "sigma", "triplet_fraction"]
+    assert curve.r.tobytes() == correlation_R(dp, 0.5, 0.25, split).tobytes()
+    assert curve.momentum_split == float(np.linalg.norm(split))
+    with pytest.raises(ValueError, match="scalars"):
+        correlation_curve(dp, np.array([0.5, 0.6]), 0.25, 0.3)
+    with pytest.raises(ValueError, match="scalars"):
+        correlation_curve(dp, 0.5, 0.25, np.array([0.3, 0.4]))
+    with pytest.raises(ValueError):
+        correlation_curve(dp, -0.5, 0.25, 0.3)

@@ -1,6 +1,7 @@
 """Pair-state construction: densities, marginals, overlap, spreading."""
 
 import dataclasses
+import hashlib
 import math
 
 import mpmath
@@ -183,6 +184,36 @@ def test_mixture_marginal_is_convex_combination():
     t = rho_marginal(p, PARAMS, SpinChannel.TRIPLET)
     np.testing.assert_array_equal(mixture_marginal(p, _with_f(0.25)), 0.75 * s + 0.25 * t)
     np.testing.assert_array_equal(mixture_marginal(p, PARAMS), 0.7 * s + 0.3 * t)
+
+
+def test_densities_are_frozen():
+    # sha256 prefixes of the output bytes pin every bit, for a (4, 5, 3)
+    # grid broadcast against one (3,) point either way: the densities
+    # must add each squared distance in the order of a length-3 sum
+    rng = np.random.default_rng(7)
+    grid = rng.normal(scale=0.6, size=(4, 5, 3))
+    point = np.array([0.25, -0.4, 0.15])
+
+    def digest(values):
+        return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:16]
+
+    pair = {SpinChannel.SINGLET: "d930783b71f8c311", SpinChannel.TRIPLET: "e9a22be4938e425b"}
+    rho = {SpinChannel.SINGLET: "13ae51df20d6ebde", SpinChannel.TRIPLET: "f487fddeb5f282cf"}
+    mix = {0.0: "13ae51df20d6ebde", 0.3: "67298e2b91bcee4b", 1.0: "f487fddeb5f282cf"}
+    for f, want in mix.items():
+        params = ModelParams(
+            sigma=0.5,
+            p_split=(0.3, -0.1, 0.7),
+            p_total=(0.1, 0.2, -0.3),
+            triplet_fraction=f,
+            n_pairs=2.5,
+        )
+        for channel in SpinChannel:
+            assert digest(two_particle_density(grid, point, params, channel)) == pair[channel]
+            assert digest(two_particle_density(point, grid, params, channel)) == pair[channel]
+            assert digest(rho_marginal(grid, params, channel)) == rho[channel]
+        assert mixture_marginal(grid, params).shape == (4, 5)
+        assert digest(mixture_marginal(grid, params)) == want
 
 
 def test_params_validation():

@@ -13,6 +13,8 @@ from paircorr.errors import (
 from paircorr.model import ModelParams, SpinChannel, mixture_marginal
 from paircorr.correlation import accidental_intensity, coincidence_intensity
 from paircorr.oracle import (
+    _BLOCK,
+    _CHUNK,
     ChannelCrossSection,
     OracleResult,
     QuadratureSpec,
@@ -86,15 +88,29 @@ def test_method_restrictions():
 
 
 def test_results_are_deterministic(monkeypatch):
-    spec = _mc((1 << 18) * 2)
-    first = intensity_cor_oracle(1.2, PARAMS, spec)
-    again = intensity_cor_oracle(1.2, PARAMS, spec)
-    assert first == again
-    # chunk seeds and the ordered fsum reduction make the result
-    # independent of the thread count, bit for bit
+    # a partial last chunk that ends in a partial block
+    spec = _mc(_CHUNK + _BLOCK + 7)
+    jittered = ChannelCrossSection(
+        1.3,
+        SpinChannel.TRIPLET,
+        sigma=0.5,
+        p_split=PARAMS.p_split,
+        p_total=PARAMS.p_total,
+        spread_split=0.05,
+        spread_total=0.1,
+    )
+    runs = {
+        "cor": lambda: intensity_cor_oracle(1.2, PARAMS, spec),
+        "uncor": lambda: intensity_uncor_oracle(1.2, PARAMS, spec),
+        "jittered": lambda: general_channel_integral([jittered], 1.2, spec),
+    }
+    monkeypatch.setenv("PAIRCORR_THREADS", "1")
+    first = {name: run() for name, run in runs.items()}
+    assert {name: run() for name, run in runs.items()} == first
+    # chunk seeds, whole-chunk weight sums and the ordered fsum reduction
+    # make the result independent of the thread count, bit for bit
     monkeypatch.setenv("PAIRCORR_THREADS", "3")
-    threaded = intensity_cor_oracle(1.2, PARAMS, spec)
-    assert threaded == first
+    assert {name: run() for name, run in runs.items()} == first
 
 
 def test_error_estimate_scales_like_sqrt_n():
@@ -156,6 +172,26 @@ def test_frozen_oracle_outputs():
     )
     assert intensity_uncor_oracle(1.2, PARAMS, spec) == OracleResult(
         1.47115023682443, 0.0011432407007761398, 262144
+    )
+    # a split and a total momentum with every frame component nonzero
+    full = ModelParams(
+        sigma=0.5,
+        p_split=(0.3, -0.1, 0.7),
+        p_total=(0.1, 0.2, -0.3),
+        triplet_fraction=0.7,
+        n_pairs=2.5,
+    )
+    assert intensity_cor_oracle(0.9, full, spec) == OracleResult(
+        1.1315991582933402, 0.0009515730609372622, 524288
+    )
+    assert intensity_uncor_oracle(0.9, full, spec) == OracleResult(
+        1.60234510201822, 0.0013118720030790413, 262144
+    )
+    assert pair_norm_oracle(full, SpinChannel.SINGLET, spec) == OracleResult(
+        1.0004253803940717, 0.00037574767872306804, 262144
+    )
+    assert pair_norm_oracle(full, SpinChannel.TRIPLET, spec) == OracleResult(
+        0.9985164441747301, 0.0013104568648924454, 262144
     )
 
 
