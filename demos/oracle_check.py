@@ -9,6 +9,8 @@ normalization through both the quadrature and sampling paths.
 Runs in a few seconds; bump SAMPLES for tighter error bars.
 """
 
+import dataclasses
+
 from paircorr import (
     ModelParams,
     QuadratureSpec,
@@ -17,7 +19,7 @@ from paircorr import (
     coincidence_intensity,
     intensity_cor_oracle,
     intensity_uncor_oracle,
-    pair_norm_oracle,
+    phi_norm_oracle,
 )
 
 SAMPLES = 200_000
@@ -48,9 +50,11 @@ def main():
     print("pair normalization (should be 1 exactly):")
     quad = QuadratureSpec(method="tensor-quadrature", nodes_per_axis=48)
     mc = QuadratureSpec(method="monte-carlo", sample_count=SAMPLES, target_rel_tol=0.05)
-    for channel in (SpinChannel.SINGLET, SpinChannel.TRIPLET):
-        rq = pair_norm_oracle(params, channel, quad)
-        rm = pair_norm_oracle(params, channel, mc)
+    # one pure channel of unit yield: the mixture at f = 0 or f = 1
+    for channel, pure_f in ((SpinChannel.SINGLET, 0.0), (SpinChannel.TRIPLET, 1.0)):
+        pure = dataclasses.replace(params, triplet_fraction=pure_f)
+        rq = phi_norm_oracle(pure, quad)
+        rm = phi_norm_oracle(pure, mc)
         print(
             f"  {channel.name.lower():7s} quadrature {rq.value:.12f}"
             f"   monte-carlo {rm.value:.6f} +- {rm.est_error:.1e}"

@@ -11,6 +11,8 @@ to well separated.
 All quantities are in Hartree atomic units.
 """
 
+import dataclasses
+
 import numpy as np
 
 from paircorr import (
@@ -18,8 +20,7 @@ from paircorr import (
     SpinChannel,
     coordinate_uncertainty,
     correlation_R,
-    overlap_j,
-    two_particle_density,
+    mixture_density,
 )
 
 
@@ -30,17 +31,19 @@ def main():
 
     print("overlap J and its square (the correlation strength):")
     for ratio in (0.25, 0.5, 1.0, 2.0, 4.0):
-        j = overlap_j(sigma, ratio * sigma)
+        j = ModelParams(sigma=sigma, p_split=ratio * sigma).overlap()
         print(f"  p~ = {ratio:4.2f} sigma: J = {j:.6f}, J^2 = {j * j:.6f}")
     print()
 
-    params = ModelParams(sigma=sigma, p_split=(0.0, 0.0, 0.5))
+    # a pure channel is the singlet/triplet mixture at f = 0 or f = 1
+    singlet = ModelParams(sigma=sigma, p_split=(0.0, 0.0, 0.5))
+    triplet = dataclasses.replace(singlet, triplet_fraction=1.0)
     p = np.array([0.1, -0.2, 0.25])
     print("pair density at p1 = -p2 = ", p, ":")
-    for channel in (SpinChannel.SINGLET, SpinChannel.TRIPLET):
-        d = float(two_particle_density(p, -p, params, channel))
+    for channel, params in ((SpinChannel.SINGLET, singlet), (SpinChannel.TRIPLET, triplet)):
+        d = float(mixture_density(p, -p, params))
         print(f"  {channel.name.lower():7s} {d:.6e}")
-    same = float(two_particle_density(p, p, params, SpinChannel.TRIPLET))
+    same = float(mixture_density(p, p, triplet))
     print(f"  triplet at p1 = p2 (Pauli node): {same:.3e}")
     print()
 

@@ -38,20 +38,14 @@ from .model import (
     coordinate_uncertainty,
     mixture_density,
     mixture_marginal,
-    overlap_j,
     pair_amplitude,
-    rho_marginal,
-    two_particle_density,
-    wavepacket_amplitude,
 )
 from .oracle import (
     ChannelCrossSection,
     OracleResult,
     QuadratureSpec,
-    general_channel_integral,
     intensity_cor_oracle,
     intensity_uncor_oracle,
-    pair_norm_oracle,
     phi_norm_oracle,
     rho_single,
 )
@@ -76,24 +70,18 @@ __all__ = [
     "correlation_R",
     "correlation_curve",
     "fit",
-    "general_channel_integral",
     "intensity_cor_oracle",
     "intensity_uncor_oracle",
     "load_dataset",
     "mixture_density",
     "mixture_marginal",
-    "overlap_j",
     "pair_amplitude",
-    "pair_norm_oracle",
     "phi_norm_oracle",
-    "rho_marginal",
     "rho_single",
     "save_curve",
     "save_dataset",
     "save_fit_result",
     "synthesize",
-    "two_particle_density",
-    "wavepacket_amplitude",
     "PairCorrError",
     "DataFormatError",
     "DegenerateChannelError",

@@ -141,6 +141,10 @@ def load_dataset(path, label: str = "") -> Dataset:
                 values = [float(part) for part in fields]
             except ValueError:
                 raise DataFormatError(f"non-numeric field in {line!r}", line=lineno) from None
+            if not all(np.isfinite(values)) or min(values[:1] + values[2:]) <= 0.0:
+                raise DataFormatError(
+                    f"values must be finite, delta_p and sigma_R > 0, got {line!r}", line=lineno
+                )
             dp.append(values[0])
             r.append(values[1])
             if has_sigma:

@@ -38,7 +38,7 @@ from .errors import (
     NonConvergenceError,
     UndefinedMetricError,
 )
-from .model import ModelParams, _fraction, _nonnegative, _positive, _set_scalars
+from .model import ModelParams, _fraction, _nonnegative, _positive, _set_scalars, _whole
 
 __all__ = [
     "FitConfig",
@@ -122,13 +122,12 @@ class FitConfig:
             f=_fraction("fixed f", self.f),
             step_tol=_positive("step_tol", self.step_tol),
             residual_tol=_nonnegative("residual_tol", self.residual_tol),
+            multistart_count=_whole("multistart_count", self.multistart_count, 1),
+            max_iterations=_whole("max_iterations", self.max_iterations, 1),
+            rng_seed=_whole("rng_seed", self.rng_seed, 0),
         )
         if self.p_tilde is not None:
             _set_scalars(self, p_tilde=_nonnegative("fixed p_tilde", self.p_tilde))
-        if self.multistart_count < 1 or self.max_iterations < 1:
-            raise ValueError("multistart_count and max_iterations must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -413,8 +412,7 @@ def synthesize(params: ModelParams, grid, noise_rel: float = 0.0, rng_seed: int 
     uncertainties are noise_rel * |R| with a floor of 5% of the curve's
     peak magnitude so near-zero crossings don't get infinite weight.
     """
-    if noise_rel < 0.0:
-        raise ValueError(f"noise_rel must be >= 0, got {noise_rel}")
+    noise_rel = _nonnegative("noise_rel", noise_rel)
     dp = np.asarray(grid, dtype=float)
     r_true = np.atleast_1d(
         correlation_R(dp, params.sigma, params.triplet_fraction, params.p_split)

@@ -27,13 +27,9 @@ __all__ = [
     "SpinChannel",
     "ModelParams",
     "DEGENERACY_RATIO",
-    "wavepacket_amplitude",
     "pair_amplitude",
-    "two_particle_density",
     "mixture_density",
-    "rho_marginal",
     "mixture_marginal",
-    "overlap_j",
     "coordinate_uncertainty",
 ]
 
@@ -71,6 +67,13 @@ def _nonnegative(name, value):
 
 def _fraction(name, value):
     return _checked(name, value, lambda v: (v >= 0.0) & (v <= 1.0), "in [0, 1]")
+
+
+def _whole(name, value, minimum):
+    """value as an int once it is a whole number >= minimum; _set_scalars refuses arrays."""
+    ok = lambda v: np.isfinite(v) & (v == np.floor(v)) & (v >= minimum)  # noqa: E731
+    v = _checked(name, value, ok, f"a whole number >= {minimum}")
+    return v if np.ndim(v) else int(value)
 
 
 def _set_scalars(obj, **checked):
@@ -141,48 +144,27 @@ class ModelParams:
         return (p + s) / 2.0, (p - s) / 2.0
 
     def overlap(self) -> float:
-        """Modulus of the single-particle overlap of the two packets."""
-        return overlap_j(self.sigma, self.split_magnitude)
+        """Overlap magnitude J = exp(-s^2 / (8 sigma^2)) of the two packets."""
+        split, sigma = self.split_magnitude, self.sigma
+        return float(np.exp(-(split * split) / (8.0 * sigma * sigma)))
 
     def is_degenerate(self) -> bool:
         return self.split_magnitude < DEGENERACY_RATIO * self.sigma
-
-
-def overlap_j(sigma: float, split: float) -> float:
-    """Overlap magnitude exp(-s^2 / (8 sigma^2)) of the two packets."""
-    return float(np.exp(-(split * split) / (8.0 * sigma * sigma)))
 
 
 def coordinate_uncertainty(sigma, t=0.0):
     """Position-space width of one wavepacket after free evolution.
 
     Starts at the minimum-uncertainty value 1/(2 sigma) and spreads as
-    sqrt(1 + 4 sigma^4 t^2) / (2 sigma).
+    sqrt(1 + 4 sigma^4 t^2) / (2 sigma). sigma must be positive and t finite.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    t = np.asarray(t, dtype=float)
+    sigma = np.asarray(_positive("sigma", sigma))
+    t = np.asarray(_checked("t", t, np.isfinite, "finite"))
     return np.sqrt(1.0 + 4.0 * sigma**4 * t * t) / (2.0 * sigma)
 
 
-def wavepacket_amplitude(p, center, sigma, t=0.0):
-    """Free Gaussian wavepacket in momentum space, complex valued.
-
-    Parameters
-    ----------
-    p : array_like, shape (..., 3)
-        Momentum points.
-    center : array_like, shape (3,)
-        Center of the packet.
-    sigma : float
-        Momentum width.
-    t : float
-        Evolution time; enters only through the phase exp(-i p^2 t / 2).
-
-    Returns
-    -------
-    ndarray, shape (...)
-        Amplitude values.
-    """
+def _wavepacket(p, center, sigma, t=0.0):
+    """Free Gaussian wavepacket at (..., 3) momenta p; t enters only through exp(-i p^2 t / 2)."""
     p = np.asarray(p, dtype=float)
     d2 = np.sum((p - np.asarray(center, dtype=float)) ** 2, axis=-1)
     p2 = np.sum(p * p, axis=-1)
@@ -222,8 +204,8 @@ def pair_amplitude(p1, p2, params: ModelParams, channel: SpinChannel, t=0.0):
     _require_nondegenerate(params, channel)
     c1, c2 = params.centers
     s = channel.sign
-    direct = wavepacket_amplitude(p1, c1, params.sigma, t) * wavepacket_amplitude(p2, c2, params.sigma, t)
-    exchanged = wavepacket_amplitude(p2, c1, params.sigma, t) * wavepacket_amplitude(p1, c2, params.sigma, t)
+    direct = _wavepacket(p1, c1, params.sigma, t) * _wavepacket(p2, c2, params.sigma, t)
+    exchanged = _wavepacket(p2, c1, params.sigma, t) * _wavepacket(p1, c2, params.sigma, t)
     return (direct + s * exchanged) / np.sqrt(_channel_norm(params, s))
 
 
@@ -261,23 +243,8 @@ def _pair_density_kernel(p1, p2, c1, c2, sigma, sign):
     return comb * (2.0 * np.pi * sig2) ** (-3.0)
 
 
-def two_particle_density(p1, p2, params: ModelParams, channel: SpinChannel):
-    """Joint momentum density |Psi(p1, p2)|^2 of one spin channel.
-
-    Time independent: the free-evolution phases of the direct and
-    exchanged terms cancel. Symmetric under p1 <-> p2 for both channels.
-
-    Parameters
-    ----------
-    p1, p2 : array_like, shape (..., 3)
-        Momentum pairs (broadcast together).
-    params : ModelParams
-    channel : SpinChannel
-
-    Returns
-    -------
-    ndarray, shape (...)
-    """
+def _pair_density(p1, p2, params: ModelParams, channel: SpinChannel):
+    """Joint momentum density |Psi(p1, p2)|^2 of one spin channel at (..., 3) momenta."""
     _require_nondegenerate(params, channel)
     c1, c2 = params.centers
     s = channel.sign
@@ -302,17 +269,27 @@ def _mixed(density, params: ModelParams):
 
 
 def mixture_density(p1, p2, params: ModelParams):
-    """Incoherent singlet/triplet mixture of pair densities.
+    """Incoherent singlet/triplet mixture of the pair densities |Psi(p1, p2)|^2.
 
+    p1 and p2 have shape (..., 3) and broadcast together.
     ``params.triplet_fraction`` f weights the triplet channel; f = 0 and
-    f = 1 reduce to the pure channels. Any f > 0 requires a
-    non-degenerate triplet state.
+    f = 1 are the pure channels, exactly. Any f > 0 requires a
+    non-degenerate triplet state. Time independent: the free-evolution
+    phases of the direct and exchanged terms cancel. Symmetric under
+    p1 <-> p2 for every f.
     """
-    return _mixed(lambda channel: two_particle_density(p1, p2, params, channel), params)
+    return _mixed(lambda channel: _pair_density(p1, p2, params, channel), params)
 
 
 def _marginal(p, params: ModelParams):
-    """channel -> its single-particle density at component-first p, sharing e1, e2, cross."""
+    """channel -> its single-particle density at component-first p, sharing e1, e2, cross.
+
+    Closed form: [g1 + g2 +/- 2 J sqrt(g1 g2)] / (2 (1 +/- J^2)) times
+    the Gaussian normalization, with g_i the squared packet envelopes.
+    The triplet numerator is assembled from two non-negative pieces,
+    (sqrt(g1) - sqrt(g2))^2 + 2 (1 - J) sqrt(g1 g2), so no cancellation
+    occurs for small splitting.
+    """
     c1, c2 = params.centers
     sig2 = params.sigma**2
     e1 = _sq_dist(p, c1) / (4.0 * sig2)  # exponent of sqrt(g1)
@@ -334,20 +311,10 @@ def _marginal(p, params: ModelParams):
     return rho
 
 
-def rho_marginal(p, params: ModelParams, channel: SpinChannel):
-    """Single-particle momentum density, the pair density integrated over
-    the partner momentum.
-
-    Closed form: [g1 + g2 +/- 2 J sqrt(g1 g2)] / (2 (1 +/- J^2)) times
-    the Gaussian normalization, with g_i the squared packet envelopes.
-    The triplet numerator is assembled from two non-negative pieces,
-    (sqrt(g1) - sqrt(g2))^2 + 2 (1 - J) sqrt(g1 g2), so no cancellation
-    occurs for small splitting. ``p`` has shape (..., 3); its components
-    go through the component-wise body that mixture_marginal shares.
-    """
-    return _marginal(_components(p), params)(channel)
-
-
 def mixture_marginal(p, params: ModelParams):
-    """Single-particle density of the singlet/triplet mixture, one body for both channels."""
+    """Single-particle momentum density at (..., 3) momenta p: the mixture's
+    pair density integrated over the partner momentum.
+
+    f = 0 and f = 1 are the pure singlet and triplet marginals, exactly.
+    """
     return _mixed(_marginal(_components(p), params), params)

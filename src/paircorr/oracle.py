@@ -3,16 +3,16 @@
 Everything the closed-form module computes analytically is recomputed
 here by direct numerical integration of the two-particle densities:
 
-* pair-density normalization, by separable Gauss-Legendre quadrature or
-  by importance-sampled Monte Carlo; the mixture's yield normalization
-  is the weighted sum of the singlet and triplet norms, by either
-  method;
+* the mixture's yield normalization, the weighted sum of the singlet
+  and triplet pair-density norms, by separable Gauss-Legendre
+  quadrature or by importance-sampled Monte Carlo;
 * the single-particle density rho(p) = integral of the pair density over
   the partner momentum, by 3-d tensor quadrature;
 * the coincidence intensity, the 5-d integral
-  (dp)^2 * int d^3p1 dOmega  Phi(p1, p1 + dp*n),
-  and the accidental (event-mixed) intensity with integrand
-  rho(p1) rho(p1 + dp*n) / N, both by Monte Carlo.
+  (dp)^2 * int d^3p1 dOmega  Phi(p1, p1 + dp*n) of the mixture or of
+  any list of emission channels, and the accidental (event-mixed)
+  intensity with integrand rho(p1) rho(p1 + dp*n) / N, both by Monte
+  Carlo.
 
 The Monte-Carlo design exploits the model's structure. For a fixed
 detector direction n every term of the pair density has the same
@@ -56,26 +56,25 @@ from .model import (
     _channel_weights,
     _components,
     _nonnegative,
+    _pair_density,
     _pair_density_kernel,
     _positive,
     _require_nondegenerate,
     _set_scalars,
     _sq_dist,
+    _whole,
     mixture_marginal,
     mixture_density,
-    two_particle_density,
 )
 
 __all__ = [
     "QuadratureSpec",
     "OracleResult",
     "ChannelCrossSection",
-    "pair_norm_oracle",
     "phi_norm_oracle",
     "rho_single",
     "intensity_cor_oracle",
     "intensity_uncor_oracle",
-    "general_channel_integral",
 ]
 
 _CHUNK = 1 << 18
@@ -121,16 +120,13 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if int(self.sample_count) < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-        if int(self.nodes_per_axis) < 8:
-            raise ValueError(f"nodes_per_axis must be >= 8, got {self.nodes_per_axis}")
-        if int(self.rng_seed) < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        object.__setattr__(self, "sample_count", int(self.sample_count))
-        object.__setattr__(self, "nodes_per_axis", int(self.nodes_per_axis))
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
-        _set_scalars(self, target_rel_tol=_positive("target_rel_tol", self.target_rel_tol))
+        _set_scalars(
+            self,
+            sample_count=_whole("sample_count", self.sample_count, 1),
+            nodes_per_axis=_whole("nodes_per_axis", self.nodes_per_axis, 8),
+            rng_seed=_whole("rng_seed", self.rng_seed, 0),
+            target_rel_tol=_positive("target_rel_tol", self.target_rel_tol),
+        )
 
 
 @dataclass(frozen=True)
@@ -393,7 +389,26 @@ def _cor_runner(delta_p, ccs: ChannelCrossSection, spec, seed_seq):
     return _mc_sum(spec.sample_count, seed_seq, chunk)
 
 
-def _run_cor_channels(channels, delta_p, spec: QuadratureSpec, what: str) -> OracleResult:
+def _mixture_channels(params: ModelParams):
+    """Point-mass channel list of the singlet/triplet mixture."""
+    common = dict(sigma=params.sigma, p_split=params.p_split, p_total=params.p_total)
+    return [
+        ChannelCrossSection(params.n_pairs * w, channel, **common)
+        for w, channel in _channel_weights(params.triplet_fraction)
+    ]
+
+
+def intensity_cor_oracle(delta_p, channels, spec: QuadratureSpec) -> OracleResult:
+    """Coincidence intensity by direct 5-d Monte-Carlo integration.
+
+    Evaluates (dp)^2 * int d^3p1 dOmega Phi(p1, p1 + dp*n) with the
+    unnormalized solid-angle measure (int dOmega = 4 pi), the same
+    convention the closed form uses. ``channels`` is a ModelParams (its
+    singlet/triplet mixture) or a sequence of ChannelCrossSection, each
+    contributing weight * I_cor(channel). A mixture runs as its own
+    point-mass channel list, so the two forms agree bit for bit.
+    """
+    channels = _mixture_channels(channels) if isinstance(channels, ModelParams) else list(channels)
     delta_p = _intensity_delta_p(delta_p, spec)
     if not channels:
         raise ValueError("at least one channel is required")
@@ -410,39 +425,7 @@ def _run_cor_channels(channels, delta_p, spec: QuadratureSpec, what: str) -> Ora
         used += n
     value = math.fsum(values)
     se = math.sqrt(math.fsum(variances))
-    return _finish(value, se, used, spec, what)
-
-
-def _mixture_channels(params: ModelParams):
-    """Point-mass channel list of the singlet/triplet mixture."""
-    common = dict(sigma=params.sigma, p_split=params.p_split, p_total=params.p_total)
-    return [
-        ChannelCrossSection(params.n_pairs * w, channel, **common)
-        for w, channel in _channel_weights(params.triplet_fraction)
-    ]
-
-
-def intensity_cor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> OracleResult:
-    """Coincidence intensity by direct 5-d Monte-Carlo integration.
-
-    Evaluates (dp)^2 * int d^3p1 dOmega Phi(p1, p1 + dp*n) with the
-    unnormalized solid-angle measure (int dOmega = 4 pi), the same
-    convention the closed form uses.
-    """
-    return _run_cor_channels(
-        _mixture_channels(params), delta_p, spec, "intensity_cor_oracle"
-    )
-
-
-def general_channel_integral(channels, delta_p, spec: QuadratureSpec) -> OracleResult:
-    """Coincidence intensity for an arbitrary list of emission channels.
-
-    Each ChannelCrossSection contributes weight * I_cor(channel);
-    point-mass channels reduce exactly (same code path) to
-    intensity_cor_oracle of the matching pure-channel parameters.
-    """
-    channels = list(channels)
-    return _run_cor_channels(channels, delta_p, spec, "general_channel_integral")
+    return _finish(value, se, used, spec, "intensity_cor_oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -508,24 +491,27 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
 # normalization and marginal checks
 
 
-def _axis_nodes(lo, hi, n):
+def _box_rule(params: ModelParams, n: int):
+    """Per-axis n-node Gauss-Legendre (nodes, weights) over both centers +/- 8 sigma."""
+    c1, c2 = params.centers
     x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
+    rule = []
+    for ax in range(3):
+        lo = min(c1[ax], c2[ax]) - 8.0 * params.sigma
+        hi = max(c1[ax], c2[ax]) + 8.0 * params.sigma
+        half = 0.5 * (hi - lo)
+        rule.append((lo + half * (x + 1.0), half * w))
+    return rule
 
 
 def _pair_norm_quad_value(params: ModelParams, channel: SpinChannel, n: int) -> float:
     """Separable Gauss-Legendre evaluation of the pair-density norm."""
     c1, c2 = params.centers
-    sigma = params.sigma
-    sig2 = sigma * sigma
+    sig2 = params.sigma * params.sigma
     j = params.overlap()
     sign = channel.sign
     prod1 = prod2 = prod_cross = 1.0
-    for ax in range(3):
-        lo = min(c1[ax], c2[ax]) - 8.0 * sigma
-        hi = max(c1[ax], c2[ax]) + 8.0 * sigma
-        x, w = _axis_nodes(lo, hi, n)
+    for ax, (x, w) in enumerate(_box_rule(params, n)):
         prod1 *= float(np.sum(w * np.exp(-((x - c1[ax]) ** 2) / (2.0 * sig2))))
         prod2 *= float(np.sum(w * np.exp(-((x - c2[ax]) ** 2) / (2.0 * sig2))))
         prod_cross *= float(
@@ -565,26 +551,22 @@ def _pair_norm(params: ModelParams, channel: SpinChannel, spec: QuadratureSpec):
             p1 = np.where(swap[b], c2[:, None], c1[:, None]) + sigma * xi1[b].T
             p2 = np.where(swap[b], c1[:, None], c2[:, None]) + sigma * xi2[b].T
             pdf = 0.5 * (gauss(p1, c1) * gauss(p2, c2) + gauss(p1, c2) * gauss(p2, c1))
-            return two_particle_density(p1.T, p2.T, params, channel) / pdf
+            return _pair_density(p1.T, p2.T, params, channel) / pdf
 
         return block
 
     return _mc_sum(spec.sample_count, np.random.SeedSequence(spec.rng_seed), chunk)
 
 
-def pair_norm_oracle(params: ModelParams, channel: SpinChannel, spec: QuadratureSpec) -> OracleResult:
-    """Check that the pair density integrates to 1 over (p1, p2)."""
-    return _finish(*_pair_norm(params, channel, spec), spec, "pair_norm_oracle")
-
-
 def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     """Check that the differential pair yield integrates to n_pairs.
 
     The yield is n_pairs times the singlet and triplet pair norms weighted
-    by 1 - f and f. Their error estimates add linearly. The two
-    Monte-Carlo runs share their draws, so the value is the joint
-    estimate of the mixture, and the linear sum of the SEs bounds its
-    SE; where the channels' errors cancel, it overstates it.
+    by 1 - f and f, so f = 0 or 1 with n_pairs = 1 checks that one pure
+    channel's pair density integrates to 1. The error estimates add
+    linearly. The two Monte-Carlo runs share their draws, so the value
+    is the joint estimate of the mixture, and the linear sum of the SEs
+    bounds its SE; where the channels' errors cancel, it overstates it.
     """
     value = est = 0.0
     used = 0
@@ -597,15 +579,7 @@ def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
 
 
 def _rho_single_value(p, params: ModelParams, n: int) -> float:
-    c1, c2 = params.centers
-    sigma = params.sigma
-    nodes, weights = [], []
-    for ax in range(3):
-        lo = min(c1[ax], c2[ax]) - 8.0 * sigma
-        hi = max(c1[ax], c2[ax]) + 8.0 * sigma
-        x, w = _axis_nodes(lo, hi, n)
-        nodes.append(x)
-        weights.append(w)
+    nodes, weights = zip(*_box_rule(params, n))
     gx, gy, gz = np.meshgrid(*nodes, indexing="ij")
     grid = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=-1)
     wgt = (

@@ -12,6 +12,7 @@ The final check is advisory and runs only when PAIRCORR_MEASURED_DATA
 points at a digitized dataset; it is skipped otherwise.
 """
 
+import dataclasses
 import math
 import os
 import time
@@ -32,11 +33,14 @@ from paircorr import (
     intensity_cor_oracle,
     intensity_uncor_oracle,
     load_dataset,
+    mixture_density,
     pair_amplitude,
-    pair_norm_oracle,
+    phi_norm_oracle,
     synthesize,
-    two_particle_density,
 )
+
+# a pure channel is the mixture at f = 0 (singlet) or f = 1 (triplet)
+PURE_F = {SpinChannel.SINGLET: 0.0, SpinChannel.TRIPLET: 1.0}
 
 
 def _verdict(letter, name, ok, detail):
@@ -60,10 +64,11 @@ def test_a_pair_normalization():
                 p_split=(0.0, 0.0, ratio * sigma),
                 p_total=(0.1, -0.2, 0.3),
             )
-            for channel in (SpinChannel.SINGLET, SpinChannel.TRIPLET):
-                rq = pair_norm_oracle(params, channel, quad)
+            for f in PURE_F.values():
+                pure = dataclasses.replace(params, triplet_fraction=f)
+                rq = phi_norm_oracle(pure, quad)
                 worst_quad = max(worst_quad, abs(rq.value - 1.0))
-                rm = pair_norm_oracle(params, channel, mc)
+                rm = phi_norm_oracle(pure, mc)
                 worst_mc = max(
                     worst_mc, abs(rm.value - 1.0) / max(3.0 * rm.est_error, 1e-300)
                 )
@@ -191,8 +196,8 @@ def test_e_frame_independence_and_time_invariance():
     p1 = np.array([0.4, 0.1, -0.2])
     p2 = np.array([-0.1, 0.3, 0.5])
     worst_t = 0.0
-    for channel in (SpinChannel.SINGLET, SpinChannel.TRIPLET):
-        want = float(two_particle_density(p1, p2, params, channel))
+    for channel, f in PURE_F.items():
+        want = float(mixture_density(p1, p2, dataclasses.replace(params, triplet_fraction=f)))
         for t in (0.0, 1.0, 100.0):
             got = float(np.abs(pair_amplitude(p1, p2, params, channel, t)) ** 2)
             worst_t = max(worst_t, abs(got - want) / want)

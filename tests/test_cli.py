@@ -134,10 +134,11 @@ def test_missing_data_file(tmp_path, capsys):
 
 def test_malformed_data_file(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("delta_p,R\n0.5,0.1\n0.7,oops\n")
-    rc = main(["fit", "--data", str(bad), "--out", str(tmp_path / "o.json")])
-    assert rc == 2
-    assert "line 3" in capsys.readouterr().err
+    for row in ("0.7,oops", "0.7,nan", "-0.7,0.2"):
+        bad.write_text(f"delta_p,R\n0.5,0.1\n{row}\n")
+        rc = main(["fit", "--data", str(bad), "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert "line 3" in capsys.readouterr().err
 
 
 def test_too_few_points(tmp_path, capsys):

@@ -99,6 +99,20 @@ def test_load_reports_line_numbers(tmp_path):
         load_dataset(short_row)
     assert excinfo.value.line == 3
 
+    # values that parse but are out of range are caught on their row too
+    for name, row in (
+        ("nan.csv", "0.7,nan,0.05"),
+        ("inf.csv", "0.7,0.2,inf"),
+        ("neg.csv", "-0.7,0.2,0.05"),
+        ("zero.csv", "0.0,0.2,0.05"),
+        ("sig.csv", "0.7,0.2,0.0"),
+    ):
+        out_of_range = tmp_path / name
+        out_of_range.write_text(f"delta_p,R,sigma_R\n# note\n0.5,0.1,0.05\n{row}\n")
+        with pytest.raises(DataFormatError) as excinfo:
+            load_dataset(out_of_range)
+        assert excinfo.value.line == 4, name
+
     empty = tmp_path / "e.csv"
     empty.write_text("# nothing here\n\n")
     with pytest.raises(DataFormatError, match="no header"):

@@ -128,6 +128,14 @@ def test_config_validation():
         dict(step_tol=0.0),
         dict(residual_tol=np.nan),
         dict(sigma=np.array([0.5, 0.6])),
+        # counts and the seed are whole numbers, refused rather than
+        # failing later inside fit()
+        dict(multistart_count=2.5),
+        dict(max_iterations=2.5),
+        dict(rng_seed=1.5),
+        dict(multistart_count=np.nan),
+        dict(max_iterations=np.inf),
+        dict(rng_seed=np.array([1, 2])),
     ):
         with pytest.raises(ValueError):
             FitConfig(**bad)
@@ -180,8 +188,11 @@ def test_synthesize_seeding():
     c = synthesize(TRUTH, GRID, noise_rel=0.05, rng_seed=4)
     assert a == b
     assert a.r != c.r
-    with pytest.raises(ValueError):
-        synthesize(TRUTH, GRID, noise_rel=-0.1)
+    # a bad noise level is refused up front, not as a DataFormatError
+    # from the noisy Dataset it would build
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            synthesize(TRUTH, GRID, noise_rel=bad)
 
 
 # (sigma, noise seed) -> (sigma, f, objective), recorded from the serial

@@ -16,11 +16,7 @@ from paircorr.model import (
     coordinate_uncertainty,
     mixture_density,
     mixture_marginal,
-    overlap_j,
     pair_amplitude,
-    rho_marginal,
-    two_particle_density,
-    wavepacket_amplitude,
 )
 
 mpmath.mp.dps = 50
@@ -33,8 +29,12 @@ PARAMS = ModelParams(
 )
 
 
-def _with_f(f):
-    return dataclasses.replace(PARAMS, triplet_fraction=f)
+# a pure channel is the mixture at f = 0 (singlet) or f = 1 (triplet)
+PURE_F = {SpinChannel.SINGLET: 0.0, SpinChannel.TRIPLET: 1.0}
+
+
+def _with_f(f, params=PARAMS):
+    return dataclasses.replace(params, triplet_fraction=f)
 
 
 def _random_points(n, seed):
@@ -46,8 +46,8 @@ def test_density_is_time_independent():
     # |Psi|^2 from the explicit amplitude must match the closed-form
     # density at any evolution time: the free phases cancel exactly.
     p1, p2 = _random_points(60, 7)
-    for channel in SpinChannel:
-        dens = two_particle_density(p1, p2, PARAMS, channel)
+    for channel, f in PURE_F.items():
+        dens = mixture_density(p1, p2, _with_f(f))
         for t in (0.0, 1.0, 100.0):
             amp = pair_amplitude(p1, p2, PARAMS, channel, t=t)
             np.testing.assert_allclose(np.abs(amp) ** 2, dens, rtol=5e-13)
@@ -55,21 +55,21 @@ def test_density_is_time_independent():
 
 def test_density_exchange_symmetric():
     p1, p2 = _random_points(60, 11)
-    for channel in SpinChannel:
-        a = two_particle_density(p1, p2, PARAMS, channel)
-        b = two_particle_density(p2, p1, PARAMS, channel)
+    for f in (0.0, 0.3, 1.0):
+        a = mixture_density(p1, p2, _with_f(f))
+        b = mixture_density(p2, p1, _with_f(f))
         np.testing.assert_array_equal(a, b)
 
 
 def test_density_nonnegative():
     p1, p2 = _random_points(200, 13)
-    for channel in SpinChannel:
-        assert np.all(two_particle_density(p1, p2, PARAMS, channel) >= 0.0)
+    for f in (0.0, 0.3, 1.0):
+        assert np.all(mixture_density(p1, p2, _with_f(f)) >= 0.0)
 
 
 def test_triplet_vanishes_on_diagonal():
     p1, _ = _random_points(20, 17)
-    dens = two_particle_density(p1, p1, PARAMS, SpinChannel.TRIPLET)
+    dens = mixture_density(p1, p1, _with_f(1.0))
     # p1 = p2 makes the antisymmetric combination vanish identically
     np.testing.assert_array_equal(dens, np.zeros(len(p1)))
 
@@ -79,25 +79,23 @@ def test_degenerate_triplet_refused():
     assert degen.is_degenerate()
     p1, p2 = _random_points(4, 19)
     with pytest.raises(DegenerateChannelError):
-        two_particle_density(p1, p2, degen, SpinChannel.TRIPLET)
+        mixture_density(p1, p2, _with_f(1.0, degen))
     with pytest.raises(DegenerateChannelError):
         pair_amplitude(p1, p2, degen, SpinChannel.TRIPLET)
     with pytest.raises(DegenerateChannelError):
-        mixture_density(p1, p2, dataclasses.replace(degen, triplet_fraction=0.5))
+        mixture_density(p1, p2, _with_f(0.5, degen))
     # the singlet channel is fine at zero splitting
-    assert np.all(np.isfinite(two_particle_density(p1, p2, degen, SpinChannel.SINGLET)))
+    assert np.all(np.isfinite(mixture_density(p1, p2, degen)))
     # barely above the threshold the triplet is accepted
-    ok = ModelParams(sigma=1.0, p_split=2.0 * DEGENERACY_RATIO)
+    ok = ModelParams(sigma=1.0, p_split=2.0 * DEGENERACY_RATIO, triplet_fraction=1.0)
     assert not ok.is_degenerate()
-    assert np.all(np.isfinite(two_particle_density(p1, p2, ok, SpinChannel.TRIPLET)))
+    assert np.all(np.isfinite(mixture_density(p1, p2, ok)))
 
 
 def test_mixture_density_is_convex_combination():
     p1, p2 = _random_points(30, 23)
-    s = two_particle_density(p1, p2, PARAMS, SpinChannel.SINGLET)
-    t = two_particle_density(p1, p2, PARAMS, SpinChannel.TRIPLET)
-    np.testing.assert_array_equal(mixture_density(p1, p2, _with_f(0.0)), s)
-    np.testing.assert_array_equal(mixture_density(p1, p2, _with_f(1.0)), t)
+    s = mixture_density(p1, p2, _with_f(0.0))
+    t = mixture_density(p1, p2, _with_f(1.0))
     np.testing.assert_array_equal(mixture_density(p1, p2, _with_f(0.3)), 0.7 * s + 0.3 * t)
     # PARAMS carries f = 0.3
     np.testing.assert_array_equal(mixture_density(p1, p2, PARAMS), 0.7 * s + 0.3 * t)
@@ -106,24 +104,31 @@ def test_mixture_density_is_convex_combination():
 
 
 def test_wavepacket_magnitude():
-    # |phi|^2 is the normalized Gaussian (2 pi sigma^2)^{-3/2} e^{-d^2/(2 sigma^2)}
+    # |phi|^2 is the normalized Gaussian (2 pi sigma^2)^{-3/2} e^{-d^2/(2 sigma^2)};
+    # at zero splitting the singlet amplitude is the product phi(p1) phi(p2)
+    # of two packets at the same center, so with p2 on the center
+    # |amplitude|^2 = |phi(p1)|^2 (2 pi sigma^2)^{-3/2}
     sigma = 0.7
     center = np.array([0.1, -0.2, 0.3])
+    params = ModelParams(sigma=sigma, p_total=2.0 * center)
     p, _ = _random_points(40, 29)
-    amp = wavepacket_amplitude(p, center, sigma, t=3.0)
+    amp = pair_amplitude(p, center, params, SpinChannel.SINGLET, t=3.0)
     d2 = np.sum((p - center) ** 2, axis=-1)
-    want = (2.0 * np.pi * sigma * sigma) ** -1.5 * np.exp(-d2 / (2.0 * sigma * sigma))
+    norm = (2.0 * np.pi * sigma * sigma) ** -1.5
+    want = norm * np.exp(-d2 / (2.0 * sigma * sigma)) * norm
     np.testing.assert_allclose(np.abs(amp) ** 2, want, rtol=1e-13)
 
 
 def test_overlap_values():
-    assert overlap_j(0.8, 0.0) == 1.0
+    assert ModelParams(sigma=0.8).overlap() == 1.0
     # s^2 = 8 sigma^2 ln 2 gives overlap exactly 1/2
     sigma = 0.6
     split = math.sqrt(8.0 * sigma * sigma * math.log(2.0))
-    assert overlap_j(sigma, split) == pytest.approx(0.5, rel=1e-15)
     params = ModelParams(sigma=sigma, p_split=split)
     assert params.overlap() == pytest.approx(0.5, rel=1e-15)
+    # the split enters through its magnitude only
+    tilted = ModelParams(sigma=sigma, p_split=(0.0, -split, 0.0))
+    assert tilted.overlap() == params.overlap()
 
 
 def test_coordinate_uncertainty():
@@ -136,13 +141,20 @@ def test_coordinate_uncertainty():
     widths = coordinate_uncertainty(0.5, ts)
     assert widths.shape == ts.shape
     assert np.all(np.diff(widths) > 0.0)
+    # sigma is a width and t a time: both are refused rather than
+    # turned into a negative or infinite width
+    for sigma, t in ((-1.0, 0.0), (0.0, 0.0), (np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ValueError):
+            coordinate_uncertainty(sigma, t)
+    with pytest.raises(ValueError):
+        coordinate_uncertainty(0.5, np.array([0.0, np.inf]))
 
 
 def test_marginal_zero_split_is_single_gaussian():
     # at s = 0 the singlet marginal collapses to one packet's density
     params = ModelParams(sigma=0.4, p_total=(0.6, -0.2, 0.1))
     p, _ = _random_points(50, 31)
-    rho = rho_marginal(p, params, SpinChannel.SINGLET)
+    rho = mixture_marginal(p, params)
     sig2 = params.sigma**2
     d2 = np.sum((p - np.asarray(params.p_total) / 2.0) ** 2, axis=-1)
     want = (2.0 * np.pi * sig2) ** -1.5 * np.exp(-d2 / (2.0 * sig2))
@@ -172,16 +184,16 @@ def test_marginal_matches_reference(split):
     params = ModelParams(sigma=0.5, p_split=split, p_total=(0.1, 0.2, -0.3))
     pts = [(0.05, 0.1, -0.15), (0.0, 0.0, 0.0), (0.3, -0.4, 0.8)]
     for p in pts:
-        for channel, sign in ((SpinChannel.SINGLET, 1), (SpinChannel.TRIPLET, -1)):
-            got = float(rho_marginal(np.array(p), params, channel))
+        for f, sign in ((0.0, 1), (1.0, -1)):
+            got = float(mixture_marginal(np.array(p), _with_f(f, params)))
             want = _mp_marginal(p, params, sign)
             assert got == pytest.approx(want, rel=rel)
 
 
 def test_mixture_marginal_is_convex_combination():
     p, _ = _random_points(25, 37)
-    s = rho_marginal(p, PARAMS, SpinChannel.SINGLET)
-    t = rho_marginal(p, PARAMS, SpinChannel.TRIPLET)
+    s = mixture_marginal(p, _with_f(0.0))
+    t = mixture_marginal(p, _with_f(1.0))
     np.testing.assert_array_equal(mixture_marginal(p, _with_f(0.25)), 0.75 * s + 0.25 * t)
     np.testing.assert_array_equal(mixture_marginal(p, PARAMS), 0.7 * s + 0.3 * t)
 
@@ -197,9 +209,11 @@ def test_densities_are_frozen():
     def digest(values):
         return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:16]
 
-    pair = {SpinChannel.SINGLET: "d930783b71f8c311", SpinChannel.TRIPLET: "e9a22be4938e425b"}
-    rho = {SpinChannel.SINGLET: "13ae51df20d6ebde", SpinChannel.TRIPLET: "f487fddeb5f282cf"}
-    mix = {0.0: "13ae51df20d6ebde", 0.3: "67298e2b91bcee4b", 1.0: "f487fddeb5f282cf"}
+    # pure channels (f = 0 singlet, f = 1 triplet) of the pair density
+    # and of the marginal, and the marginal of one mixture
+    pair = {0.0: "d930783b71f8c311", 1.0: "e9a22be4938e425b"}
+    rho = {0.0: "13ae51df20d6ebde", 1.0: "f487fddeb5f282cf"}
+    mix = {**rho, 0.3: "67298e2b91bcee4b"}
     for f, want in mix.items():
         params = ModelParams(
             sigma=0.5,
@@ -208,10 +222,9 @@ def test_densities_are_frozen():
             triplet_fraction=f,
             n_pairs=2.5,
         )
-        for channel in SpinChannel:
-            assert digest(two_particle_density(grid, point, params, channel)) == pair[channel]
-            assert digest(two_particle_density(point, grid, params, channel)) == pair[channel]
-            assert digest(rho_marginal(grid, params, channel)) == rho[channel]
+        if f in pair:
+            assert digest(mixture_density(grid, point, params)) == pair[f]
+            assert digest(mixture_density(point, grid, params)) == pair[f]
         assert mixture_marginal(grid, params).shape == (4, 5)
         assert digest(mixture_marginal(grid, params)) == want
 

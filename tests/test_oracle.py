@@ -1,5 +1,6 @@
 """Brute-force integration oracles: norms, marginals, intensities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,10 +19,8 @@ from paircorr.oracle import (
     ChannelCrossSection,
     OracleResult,
     QuadratureSpec,
-    general_channel_integral,
     intensity_cor_oracle,
     intensity_uncor_oracle,
-    pair_norm_oracle,
     phi_norm_oracle,
     rho_single,
 )
@@ -37,6 +36,11 @@ PARAMS = ModelParams(
 QUAD = QuadratureSpec(method="tensor-quadrature", nodes_per_axis=48)
 
 
+def _pure(params, f):
+    """One unit-yield pure channel of params: singlet at f = 0, triplet at f = 1."""
+    return dataclasses.replace(params, triplet_fraction=f, n_pairs=1.0)
+
+
 def _mc(samples, seed=0):
     # loose target: these tests compare against 3 * est_error themselves,
     # so a tolerance failure inside the oracle would only hide the data
@@ -44,16 +48,16 @@ def _mc(samples, seed=0):
 
 
 def test_pair_norm_quadrature():
-    for channel in (SpinChannel.SINGLET, SpinChannel.TRIPLET):
-        res = pair_norm_oracle(PARAMS, channel, QUAD)
+    for f in (0.0, 1.0):
+        res = phi_norm_oracle(_pure(PARAMS, f), QUAD)
         assert abs(res.value - 1.0) < 1e-8
         assert res.est_error < 1e-4
         assert res.samples_used > 0
 
 
 def test_pair_norm_monte_carlo():
-    for channel in (SpinChannel.SINGLET, SpinChannel.TRIPLET):
-        res = pair_norm_oracle(PARAMS, channel, _mc(1 << 19))
+    for f in (0.0, 1.0):
+        res = phi_norm_oracle(_pure(PARAMS, f), _mc(1 << 19))
         assert abs(res.value - 1.0) <= 3.0 * res.est_error
         assert 0.0 < res.est_error < 1e-2
 
@@ -80,8 +84,8 @@ def test_method_restrictions():
     with pytest.raises(UnsupportedMethodError):
         intensity_uncor_oracle(1.0, PARAMS, QUAD)
     with pytest.raises(UnsupportedMethodError):
-        general_channel_integral(
-            [ChannelCrossSection(1.0, SpinChannel.SINGLET, sigma=0.5)], 1.0, QUAD
+        intensity_cor_oracle(
+            1.0, [ChannelCrossSection(1.0, SpinChannel.SINGLET, sigma=0.5)], QUAD
         )
     with pytest.raises(UnsupportedMethodError):
         rho_single(np.zeros(3), PARAMS, _mc(1024))
@@ -102,7 +106,7 @@ def test_results_are_deterministic(monkeypatch):
     runs = {
         "cor": lambda: intensity_cor_oracle(1.2, PARAMS, spec),
         "uncor": lambda: intensity_uncor_oracle(1.2, PARAMS, spec),
-        "jittered": lambda: general_channel_integral([jittered], 1.2, spec),
+        "jittered": lambda: intensity_cor_oracle(1.2, [jittered], spec),
     }
     monkeypatch.setenv("PAIRCORR_THREADS", "1")
     first = {name: run() for name, run in runs.items()}
@@ -114,8 +118,8 @@ def test_results_are_deterministic(monkeypatch):
 
 
 def test_error_estimate_scales_like_sqrt_n():
-    coarse = pair_norm_oracle(PARAMS, SpinChannel.SINGLET, _mc(1 << 16))
-    fine = pair_norm_oracle(PARAMS, SpinChannel.SINGLET, _mc(1 << 20))
+    coarse = phi_norm_oracle(_pure(PARAMS, 0.0), _mc(1 << 16))
+    fine = phi_norm_oracle(_pure(PARAMS, 0.0), _mc(1 << 20))
     ratio = coarse.est_error / fine.est_error
     assert 2.5 < ratio < 6.5  # 16x the samples, expect about 4
 
@@ -128,8 +132,8 @@ def test_independent_seeds_agree():
 
 
 def test_point_mass_channels_reduce_to_mixture():
-    # the general channel list with the mixture's own weights must take
-    # the same code path, so the values agree exactly
+    # a channel list with the mixture's own weights must take the same
+    # code path as the mixture, so the values agree exactly
     spec = _mc(1 << 18)
     common = dict(sigma=PARAMS.sigma, p_split=PARAMS.p_split, p_total=PARAMS.p_total)
     channels = [
@@ -142,7 +146,11 @@ def test_point_mass_channels_reduce_to_mixture():
             PARAMS.n_pairs * PARAMS.triplet_fraction, SpinChannel.TRIPLET, **common
         ),
     ]
-    assert general_channel_integral(channels, 1.2, spec) == intensity_cor_oracle(
+    assert intensity_cor_oracle(1.2, channels, spec) == intensity_cor_oracle(
+        1.2, PARAMS, spec
+    )
+    # any sequence of channels will do, a tuple as well as a list
+    assert intensity_cor_oracle(1.2, tuple(channels), spec) == intensity_cor_oracle(
         1.2, PARAMS, spec
     )
 
@@ -164,10 +172,10 @@ def test_frozen_oracle_outputs():
         spread_split=0.05,
         spread_total=0.1,
     )
-    assert general_channel_integral([point], 0.9, spec) == OracleResult(
+    assert intensity_cor_oracle(0.9, [point], spec) == OracleResult(
         0.37461775233676486, 0.000630161661757, 262144
     )
-    assert general_channel_integral([jittered], 0.9, spec) == OracleResult(
+    assert intensity_cor_oracle(0.9, [jittered], spec) == OracleResult(
         0.45955332462657195, 0.0007056983960405865, 262144
     )
     assert intensity_uncor_oracle(1.2, PARAMS, spec) == OracleResult(
@@ -187,10 +195,10 @@ def test_frozen_oracle_outputs():
     assert intensity_uncor_oracle(0.9, full, spec) == OracleResult(
         1.60234510201822, 0.0013118720030790413, 262144
     )
-    assert pair_norm_oracle(full, SpinChannel.SINGLET, spec) == OracleResult(
+    assert phi_norm_oracle(_pure(full, 0.0), spec) == OracleResult(
         1.0004253803940717, 0.00037574767872306804, 262144
     )
-    assert pair_norm_oracle(full, SpinChannel.TRIPLET, spec) == OracleResult(
+    assert phi_norm_oracle(_pure(full, 1.0), spec) == OracleResult(
         0.9985164441747301, 0.0013104568648924454, 262144
     )
 
@@ -199,8 +207,8 @@ def test_zero_weight_channel_is_skipped():
     spec = _mc(1 << 18)
     keep = ChannelCrossSection(0.7, SpinChannel.SINGLET, sigma=0.4, p_split=(0, 0, 0.3))
     dead = ChannelCrossSection(0.0, SpinChannel.TRIPLET, sigma=0.6, p_split=(0, 0, 1.0))
-    assert general_channel_integral([keep, dead], 0.9, spec) == general_channel_integral(
-        [keep], 0.9, spec
+    assert intensity_cor_oracle(0.9, [keep, dead], spec) == intensity_cor_oracle(
+        0.9, [keep], spec
     )
 
 
@@ -210,9 +218,9 @@ def test_channel_sum_is_linear():
     b = ChannelCrossSection(
         1.8, SpinChannel.TRIPLET, sigma=0.6, p_split=(0.2, 0.1, -0.5), p_total=(0.1, 0, 0.2)
     )
-    both = general_channel_integral([a, b], 0.9, spec)
-    only_a = general_channel_integral([a], 0.9, spec)
-    only_b = general_channel_integral([b], 0.9, spec)
+    both = intensity_cor_oracle(0.9, [a, b], spec)
+    only_a = intensity_cor_oracle(0.9, [a], spec)
+    only_b = intensity_cor_oracle(0.9, [b], spec)
     budget = 3.0 * (both.est_error + only_a.est_error + only_b.est_error)
     assert abs(both.value - only_a.value - only_b.value) <= budget
 
@@ -257,13 +265,13 @@ def test_degenerate_triplet_is_refused():
     with pytest.raises(DegenerateChannelError):
         phi_norm_oracle(bad, _mc(1024))
     with pytest.raises(DegenerateChannelError):
-        pair_norm_oracle(bad, SpinChannel.TRIPLET, _mc(1024))
+        phi_norm_oracle(_pure(bad, 1.0), _mc(1024))
     # jitter that wanders into the degenerate region is caught sample-wise
     wobbly = ChannelCrossSection(
         1.0, SpinChannel.TRIPLET, sigma=0.5, p_split=(0, 0, 0), spread_split=1e-8
     )
     with pytest.raises(DegenerateChannelError):
-        general_channel_integral([wobbly], 1.0, _mc(4096))
+        intensity_cor_oracle(1.0, [wobbly], _mc(4096))
 
 
 def test_narrow_jitter_stays_near_point_mass():
@@ -277,8 +285,8 @@ def test_narrow_jitter_stays_near_point_mass():
         spread_split=0.025,
         spread_total=0.025,
     )
-    rp = general_channel_integral([point], 1.2, spec)
-    rj = general_channel_integral([smeared], 1.2, spec)
+    rp = intensity_cor_oracle(1.2, [point], spec)
+    rj = intensity_cor_oracle(1.2, [smeared], spec)
     margin = 0.02 * rp.value + 3.0 * (rp.est_error + rj.est_error)
     assert abs(rj.value - rp.value) <= margin
 
@@ -309,6 +317,18 @@ def test_spec_and_channel_validation():
         QuadratureSpec(target_rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(rng_seed=-1)
+    # counts and seeds are whole numbers; a fraction is refused, not truncated
+    for bad in (
+        dict(sample_count=2.7),
+        dict(nodes_per_axis=16.5),
+        dict(rng_seed=1.5),
+        dict(sample_count=np.nan),
+        dict(sample_count=np.inf),
+        dict(rng_seed=np.array([1, 2])),
+    ):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**bad)
+    assert QuadratureSpec(sample_count=np.int64(4096), rng_seed=2.0).rng_seed == 2
     for tol in (np.inf, np.nan):
         with pytest.raises(ValueError):
             QuadratureSpec(target_rel_tol=tol)
@@ -319,7 +339,7 @@ def test_spec_and_channel_validation():
     with pytest.raises(ValueError):
         ChannelCrossSection(1.0, SpinChannel.SINGLET, sigma=0.5, spread_split=-0.1)
     with pytest.raises(ValueError):
-        general_channel_integral([], 1.0, _mc(1024))
+        intensity_cor_oracle(1.0, [], _mc(1024))
     with pytest.raises(ValueError):
         intensity_cor_oracle(-1.0, PARAMS, _mc(1024))
     # non-finite inputs are refused up front instead of yielding nan
