@@ -31,12 +31,14 @@ are the same brackets times the envelope g1 = e^{-y^2/4} J^2 sinh(z)/z.
 The event-mixed brackets carry a term eds = z/sinh(z) / J^2, and g1 eds
 is e^{-y^2/4} exactly; the kernel takes that product as one factor
 instead of multiplying g1 by eds, because past d = 700 g1 underflows
-while eds overflows. Each form runs only on the points it serves, and
-grids longer than two blocks pass through the kernel _BLOCK (8192)
-points at a time, so its temporaries stay in cache; neither changes
-any point's arithmetic. Worst-case relative error of the assembled
-forms is a few 1e-12 over the full parameter domain (measured against
-50-digit references in the tests).
+while eds overflows. Each form runs only on the points it serves (a
+form that serves every point, as in each of the fitter's calls, runs on
+the whole grid without gathering them), and grids longer than two
+blocks pass through the kernel _BLOCK (8192) points at a time, so its
+temporaries stay in cache; none of this changes any point's arithmetic.
+Worst-case relative error of the assembled forms is a few 1e-12 over
+the full parameter domain (measured against 50-digit references in the
+tests).
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ _BLOCK = 8192
 
 def _horner(coefs, x):
     """Evaluate sum coefs[k] x^k with ascending coefficients."""
-    acc = np.zeros_like(x) + coefs[-1]
+    acc = coefs[-1]
     for c in coefs[-2::-1]:
         acc = acc * x + c
     return acc
@@ -167,12 +169,11 @@ def _check_delta_p(delta_p):
     return np.asarray(_nonnegative("delta_p", delta_p), dtype=float)
 
 
-def _point_terms(q, f):
-    """Scalars of one parameter point, from q = split/sigma and f.
+def _split_terms(q):
+    """Scalars of one split-to-width ratio q = split/sigma.
 
     Returns d = q^2/4, J^2 = e^{-d}, J^4, J^{1/2} = e^{-d/4}, 1 - J^2,
-    e^{-2d} - 1, e^{-5d/4} - 1 and the denominator weights (1 - f)^2,
-    f^2 and 2 f (1 - f).
+    e^{-2d} - 1 and e^{-5d/4} - 1.
     """
     delta = q**2 / 4.0
     return (
@@ -183,26 +184,30 @@ def _point_terms(q, f):
         -math.expm1(-delta),  # 1 - J^2, exactly 0 at d = 0
         math.expm1(-2.0 * delta),
         math.expm1(-1.25 * delta),
-        (1.0 - f) ** 2,
-        f * f,
-        2.0 * f * (1.0 - f),
     )
-
-
-_point_terms_each = np.frompyfunc(_point_terms, 2, 10)
 
 
 def _per_point(q, f):
-    """_point_terms of every parameter point of the broadcast q and f.
+    """_split_terms of q, then the denominator weights (1 - f)^2, f^2, 2 f (1 - f).
 
-    NumPy's vector exp and power may differ from libm in the last bit;
-    taking the per-point scalars from libm keeps each row of a batched
-    call bitwise equal to the one-parameter call. Scalars come back as
-    floats, arrays as float arrays of the broadcast shape.
+    NumPy's vector exp and expm1 may differ from libm in the last bit, so
+    the split terms come from libm, once per distinct q (a fit with
+    p_tilde tied to 0.1 sigma has only a few). The weights are exact
+    products but for (1 - f)^2: libm pow and x * x disagree in the last
+    bit on about 1 f in 1,000, and float_power, unlike power, calls
+    pow. Either way each row of a batched call is bitwise equal to the
+    one-parameter call. Scalars come back as floats, arrays as float
+    arrays of the shape of q (split terms) or f (weights).
     """
-    return tuple(
-        np.asarray(t, dtype=float) if np.ndim(t) else t for t in _point_terms_each(q, f)
-    )
+    if np.ndim(q):
+        distinct, where = np.unique(q.ravel(), return_inverse=True)
+        table = np.array([_split_terms(v) for v in distinct.tolist()]).reshape(-1, 7)
+        terms = tuple(np.take(table.T, where.reshape(q.shape), axis=1))
+    else:
+        terms = _split_terms(q)
+    if np.ndim(f):
+        return terms + (np.float_power(1.0 - f, 2.0), f * f, 2.0 * f * (1.0 - f))
+    return terms + ((1.0 - f) ** 2, f * f, 2.0 * f * (1.0 - f))
 
 
 def _at(mask, *args):
@@ -216,7 +221,12 @@ def _fill(out, mask, form, *args):
     """out, with form(*args) written where mask holds; form sees only those points."""
     if np.ndim(out) == 0:  # a one-point call runs on scalars
         return form(*args) if mask else out
-    if mask.any():
+    hits = np.count_nonzero(mask)
+    if hits == mask.size:
+        # every point selects the form (each of the fitter's calls does):
+        # the args broadcast as they are, with no gather or scatter
+        out[...] = form(*args)
+    elif hits:
         out[mask] = form(*_at(mask, *args))
     return out
 
@@ -229,9 +239,10 @@ def _by_rows(mask, when_true, when_false, *args):
     on the rows that need it; a mask that is all true or all false
     (every one-parameter call) passes the args through untouched.
     """
-    if np.all(mask):
+    hits = np.count_nonzero(mask)
+    if hits == np.size(mask):
         return when_true(*args)
-    if not np.any(mask):
+    if not hits:
         return when_false(*args)
     shape = np.broadcast_shapes(np.shape(mask), *(np.shape(a) for a in args))
     pick = np.broadcast_to(mask, shape)
@@ -258,7 +269,7 @@ def _reduced_brackets(delta, y, j2, j4, jh, om, em2, em54, scale):
     overflows the true R has already pinned to -1, which the inf
     propagates to exactly.
 
-    ``delta`` and the exponentials of it (``_point_terms``) are scalars
+    ``delta`` and the exponentials of it (``_split_terms``) are scalars
     or arrays per parameter point; ``y`` has the full broadcast shape.
     The tiny-d, series and saturated forms run only on the rows whose d
     selects them.
@@ -377,7 +388,7 @@ def _mixture(dp, sigma, f, split, scale):
     """
     terms = (f,) + _per_point(split / sigma, f)
     y = dp / sigma
-    y = np.broadcast_to(y, np.broadcast_shapes(np.shape(y), np.shape(terms[1])))
+    y = np.broadcast_to(y, np.broadcast_shapes(np.shape(y), np.shape(terms[1]), np.shape(f)))
     n = y.shape[-1] if y.ndim else 1
     if n <= 2 * _BLOCK:
         return _mixture_block(scale, y, *terms)
@@ -390,19 +401,19 @@ def _mixture(dp, sigma, f, split, scale):
 
 
 def _mixture_block(scale, y, f, delta, j2, j4, jh, om, em2, em54, w0, w1, w2):
-    """_mixture on one block of y, with f and the _point_terms cut to match."""
+    """_mixture on one block of y, with f and the _per_point terms cut to match."""
     bc0, bc1, bu0, bu1, buc = _reduced_brackets(delta, y, j2, j4, jh, om, em2, em54, scale)
     num = (1.0 - f) * bc0 + f * bc1
     # brackets may be inf for enormous splitting; sum only terms whose
     # weight is nonzero (f*f can underflow) so 0 * inf cannot poison it
     den = 0.0
     for coef, bracket in ((w0, bu0), (w1, bu1), (w2, buc)):
-        live = coef != 0.0
-        if np.all(live):
+        live = np.count_nonzero(coef)
+        if live == np.size(coef):
             den = den + coef * bracket
-        elif np.any(live):
+        elif live:
             with np.errstate(invalid="ignore"):
-                den = den + np.where(live, coef * bracket, 0.0)
+                den = den + np.where(coef != 0.0, coef * bracket, 0.0)
     return num, den
 
 

@@ -5,13 +5,14 @@ correlation data by weighted least squares. The optimizer is a small
 bounded Levenberg-Marquardt loop with forward-difference Jacobians,
 started from a Latin-hypercube set of initial points because the
 objective is multimodal when sigma and f are both free. The starts run
-in lockstep: each round evaluates every running start's probes or trial
-point in one parameter-batched correlation_R call and solves all their
-damped systems in one stacked solve. A parameter pinned on a bound whose
-step points out of the box is held fixed for that step, so a start
-parked on a bound still converges in the other parameters instead of
-crawling. Each start follows the same path it would alone, and
-everything is deterministic for a fixed rng_seed.
+in lockstep: each round evaluates every running start's trial point
+together with its forward-difference probes in one parameter-batched
+correlation_R call, so an accepted trial has its next Jacobian at once,
+and solves all their damped systems in one stacked solve. A parameter
+pinned on a bound whose step points out of the box is held fixed for
+that step, so a start parked on a bound still converges in the other
+parameters instead of crawling. Each start follows the same path it
+would alone, and everything is deterministic for a fixed rng_seed.
 
 The quality-of-fit number reported alongside the estimates is
 
@@ -138,7 +139,9 @@ class FitResult:
     fixed, or tied); ``estimates`` holds just the free ones.
     ``residuals`` are unweighted model-minus-data values per point, and
     ``objective_trace`` is the accepted-step objective sequence of the
-    winning start (non-increasing by construction).
+    winning start (non-increasing by construction). ``model_calls``
+    counts the correlation_R calls the fit made, the final evaluation at
+    the winner included.
     """
 
     sigma: float
@@ -152,6 +155,7 @@ class FitResult:
     objective: float
     objective_trace: tuple
     start_index: int
+    model_calls: int
 
 
 def _resolve(theta, config: FitConfig):
@@ -209,10 +213,12 @@ def _lm_lockstep(evaluate, theta0, lo, hi, config: FitConfig):
     ``evaluate`` maps a (k, n) stack of parameter vectors to their
     (k, N) weighted residuals and (k,) model scales max |R_model| with
     one model call. Each round makes one such call, covering every
-    running start's pending points: the n forward-difference probes of
-    a start that needs a new Jacobian (stepping backward at upper
-    bounds), or the trial point of a start with a proposed step. One
-    stacked solve then gives the damped steps
+    running start's pending point (the start itself in the first round,
+    its trial point after that) together with the point's n
+    forward-difference probes (stepping backward at upper bounds). A
+    trial that lowers the objective is accepted, and its probes give the
+    start's next Jacobian in the same round; a rejected trial's probes
+    are dropped. One stacked solve then gives the damped steps
     (Marquardt's diagonal scaling, damping cut by 3 on success and
     raised 4x on failure). A parameter that sits on a bound while its
     step points out of the box is held fixed for that step, and the
@@ -224,71 +230,76 @@ def _lm_lockstep(evaluate, theta0, lo, hi, config: FitConfig):
     """
     theta = np.clip(theta0, lo, hi)
     count, n = theta.shape
-    resid, scale = evaluate(theta)
-    cost = np.sum(resid * resid, axis=1)
-    traces = [[c] for c in cost.tolist()]
+    trial = theta.copy()
+    resid = scale = cost = None  # set by the first round
+    traces = [[] for _ in range(count)]
     lam = np.full(count, 1e-3)
     iterations = np.zeros(count, dtype=int)
     rejected = np.zeros(count, dtype=int)
-    converged = cost <= config.residual_tol
+    converged = np.zeros(count, dtype=bool)
     jtj = np.zeros((count, n, n))
     grad = np.zeros((count, n))
     diag = np.zeros((count, n))
-    trial = theta.copy()
-    eye = np.arange(n)
-    probing = ~converged  # next evaluation: the Jacobian probes
-    pending = np.zeros(count, dtype=bool)  # next evaluation: the trial point
-    while probing.any() or pending.any():
-        ip, it = np.flatnonzero(probing), np.flatnonzero(pending)
-        base = theta[ip]
+    it = np.arange(count)  # starts whose trial point the next round evaluates
+    while it.size:
+        base = trial[it]
         h = 1e-6 * (np.abs(base) + 1e-3)
-        shifted = np.clip(np.where(base + h > hi, base - h, base + h), lo, hi)
+        up = base + h
+        shifted = np.clip(np.where(up > hi, base - h, up), lo, hi)
         step = shifted - base
         pi, pk = np.nonzero(step)
         probes = base[pi]
         probes[np.arange(pi.size), pk] = shifted[pi, pk]
-        r_all, s_all = evaluate(np.concatenate([probes, trial[it]]))
+        r_all, s_all = evaluate(np.concatenate([base, probes]))
+        r_trial, s_trial = r_all[: it.size], s_all[: it.size]
+        c_trial = (r_trial * r_trial).sum(axis=1)
 
-        # Jacobians of the probed starts; a probe the box pinned stays a
-        # zero column
-        jac = np.zeros((ip.size, resid.shape[1], n))
-        jac[pi, :, pk] = (r_all[: pi.size] - resid[ip][pi]) / step[pi, pk][:, None]
-        jac_t = jac.transpose(0, 2, 1)
-        jtj[ip] = jac_t @ jac
-        grad[ip] = (jac_t @ resid[ip][:, :, None])[:, :, 0]
-        d = np.diagonal(jtj[ip], axis1=1, axis2=2)
-        diag[ip] = np.maximum(d, 1e-14 * np.maximum(d.max(axis=1), 1.0)[:, None])
-        iterations[ip] += 1
-        rejected[ip] = 0
-
-        # trial points: accept on descent, otherwise raise the damping
-        r_trial = r_all[pi.size :]
-        c_trial = np.sum(r_trial * r_trial, axis=1)
-        better = c_trial < cost[it]
+        # trial points: accept on descent, otherwise raise the damping;
+        # the first round accepts the starts themselves
+        first = cost is None
+        if first:
+            resid, scale, cost = np.empty_like(r_trial), np.empty(count), np.empty(count)
+            better = np.ones(count, dtype=bool)
+        else:
+            better = c_trial < cost[it]
         acc, rej = it[better], it[~better]
         theta[acc] = trial[acc]
         resid[acc] = r_trial[better]
         cost[acc] = c_trial[better]
-        scale[acc] = s_all[pi.size :][better]
+        scale[acc] = s_trial[better]
         for i, c in zip(acc.tolist(), cost[acc].tolist()):
             traces[i].append(c)
-        lam[acc] = np.maximum(lam[acc] / 3.0, 1e-12)
+        if not first:
+            lam[acc] = np.maximum(lam[acc] / 3.0, 1e-12)
         lam[rej] = np.minimum(lam[rej] * 4.0, 1e12)
         rejected[rej] += 1
         converged[acc] = cost[acc] <= config.residual_tol
         # damping exhausted without descent: a stationary point
         converged[rej] = rejected[rej] >= 30
-        probing[:] = False
-        probing[acc] = ~converged[acc] & (iterations[acc] < config.max_iterations)
-        pending[:] = False
+
+        # Jacobians of the accepted starts that go on, from their probes;
+        # a probe the box pinned stays a zero column
+        go = better & ~converged[it] & (iterations[it] < config.max_iterations)
+        ip = it[go]
+        jac = np.zeros((it.size, r_all.shape[1], n))
+        jac[pi, :, pk] = (r_all[it.size :] - r_trial[pi]) / step[pi, pk][:, None]
+        jac = jac[go]
+        jac_t = jac.transpose(0, 2, 1)
+        jtj[ip] = square = jac_t @ jac
+        grad[ip] = (jac_t @ r_trial[go][:, :, None])[:, :, 0]
+        d = np.diagonal(square, axis1=1, axis2=2)
+        diag[ip] = np.maximum(d, 1e-14 * np.maximum(d.max(axis=1), 1.0)[:, None])
+        iterations[ip] += 1
+        rejected[ip] = 0
 
         solve = np.concatenate([ip, rej[~converged[rej]]])
         if not solve.size:
-            continue
+            break
         # J^T J plus a positive diagonal is positive definite, so no
         # system here is singular
         a = jtj[solve]
-        a[:, eye, eye] += lam[solve, None] * diag[solve]
+        # a fresh array, so the reshape is a view and the slice its diagonals
+        a.reshape(solve.size, n * n)[:, :: n + 1] += lam[solve, None] * diag[solve]
         b = -grad[solve]
         delta = np.linalg.solve(a, b[:, :, None])[:, :, 0]
         at = theta[solve]
@@ -303,11 +314,12 @@ def _lm_lockstep(evaluate, theta0, lo, hi, config: FitConfig):
             a_red[hr, hk, hk] = 1.0
             b_red[h_red] = 0.0
             delta[rows] = np.linalg.solve(a_red, b_red[:, :, None])[:, :, 0]
-        trial[solve] = np.clip(at + delta, lo, hi)
-        moved = np.max(np.abs(trial[solve] - at), axis=1)
-        small = moved <= config.step_tol * (1.0 + np.max(np.abs(at), axis=1))
+        stepped = np.clip(at + delta, lo, hi)
+        trial[solve] = stepped
+        moved = np.abs(stepped - at).max(axis=1)
+        small = moved <= config.step_tol * (1.0 + np.abs(at).max(axis=1))
         converged[solve[small]] = True
-        pending[solve[~small]] = True
+        it = solve[~small]
     return theta, cost, converged, iterations, scale, traces
 
 
@@ -338,13 +350,17 @@ def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
         )
     dp = np.asarray(data.delta_p)
     robs = np.asarray(data.r)
-    sqrt_w = np.sqrt(data.weights())
+    w = data.weights()
+    sqrt_w = np.sqrt(w)
     data_scale = float(np.max(np.abs(robs)))
+    calls = 0
 
     def evaluate(thetas):
+        nonlocal calls
+        calls += 1
         grid = np.broadcast_to(dp, (thetas.shape[0], dp.size))
         r_model = correlation_R(grid, *_resolve(thetas, config))
-        return sqrt_w * (r_model - robs), np.max(np.abs(r_model), axis=1)
+        return sqrt_w * (r_model - robs), np.abs(r_model).max(axis=1)
 
     lo, hi = _bounds_arrays(config)
     rng = np.random.default_rng(config.rng_seed)
@@ -363,19 +379,19 @@ def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     theta = thetas[best_index]
     sigma, f, p_tilde = (float(np.ravel(v)[0]) for v in _resolve(theta[None], config))
     r_model = correlation_R(dp, sigma, f, p_tilde)
-    params = ModelParams(sigma, p_tilde, triplet_fraction=f)
     result = FitResult(
         sigma=sigma,
         f=f,
         p_tilde=p_tilde,
         estimates={name: float(v) for name, v in zip(config.free, theta)},
-        approx_error_pct=approximation_error(data, params),
+        approx_error_pct=_approx_error_pct(w, robs, r_model),
         residuals=tuple(float(v) for v in (r_model - robs)),
         converged=bool(converged[best_index]),
         iterations=int(iterations[best_index]),
         objective=float(costs[best_index]),
         objective_trace=tuple(traces[best_index]),
         start_index=best_index,
+        model_calls=calls + 1,
     )
     if not converged.any():
         raise NonConvergenceError(
@@ -391,16 +407,19 @@ def approximation_error(data: Dataset, params: ModelParams) -> float:
     100 * sqrt( sum w (R_model - r)^2 / sum w r^2 ); raises
     UndefinedMetricError when the data r-values are identically zero.
     """
-    w = data.weights()
-    robs = np.asarray(data.r)
+    r_model = correlation_R(
+        np.asarray(data.delta_p), params.sigma, params.triplet_fraction, params.p_split
+    )
+    return _approx_error_pct(data.weights(), np.asarray(data.r), r_model)
+
+
+def _approx_error_pct(w, robs, r_model):
+    """approximation_error's percentage for weights w, data robs and model values r_model."""
     denom = float(np.sum(w * robs * robs))
     if denom == 0.0:
         raise UndefinedMetricError(
             "approximation error is undefined for identically zero data"
         )
-    r_model = correlation_R(
-        np.asarray(data.delta_p), params.sigma, params.triplet_fraction, params.p_split
-    )
     return 100.0 * math.sqrt(float(np.sum(w * (r_model - robs) ** 2)) / denom)
 
 

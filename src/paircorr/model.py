@@ -52,7 +52,7 @@ class SpinChannel(enum.Enum):
 def _checked(name, value, ok, rule):
     """value as a float, or a float array for array input, once ok holds everywhere."""
     v = np.asarray(value, dtype=float)
-    if not np.all(ok(v)):
+    if not ok(v).all():
         raise ValueError(f"{name} must be {rule}, got {value}")
     return float(v) if v.ndim == 0 else v
 

@@ -18,6 +18,7 @@ import paircorr.model
 from paircorr.correlation import (
     _BLOCK,
     CorrelationCurve,
+    _per_point,
     accidental_intensity,
     coincidence_intensity,
     correlation_R,
@@ -283,6 +284,11 @@ def test_parameter_batch_matches_scalar_calls():
         # the per-point constants come from the same scalar code, so
         # the rows agree bit for bit
         np.testing.assert_array_equal(row, want)
+    # a batch whose rows all share one regime takes no per-row split
+    for k in range(0, len(rows), 3):
+        np.testing.assert_array_equal(
+            correlation_R(dp, sigma[k : k + 3], f[k : k + 3], split[k : k + 3]), batch[k : k + 3]
+        )
     # a per-row grid, and a split column against scalar sigma and f
     grids = dp[None, :] * sigma
     np.testing.assert_array_equal(
@@ -342,6 +348,56 @@ def test_blocked_batch_and_scalar_calls():
             scalar = fn(0.7 * sigma, sigma, 0.3, split)
             assert isinstance(scalar, float)
             _assert_same_bytes(scalar, fn(np.array([0.7 * sigma]), sigma, 0.3, split)[0])
+
+
+# (sigma, p_tilde, top, others): on linspace(0, top) every point selects
+# one form of the N_B bracket, the grouped one with the series of
+# sinh(z)/z - 1 (z < 0.5) and of Z(z) (z < 1.75), or the series at the
+# origin (d <= 1e-4, z <= 0.05); the ``others`` sit in other regimes
+# (between the seams, and in the plain form)
+_ONE_FORM = [
+    (0.22, 0.022, 1.8, (5.0, 10.0, 30.0)),
+    (0.5, 0.005, 4.0, (10.0, 100.0, 600.0)),
+]
+
+
+@pytest.mark.parametrize("sigma, split, top, others", _ONE_FORM)
+def test_one_form_grids_match_mixed_grids(sigma, split, top, others):
+    # where every point selects a form, the kernel runs it on the whole
+    # grid; in a grid that mixes regimes it runs it on the points it
+    # selects: each point must come out the same either way
+    dp = np.linspace(0.0, top, 30)
+    d = (split / sigma) ** 2 / 4.0
+    z_top = np.sqrt(d) * top / (0.9 * sigma)  # the batch below goes down to 0.9 sigma
+    assert (d <= 1e-4 and z_top <= 0.05) or (d > 1e-4 and z_top < 0.5)
+    mixed = np.concatenate([others, dp])
+    for f in (0.0, 0.3, 1.0):
+        for fn in _CLOSED_FORMS:
+            _assert_same_bytes(fn(dp, sigma, f, split), fn(mixed, sigma, f, split)[len(others) :])
+            _assert_same_bytes(fn(dp[-1:], sigma, f, split), fn(mixed, sigma, f, split)[-1:])
+    # an (m, 30) batch as the fitter makes it: p_tilde a fixed share of
+    # sigma, f over [0, 1] ends included
+    sigmas = sigma * np.linspace(0.9, 1.1, 12)[:, None]
+    fs = np.linspace(0.0, 1.0, 12)[:, None]
+    splits = split / sigma * sigmas
+    _assert_same_bytes(
+        correlation_R(dp, sigmas, fs, splits),
+        correlation_R(mixed, sigmas, fs, splits)[:, len(others) :],
+    )
+
+
+def test_per_point_terms_match_scalar_terms():
+    # a batched call takes each parameter point's constants from the
+    # same libm arithmetic as a one-parameter call; (1 - f)^2 is where
+    # a vector x * x would differ (about 1 f in 1,000)
+    rng = np.random.default_rng(5)
+    f = rng.random((20_000, 1))
+    q = np.repeat(rng.uniform(0.0, 3.0, 40), 500)[:, None]
+    batch = _per_point(q, f)
+    alone = [_per_point(qi, fi) for qi, fi in zip(q[:, 0].tolist(), f[:, 0].tolist())]
+    for k, column in enumerate(batch):
+        assert column.shape == (20_000, 1)
+        _assert_same_bytes(column[:, 0], np.array([terms[k] for terms in alone]))
 
 
 def test_input_validation():

@@ -160,6 +160,7 @@ def test_save_fit_result_key_set(tmp_path):
         objective=3.4e-4,
         objective_trace=(1.0, 3.4e-4),
         start_index=2,
+        model_calls=40,
     )
     path = tmp_path / "fit.json"
     save_fit_result(path, result)

@@ -247,7 +247,37 @@ def test_starts_converge_with_few_model_calls(monkeypatch):
     assert np.all(converged)
     assert np.all(iterations < FitConfig().max_iterations)
     assert res.converged
-    assert len(calls) < 500
+    # each round evaluates the trial points together with their Jacobian
+    # probes, and the winner's curve serves both the residuals and the
+    # approximation error
+    assert len(calls) == res.model_calls <= 45
+
+
+def test_model_calls_counts_every_model_call(monkeypatch):
+    calls = []
+    real_model = paircorr.fitting.correlation_R
+
+    def counted(*args):
+        calls.append(np.shape(args[0]))
+        return real_model(*args)
+
+    monkeypatch.setattr(paircorr.fitting, "correlation_R", counted)
+    data = _acceptance_data(0.39, 1011)
+    for config in (
+        FitConfig(),
+        FitConfig(free=("sigma", "f", "p_tilde"), multistart_count=6),
+        FitConfig(max_iterations=1),
+    ):
+        calls.clear()
+        try:
+            res = fit(data, config)
+        except NonConvergenceError as exc:
+            res = exc.result
+        assert res.model_calls == len(calls)
+        # one batched call per round, then one at the winner
+        assert calls[-1] == (len(data),)
+        assert all(len(shape) == 2 for shape in calls[:-1])
+    assert not res.converged
 
 
 def test_each_start_runs_as_if_alone(monkeypatch):
