@@ -19,6 +19,7 @@ parsing failure, 3 fit did not converge (result file still written),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -206,6 +207,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paircorr",

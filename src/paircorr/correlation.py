@@ -26,16 +26,20 @@ cancellation-free primitives, with the ratio's numerator reduced by
 sinh(z)/z and its denominator by J^2 sinh(z)/z, so R stays finite even
 where J^2 or z/sinh(z) underflow on their own; the one genuinely
 cancelling bracket (the triplet event-mixed term) switches to a
-bivariate series in (d, y^2) below d = 1e-4, z = 0.05. The intensities
-are the same brackets times the envelope g1 = e^{-y^2/4} J^2 sinh(z)/z.
-The event-mixed brackets carry a term eds = z/sinh(z) / J^2, and g1 eds
-is e^{-y^2/4} exactly; the kernel takes that product as one factor
-instead of multiplying g1 by eds, because past d = 700 g1 underflows
-while eds overflows. Each form runs only on the points it serves (a
-form that serves every point, as in each of the fitter's calls, runs on
-the whole grid without gathering them), and grids longer than two
-blocks pass through the kernel _BLOCK (8192) points at a time, so its
-temporaries stay in cache; none of this changes any point's arithmetic.
+bivariate series in (d, y^2) below d = 1e-4, z = 0.05. At tiny d (below
+the smallest normal double, where 1 - J^2 is subnormal or 0) the same
+brackets take their d -> 0 limits: the series at d = 0, and y^2/6 for
+the triplet coincidence bracket. The intensities are the same brackets
+times the envelope g1 = e^{-y^2/4} J^2 sinh(z)/z. The event-mixed
+brackets carry a term eds = z/sinh(z) / J^2, and g1 eds is e^{-y^2/4}
+exactly; the kernel takes that product as one factor, because past
+d = 700 g1 underflows while eds overflows. One selector, _fill, picks
+every form, from a mask with one flag per point or per parameter row;
+each form runs only on the points it serves (a form that serves every
+point, as in each of the fitter's calls, runs on the whole grid without
+gathering them), and grids longer than two blocks pass through the
+kernel _BLOCK (8192) points at a time, so its temporaries stay in
+cache; none of this changes any point's arithmetic.
 Worst-case relative error of the assembled forms is a few 1e-12 over
 the full parameter domain (measured against 50-digit references in the
 tests).
@@ -43,7 +47,6 @@ tests).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -173,9 +176,13 @@ def _split_terms(q):
     """Scalars of one split-to-width ratio q = split/sigma.
 
     Returns d = q^2/4, J^2 = e^{-d}, J^4, J^{1/2} = e^{-d/4}, 1 - J^2,
-    e^{-2d} - 1 and e^{-5d/4} - 1.
+    e^{-2d} - 1 and e^{-5d/4} - 1, then where the N_B series serves: the
+    d it runs at and the largest z it takes (-inf, so none, past
+    d = 1e-4). At tiny d it takes every z and runs at d = 0, where its d
+    terms are below rounding anyway, so its arithmetic stays off subnormals.
     """
     delta = q**2 / 4.0
+    tiny = delta < _TINY_DELTA
     return (
         delta,
         math.exp(-delta),
@@ -184,6 +191,8 @@ def _split_terms(q):
         -math.expm1(-delta),  # 1 - J^2, exactly 0 at d = 0
         math.expm1(-2.0 * delta),
         math.expm1(-1.25 * delta),
+        0.0 if tiny else delta,
+        math.inf if tiny else _SERIES_Z if delta <= _SERIES_DELTA else -math.inf,
     )
 
 
@@ -195,96 +204,46 @@ def _per_point(q, f):
     p_tilde tied to 0.1 sigma has only a few). The weights are exact
     products but for (1 - f)^2: libm pow and x * x disagree in the last
     bit on about 1 f in 1,000, and float_power, unlike power, calls
-    pow. Either way each row of a batched call is bitwise equal to the
-    one-parameter call. Scalars come back as floats, arrays as float
-    arrays of the shape of q (split terms) or f (weights).
+    pow for scalars and arrays alike. So each row of a batched call is
+    bitwise equal to the one-parameter call. Scalars come back as
+    floats, arrays as float arrays of the shape of q (split terms) or f
+    (weights).
     """
     if np.ndim(q):
         distinct, where = np.unique(q.ravel(), return_inverse=True)
-        table = np.array([_split_terms(v) for v in distinct.tolist()]).reshape(-1, 7)
+        table = np.array([_split_terms(v) for v in distinct.tolist()]).reshape(-1, 9)
         terms = tuple(np.take(table.T, where.reshape(q.shape), axis=1))
     else:
         terms = _split_terms(q)
-    if np.ndim(f):
-        return terms + (np.float_power(1.0 - f, 2.0), f * f, 2.0 * f * (1.0 - f))
-    return terms + ((1.0 - f) ** 2, f * f, 2.0 * f * (1.0 - f))
-
-
-def _at(mask, *args):
-    """Each arg at the points where the full-shape ``mask`` holds; scalars pass through."""
-    # broadcast_to costs microseconds, so only per-parameter-point arrays take it
-    full = [a if np.shape(a) in ((), mask.shape) else np.broadcast_to(a, mask.shape) for a in args]
-    return [a[mask] if np.ndim(a) else a for a in full]
+    return terms + (np.float_power(1.0 - f, 2.0), f * f, 2.0 * f * (1.0 - f))
 
 
 def _fill(out, mask, form, *args):
-    """out, with form(*args) written where mask holds; form sees only those points."""
-    if np.ndim(out) == 0:  # a one-point call runs on scalars
+    """out, with form(*args) written where mask holds; form sees only those points.
+
+    ``mask`` has one flag per point of ``out`` or one per parameter row
+    (any shape that broadcasts against ``out``). Where it holds
+    everywhere, form's own full-shape result comes back in place of out.
+    """
+    if out.ndim == 0:  # a one-point call runs on numpy scalars
         return form(*args) if mask else out
     hits = np.count_nonzero(mask)
-    if hits == mask.size:
+    if hits == getattr(mask, "size", 1):  # np.size of a bool costs microseconds
         # every point selects the form (each of the fitter's calls does):
         # the args broadcast as they are, with no gather or scatter
-        out[...] = form(*args)
-    elif hits:
-        out[mask] = form(*_at(mask, *args))
+        return form(*args)
+    if hits:
+        # broadcast_to costs microseconds, so only per-row masks and args take it
+        grow = lambda a: a if np.shape(a) == out.shape else np.broadcast_to(a, out.shape)  # noqa: E731
+        mask = grow(mask)
+        out[mask] = form(*(grow(a)[mask] if np.ndim(a) else a for a in args))
     return out
-
-
-def _by_rows(mask, when_true, when_false, *args):
-    """when_true's arrays where mask holds and when_false's elsewhere.
-
-    ``mask`` is per parameter point and the args broadcast against it.
-    Each form sees only the elements it serves, so it is computed only
-    on the rows that need it; a mask that is all true or all false
-    (every one-parameter call) passes the args through untouched.
-    """
-    hits = np.count_nonzero(mask)
-    if hits == np.size(mask):
-        return when_true(*args)
-    if not hits:
-        return when_false(*args)
-    shape = np.broadcast_shapes(np.shape(mask), *(np.shape(a) for a in args))
-    pick = np.broadcast_to(mask, shape)
-    out = []
-    for yes, no in zip(when_true(*_at(pick, *args)), when_false(*_at(~pick, *args))):
-        merged = np.empty(shape)
-        merged[pick] = yes
-        merged[~pick] = no
-        out.append(merged)
-    return tuple(out)
-
-
-def _reduced_brackets(delta, y, j2, j4, jh, om, em2, em54, scale):
-    """Brackets of the intensity formulas, times the factor ``scale`` picks.
-
-    Returns (bc0, bc1, bu0, bu1, buc): the singlet and triplet
-    coincidence brackets divided by sinh(z)/z, and the three event-mixed
-    brackets (singlet^2, triplet^2, cross) divided by J^2 sinh(z)/z,
-    each multiplied by the g of ``scale`` (``_ratio_scale`` or
-    ``_intensity_scale``). With g = 1 they enter R = 2 num/den - 1
-    directly. Reducing the denominator by the extra J^2 keeps the ratio
-    well defined even where J^2 or z/sinh(z) underflow on their own: the
-    lone growing factor e^{d - z} appears explicitly, and where it
-    overflows the true R has already pinned to -1, which the inf
-    propagates to exactly.
-
-    ``delta`` and the exponentials of it (``_split_terms``) are scalars
-    or arrays per parameter point; ``y`` has the full broadcast shape.
-    The tiny-d, series and saturated forms run only on the rows whose d
-    selects them.
-    """
-    return _by_rows(
-        delta < _TINY_DELTA,
-        functools.partial(_tiny_brackets, scale),
-        functools.partial(_brackets, scale),
-        delta, y, j2, j4, jh, om, em2, em54,
-    )
 
 
 def _ratio_scale(delta, y, z, inv_s, j2):
     """(g, g * eds) = (1, eds), eds = inv_sinhc(z) / J^2: the brackets R uses."""
-    return (1.0,) + _by_rows(delta <= 700.0, _eds_plain, _eds_saturated, delta, z, inv_s, j2)
+    eds = _fill(np.empty_like(z), delta <= 700.0, np.divide, inv_s, j2)
+    return 1.0, _fill(eds, delta > 700.0, _eds_saturated, delta, z)
 
 
 def _intensity_scale(delta, y, z, inv_s, j2):
@@ -299,24 +258,22 @@ def _intensity_scale(delta, y, z, inv_s, j2):
     return np.exp(z - w - delta) / x_over_expm1(-2.0 * z), np.exp(-w)
 
 
-def _tiny_brackets(scale, delta, y, j2, j4, jh, om, em2, em54):
-    """The d -> 0 limits, for d below the smallest normal double."""
-    z = np.sqrt(delta) * y
-    inv_s = inv_sinhc(z)
-    g, ge = scale(delta, y, z, inv_s, j2)
-    op = 1.0 + j2
-    y2 = y * y
-    bc0 = (1.0 + inv_s) / op * g
-    bc1 = y2 / 6.0 * g
-    bu0 = (3.0 * ge + g + 4.0 * sech(0.5 * z) * g) / (op * op)
-    bu1 = inv_s * _nb_series(0.0, y2) * g
-    buc = (3.0 * g + bc1) / 2.0
-    return bc0, bc1, bu0, bu1, buc
+def _brackets(scale, delta, y, j2, j4, jh, om, em2, em54, d_ser, z_ser):
+    """Brackets of the intensity formulas, times the factor ``scale`` picks.
 
+    Returns (bc0, bc1, bu0, bu1, buc): the singlet and triplet
+    coincidence brackets divided by sinh(z)/z, and the three event-mixed
+    brackets (singlet^2, triplet^2, cross) divided by J^2 sinh(z)/z,
+    each multiplied by the g of ``scale`` (``_ratio_scale`` or
+    ``_intensity_scale``). With g = 1 they enter R = 2 num/den - 1
+    directly. Reducing the denominator by the extra J^2 keeps the ratio
+    well defined even where J^2 or z/sinh(z) underflow on their own: the
+    lone growing factor e^{d - z} appears explicitly, and where it
+    overflows the true R has already pinned to -1, which the inf
+    propagates to exactly.
 
-def _brackets(scale, delta, y, j2, j4, jh, om, em2, em54):
-    """The brackets wherever d is at least the smallest normal double.
-
+    ``delta`` and the rest of ``_split_terms`` are scalars or arrays per
+    parameter point; ``y`` has the full broadcast shape.
     Every eds term is written with ge = g * eds, never as g times eds.
     """
     z = np.sqrt(delta) * y
@@ -330,52 +287,57 @@ def _brackets(scale, delta, y, j2, j4, jh, om, em2, em54):
     mid = 4.0 * jh * sh * g
     bu0 = (ends + mid) / (op * op)
 
-    # 1 - inv_sinhc(z), through the series of sinh(z)/z - 1 below z = 0.5
-    bc1 = _fill(1.0 - inv_s, z < 0.5, lambda zs, i: i * sinhc_m1(zs), z, inv_s) / om * g
-    # N_B * inv_sinhc / J^2 in three regimes, each evaluated only on its
-    # points: series at the origin, grouped expm1 form while the bracket
-    # still cancels, plain exponentials once nothing cancels.
-    series = (delta <= _SERIES_DELTA) & (z <= _SERIES_Z)
-    grouped = (0.25 * delta + 0.5 * z < _PLAIN_SWITCH) & ~series
-    bu1 = _fill(ends - mid, grouped, _nb_grouped, z, inv_s, sh, g, om, em2, em54, j2)
-    # divide by om twice, not by om * om: for subnormal d the square
-    # underflows to zero while the staged quotient stays exact
-    bu1 = _fill(bu1 / om / om, series, _nb_at_origin, delta, y, inv_s, j2, g)
+    # (1 - inv_sinhc(z)) / (1 - J^2); at tiny d, where 1 - J^2 is
+    # subnormal or 0, its d -> 0 limit y^2/6
+    bc1 = _fill(np.empty_like(z), delta >= _TINY_DELTA, _bc1_over_om, z, inv_s, om, g)
+    bc1 = _fill(bc1, delta < _TINY_DELTA, lambda y, g: y * y / 6.0 * g, y, g)
+    # N_B * inv_sinhc / (J^2 (1 - J^2)^2): the series at the origin and
+    # at every tiny d, the exponential forms elsewhere
+    series = z <= z_ser
+    away = (delta, z, inv_s, sh, g, om, em2, em54, j2, ends, mid)
+    bu1 = _fill(np.empty_like(z), ~series, _nb_away, *away)
+    bu1 = _fill(bu1, series, _nb_at_origin, d_ser, y, inv_s, j2, g)
     # the cross bracket's constant part factors exactly:
     # (1 - J^4) - J^2 (1 - J^2) = (1 - J^2)(1 + 2 J^2), cancelling om
     buc = ((1.0 + 2.0 * j2) * ge + bc1) / op
     return bc0, bc1, bu0, bu1, buc
 
 
+def _bc1_over_om(z, inv_s, om, g):
+    """(1 - inv_sinhc(z)) / (1 - J^2) times g, through the series of sinh(z)/z - 1 below z = 0.5."""
+    return _fill(1.0 - inv_s, z < 0.5, lambda zs, i: i * sinhc_m1(zs), z, inv_s) / om * g
+
+
+def _nb_away(delta, z, inv_s, sh, g, om, em2, em54, j2, ends, mid):
+    """N_B * inv_sinhc / (J^2 (1 - J^2)^2) times g off the origin, grouped or plain."""
+    near = 0.25 * delta + 0.5 * z < _PLAIN_SWITCH
+    # divide by om twice, not by om * om: for d below ~1e-154 the square
+    # underflows to zero while the staged quotient stays exact
+    bu1 = _fill(np.empty_like(z), ~near, lambda e, m, om: (e - m) / om / om, ends, mid, om)
+    return _fill(bu1, near, _nb_grouped, z, inv_s, sh, g, om, em2, em54, j2)
+
+
 def _nb_grouped(z, inv_s, sh, g, om, em2, em54, j2):
-    """N_B * inv_sinhc / J^2 times g in the grouped expm1 form (d < 10, z < 5)."""
-    return (_mix_core(z, inv_s, sh) + 2.0 * inv_s * em2 - om - 4.0 * em54 * sh) / j2 * g
+    """The same bracket in the grouped expm1 form."""
+    core = _mix_core(z, inv_s, sh) + 2.0 * inv_s * em2 - om - 4.0 * em54 * sh
+    return core / j2 * g / om / om
 
 
 def _nb_at_origin(delta, y, inv_s, j2, g):
-    """The triplet event-mixed bracket times g from the series at small (d, z)."""
+    """The same bracket from the series at small (d, z)."""
     ratio = x_over_expm1(-delta)  # d / (1 - J^2)
     return inv_s * _nb_series(delta, y * y) * ratio * ratio / j2 * g
 
 
-def _eds_plain(delta, z, inv_s, j2):
-    """inv_sinhc(z) / J^2 while J^2 is a normal float (d <= 700)."""
-    return (inv_s / j2,)
-
-
-def _eds_saturated(delta, z, inv_s, j2):
+def _eds_saturated(delta, z):
     """inv_sinhc(z) / J^2 past d = 700, with the exponentials combined.
 
     e^{d - z} saturating to inf is the intended limit.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         safe = np.where(z == 0.0, 1.0, z)
-        eds = np.where(
-            z == 0.0,
-            np.exp(delta),
-            -2.0 * safe * np.exp(delta - safe) / np.expm1(-2.0 * safe),
-        )
-    return (eds,)
+        grown = -2.0 * safe * np.exp(delta - safe) / np.expm1(-2.0 * safe)
+        return np.where(z == 0.0, np.exp(delta), grown)
 
 
 def _mixture(dp, sigma, f, split, scale):
@@ -400,9 +362,9 @@ def _mixture(dp, sigma, f, split, scale):
     return num, den
 
 
-def _mixture_block(scale, y, f, delta, j2, j4, jh, om, em2, em54, w0, w1, w2):
+def _mixture_block(scale, y, f, delta, j2, j4, jh, om, em2, em54, d_ser, z_ser, w0, w1, w2):
     """_mixture on one block of y, with f and the _per_point terms cut to match."""
-    bc0, bc1, bu0, bu1, buc = _reduced_brackets(delta, y, j2, j4, jh, om, em2, em54, scale)
+    bc0, bc1, bu0, bu1, buc = _brackets(scale, delta, y, j2, j4, jh, om, em2, em54, d_ser, z_ser)
     num = (1.0 - f) * bc0 + f * bc1
     # brackets may be inf for enormous splitting; sum only terms whose
     # weight is nonzero (f*f can underflow) so 0 * inf cannot poison it

@@ -231,7 +231,7 @@ def _lm_lockstep(evaluate, theta0, lo, hi, config: FitConfig):
     theta = np.clip(theta0, lo, hi)
     count, n = theta.shape
     trial = theta.copy()
-    resid = scale = cost = None  # set by the first round
+    scale = cost = None  # set by the first round
     traces = [[] for _ in range(count)]
     lam = np.full(count, 1e-3)
     iterations = np.zeros(count, dtype=int)
@@ -258,13 +258,12 @@ def _lm_lockstep(evaluate, theta0, lo, hi, config: FitConfig):
         # the first round accepts the starts themselves
         first = cost is None
         if first:
-            resid, scale, cost = np.empty_like(r_trial), np.empty(count), np.empty(count)
+            scale, cost = np.empty(count), np.empty(count)
             better = np.ones(count, dtype=bool)
         else:
             better = c_trial < cost[it]
         acc, rej = it[better], it[~better]
         theta[acc] = trial[acc]
-        resid[acc] = r_trial[better]
         cost[acc] = c_trial[better]
         scale[acc] = s_trial[better]
         for i, c in zip(acc.tolist(), cost[acc].tolist()):

@@ -78,6 +78,27 @@ def test_synth_then_fit_roundtrip(tmp_path, capsys):
     assert abs(payload["f"] - 0.5) < 1e-3
 
 
+def test_repeated_calls_share_no_state(tmp_path):
+    # one parser serves every call in a process: no call may see another's arguments
+    data, again, curve, first, second = (
+        tmp_path / name for name in ("d.csv", "d2.csv", "c.csv", "f1.json", "f2.json")
+    )
+    synth = ["synth", "--sigma", "0.22", "--grid", "0.02:1.1:30", "--noise", "0"]
+    fit = ["fit", "--data", str(data)]
+    assert main(synth + ["--out", str(data)]) == 0
+    assert main(["curve", "--sigma", "0.5", "--grid", "0.1:2.0:5", "--out", str(curve)]) == 0
+    assert main(fit + ["--out", str(first)]) == 0
+    with pytest.raises(SystemExit) as excinfo:
+        main(fit + ["--starts", "0", "--out", str(second)])
+    assert excinfo.value.code == 2
+    assert not second.exists()
+    assert main(synth + ["--out", str(again)]) == 0
+    assert main(fit + ["--out", str(second)]) == 0
+    assert again.read_bytes() == data.read_bytes()
+    assert second.read_bytes() == first.read_bytes()
+    assert curve.read_text().splitlines()[0] == "delta_p,R"
+
+
 def test_fit_nonconvergence_still_writes(tmp_path):
     data = tmp_path / "data.csv"
     result = tmp_path / "fit.json"

@@ -269,10 +269,12 @@ def test_vector_split_uses_magnitude():
 
 def test_parameter_batch_matches_scalar_calls():
     # one (m, 1) column per parameter evaluates m curves in one call;
-    # rows span every regime (d = p_tilde^2 / 4 sigma^2): tiny-d,
-    # series, grouped, plain and saturated (d = 900), each at f = 0,
-    # an interior f and f = 1
-    regimes = [(0.3, 1e-160), (0.5, 0.005), (0.22, 0.022), (0.2, 0.6), (1.0, 4.0), (0.1, 6.0)]
+    # rows span every regime (d = p_tilde^2 / 4 sigma^2): tiny-d (d = 0
+    # exactly and subnormal d), series, grouped, plain and saturated
+    # (d = 900), each at f = 0, an interior f and f = 1
+    regimes = [
+        (0.3, 0.0), (0.3, 1e-160), (0.5, 0.005), (0.22, 0.022), (0.2, 0.6), (1.0, 4.0), (0.1, 6.0)
+    ]
     rows = [(sigma, f, split) for sigma, split in regimes for f in (0.0, 0.3, 1.0)]
     sigma, f, split = (np.array(col)[:, None] for col in zip(*rows))
     dp = np.concatenate([[0.0], np.geomspace(1e-4, 60.0, 40)])
@@ -302,9 +304,9 @@ def test_parameter_batch_matches_scalar_calls():
     assert correlation_R(dp, np.empty((0, 1)), 0.3, 0.1).shape == (0, dp.size)
 
 
-# (sigma, p_tilde) of each kernel regime: tiny-d, series, grouped, plain
-# beyond a grouped core, saturated (d = 900)
-_REGIMES = [(0.3, 1e-160), (0.5, 0.005), (0.22, 0.022), (0.2, 0.6), (0.1, 6.0)]
+# (sigma, p_tilde) of each kernel regime: tiny-d (d = 0 and subnormal
+# d), series, grouped, plain beyond a grouped core, saturated (d = 900)
+_REGIMES = [(0.3, 0.0), (0.3, 1e-160), (0.5, 0.005), (0.22, 0.022), (0.2, 0.6), (0.1, 6.0)]
 _CLOSED_FORMS = (correlation_R, coincidence_intensity, accidental_intensity)
 
 
