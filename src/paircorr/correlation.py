@@ -21,25 +21,31 @@ Numerics
 With d = s^2/(4 sigma^2), z = s dp / (2 sigma^2) and y = dp/sigma, the
 raw formulas contain sinh(z)/z factors that overflow for large z and
 brackets that cancel to O(d^2) for small splitting. One bracket kernel
-serves every entry point. It builds the brackets of R from
-cancellation-free primitives, with the ratio's numerator reduced by
-sinh(z)/z and its denominator by J^2 sinh(z)/z, so R stays finite even
-where J^2 or z/sinh(z) underflow on their own; the one genuinely
-cancelling bracket (the triplet event-mixed term) switches to a
-bivariate series in (d, y^2) below d = 1e-4, z = 0.05. At tiny d (below
-the smallest normal double, where 1 - J^2 is subnormal or 0) the same
-brackets take their d -> 0 limits: the series at d = 0, and y^2/6 for
-the triplet coincidence bracket. The intensities are the same brackets
-times the envelope g1 = e^{-y^2/4} J^2 sinh(z)/z. The event-mixed
-brackets carry a term eds = z/sinh(z) / J^2, and g1 eds is e^{-y^2/4}
-exactly; the kernel takes that product as one factor, because past
-d = 700 g1 underflows while eds overflows. One selector, _fill, picks
-every form, from a mask with one flag per point or per parameter row;
-each form runs only on the points it serves (a form that serves every
-point, as in each of the fitter's calls, runs on the whole grid without
-gathering them), and grids longer than two blocks pass through the
-kernel _BLOCK (8192) points at a time, so its temporaries stay in
-cache; none of this changes any point's arithmetic.
+serves every entry point, in two parts: the coincidence brackets, whose
+mixture is the ratio's numerator, and the event-mixed brackets, whose
+mixture is its denominator. Each entry point builds only the brackets
+behind what it returns: correlation_R both parts, coincidence_intensity
+the coincidence part alone, and accidental_intensity the event-mixed
+part plus the one coincidence bracket (the triplet one) that its cross
+term holds. The brackets come from cancellation-free primitives, with
+the numerator reduced by sinh(z)/z and the denominator by
+J^2 sinh(z)/z, so R stays finite even where J^2 or z/sinh(z) underflow
+on their own; the one genuinely cancelling bracket (the triplet
+event-mixed term) switches to a bivariate series in (d, y^2) below
+d = 1e-4, z = 0.05. At tiny d (below the smallest normal double, where
+1 - J^2 is subnormal or 0) the same brackets take their d -> 0 limits:
+the series at d = 0, and y^2/6 for the triplet coincidence bracket. The
+intensities are the same brackets times the envelope
+g1 = e^{-y^2/4} J^2 sinh(z)/z. The event-mixed brackets carry a term
+eds = z/sinh(z) / J^2, and g1 eds is e^{-y^2/4} exactly; the kernel
+takes that product as one factor, because past d = 700 g1 underflows
+while eds overflows. One selector, _fill, picks every form, from a mask
+with one flag per point or per parameter row; each form runs only on
+the points it serves (a form that serves every point, as in each of the
+fitter's calls, runs on the whole grid without gathering them), and
+grids longer than two blocks pass through the kernel _BLOCK (8192)
+points at a time, so its temporaries stay in cache; none of this
+changes any point's arithmetic.
 Worst-case relative error of the assembled forms is a few 1e-12 over
 the full parameter domain (measured against 50-digit references in the
 tests).
@@ -240,57 +246,59 @@ def _fill(out, mask, form, *args):
     return out
 
 
-def _ratio_scale(delta, y, z, inv_s, j2):
-    """(g, g * eds) = (1, eds), eds = inv_sinhc(z) / J^2: the brackets R uses."""
+def _ratio_scale(delta, y, z, inv_s, j2, mixed):
+    """(g, g * eds) = (1, eds), eds = inv_sinhc(z) / J^2: the brackets R uses.
+
+    eds enters only the event-mixed brackets, so it is None unless ``mixed``.
+    """
+    if not mixed:
+        return 1.0, None
     eds = _fill(np.empty_like(z), delta <= 700.0, np.divide, inv_s, j2)
     return 1.0, _fill(eds, delta > 700.0, _eds_saturated, delta, z)
 
 
-def _intensity_scale(delta, y, z, inv_s, j2):
+def _intensity_scale(delta, y, z, inv_s, j2, mixed):
     """(g1, g1 * eds): the envelope g1 = e^{-y^2/4} J^2 sinh(z)/z and e^{-y^2/4}.
 
     Times g1 the brackets are the intensity pieces. g1 is evaluated as
     e^{z - y^2/4 - d} (1 - e^{-2z}) / (2z), and g1 * eds exactly as
     e^{-y^2/4}, so past d = 700, where g1 underflows and eds overflows,
     the eds terms keep their value instead of turning into 0 * inf.
+    g1 * eds enters only the event-mixed brackets, so it is None unless
+    ``mixed``.
     """
     w = 0.25 * y * y
-    return np.exp(z - w - delta) / x_over_expm1(-2.0 * z), np.exp(-w)
+    return np.exp(z - w - delta) / x_over_expm1(-2.0 * z), (np.exp(-w) if mixed else None)
 
 
-def _brackets(scale, delta, y, j2, j4, jh, om, em2, em54, d_ser, z_ser):
-    """Brackets of the intensity formulas, times the factor ``scale`` picks.
+def _bc1(delta, y, z, inv_s, om, g):
+    """The triplet coincidence bracket (1 - inv_sinhc(z)) / (1 - J^2), times g.
 
-    Returns (bc0, bc1, bu0, bu1, buc): the singlet and triplet
-    coincidence brackets divided by sinh(z)/z, and the three event-mixed
-    brackets (singlet^2, triplet^2, cross) divided by J^2 sinh(z)/z,
-    each multiplied by the g of ``scale`` (``_ratio_scale`` or
-    ``_intensity_scale``). With g = 1 they enter R = 2 num/den - 1
-    directly. Reducing the denominator by the extra J^2 keeps the ratio
-    well defined even where J^2 or z/sinh(z) underflow on their own: the
-    lone growing factor e^{d - z} appears explicitly, and where it
-    overflows the true R has already pinned to -1, which the inf
-    propagates to exactly.
-
-    ``delta`` and the rest of ``_split_terms`` are scalars or arrays per
-    parameter point; ``y`` has the full broadcast shape.
-    Every eds term is written with ge = g * eds, never as g times eds.
+    At tiny d, where 1 - J^2 is subnormal or 0, it takes its d -> 0
+    limit y^2/6. num weighs it by f, and den's cross bracket holds it.
     """
-    z = np.sqrt(delta) * y
-    inv_s = inv_sinhc(z)
+    bc1 = _fill(np.empty_like(z), delta >= _TINY_DELTA, _bc1_over_om, z, inv_s, om, g)
+    return _fill(bc1, delta < _TINY_DELTA, lambda y, g: y * y / 6.0 * g, y, g)
+
+
+def _bc1_over_om(z, inv_s, om, g):
+    """(1 - inv_sinhc(z)) / (1 - J^2) times g, through the series of sinh(z)/z - 1 below z = 0.5."""
+    return _fill(1.0 - inv_s, z < 0.5, lambda zs, i: i * sinhc_m1(zs), z, inv_s) / om * g
+
+
+def _event_mixed(g, ge, bc1, delta, y, z, inv_s, j2, j4, jh, om, em2, em54, d_ser, z_ser, w0, w1, w2):
+    """den: the event-mixed brackets weighed by (1 - f)^2, f^2 and 2 f (1 - f).
+
+    The brackets (singlet^2 bu0, triplet^2 bu1, cross buc) are divided
+    by J^2 sinh(z)/z and multiplied by the g of the scale; every eds
+    term is written with ge = g * eds, never as g times eds.
+    """
     sh = sech(0.5 * z)
-    g, ge = scale(delta, y, z, inv_s, j2)
     op = 1.0 + j2
-    bc0 = (1.0 + inv_s) / op * g
     # bu0 and the plain form of N_B below share these two terms
     ends = (1.0 + 2.0 * j4) * ge + g
     mid = 4.0 * jh * sh * g
     bu0 = (ends + mid) / (op * op)
-
-    # (1 - inv_sinhc(z)) / (1 - J^2); at tiny d, where 1 - J^2 is
-    # subnormal or 0, its d -> 0 limit y^2/6
-    bc1 = _fill(np.empty_like(z), delta >= _TINY_DELTA, _bc1_over_om, z, inv_s, om, g)
-    bc1 = _fill(bc1, delta < _TINY_DELTA, lambda y, g: y * y / 6.0 * g, y, g)
     # N_B * inv_sinhc / (J^2 (1 - J^2)^2): the series at the origin and
     # at every tiny d, the exponential forms elsewhere
     series = z <= z_ser
@@ -300,12 +308,17 @@ def _brackets(scale, delta, y, j2, j4, jh, om, em2, em54, d_ser, z_ser):
     # the cross bracket's constant part factors exactly:
     # (1 - J^4) - J^2 (1 - J^2) = (1 - J^2)(1 + 2 J^2), cancelling om
     buc = ((1.0 + 2.0 * j2) * ge + bc1) / op
-    return bc0, bc1, bu0, bu1, buc
-
-
-def _bc1_over_om(z, inv_s, om, g):
-    """(1 - inv_sinhc(z)) / (1 - J^2) times g, through the series of sinh(z)/z - 1 below z = 0.5."""
-    return _fill(1.0 - inv_s, z < 0.5, lambda zs, i: i * sinhc_m1(zs), z, inv_s) / om * g
+    # brackets may be inf for enormous splitting; sum only terms whose
+    # weight is nonzero (f*f can underflow) so 0 * inf cannot poison it
+    den = 0.0
+    for coef, bracket in ((w0, bu0), (w1, bu1), (w2, buc)):
+        live = np.count_nonzero(coef)
+        if live == np.size(coef):
+            den = den + coef * bracket
+        elif live:
+            with np.errstate(invalid="ignore"):
+                den = den + np.where(coef != 0.0, coef * bracket, 0.0)
+    return den
 
 
 def _nb_away(delta, z, inv_s, sh, g, om, em2, em54, j2, ends, mid):
@@ -340,43 +353,58 @@ def _eds_saturated(delta, z):
         return np.where(z == 0.0, np.exp(delta), grown)
 
 
-def _mixture(dp, sigma, f, split, scale):
-    """(num, den): the singlet/triplet mixtures of the scaled brackets.
+def _mixture(dp, sigma, f, split, scale, halves=("num", "den")):
+    """The halves named in ``halves``, of (num, den), in that order.
 
     num weighs the coincidence brackets by 1 - f and f, den the
-    event-mixed ones by (1 - f)^2, f^2 and 2 f (1 - f). Grids longer than
-    two blocks go through the kernel _BLOCK points at a time along the
-    last axis; each point's arithmetic is the same either way.
+    event-mixed ones by (1 - f)^2, f^2 and 2 f (1 - f); the kernel
+    builds only the brackets behind the halves asked for. Grids longer
+    than two blocks go through the kernel _BLOCK points at a time along
+    the last axis; each point's arithmetic is the same either way.
     """
     terms = (f,) + _per_point(split / sigma, f)
     y = dp / sigma
     y = np.broadcast_to(y, np.broadcast_shapes(np.shape(y), np.shape(terms[1]), np.shape(f)))
     n = y.shape[-1] if y.ndim else 1
     if n <= 2 * _BLOCK:
-        return _mixture_block(scale, y, *terms)
-    num, den = np.empty(y.shape), np.empty(y.shape)
+        return _mixture_block(scale, halves, y, *terms)
+    out = tuple(np.empty(y.shape) for _ in halves)
     for lo in range(0, n, _BLOCK):
         cut = np.s_[..., lo : lo + _BLOCK]
         parts = (t[cut] if np.shape(t)[-1:] == (n,) else t for t in terms)
-        num[cut], den[cut] = _mixture_block(scale, y[cut], *parts)
-    return num, den
+        for whole, part in zip(out, _mixture_block(scale, halves, y[cut], *parts)):
+            whole[cut] = part
+    return out
 
 
-def _mixture_block(scale, y, f, delta, j2, j4, jh, om, em2, em54, d_ser, z_ser, w0, w1, w2):
-    """_mixture on one block of y, with f and the _per_point terms cut to match."""
-    bc0, bc1, bu0, bu1, buc = _brackets(scale, delta, y, j2, j4, jh, om, em2, em54, d_ser, z_ser)
-    num = (1.0 - f) * bc0 + f * bc1
-    # brackets may be inf for enormous splitting; sum only terms whose
-    # weight is nonzero (f*f can underflow) so 0 * inf cannot poison it
-    den = 0.0
-    for coef, bracket in ((w0, bu0), (w1, bu1), (w2, buc)):
-        live = np.count_nonzero(coef)
-        if live == np.size(coef):
-            den = den + coef * bracket
-        elif live:
-            with np.errstate(invalid="ignore"):
-                den = den + np.where(coef != 0.0, coef * bracket, 0.0)
-    return num, den
+def _mixture_block(scale, halves, y, f, delta, j2, j4, jh, om, em2, em54, d_ser, z_ser, w0, w1, w2):
+    """_mixture on one block of y, with f and the _per_point terms cut to match.
+
+    The brackets of num are the singlet and triplet coincidence brackets
+    divided by sinh(z)/z, those of den the event-mixed ones divided by
+    J^2 sinh(z)/z, each multiplied by the g of ``scale``
+    (``_ratio_scale`` or ``_intensity_scale``). With g = 1 they enter
+    R = 2 num/den - 1 directly. Reducing the denominator by the extra
+    J^2 keeps the ratio well defined even where J^2 or z/sinh(z)
+    underflow on their own: the lone growing factor e^{d - z} appears
+    explicitly, and where it overflows the true R has already pinned to
+    -1, which the inf propagates to exactly.
+
+    ``delta`` and the rest of ``_split_terms`` are scalars or arrays per
+    parameter point; ``y`` has the full broadcast shape.
+    """
+    z = np.sqrt(delta) * y
+    inv_s = inv_sinhc(z)
+    g, ge = scale(delta, y, z, inv_s, j2, "den" in halves)
+    bc1 = _bc1(delta, y, z, inv_s, om, g)
+    out = ()
+    if "num" in halves:
+        bc0 = (1.0 + inv_s) / (1.0 + j2) * g
+        out += ((1.0 - f) * bc0 + f * bc1,)
+    if "den" in halves:
+        den = _event_mixed(g, ge, bc1, delta, y, z, inv_s, j2, j4, jh, om, em2, em54, d_ser, z_ser, w0, w1, w2)
+        out += (den,)
+    return out
 
 
 def correlation_R(delta_p, sigma, triplet_fraction, momentum_split):
@@ -427,7 +455,7 @@ def coincidence_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pa
         sigma, triplet_fraction, momentum_split, n_pairs
     )
     dp = _check_delta_p(delta_p)
-    num, _ = _mixture(dp, sigma, f, split, _intensity_scale)
+    (num,) = _mixture(dp, sigma, f, split, _intensity_scale, ("num",))
     pref = n_pairs * dp * dp / (2.0 * _SQRT_PI * sigma**3)
     return (pref * num)[()]
 
@@ -444,7 +472,7 @@ def accidental_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pai
         sigma, triplet_fraction, momentum_split, n_pairs
     )
     dp = _check_delta_p(delta_p)
-    _, den = _mixture(dp, sigma, f, split, _intensity_scale)
+    (den,) = _mixture(dp, sigma, f, split, _intensity_scale, ("den",))
     pref = n_pairs * dp * dp / (4.0 * _SQRT_PI * sigma**3)
     return (pref * den)[()]
 

@@ -26,7 +26,6 @@ from .errors import DegenerateChannelError
 __all__ = [
     "SpinChannel",
     "ModelParams",
-    "DEGENERACY_RATIO",
     "pair_amplitude",
     "mixture_density",
     "mixture_marginal",

@@ -48,6 +48,9 @@ PUBLIC = [
 # every submodule with an __all__ (errors.py exports its classes without one)
 SUBMODULES = ("_stable", "cli", "correlation", "data", "fitting", "model", "oracle")
 
+# the submodules whose every export the package re-exports
+REEXPORTED = ("correlation", "data", "fitting", "model", "oracle")
+
 # per-channel copies of the mixture API (a pure channel is f = 0 or 1),
 # a second coincidence-oracle entry point and private building blocks
 REMOVED = (
@@ -71,6 +74,12 @@ def test_submodule_exports_resolve():
         module = importlib.import_module(f"paircorr.{sub}")
         for name in module.__all__:
             assert hasattr(module, name), f"paircorr.{sub}.{name}"
+
+
+def test_submodule_exports_are_public():
+    for sub in REEXPORTED:
+        module = importlib.import_module(f"paircorr.{sub}")
+        assert set(module.__all__) <= set(paircorr.__all__), sub
 
 
 def test_removed_names_stay_removed():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paircorr.correlation
 import paircorr.model
 from paircorr.correlation import (
     _BLOCK,
@@ -350,6 +351,45 @@ def test_blocked_batch_and_scalar_calls():
             scalar = fn(0.7 * sigma, sigma, 0.3, split)
             assert isinstance(scalar, float)
             _assert_same_bytes(scalar, fn(np.array([0.7 * sigma]), sigma, 0.3, split)[0])
+
+
+# all seven curve-sweep benchmark points, the saturated one (d = 900) too
+_SWEEP = _SWEEP_REGIMES + [(0.1, 6.0, 0.3, 60.0)]
+
+
+def test_intensities_match_the_two_half_kernel(monkeypatch):
+    # each intensity builds only the half of the kernel it returns; it
+    # must come out byte-equal to that half of the kernel that builds both
+    kernel = paircorr.correlation._mixture
+
+    def both_halves(dp, sigma, f, split, scale, halves=("num", "den")):
+        full = dict(zip(("num", "den"), kernel(dp, sigma, f, split, scale)))
+        return tuple(full[h] for h in halves)
+
+    n = 2 * _BLOCK + 3  # long enough for the blocked path
+    calls = [
+        (fn, (sigma * np.linspace(0.0, top, n), sigma, f, split), n_pairs)
+        for sigma, split, f, top in _SWEEP
+        for fn in (coincidence_intensity, accidental_intensity)
+        for n_pairs in (0.0, 1.0, 30.0)
+    ]
+    alone = [fn(*args, n_pairs=n_pairs) for fn, args, n_pairs in calls]
+    monkeypatch.setattr(paircorr.correlation, "_mixture", both_halves)
+    for (fn, args, n_pairs), got in zip(calls, alone):
+        _assert_same_bytes(got, fn(*args, n_pairs=n_pairs))
+
+
+def test_coincidence_intensity_builds_no_event_mixed_bracket(monkeypatch):
+    # sech(z/2) enters only the event-mixed brackets
+    def refuse(x):
+        raise RuntimeError("sech called")
+
+    monkeypatch.setattr(paircorr.correlation, "sech", refuse)
+    for sigma, split, f, top in _SWEEP:
+        dp = sigma * np.linspace(0.0, top, 30)
+        assert np.all(np.isfinite(coincidence_intensity(dp, sigma, f, split)))
+        with pytest.raises(RuntimeError, match="sech"):
+            accidental_intensity(dp, sigma, f, split)
 
 
 # (sigma, p_tilde, top, others): on linspace(0, top) every point selects

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paircorr._stable
 from paircorr._stable import (
     inv_sinhc,
     one_minus_inv_sinhc,
@@ -140,3 +141,43 @@ def test_x_over_expm1_reflection(x):
     a = float(x_over_expm1(x))
     b = float(x_over_expm1(-x))
     assert b - a == pytest.approx(x, rel=1e-12, abs=1e-12)
+
+
+def _unshortcut_inv_sinhc(z):
+    z = np.abs(np.asarray(z, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = -2.0 * z * np.exp(-z) / np.expm1(-2.0 * z)
+    return np.where(z == 0.0, 1.0, val)[()]
+
+
+def _unshortcut_x_over_expm1(x):
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = x / np.expm1(x)
+    return np.where(x == 0.0, 1.0, val)[()]
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
+def test_expm1_shortcut_is_bitwise():
+    # below 2^-54 expm1(x) rounds to x, so inv_sinhc and x_over_expm1
+    # skip np.expm1 when their whole argument is that small; no bit may
+    # change. inv_sinhc(z) takes expm1 of -2z.
+    bound = 2.0**-54
+    tiny = np.geomspace(5e-324, bound, 20_001)[:-1]
+    cases = (
+        (inv_sinhc, _unshortcut_inv_sinhc, tiny / 2.0, -2.0),
+        (x_over_expm1, _unshortcut_x_over_expm1, np.concatenate([-tiny, tiny]), 1.0),
+    )
+    for fn, plain, grid, scale in cases:
+        arg = scale * grid  # the dense grid takes the shortcut
+        assert paircorr._stable._expm1(arg) is arg
+        assert _same_bytes(fn(grid), plain(grid))
+        for x in grid[::50].tolist():
+            assert _same_bytes(fn(x), plain(x)), x
+        straddle = 2.0 ** np.linspace(-60.0, -48.0, 97)  # 2^-54 is its 49th point
+        for x in (straddle, -straddle, np.empty(0), np.array(1e-300), np.float64(-3e-20)):
+            assert _same_bytes(fn(x), plain(x)), x
