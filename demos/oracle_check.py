@@ -30,7 +30,7 @@ def main():
     params = ModelParams(sigma=sigma, p_split=(0.0, 0.0, split), triplet_fraction=f)
     spec = QuadratureSpec(method="monte-carlo", sample_count=SAMPLES, target_rel_tol=0.05)
 
-    print(f"sigma = {sigma}, f = {f}, p~ = {split} a.u., {SAMPLES} samples/channel")
+    print(f"sigma = {sigma}, f = {f}, p~ = {split} a.u., {SAMPLES} samples per oracle call")
     print()
     print("  dp      what        closed        oracle        se        pull")
     for dp in (0.3, 0.8, 1.5):

@@ -261,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="delta_p grid MIN:MAX:COUNT (default 0.5,1,2,4 times sigma)",
     )
-    check.add_argument("--samples", type=_positive_int, default=2_000_000, help="Monte-Carlo samples per channel")
+    check.add_argument("--samples", type=_positive_int, default=2_000_000, help="Monte-Carlo samples per oracle call")
     check.add_argument("--seed", type=_nonneg_int, default=0)
     check.add_argument("--tol", type=_positive_float, default=1e-3, help="relative tolerance")
     check.add_argument("--out", required=True, help="output report CSV path")

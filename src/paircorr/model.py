@@ -229,12 +229,26 @@ def _pair_density_kernel(p1, p2, c1, c2, sigma, sign):
     p1, p2, c1 and c2 are component-first, (3, ...) with p[k] the k-th
     component, and broadcast together as _sq_dist does.
     """
+    return _exchange_combination(*_exchange_exponents(p1, p2, c1, c2, sigma), sigma, sign)
+
+
+def _exchange_exponents(p1, p2, c1, c2, sigma):
+    """(e^{-2 lo}, gap) of the exponents A/2 and B/2: lo the smaller, gap |A/2 - B/2|.
+
+    They do not depend on the channel, so channels that share their
+    packets share them.
+    """
     sig2 = sigma * sigma
     a2 = (_sq_dist(p1, c1) + _sq_dist(p2, c2)) / (4.0 * sig2)
     b2 = (_sq_dist(p1, c2) + _sq_dist(p2, c1)) / (4.0 * sig2)
     lo = np.minimum(a2, b2)
     gap = np.abs(a2 - b2)
-    base = np.exp(-2.0 * lo)
+    return np.exp(-2.0 * lo), gap
+
+
+def _exchange_combination(base, gap, sigma, sign):
+    """The pair-density kernel of one channel from its _exchange_exponents."""
+    sig2 = sigma * sigma
     if sign > 0:
         comb = base * (1.0 + np.exp(-gap)) ** 2
     else:

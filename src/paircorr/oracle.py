@@ -25,7 +25,12 @@ stratified inversion per chunk, so the realized error falls much faster
 than the reported (conservative) 1/sqrt(N) standard error. One runner
 serves every coincidence channel: a channel whose (P, s) is jittered
 draws them per sample, and a point channel is the same code with no
-jitter draws and (P, s) as single vectors.
+jitter draws and (P, s) as single vectors. Channels that share their
+packets (sigma, P, s and both spreads), such as the singlet and triplet
+of a mixture, run on one set of draws (common random numbers): the
+exchange exponents are built once per sample and only the final
+(e^{-A/2} +/- e^{-B/2})^2 factor is formed per channel. A channel with
+packets of its own keeps its draws and its arithmetic exactly.
 
 Sampling is chunked. A chunk makes its draws whole from its own seed
 (spawned from the spec's rng_seed), then works column-wise in blocks
@@ -55,9 +60,10 @@ from .model import (
     _as_vec3,
     _channel_weights,
     _components,
+    _exchange_combination,
+    _exchange_exponents,
     _nonnegative,
     _pair_density,
-    _pair_density_kernel,
     _positive,
     _require_nondegenerate,
     _set_scalars,
@@ -99,7 +105,9 @@ class QuadratureSpec:
         supports both; unsupported combinations raise
         UnsupportedMethodError rather than silently substituting.
     sample_count : int
-        Monte-Carlo samples per emission channel.
+        Monte-Carlo samples per run: per set of coincidence channels
+        that share their packets (one for a mixture), and per
+        accidental or norm integral.
     nodes_per_axis : int
         Gauss-Legendre nodes per axis for tensor quadrature; the error
         estimate compares against a run at half the nodes.
@@ -135,7 +143,10 @@ class OracleResult:
 
     est_error is one standard error for Monte Carlo and the last
     refinement delta for quadrature; comparisons against closed forms
-    should use max(analytic_tol * |closed|, 3 * est_error).
+    should use max(analytic_tol * |closed|, 3 * est_error). samples_used
+    counts the Monte-Carlo samples drawn, sample_count per run (coincidence
+    channels that share their packets share one run), or the quadrature
+    nodes evaluated.
     """
 
     value: float
@@ -336,18 +347,25 @@ def _direction(u, phi, e1, e2, e3):
 # coincidence intensity (5-d: p1 and the detector direction)
 
 
-def _cor_runner(delta_p, ccs: ChannelCrossSection, spec, seed_seq):
-    """Coincidence integral of one channel, (P, s) Gaussian-smeared per sample.
+def _cor_runner(delta_p, group, spec, seed_seq):
+    """Coincidence integral of channels that share their packets, on one set of draws.
 
-    A chunk draws the polar and azimuthal variables, then the two jitter
-    normals only if a spread is nonzero, then the p1 normals; a point
-    channel keeps (P, s) as single vectors and builds its frame once.
+    ``group`` lists ChannelCrossSections of one (sigma, P, s, spreads),
+    (P, s) Gaussian-smeared per sample. The per-sample weight is the
+    first member's density plus each other member's density times its
+    weight over the first's; a one-member group is one channel's
+    integral. A chunk draws the polar and azimuthal variables, then the
+    two jitter normals only if a spread is nonzero, then the p1 normals;
+    a point group keeps (P, s) as single vectors and builds its frame
+    once.
     """
-    sigma = ccs.sigma
-    sign = ccs.channel.sign
-    p_total0 = np.asarray(ccs.p_total)
-    p_split0 = np.asarray(ccs.p_split)
-    jitter = ccs.spread_split != 0.0 or ccs.spread_total != 0.0
+    first, *rest = group
+    sigma = first.sigma
+    signs = {ccs.channel.sign for ccs in group}
+    ratios = [(ccs.weight / first.weight, ccs.channel.sign) for ccs in rest]
+    p_total0 = np.asarray(first.p_total)
+    p_split0 = np.asarray(first.p_split)
+    jitter = first.spread_split != 0.0 or first.spread_total != 0.0
     scale = sigma / math.sqrt(2.0)
     pdf_norm = (math.pi * sigma * sigma) ** -1.5
 
@@ -365,10 +383,10 @@ def _cor_runner(delta_p, ccs: ChannelCrossSection, spec, seed_seq):
         def block(b):
             p_split, p_total = p_split0, p_total0
             if jitter:
-                p_split = p_split0 + ccs.spread_split * split_normals[b]
-                p_total = p_total0 + ccs.spread_total * total_normals[b]
+                p_split = p_split0 + first.spread_split * split_normals[b]
+                p_total = p_total0 + first.spread_total * total_normals[b]
             split = np.linalg.norm(p_split, axis=-1)
-            if sign < 0.0 and np.any(split < DEGENERACY_RATIO * sigma):
+            if min(signs) < 0.0 and np.any(split < DEGENERACY_RATIO * sigma):
                 raise DegenerateChannelError(
                     f"triplet channel with |p_split| < {DEGENERACY_RATIO:g} * sigma"
                     " (at p_split or in its spread_split jitter)"
@@ -379,10 +397,16 @@ def _cor_runner(delta_p, ccs: ChannelCrossSection, spec, seed_seq):
             q = delta_p * _direction(u, phi[b], *(frame or _frames(p_split)))
             ps, pt, x = _rows(p_split), _rows(p_total), xi[b].T
             p1 = (pt - q) / 2.0 + scale * x
-            dens = _pair_density_kernel(p1, p1 + q, (pt + ps) / 2.0, (pt - ps) / 2.0, sigma, sign)
-            dens /= 2.0 * (1.0 + sign * j2)
+            shared = _exchange_exponents(p1, p1 + q, (pt + ps) / 2.0, (pt - ps) / 2.0, sigma)
+            dens = {
+                sign: _exchange_combination(*shared, sigma, sign) / (2.0 * (1.0 + sign * j2))
+                for sign in signs
+            }
+            total = dens[first.channel.sign]
+            for ratio, sign in ratios:
+                total = total + ratio * dens[sign]
             pdf = pdf_norm * np.exp(-0.5 * _sq_dist(x, np.zeros(3)))
-            return (delta_p * delta_p * 2.0 * math.pi) * dens / (pdf * _tilt_pdf(u, z, _COR_TILTS))
+            return (delta_p * delta_p * 2.0 * math.pi) * total / (pdf * _tilt_pdf(u, z, _COR_TILTS))
 
         return block
 
@@ -407,6 +431,13 @@ def intensity_cor_oracle(delta_p, channels, spec: QuadratureSpec) -> OracleResul
     singlet/triplet mixture) or a sequence of ChannelCrossSection, each
     contributing weight * I_cor(channel). A mixture runs as its own
     point-mass channel list, so the two forms agree bit for bit.
+
+    Channels with equal (sigma, p_split, p_total, spread_split,
+    spread_total) form a group, in the order of their first member,
+    and a group makes sample_count draws, seeded from its first
+    member's child seed; samples_used is sample_count per group, so a
+    mixture reports sample_count. The SE of a group is that of its
+    joint weight. Channels of weight zero are left out.
     """
     channels = _mixture_channels(channels) if isinstance(channels, ModelParams) else list(channels)
     delta_p = _intensity_delta_p(delta_p, spec)
@@ -415,13 +446,17 @@ def intensity_cor_oracle(delta_p, channels, spec: QuadratureSpec) -> OracleResul
     if delta_p == 0.0:
         return OracleResult(0.0, 0.0, 0)
     children = np.random.SeedSequence(spec.rng_seed).spawn(len(channels))
-    values, variances, used = [], [], 0
+    groups = {}
     for ccs, child in zip(channels, children):
-        if ccs.weight == 0.0:
-            continue
-        mean, se, n = _cor_runner(delta_p, ccs, spec, child)
-        values.append(ccs.weight * mean)
-        variances.append((ccs.weight * se) ** 2)
+        if ccs.weight != 0.0:
+            key = (ccs.sigma, ccs.p_split, ccs.p_total, ccs.spread_split, ccs.spread_total)
+            groups.setdefault(key, (child, []))[1].append(ccs)
+    values, variances, used = [], [], 0
+    for child, group in groups.values():
+        mean, se, n = _cor_runner(delta_p, group, spec, child)
+        weight = group[0].weight
+        values.append(weight * mean)
+        variances.append((weight * se) ** 2)
         used += n
     value = math.fsum(values)
     se = math.sqrt(math.fsum(variances))

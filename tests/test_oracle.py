@@ -155,6 +155,64 @@ def test_point_mass_channels_reduce_to_mixture():
     )
 
 
+def test_mixture_channels_share_draws():
+    # singlet and triplet of one geometry run on one set of draws, so the
+    # mixture counts sample_count samples and agrees with its channels
+    # run one at a time
+    spec = _mc(1 << 18)
+    common = dict(sigma=PARAMS.sigma, p_split=PARAMS.p_split, p_total=PARAMS.p_total)
+    f = PARAMS.triplet_fraction
+    both = intensity_cor_oracle(1.2, PARAMS, spec)
+    singlet, triplet = (
+        intensity_cor_oracle(1.2, [ChannelCrossSection(PARAMS.n_pairs * w, channel, **common)], spec)
+        for w, channel in ((1.0 - f, SpinChannel.SINGLET), (f, SpinChannel.TRIPLET))
+    )
+    assert both.samples_used == spec.sample_count
+    budget = 3.0 * (both.est_error + singlet.est_error + triplet.est_error)
+    assert abs(both.value - singlet.value - triplet.value) <= budget
+
+
+def test_mixture_is_thread_count_independent(monkeypatch):
+    spec = _mc(_CHUNK + _BLOCK + 7)
+    monkeypatch.setenv("PAIRCORR_THREADS", "1")
+    one = intensity_cor_oracle(0.9, PARAMS, spec)
+    monkeypatch.setenv("PAIRCORR_THREADS", "2")
+    assert intensity_cor_oracle(0.9, PARAMS, spec) == one
+
+
+def test_channels_group_by_geometry():
+    # the singlet and triplet of geometry A share draws although channel
+    # B sits between them in the list; B draws its own
+    spec = _mc(1 << 18)
+    geom_a = dict(sigma=0.5, p_split=(0.3, -0.1, 0.7), p_total=(0.2, 0.0, -0.4))
+    geom_b = dict(sigma=0.6, p_split=(0.2, 0.1, -0.5), p_total=(0.1, 0.0, 0.2))
+    channels = [
+        ChannelCrossSection(0.9, SpinChannel.SINGLET, **geom_a),
+        ChannelCrossSection(1.8, SpinChannel.TRIPLET, **geom_b),
+        ChannelCrossSection(0.4, SpinChannel.TRIPLET, **geom_a),
+    ]
+    res = intensity_cor_oracle(0.9, channels, spec)
+    assert res.samples_used == 2 * spec.sample_count
+    pure_f = {SpinChannel.SINGLET: 0.0, SpinChannel.TRIPLET: 1.0}
+    closed = sum(
+        ccs.weight * coincidence_intensity(0.9, ccs.sigma, pure_f[ccs.channel], ccs.p_split)
+        for ccs in channels
+    )
+    assert abs(res.value - closed) <= 3.0 * res.est_error
+
+
+def test_degenerate_triplet_in_group_is_refused():
+    # the triplet shares draws with the singlet listed first, and is
+    # still refused
+    common = dict(sigma=0.5, p_split=(0.0, 0.0, 0.0))
+    channels = [
+        ChannelCrossSection(1.0, SpinChannel.SINGLET, **common),
+        ChannelCrossSection(1.0, SpinChannel.TRIPLET, **common),
+    ]
+    with pytest.raises(DegenerateChannelError):
+        intensity_cor_oracle(1.0, channels, _mc(4096))
+
+
 def test_frozen_oracle_outputs():
     # (value, est_error, samples_used) pinned bit for bit: a restructured
     # sampler must keep the draws and the arithmetic of a point channel,
@@ -189,9 +247,16 @@ def test_frozen_oracle_outputs():
         triplet_fraction=0.7,
         n_pairs=2.5,
     )
-    assert intensity_cor_oracle(0.9, full, spec) == OracleResult(
-        1.1315991582933402, 0.0009515730609372622, 524288
+    # the mixture's singlet and triplet share one set of draws; the pin
+    # from when each channel drew its own stays as a cross-check
+    mixed = intensity_cor_oracle(0.9, full, spec)
+    assert mixed == OracleResult(1.1315992032218363, 0.0009688461706777268, 262144)
+    closed = coincidence_intensity(
+        0.9, full.sigma, full.triplet_fraction, full.p_split, n_pairs=full.n_pairs
     )
+    assert abs(mixed.value - closed) <= 3.0 * mixed.est_error
+    separate = OracleResult(1.1315991582933402, 0.0009515730609372622, 524288)
+    assert abs(mixed.value - separate.value) <= 3.0 * (mixed.est_error + separate.est_error)
     assert intensity_uncor_oracle(0.9, full, spec) == OracleResult(
         1.60234510201822, 0.0013118720030790413, 262144
     )
