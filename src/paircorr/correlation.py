@@ -42,10 +42,22 @@ takes that product as one factor, because past d = 700 g1 underflows
 while eds overflows. One selector, _fill, picks every form, from a mask
 with one flag per point or per parameter row; each form runs only on
 the points it serves (a form that serves every point, as in each of the
-fitter's calls, runs on the whole grid without gathering them), and
-grids longer than two blocks pass through the kernel _BLOCK (8192)
-points at a time, so its temporaries stay in cache; none of this
-changes any point's arithmetic.
+fitter's calls, runs on the whole grid without gathering them). Each
+entry point runs whole per block: on grids longer than two blocks,
+y = dp/sigma, the brackets and the entry point's finishing step
+(2 num/den - 1 for R, n_pairs dp^2 times a constant times its half for
+an intensity) go _BLOCK points at a time into one output array, so the
+temporaries stay in cache and none is grid-sized. Per block, e^{-z} and
+expm1(-2z) are computed once, and inv_sinhc(z) and the envelope's
+x/expm1(x) at x = -2z are both formed from them; sech(z/2), which only
+the event-mixed brackets take, comes from sech itself. A block drops
+each array once it is dead and makes no placeholder for a form that
+serves every point, which keeps its heap peak near the size of a
+1e5-point output (at most ~1 MB). glibc returns the heap top to the
+system once it exceeds twice the largest freed mmapped chunk (there,
+the output's size); below that, what a call frees stays mapped for the
+next call instead of being faulted back in. None of this changes any
+point's arithmetic.
 Worst-case relative error of the assembled forms is a few 1e-12 over
 the full parameter domain (measured against 50-digit references in the
 tests).
@@ -58,8 +70,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stable import inv_sinhc, sech, sinhc_m1, x_over_expm1
-from ._stable import one_minus_inv_sinhc  # noqa: F401  # wrapped by name in perfbench/tracing.py
+from ._stable import _expm1, _ratio, _sinhc_m1_series, inv_sinhc, sech, x_over_expm1
+from ._stable import one_minus_inv_sinhc, sinhc_m1  # noqa: F401  # wrapped by name in perfbench/tracing.py
 from .model import _fraction, _nonnegative, _positive
 
 __all__ = [
@@ -107,14 +119,17 @@ _Z_SWITCH = 1.75
 _PLAIN_SWITCH = 2.5
 # Points per kernel call along the dp axis of long grids: a block's float
 # temporaries fit a 2 MiB L2 cache (best of a sweep over 2k-32k points).
+# The block bounds fix the sign of the NaN that R takes at zero splitting
+# where dp/sigma overflows, so a new size changes those bytes.
 _BLOCK = 8192
 
 
 def _horner(coefs, x):
-    """Evaluate sum coefs[k] x^k with ascending coefficients."""
-    acc = coefs[-1]
-    for c in coefs[-2::-1]:
-        acc = acc * x + c
+    """Evaluate sum coefs[k] x^k with ascending coefficients (at least two)."""
+    acc = coefs[-1] * x + coefs[-2]
+    for c in coefs[-3::-1]:  # in place: no temporary per step
+        acc *= x
+        acc += c
     return acc
 
 
@@ -130,7 +145,8 @@ def _nb_series(delta, y2):
 def _zfun(z):
     """Z(z) = 3 + sinh(z)/z - 8 sinh(z/2)/z by its series (z < 1.75; ~1e-14 at the seam)."""
     z2 = z * z
-    return z2 * z2 * _horner(_Z_COEFS, z2)
+    series = _horner(_Z_COEFS, z2)
+    return z2 * z2 * series
 
 
 def _mix_core(z, inv_s, sh):
@@ -141,8 +157,9 @@ def _mix_core(z, inv_s, sh):
     inv_sinhc * Z = 3 inv_sinhc + 1 - 4 sech(z/2) takes over; its mild
     cancellation near the seam costs a few 1e-14.
     """
-    large = 3.0 * inv_s + 1.0 - 4.0 * sh
-    return _fill(large, z < _Z_SWITCH, lambda zs, i: i * _zfun(zs), z, inv_s)
+    small = z < _Z_SWITCH
+    core = _fill(z.shape, ~small, lambda i, sh: 3.0 * i + 1.0 - 4.0 * sh, inv_s, sh)
+    return _fill(core, small, lambda zs, i: i * _zfun(zs), z, inv_s)
 
 
 def _check_physical(sigma, triplet_fraction, momentum_split):
@@ -230,15 +247,20 @@ def _fill(out, mask, form, *args):
     ``mask`` has one flag per point of ``out`` or one per parameter row
     (any shape that broadcasts against ``out``). Where it holds
     everywhere, form's own full-shape result comes back in place of out.
+    ``out`` may be a shape instead, for the first of two fills whose
+    masks split the points: the array is made only if this form serves
+    some points but not all, so a form that serves every point leaves
+    no unused array alive while it runs.
     """
-    if out.ndim == 0:  # a one-point call runs on numpy scalars
+    if not getattr(mask, "ndim", 0):  # one flag: every point or none
         return form(*args) if mask else out
     hits = np.count_nonzero(mask)
-    if hits == getattr(mask, "size", 1):  # np.size of a bool costs microseconds
+    if hits == mask.size:
         # every point selects the form (each of the fitter's calls does):
         # the args broadcast as they are, with no gather or scatter
         return form(*args)
     if hits:
+        out = np.empty(out) if isinstance(out, tuple) else out
         # broadcast_to costs microseconds, so only per-row masks and args take it
         grow = lambda a: a if np.shape(a) == out.shape else np.broadcast_to(a, out.shape)  # noqa: E731
         mask = grow(mask)
@@ -246,29 +268,30 @@ def _fill(out, mask, form, *args):
     return out
 
 
-def _ratio_scale(delta, y, z, inv_s, j2, mixed):
+def _ratio_scale(delta, y, z, inv_s, j2, x, em, mixed):
     """(g, g * eds) = (1, eds), eds = inv_sinhc(z) / J^2: the brackets R uses.
 
     eds enters only the event-mixed brackets, so it is None unless ``mixed``.
     """
     if not mixed:
         return 1.0, None
-    eds = _fill(np.empty_like(z), delta <= 700.0, np.divide, inv_s, j2)
+    eds = _fill(z.shape, delta <= 700.0, np.divide, inv_s, j2)
     return 1.0, _fill(eds, delta > 700.0, _eds_saturated, delta, z)
 
 
-def _intensity_scale(delta, y, z, inv_s, j2, mixed):
+def _intensity_scale(delta, y, z, inv_s, j2, x, em, mixed):
     """(g1, g1 * eds): the envelope g1 = e^{-y^2/4} J^2 sinh(z)/z and e^{-y^2/4}.
 
     Times g1 the brackets are the intensity pieces. g1 is evaluated as
     e^{z - y^2/4 - d} (1 - e^{-2z}) / (2z), and g1 * eds exactly as
     e^{-y^2/4}, so past d = 700, where g1 underflows and eds overflows,
     the eds terms keep their value instead of turning into 0 * inf.
-    g1 * eds enters only the event-mixed brackets, so it is None unless
-    ``mixed``.
+    (2z) / (1 - e^{-2z}) is x_over_expm1(x) at x = -2z, formed from the
+    block's x and em = expm1(x). g1 * eds enters only the event-mixed
+    brackets, so it is None unless ``mixed``.
     """
     w = 0.25 * y * y
-    return np.exp(z - w - delta) / x_over_expm1(-2.0 * z), (np.exp(-w) if mixed else None)
+    return np.exp(z - w - delta) / _ratio(x, em), (np.exp(-w) if mixed else None)
 
 
 def _bc1(delta, y, z, inv_s, om, g):
@@ -277,13 +300,13 @@ def _bc1(delta, y, z, inv_s, om, g):
     At tiny d, where 1 - J^2 is subnormal or 0, it takes its d -> 0
     limit y^2/6. num weighs it by f, and den's cross bracket holds it.
     """
-    bc1 = _fill(np.empty_like(z), delta >= _TINY_DELTA, _bc1_over_om, z, inv_s, om, g)
+    bc1 = _fill(z.shape, delta >= _TINY_DELTA, _bc1_over_om, z, inv_s, om, g)
     return _fill(bc1, delta < _TINY_DELTA, lambda y, g: y * y / 6.0 * g, y, g)
 
 
 def _bc1_over_om(z, inv_s, om, g):
     """(1 - inv_sinhc(z)) / (1 - J^2) times g, through the series of sinh(z)/z - 1 below z = 0.5."""
-    return _fill(1.0 - inv_s, z < 0.5, lambda zs, i: i * sinhc_m1(zs), z, inv_s) / om * g
+    return _fill(1.0 - inv_s, z < 0.5, lambda zs, i: i * _sinhc_m1_series(zs * zs), z, inv_s) / om * g
 
 
 def _event_mixed(g, ge, bc1, delta, y, z, inv_s, j2, j4, jh, om, em2, em54, d_ser, z_ser, w0, w1, w2):
@@ -298,26 +321,34 @@ def _event_mixed(g, ge, bc1, delta, y, z, inv_s, j2, j4, jh, om, em2, em54, d_se
     # bu0 and the plain form of N_B below share these two terms
     ends = (1.0 + 2.0 * j4) * ge + g
     mid = 4.0 * jh * sh * g
-    bu0 = (ends + mid) / (op * op)
+    # each bracket joins den as soon as it is built, in the order bu0,
+    # bu1, buc, so that few block-sized arrays are alive at once
+    den = _weighed(0.0, w0, (ends + mid) / (op * op))
     # N_B * inv_sinhc / (J^2 (1 - J^2)^2): the series at the origin and
     # at every tiny d, the exponential forms elsewhere
     series = z <= z_ser
-    away = (delta, z, inv_s, sh, g, om, em2, em54, j2, ends, mid)
-    bu1 = _fill(np.empty_like(z), ~series, _nb_away, *away)
-    bu1 = _fill(bu1, series, _nb_at_origin, d_ser, y, inv_s, j2, g)
+    bu1 = _fill(z.shape, ~series, _nb_away, delta, z, inv_s, sh, g, om, em2, em54, j2, ends, mid)
+    del sh, ends, mid
+    den = _weighed(den, w1, _fill(bu1, series, _nb_at_origin, d_ser, y, inv_s, j2, g))
+    del bu1
     # the cross bracket's constant part factors exactly:
     # (1 - J^4) - J^2 (1 - J^2) = (1 - J^2)(1 + 2 J^2), cancelling om
-    buc = ((1.0 + 2.0 * j2) * ge + bc1) / op
-    # brackets may be inf for enormous splitting; sum only terms whose
-    # weight is nonzero (f*f can underflow) so 0 * inf cannot poison it
-    den = 0.0
-    for coef, bracket in ((w0, bu0), (w1, bu1), (w2, buc)):
-        live = np.count_nonzero(coef)
-        if live == np.size(coef):
-            den = den + coef * bracket
-        elif live:
-            with np.errstate(invalid="ignore"):
-                den = den + np.where(coef != 0.0, coef * bracket, 0.0)
+    return _weighed(den, w2, ((1.0 + 2.0 * j2) * ge + bc1) / op)
+
+
+def _weighed(den, coef, bracket):
+    """den + coef * bracket, summing only where coef is nonzero.
+
+    Brackets may be inf for enormous splitting and f*f can underflow, so
+    a term whose weight is 0 stays out of den rather than let 0 * inf
+    poison it.
+    """
+    live = np.count_nonzero(coef)
+    if live == np.size(coef):
+        return den + coef * bracket
+    if live:
+        with np.errstate(invalid="ignore"):
+            return den + np.where(coef != 0.0, coef * bracket, 0.0)
     return den
 
 
@@ -326,7 +357,7 @@ def _nb_away(delta, z, inv_s, sh, g, om, em2, em54, j2, ends, mid):
     near = 0.25 * delta + 0.5 * z < _PLAIN_SWITCH
     # divide by om twice, not by om * om: for d below ~1e-154 the square
     # underflows to zero while the staged quotient stays exact
-    bu1 = _fill(np.empty_like(z), ~near, lambda e, m, om: (e - m) / om / om, ends, mid, om)
+    bu1 = _fill(z.shape, ~near, lambda e, m, om: (e - m) / om / om, ends, mid, om)
     return _fill(bu1, near, _nb_grouped, z, inv_s, sh, g, om, em2, em54, j2)
 
 
@@ -353,32 +384,56 @@ def _eds_saturated(delta, z):
         return np.where(z == 0.0, np.exp(delta), grown)
 
 
-def _mixture(dp, sigma, f, split, scale, halves=("num", "den")):
-    """The halves named in ``halves``, of (num, den), in that order.
+def _mixture(dp, sigma, f, split, scale, finish, halves=("num", "den")):
+    """finish(dp, *h) for the halves h named in ``halves``, of (num, den), in that order.
 
     num weighs the coincidence brackets by 1 - f and f, den the
     event-mixed ones by (1 - f)^2, f^2 and 2 f (1 - f); the kernel
-    builds only the brackets behind the halves asked for. Grids longer
-    than two blocks go through the kernel _BLOCK points at a time along
-    the last axis; each point's arithmetic is the same either way.
+    builds only the brackets behind the halves asked for. ``finish`` is
+    the entry point's per-point step from the halves to its result.
+    Grids longer than two blocks go through y = dp/sigma, the kernel and
+    finish _BLOCK points at a time along the last axis, into one output
+    array; each point's arithmetic is the same either way.
     """
     terms = (f,) + _per_point(split / sigma, f)
-    y = dp / sigma
-    y = np.broadcast_to(y, np.broadcast_shapes(np.shape(y), np.shape(terms[1]), np.shape(f)))
-    n = y.shape[-1] if y.ndim else 1
+    shape = np.broadcast_shapes(np.shape(dp), np.shape(sigma), np.shape(terms[1]), np.shape(f))
+    n = shape[-1] if shape else 1
     if n <= 2 * _BLOCK:
-        return _mixture_block(scale, halves, y, *terms)
-    out = tuple(np.empty(y.shape) for _ in halves)
+        y = np.broadcast_to(dp / sigma, shape)
+        return finish(dp, *_mixture_block(scale, halves, y, *terms))
+    out = np.empty(shape)
+    args = (dp, sigma) + terms
+    # which arguments run along the grid, and so are cut per block
+    along = [np.shape(a)[-1:] == (n,) for a in args]
     for lo in range(0, n, _BLOCK):
         cut = np.s_[..., lo : lo + _BLOCK]
-        parts = (t[cut] if np.shape(t)[-1:] == (n,) else t for t in terms)
-        for whole, part in zip(out, _mixture_block(scale, halves, y[cut], *parts)):
-            whole[cut] = part
+        dp_cut, sigma_cut, *parts = (a[cut] if c else a for a, c in zip(args, along))
+        y = dp_cut / sigma_cut
+        block = out[cut]
+        if y.shape != block.shape:
+            y = np.broadcast_to(y, block.shape)
+        block[...] = finish(dp_cut, *_mixture_block(scale, halves, y, *parts))
     return out
 
 
+def _z_terms(delta, y):
+    """z = sqrt(d) y, x = -2z, em = expm1(x) and inv_sinhc(z), on one e^{-z} and one expm1(-2z).
+
+    inv_sinhc(z) and the intensity envelope's x_over_expm1(x) are both
+    ``_ratio``s over em, as in ``_stable``, so each equals that function
+    bit for bit. At d = 0, z holds NaN (0 * inf) where y overflowed, and
+    inv_sinhc, which takes |z| first, runs whole: the sign of that NaN
+    follows its own arithmetic.
+    """
+    z = np.sqrt(delta) * y
+    x = -2.0 * z
+    em = _expm1(x)
+    inv_s = _ratio(x, em, np.exp(-z)) if np.all(delta) else inv_sinhc(z)
+    return z, x, em, inv_s
+
+
 def _mixture_block(scale, halves, y, f, delta, j2, j4, jh, om, em2, em54, d_ser, z_ser, w0, w1, w2):
-    """_mixture on one block of y, with f and the _per_point terms cut to match.
+    """The halves of _mixture on one block of y, with f and the _per_point terms cut to match.
 
     The brackets of num are the singlet and triplet coincidence brackets
     divided by sinh(z)/z, those of den the event-mixed ones divided by
@@ -393,18 +448,28 @@ def _mixture_block(scale, halves, y, f, delta, j2, j4, jh, om, em2, em54, d_ser,
     ``delta`` and the rest of ``_split_terms`` are scalars or arrays per
     parameter point; ``y`` has the full broadcast shape.
     """
-    z = np.sqrt(delta) * y
-    inv_s = inv_sinhc(z)
-    g, ge = scale(delta, y, z, inv_s, j2, "den" in halves)
+    z, x, em, inv_s = _z_terms(delta, y)
+    g, ge = scale(delta, y, z, inv_s, j2, x, em, "den" in halves)
+    del x, em  # dead from here; see the heap note in the module docstring
     bc1 = _bc1(delta, y, z, inv_s, om, g)
-    out = ()
-    if "num" in halves:
-        bc0 = (1.0 + inv_s) / (1.0 + j2) * g
-        out += ((1.0 - f) * bc0 + f * bc1,)
+    # den first, so that num is not alive while den's larger set of
+    # brackets is
     if "den" in halves:
         den = _event_mixed(g, ge, bc1, delta, y, z, inv_s, j2, j4, jh, om, em2, em54, d_ser, z_ser, w0, w1, w2)
-        out += (den,)
-    return out
+        del ge
+    if "num" in halves:
+        num = (1.0 - f) * ((1.0 + inv_s) / (1.0 + j2) * g) + f * bc1
+    return tuple(num if h == "num" else den for h in halves)
+
+
+def _finish_R(dp, num, den):
+    """R from the halves of one block."""
+    return 2.0 * num / den - 1.0
+
+
+def _finish_intensity(n_pairs, norm):
+    """An intensity's per-point step: n_pairs dp^2 / norm times the half it returns."""
+    return lambda dp, half: n_pairs * dp * dp / norm * half
 
 
 def correlation_R(delta_p, sigma, triplet_fraction, momentum_split):
@@ -436,8 +501,7 @@ def correlation_R(delta_p, sigma, triplet_fraction, momentum_split):
         splitting gives exactly 0).
     """
     sigma, f, split = _check_physical(sigma, triplet_fraction, momentum_split)
-    num, den = _mixture(_check_delta_p(delta_p), sigma, f, split, _ratio_scale)
-    return (2.0 * num / den - 1.0)[()]
+    return _mixture(_check_delta_p(delta_p), sigma, f, split, _ratio_scale, _finish_R)[()]
 
 
 def coincidence_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pairs=1.0):
@@ -454,10 +518,8 @@ def coincidence_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pa
     sigma, f, split, n_pairs = _check_scalar_physical(
         sigma, triplet_fraction, momentum_split, n_pairs
     )
-    dp = _check_delta_p(delta_p)
-    (num,) = _mixture(dp, sigma, f, split, _intensity_scale, ("num",))
-    pref = n_pairs * dp * dp / (2.0 * _SQRT_PI * sigma**3)
-    return (pref * num)[()]
+    finish = _finish_intensity(n_pairs, 2.0 * _SQRT_PI * sigma**3)
+    return _mixture(_check_delta_p(delta_p), sigma, f, split, _intensity_scale, finish, ("num",))[()]
 
 
 def accidental_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pairs=1.0):
@@ -471,10 +533,8 @@ def accidental_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pai
     sigma, f, split, n_pairs = _check_scalar_physical(
         sigma, triplet_fraction, momentum_split, n_pairs
     )
-    dp = _check_delta_p(delta_p)
-    (den,) = _mixture(dp, sigma, f, split, _intensity_scale, ("den",))
-    pref = n_pairs * dp * dp / (4.0 * _SQRT_PI * sigma**3)
-    return (pref * den)[()]
+    finish = _finish_intensity(n_pairs, 4.0 * _SQRT_PI * sigma**3)
+    return _mixture(_check_delta_p(delta_p), sigma, f, split, _intensity_scale, finish, ("den",))[()]
 
 
 @dataclass(frozen=True)

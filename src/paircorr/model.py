@@ -48,30 +48,40 @@ class SpinChannel(enum.Enum):
         return 1.0 if self is SpinChannel.SINGLET else -1.0
 
 
-def _checked(name, value, ok, rule):
-    """value as a float, or a float array for array input, once ok holds everywhere."""
+def _checked(name, value, ok, rule, each=None):
+    """value as a float, or a float array for array input, once it passes.
+
+    ok(lo, hi) tests the least and the greatest value, found in two
+    reductions: a NaN makes both NaN, which fails every comparison, and
+    an empty array (lo = inf, hi = -inf) passes. ``each``, where given,
+    tests every value as well.
+    """
     v = np.asarray(value, dtype=float)
-    if not ok(v).all():
+    if v.ndim:
+        lo, hi = v.min(initial=np.inf), v.max(initial=-np.inf)
+    else:  # a reduction costs microseconds on one number
+        lo = hi = float(v)
+    if not ok(lo, hi) or (each is not None and not each(v).all()):
         raise ValueError(f"{name} must be {rule}, got {value}")
     return float(v) if v.ndim == 0 else v
 
 
 def _positive(name, value):
-    return _checked(name, value, lambda v: np.isfinite(v) & (v > 0.0), "positive and finite")
+    return _checked(name, value, lambda lo, hi: lo > 0.0 and hi < np.inf, "positive and finite")
 
 
 def _nonnegative(name, value):
-    return _checked(name, value, lambda v: np.isfinite(v) & (v >= 0.0), "finite and >= 0")
+    return _checked(name, value, lambda lo, hi: lo >= 0.0 and hi < np.inf, "finite and >= 0")
 
 
 def _fraction(name, value):
-    return _checked(name, value, lambda v: (v >= 0.0) & (v <= 1.0), "in [0, 1]")
+    return _checked(name, value, lambda lo, hi: lo >= 0.0 and hi <= 1.0, "in [0, 1]")
 
 
 def _whole(name, value, minimum):
     """value as an int once it is a whole number >= minimum; _set_scalars refuses arrays."""
-    ok = lambda v: np.isfinite(v) & (v == np.floor(v)) & (v >= minimum)  # noqa: E731
-    v = _checked(name, value, ok, f"a whole number >= {minimum}")
+    ok = lambda lo, hi: lo >= minimum and hi < np.inf  # noqa: E731
+    v = _checked(name, value, ok, f"a whole number >= {minimum}", lambda v: v == np.floor(v))
     return v if np.ndim(v) else int(value)
 
 
@@ -158,7 +168,7 @@ def coordinate_uncertainty(sigma, t=0.0):
     sqrt(1 + 4 sigma^4 t^2) / (2 sigma). sigma must be positive and t finite.
     """
     sigma = np.asarray(_positive("sigma", sigma))
-    t = np.asarray(_checked("t", t, np.isfinite, "finite"))
+    t = np.asarray(_checked("t", t, lambda lo, hi: -np.inf < lo and hi < np.inf, "finite"))
     return np.sqrt(1.0 + 4.0 * sigma**4 * t * t) / (2.0 * sigma)
 
 

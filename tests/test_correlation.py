@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import paircorr.correlation
 import paircorr.model
+from paircorr._stable import inv_sinhc, x_over_expm1
 from paircorr.correlation import (
     _BLOCK,
     CorrelationCurve,
@@ -362,9 +363,11 @@ def test_intensities_match_the_two_half_kernel(monkeypatch):
     # must come out byte-equal to that half of the kernel that builds both
     kernel = paircorr.correlation._mixture
 
-    def both_halves(dp, sigma, f, split, scale, halves=("num", "den")):
-        full = dict(zip(("num", "den"), kernel(dp, sigma, f, split, scale)))
-        return tuple(full[h] for h in halves)
+    def both_halves(dp, sigma, f, split, scale, finish, halves=("num", "den")):
+        def pick(dp, num, den):
+            return finish(dp, *(dict(num=num, den=den)[h] for h in halves))
+
+        return kernel(dp, sigma, f, split, scale, pick)
 
     n = 2 * _BLOCK + 3  # long enough for the blocked path
     calls = [
@@ -440,6 +443,30 @@ def test_per_point_terms_match_scalar_terms():
     for k, column in enumerate(batch):
         assert column.shape == (20_000, 1)
         _assert_same_bytes(column[:, 0], np.array([terms[k] for terms in alone]))
+
+
+_SHARED_Z = [0.0, 5e-324, 1e-300, 2.0**-55, 2.0**-54, 1e-8, np.nextafter(0.5, 0.0), 0.5,
+             np.nextafter(0.5, 1.0), 1.75, 20.0, 354.5, 709.8, 710.0, 1e300, np.inf]
+
+
+def test_shared_exponentials_match_the_primitives():
+    # the kernel forms inv_sinhc(z) and the envelope's x / expm1(x) at
+    # x = -2z from one e^{-z} and one expm1(-2z): both must equal the
+    # standalone primitives bit for bit, on whole arrays (with and
+    # without the expm1 shortcut) and on single points; sech(z/2) the
+    # kernel takes from sech itself
+    z = np.array(_SHARED_Z)
+    for zs in (z, z[z < 2.0**-54], *(np.float64(v) for v in z)):
+        got_z, x, em, inv_s = paircorr.correlation._z_terms(1.0, zs)
+        _assert_same_bytes(got_z, zs)
+        _assert_same_bytes(inv_s, inv_sinhc(zs))
+        _assert_same_bytes(paircorr.correlation._ratio(x, em), x_over_expm1(-2.0 * zs))
+    # at d = 0, 0 * inf leaves NaN in z, whose sign inv_sinhc sets itself
+    with np.errstate(invalid="ignore"):
+        for y in (np.array([0.0, 1.0, np.inf, 2.0] * 5), np.float64(np.inf)):
+            got_z, x, em, inv_s = paircorr.correlation._z_terms(0.0, y)
+            _assert_same_bytes(inv_s, inv_sinhc(got_z))
+            _assert_same_bytes(paircorr.correlation._ratio(x, em), x_over_expm1(-2.0 * got_z))
 
 
 def test_input_validation():

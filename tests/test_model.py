@@ -13,6 +13,10 @@ from paircorr.model import (
     DEGENERACY_RATIO,
     ModelParams,
     SpinChannel,
+    _fraction,
+    _nonnegative,
+    _positive,
+    _whole,
     coordinate_uncertainty,
     mixture_density,
     mixture_marginal,
@@ -255,6 +259,67 @@ def test_params_validation():
     ):
         with pytest.raises(ValueError):
             ModelParams(**bad)
+
+
+_RULES = {
+    _positive: "positive and finite",
+    _nonnegative: "finite and >= 0",
+    _fraction: "in [0, 1]",
+}
+# value -> (_positive, _nonnegative, _fraction) accepts it
+_VERDICTS = [
+    (0.5, (True, True, True)),
+    (1.0, (True, True, True)),
+    (0.0, (False, True, True)),
+    (-0.0, (False, True, True)),
+    (5e-324, (True, True, True)),
+    (-5e-324, (False, False, False)),
+    (1.0 + 2.0**-52, (True, True, False)),
+    (1.7e308, (True, True, False)),
+    (np.nan, (False, False, False)),
+    (np.inf, (False, False, False)),
+    (-np.inf, (False, False, False)),
+    (np.float64(-0.0), (False, True, True)),
+    (np.array(0.25), (True, True, True)),
+    (np.array(np.nan), (False, False, False)),
+    (np.array([]), (True, True, True)),
+    (np.zeros((0, 3)), (True, True, True)),
+    (np.array([0.2, 0.9]), (True, True, True)),
+    (np.array([-0.0, 0.5]), (False, True, True)),
+    (np.array([0.5, np.nan]), (False, False, False)),
+    (np.array([np.nan, np.inf]), (False, False, False)),
+    (np.array([0.5, np.inf]), (False, False, False)),
+    (np.array([-np.inf, 0.5]), (False, False, False)),
+    (np.array([[0.5, 2.0], [3.0, 0.1]]), (True, True, False)),
+]
+
+
+@pytest.mark.parametrize("value, verdicts", _VERDICTS)
+def test_range_validators(value, verdicts):
+    # each validator checks an array by its least and greatest value; NaN
+    # and infinities fail, -0.0 counts as >= 0, and an empty array passes
+    for (check, rule), accepts in zip(_RULES.items(), verdicts):
+        if accepts:
+            got = check("x", value)
+            if np.ndim(value):
+                assert isinstance(got, np.ndarray) and got.dtype == float
+                assert got.tobytes() == np.asarray(value, dtype=float).tobytes()
+            else:
+                assert isinstance(got, float)
+                assert np.asarray(got).tobytes() == np.asarray(value, dtype=float).tobytes()
+        else:
+            with pytest.raises(ValueError) as err:
+                check("x", value)
+            assert str(err.value) == f"x must be {rule}, got {value}"
+
+
+def test_whole_validator():
+    assert _whole("n", 3, 1) == 3 and isinstance(_whole("n", 3.0, 1), int)
+    assert _whole("n", np.array([]), 1).shape == (0,)
+    np.testing.assert_array_equal(_whole("n", np.array([0.0, 4.0]), 0), [0.0, 4.0])
+    for bad, minimum in ((2.5, 0), (0, 1), (np.nan, 0), (np.inf, 0), (-np.inf, 0), (np.array([1.0, 1.5]), 0)):
+        with pytest.raises(ValueError, match=f"n must be a whole number >= {minimum}, got"):
+            _whole("n", bad, minimum)
 
 
 def test_params_vector_coercion():
