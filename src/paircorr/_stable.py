@@ -16,10 +16,13 @@ inv_sinhc(z) and x_over_expm1(x) at x = -2z are both a ratio over the
 same expm1(-2z), filled in with 1 at 0; each is built by ``_ratio``. The
 closed-form kernel computes x = -2z and expm1(x) once per block and
 builds both ratios from them with ``_ratio`` too, so its values are
-these functions' values bit for bit. Likewise it takes sinhc_m1's
-series, ``_sinhc_m1_series``, directly on the points below 0.5 that it
-selects.
+these functions' values bit for bit. The kernel's
+A(z) = (1 - inv_sinhc(z)) / z^2 is inv_sinhc(z) times the series of
+(sinh(z)/z - 1) / z^2 that sinhc_m1 takes below 0.5, ``_SINHC_M1_COEFS``
+by ``_horner``.
 """
+
+import math
 
 import numpy as np
 
@@ -69,23 +72,25 @@ def sinhc_m1(z):
     with inv_sinhc or one_minus_inv_sinhc instead.
     """
     z = np.abs(np.asarray(z, dtype=float))
-    ser = _sinhc_m1_series(z * z)
+    z2 = z * z
+    ser = z2 * _horner(_SINHC_M1_COEFS, z2)
     if np.any(z >= 0.5):  # the direct form runs only when some z needs it
         with np.errstate(over="ignore", invalid="ignore"):
             ser = np.where(z < 0.5, ser, np.sinh(z) / z - 1.0)
     return ser[()]
 
 
-def _sinhc_m1_series(z2):
-    """sinh(z)/z - 1 from z2 = z^2 by its Taylor series, the form sinhc_m1 takes below z = 0.5."""
-    # ratios of consecutive series terms: (2k)(2k+1) for k = 1..8
-    tail = 1.0
-    for fac in (272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):
-        step = z2 / fac  # 1 + z2 / fac * tail, in place
-        step *= tail
-        step += 1.0
-        tail = step
-    return z2 / 6.0 * tail
+def _horner(coefs, x):
+    """Evaluate sum coefs[k] x^k with ascending coefficients (at least two)."""
+    acc = coefs[-1] * x + coefs[-2]
+    for c in coefs[-3::-1]:  # in place: no temporary per step
+        acc *= x
+        acc += c
+    return acc
+
+
+# (sinh(z)/z - 1) / z^2 = sum_k z^{2k} / (2k+3)!, k = 0..7 (truncation < 1e-19 below z = 0.5)
+_SINHC_M1_COEFS = tuple(1.0 / math.factorial(2 * k + 3) for k in range(8))
 
 
 def one_minus_inv_sinhc(z):

@@ -30,11 +30,12 @@ part plus the one coincidence bracket (the triplet one) that its cross
 term holds. The brackets come from cancellation-free primitives, with
 the numerator reduced by sinh(z)/z and the denominator by
 J^2 sinh(z)/z, so R stays finite even where J^2 or z/sinh(z) underflow
-on their own; the one genuinely cancelling bracket (the triplet
-event-mixed term) switches to a bivariate series in (d, y^2) below
-d = 1e-4, z = 0.05. At tiny d (below the smallest normal double, where
-1 - J^2 is subnormal or 0) the same brackets take their d -> 0 limits:
-the series at d = 0, and y^2/6 for the triplet coincidence bracket. The
+on their own. The one genuinely cancelling bracket, the triplet
+event-mixed term, takes one factored form below d/4 + z/2 = 2.5, exact
+for every d from 0 up (see N_B below), and the plain sum of decaying
+exponentials past it. At tiny d (below the smallest normal double,
+where 1 - J^2 is subnormal or 0) the triplet coincidence bracket takes
+its exact form A(z) y^2 with d / (1 - J^2) at its limit 1. The
 intensities are the same brackets times the envelope
 g1 = e^{-y^2/4} J^2 sinh(z)/z. The event-mixed brackets carry a term
 eds = z/sinh(z) / J^2, and g1 eds is e^{-y^2/4} exactly; the kernel
@@ -58,9 +59,10 @@ system once it exceeds twice the largest freed mmapped chunk (there,
 the output's size); below that, what a call frees stays mapped for the
 next call instead of being faulted back in. None of this changes any
 point's arithmetic.
-Worst-case relative error of the assembled forms is a few 1e-12 over
-the full parameter domain (measured against 50-digit references in the
-tests).
+Against 50-digit references (in the tests), R is within 5e-15 relative
+to 1 + R below the plain switch, and the tests' full scan reads 4e-14
+at worst, at a d = 701 row. The intensities add the rounding of their
+envelope's exponent y^2/4 before exp, about 2^-52 y^2/4 relative.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stable import _expm1, _ratio, _sinhc_m1_series, inv_sinhc, sech, x_over_expm1
-from ._stable import one_minus_inv_sinhc, sinhc_m1  # noqa: F401  # wrapped by name in perfbench/tracing.py
+from ._stable import _SINHC_M1_COEFS, _expm1, _horner, _ratio, inv_sinhc, sech
+from ._stable import one_minus_inv_sinhc, sinhc_m1, x_over_expm1  # noqa: F401  # wrapped by name in perfbench/tracing.py
 from .model import _fraction, _nonnegative, _positive
 
 __all__ = [
@@ -84,82 +86,44 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# The triplet event-mixed bracket
-#   N_B(d, z) = 1 + 2 e^{-2d} + e^{-d} sinh(z)/z - 8 e^{-5d/4} sinh(z/2)/z
-# vanishes to second order at the origin. Below the switch point it is
-# evaluated as d^2 [P0(y^2) + d P1(y^2) + d^2 P2(y^2)] with y^2 = z^2/d;
-# coefficients are exact rationals of the Taylor expansion.
-_NB_P0 = (660.0 / 480.0, 20.0 / 480.0, 3.0 / 480.0)
-_NB_P1 = (-41160.0 / 26880.0, -1260.0 / 26880.0, -154.0 / 26880.0, 5.0 / 26880.0)
-_NB_P2 = (
-    2498160.0 / 2580480.0,
-    68320.0 / 2580480.0,
-    6552.0 / 2580480.0,
-    -472.0 / 2580480.0,
-    7.0 / 2580480.0,
-)
-_SERIES_DELTA = 1e-4
-_SERIES_Z = 0.05
 # Below the smallest normal double, 1 - J^2 (= d to first order) keeps
 # only the handful of bits a subnormal can hold, so ratios against it
 # wobble at the 1e-4 level; the exact d -> 0 limit is closer than that
 # by hundreds of orders of magnitude.
 _TINY_DELTA = 2.2250738585072014e-308
 
+# The triplet event-mixed bracket
+#   N_B(d, z) = 1 + 2 e^{-2d} + e^{-d} sinh(z)/z - 8 e^{-5d/4} sinh(z/2)/z
+# vanishes to second order at the origin. Below the plain switch it is
+# taken in a factored form that holds exactly for every d >= 0:
+#   N_B inv_sinhc / d^2 = y^2 (y^2 Zq(z) + k1 A(z) + k2 B(z)) + C(d)
+# with y^2 = z^2/d, A = (1 - inv_sinhc)/z^2, B = (1 - sech(z/2))/z^2,
+# Zq = inv_sinhc Z(z)/z^4, k1 = -2 (e^{-2d} - 1)/d, k2 = 4 (e^{-5d/4} - 1)/d
+# and C = c(d)/d^2, c(d) = 2 expm1(-2d) + expm1(-d) - 4 expm1(-5d/4).
+# k1, k2 and C are per-split scalars. Of the rest, only k1 A + k2 B
+# cancels, ~16x, and never dominates the sum; A loses ~25 ulp just
+# above z = 0.5, and Zq ~1e-14 at its z = 1.75 seam.
 # z-only part of N_B: Z(z) = 3 + sinh(z)/z - 8 sinh(z/2)/z
 #                          = sum_{k>=2} (1 - 4^{1-k}) z^{2k} / (2k+1)!
-_Z_COEFS = tuple(
-    (1.0 - 4.0 ** (1 - k)) / float(math.factorial(2 * k + 1)) for k in range(2, 10)
-)
+_Z_COEFS = tuple((1.0 - 4.0 ** (1 - k)) / float(math.factorial(2 * k + 1)) for k in range(2, 10))
 _Z_SWITCH = 1.75
-# Past d/4 + z/2 = _PLAIN_SWITCH the grouped expm1 form of N_B loses the
-# surviving e^{-d} piece to rounding; there the plain combination of
-# decaying exponentials is cancellation-free (its one subtracted term is
-# at most 8 e^{-(d/4 + z/2)} ~ 0.66 of the positive part) and exact.
+# C = c(d)/d^2 = sum_{n>=2} (-1)^n (2^{n+1} + 1 - 5^n/4^{n-1}) d^{n-2} / n!,
+# the form C takes below d = 0.2 (truncation < 1e-19); past it c(d),
+# which cancels its O(d) terms, loses at most ~20x to rounding
+_C_COEFS = tuple((-1) ** n * (2.0 ** (n + 1) + 1.0 - 5.0**n / 4.0 ** (n - 1)) / math.factorial(n) for n in range(2, 17))
+# The series of A and Zq take z^2 of z clamped to at least 2^-30, which
+# keeps them off subnormal z^2 (~40x slower); exact in those series alone
+_Z_FLOOR = 2.0**-30
+_SERIES_FLAT = 2.0**-26
+# Past d/4 + z/2 = _PLAIN_SWITCH the plain combination of decaying
+# exponentials is cancellation-free (its one subtracted term is at most
+# 8 e^{-(d/4 + z/2)} ~ 0.66 of the positive part) and exact.
 _PLAIN_SWITCH = 2.5
 # Points per kernel call along the dp axis of long grids: a block's float
 # temporaries fit a 2 MiB L2 cache (best of a sweep over 2k-32k points).
 # The block bounds fix the sign of the NaN that R takes at zero splitting
 # where dp/sigma overflows, so a new size changes those bytes.
 _BLOCK = 8192
-
-
-def _horner(coefs, x):
-    """Evaluate sum coefs[k] x^k with ascending coefficients (at least two)."""
-    acc = coefs[-1] * x + coefs[-2]
-    for c in coefs[-3::-1]:  # in place: no temporary per step
-        acc *= x
-        acc += c
-    return acc
-
-
-def _nb_series(delta, y2):
-    """N_B / d^2 from the bivariate Taylor expansion (series region only)."""
-    return (
-        _horner(_NB_P0, y2)
-        + delta * _horner(_NB_P1, y2)
-        + delta * delta * _horner(_NB_P2, y2)
-    )
-
-
-def _zfun(z):
-    """Z(z) = 3 + sinh(z)/z - 8 sinh(z/2)/z by its series (z < 1.75; ~1e-14 at the seam)."""
-    z2 = z * z
-    series = _horner(_Z_COEFS, z2)
-    return z2 * z2 * series
-
-
-def _mix_core(z, inv_s, sh):
-    """inv_sinhc(z) * Z(z), stable at both ends.
-
-    For small z the product of the Z series with inv_sinhc keeps full
-    accuracy. For large z the algebraic identity
-    inv_sinhc * Z = 3 inv_sinhc + 1 - 4 sech(z/2) takes over; its mild
-    cancellation near the seam costs a few 1e-14.
-    """
-    small = z < _Z_SWITCH
-    core = _fill(z.shape, ~small, lambda i, sh: 3.0 * i + 1.0 - 4.0 * sh, inv_s, sh)
-    return _fill(core, small, lambda zs, i: i * _zfun(zs), z, inv_s)
 
 
 def _check_physical(sigma, triplet_fraction, momentum_split):
@@ -199,24 +163,22 @@ def _split_terms(q):
     """Scalars of one split-to-width ratio q = split/sigma.
 
     Returns d = q^2/4, J^2 = e^{-d}, J^4, J^{1/2} = e^{-d/4}, 1 - J^2,
-    e^{-2d} - 1 and e^{-5d/4} - 1, then where the N_B series serves: the
-    d it runs at and the largest z it takes (-inf, so none, past
-    d = 1e-4). At tiny d it takes every z and runs at d = 0, where its d
-    terms are below rounding anyway, so its arithmetic stays off subnormals.
+    then the factored N_B's k1, k2, C and (d/(1 - J^2))^2 / J^2, each
+    at its d -> 0 limit where d is 0, the last inf where J^2 underflows.
+    k1 and k2 are ratios over the rounded arguments of their expm1, as
+    1.25 d rounds at subnormal d.
     """
     delta = q**2 / 4.0
-    tiny = delta < _TINY_DELTA
-    return (
-        delta,
-        math.exp(-delta),
-        math.exp(-2.0 * delta),
-        math.exp(-0.25 * delta),
-        -math.expm1(-delta),  # 1 - J^2, exactly 0 at d = 0
-        math.expm1(-2.0 * delta),
-        math.expm1(-1.25 * delta),
-        0.0 if tiny else delta,
-        math.inf if tiny else _SERIES_Z if delta <= _SERIES_DELTA else -math.inf,
-    )
+    j2 = math.exp(-delta)
+    om = -math.expm1(-delta)  # 1 - J^2, exactly 0 at d = 0
+    x2, x54 = -2.0 * delta, -1.25 * delta
+    em2, em54 = math.expm1(x2), math.expm1(x54)
+    c = _horner(_C_COEFS, delta) if delta < 0.2 else (2.0 * em2 - om - 4.0 * em54) / delta / delta
+    k1 = 4.0 * (em2 / x2 if delta else 1.0)  # -2 (e^{-2d} - 1) / d
+    k2 = -5.0 * (em54 / x54 if delta else 1.0)  # 4 (e^{-5d/4} - 1) / d
+    ratio = delta / om if delta else 1.0  # d / (1 - J^2)
+    fac = ratio * ratio / j2 if j2 else math.inf
+    return delta, j2, math.exp(-2.0 * delta), math.exp(-0.25 * delta), om, k1, k2, c, fac
 
 
 def _per_point(q, f):
@@ -294,22 +256,45 @@ def _intensity_scale(delta, y, z, inv_s, j2, x, em, mixed):
     return np.exp(z - w - delta) / _ratio(x, em), (np.exp(-w) if mixed else None)
 
 
-def _bc1(delta, y, z, inv_s, om, g):
+def _bc1(delta, y, z, inv_s, om, g, a, small):
     """The triplet coincidence bracket (1 - inv_sinhc(z)) / (1 - J^2), times g.
 
-    At tiny d, where 1 - J^2 is subnormal or 0, it takes its d -> 0
-    limit y^2/6. num weighs it by f, and den's cross bracket holds it.
+    ``a`` holds A(z) on the ``small`` points, z < 0.5. At tiny d, where
+    1 - J^2 is subnormal or 0, the bracket is A(z) y^2 g, its exact form
+    with d / (1 - J^2) at its limit 1. num weighs it by f, and den's
+    cross bracket holds it.
     """
-    bc1 = _fill(z.shape, delta >= _TINY_DELTA, _bc1_over_om, z, inv_s, om, g)
-    return _fill(bc1, delta < _TINY_DELTA, lambda y, g: y * y / 6.0 * g, y, g)
+    bc1 = _fill(z.shape, delta >= _TINY_DELTA, _bc1_over_om, z, inv_s, om, g, a, small)
+    return _fill(bc1, delta < _TINY_DELTA, lambda z, i, y, g: _a(z, i) * (y * g) * y, z, inv_s, y, g)
 
 
-def _bc1_over_om(z, inv_s, om, g):
-    """(1 - inv_sinhc(z)) / (1 - J^2) times g, through the series of sinh(z)/z - 1 below z = 0.5."""
-    return _fill(1.0 - inv_s, z < 0.5, lambda zs, i: i * _sinhc_m1_series(zs * zs), z, inv_s) / om * g
+def _bc1_over_om(z, inv_s, om, g, a, small):
+    """(1 - inv_sinhc(z)) / (1 - J^2) times g; below z = 0.5 as A z (z / (1 - J^2)), exact where z^2 underflows."""
+    return _fill((1.0 - inv_s) / om, small, lambda a, z, om: a * z * (z / om), a, z, om) * g
 
 
-def _event_mixed(g, ge, bc1, delta, y, z, inv_s, j2, j4, jh, om, em2, em54, d_ser, z_ser, w0, w1, w2):
+def _a(z, inv_s):
+    """A(z) = (1 - inv_sinhc(z)) / z^2; below z = 0.5 from the series of sinh(z)/z - 1."""
+    small = z < 0.5
+    a = _fill(z.shape, ~small, lambda z, i: (1.0 - i) / (z * z), z, inv_s)
+    return _fill(a, small, lambda z, i: _series(_SINHC_M1_COEFS, z, i), z, inv_s)
+
+
+def _series(coefs, z, inv_s):
+    """inv_s times sum_k coefs[k] z^{2k}, on z^2 of z clamped to at least _Z_FLOOR.
+
+    Below z = 2^-26 each term past the first is under half an ulp of it
+    (for the series of A and Zq), so where all of z lies there (every
+    point at tiny d) the sum is coefs[0] bit for bit, without Horner steps.
+    """
+    if (z.max(initial=0.0) if z.ndim else float(z)) < _SERIES_FLAT:
+        return inv_s * coefs[0]
+    z2 = np.maximum(z, _Z_FLOOR)
+    z2 *= z2
+    return inv_s * _horner(coefs, z2)
+
+
+def _event_mixed(g, ge, bc1, a, near, y, z, inv_s, j2, j4, jh, om, k1, k2, c, fac, w0, w1, w2):
     """den: the event-mixed brackets weighed by (1 - f)^2, f^2 and 2 f (1 - f).
 
     The brackets (singlet^2 bu0, triplet^2 bu1, cross buc) are divided
@@ -324,16 +309,35 @@ def _event_mixed(g, ge, bc1, delta, y, z, inv_s, j2, j4, jh, om, em2, em54, d_se
     # each bracket joins den as soon as it is built, in the order bu0,
     # bu1, buc, so that few block-sized arrays are alive at once
     den = _weighed(0.0, w0, (ends + mid) / (op * op))
-    # N_B * inv_sinhc / (J^2 (1 - J^2)^2): the series at the origin and
-    # at every tiny d, the exponential forms elsewhere
-    series = z <= z_ser
-    bu1 = _fill(z.shape, ~series, _nb_away, delta, z, inv_s, sh, g, om, em2, em54, j2, ends, mid)
-    del sh, ends, mid
-    den = _weighed(den, w1, _fill(bu1, series, _nb_at_origin, d_ser, y, inv_s, j2, g))
-    del bu1
+    # N_B * inv_sinhc / (J^2 (1 - J^2)^2): the factored form on the near
+    # points, below the plain switch, at every d; divide by om twice, not
+    # by om * om: for d below ~1e-154 the square underflows to zero while
+    # the staged quotient stays exact
+    bu1 = _fill(z.shape, ~near, lambda e, m, om: (e - m) / om / om, ends, mid, om)
+    del ends, mid
+    den = _weighed(den, w1, _fill(bu1, near, _nb_factored, y, z, inv_s, sh, a, g, k1, k2, c, fac))
+    del sh, bu1
     # the cross bracket's constant part factors exactly:
     # (1 - J^4) - J^2 (1 - J^2) = (1 - J^2)(1 + 2 J^2), cancelling om
     return _weighed(den, w2, ((1.0 + 2.0 * j2) * ge + bc1) / op)
+
+
+def _nb_factored(y, z, inv_s, sh, a, g, k1, k2, c, fac):
+    """The same bracket in the factored form, [y^2 (y^2 Zq + k1 A + k2 B) + C] fac, times g.
+
+    The sum is nested in y^2 as written: k1 A + k2 B turns negative
+    near z = 3, so y^4 Zq + y^2 (k1 A + k2 B) would be inf - inf where
+    y^2 Zq overflows. g enters with the first y, so that where the
+    envelope underflows the bracket is 0, not 0 * inf.
+    B = (1 - sech(z/2)) / z^2 is taken as sech(z/2)^4 / (4 inv_s^2 (1 + sech(z/2))).
+    """
+    small = z < _Z_SWITCH
+    # Zq = inv_sinhc Z / z^4: by the Z series below 1.75, above it from
+    # inv_sinhc Z = 3 inv_sinhc + 1 - 4 sech(z/2)
+    zq = _fill(z.shape, ~small, lambda i, sh, z: (3.0 * i + 1.0 - 4.0 * sh) / (z * z) ** 2, inv_s, sh, z)
+    zq = _fill(zq, small, lambda i, z: _series(_Z_COEFS, z, i), inv_s, z)
+    b = (sh * sh / inv_s) ** 2 / (4.0 * (1.0 + sh))
+    return ((y * g) * y * (y * y * zq + (k1 * a + k2 * b)) + c * g) * fac
 
 
 def _weighed(den, coef, bracket):
@@ -350,27 +354,6 @@ def _weighed(den, coef, bracket):
         with np.errstate(invalid="ignore"):
             return den + np.where(coef != 0.0, coef * bracket, 0.0)
     return den
-
-
-def _nb_away(delta, z, inv_s, sh, g, om, em2, em54, j2, ends, mid):
-    """N_B * inv_sinhc / (J^2 (1 - J^2)^2) times g off the origin, grouped or plain."""
-    near = 0.25 * delta + 0.5 * z < _PLAIN_SWITCH
-    # divide by om twice, not by om * om: for d below ~1e-154 the square
-    # underflows to zero while the staged quotient stays exact
-    bu1 = _fill(z.shape, ~near, lambda e, m, om: (e - m) / om / om, ends, mid, om)
-    return _fill(bu1, near, _nb_grouped, z, inv_s, sh, g, om, em2, em54, j2)
-
-
-def _nb_grouped(z, inv_s, sh, g, om, em2, em54, j2):
-    """The same bracket in the grouped expm1 form."""
-    core = _mix_core(z, inv_s, sh) + 2.0 * inv_s * em2 - om - 4.0 * em54 * sh
-    return core / j2 * g / om / om
-
-
-def _nb_at_origin(delta, y, inv_s, j2, g):
-    """The same bracket from the series at small (d, z)."""
-    ratio = x_over_expm1(-delta)  # d / (1 - J^2)
-    return inv_s * _nb_series(delta, y * y) * ratio * ratio / j2 * g
 
 
 def _eds_saturated(delta, z):
@@ -432,7 +415,7 @@ def _z_terms(delta, y):
     return z, x, em, inv_s
 
 
-def _mixture_block(scale, halves, y, f, delta, j2, j4, jh, om, em2, em54, d_ser, z_ser, w0, w1, w2):
+def _mixture_block(scale, halves, y, f, delta, j2, j4, jh, om, k1, k2, c, fac, w0, w1, w2):
     """The halves of _mixture on one block of y, with f and the _per_point terms cut to match.
 
     The brackets of num are the singlet and triplet coincidence brackets
@@ -451,11 +434,16 @@ def _mixture_block(scale, halves, y, f, delta, j2, j4, jh, om, em2, em54, d_ser,
     z, x, em, inv_s = _z_terms(delta, y)
     g, ge = scale(delta, y, z, inv_s, j2, x, em, "den" in halves)
     del x, em  # dead from here; see the heap note in the module docstring
-    bc1 = _bc1(delta, y, z, inv_s, om, g)
+    small = z < 0.5
+    # the points of den that the factored form of N_B serves
+    near = z < 2.0 * _PLAIN_SWITCH - 0.5 * delta if "den" in halves else None
+    # A(z) only where it is taken: by bc1 below z = 0.5 and by the factored N_B
+    a = _fill(z.shape, small if near is None else small | near, _a, z, inv_s)
+    bc1 = _bc1(delta, y, z, inv_s, om, g, a, small)
     # den first, so that num is not alive while den's larger set of
     # brackets is
     if "den" in halves:
-        den = _event_mixed(g, ge, bc1, delta, y, z, inv_s, j2, j4, jh, om, em2, em54, d_ser, z_ser, w0, w1, w2)
+        den = _event_mixed(g, ge, bc1, a, near, y, z, inv_s, j2, j4, jh, om, k1, k2, c, fac, w0, w1, w2)
         del ge
     if "num" in halves:
         num = (1.0 - f) * ((1.0 + inv_s) / (1.0 + j2) * g) + f * bc1

@@ -21,6 +21,7 @@ from paircorr.correlation import (
     _BLOCK,
     CorrelationCurve,
     _per_point,
+    _split_terms,
     accidental_intensity,
     coincidence_intensity,
     correlation_R,
@@ -79,7 +80,7 @@ def _scan_points():
         (9e-5, 0.049), (9e-5, 0.051), (1.1e-4, 0.049), (1.1e-4, 0.051),
         (0.01, 0.499), (0.01, 0.501),   # sinh(z)/z - 1 series switch
         (1.0, 1.74), (1.0, 1.76),       # z-only bracket switch
-        (4.0, 2.98), (4.0, 3.02),       # grouped/plain switch, T = 2.5
+        (4.0, 2.98), (4.0, 3.02),       # factored/plain switch, T = 2.5
         (25.0, 100.0),                  # large z, moderate delta
         (196.0, 700.0),                 # extreme corner
     ]:
@@ -111,7 +112,48 @@ def test_closed_forms_match_reference():
         # intensity ratio R + 1, not of R itself
         want = float(r_ref)
         worst = max(worst, abs(r - want) / (1.0 + abs(want)))
-    assert worst < 5e-12, f"worst relative error {worst:.3e}"
+    assert worst < 5e-14, f"worst relative error {worst:.3e}"
+
+
+def _seam_points():
+    """(sigma, p_tilde, f, dp grid) rows: d log-spaced over [1e-6, 1e-2], z over [1e-3, 1].
+
+    The grid covers where z^2 is comparable to d for every d near 1e-4,
+    with f in {0.5, 1}; a last row holds (p_tilde = 0.020976, dp = 1.0541).
+    """
+    z = np.geomspace(1e-3, 1.0, 25)
+    rows = []
+    for dlt in np.geomspace(1e-6, 1e-2, 25):
+        p_tilde = 2.0 * math.sqrt(dlt)
+        for f in (0.5, 1.0):
+            rows.append((1.0, p_tilde, f, 2.0 * z / p_tilde))
+    rows.append((1.0, 0.020976, 1.0, np.array([1.0541])))
+    return rows
+
+
+def test_seam_scan_matches_reference():
+    # the triplet event-mixed bracket takes one form for every d below
+    # the plain switch, so no d or z in this region may sit on a seam.
+    # The intensities also carry e^{-y^2/4}, whose exponent rounds at
+    # 2^-53 of y^2/4 before exp: the allowance grows with y^2 (at
+    # y = 51, e^{-650}, it is 2.9e-13) and leaves 5e-14 at small y
+    worst = 0.0
+    for sigma, p_tilde, f, dp in _seam_points():
+        got = (
+            coincidence_intensity(dp, sigma, f, p_tilde),
+            accidental_intensity(dp, sigma, f, p_tilde),
+            correlation_R(dp, sigma, f, p_tilde),
+        )
+        for k, x in enumerate(dp):
+            icor_ref, iunc_ref, r_ref = _mp_reference(x, sigma, f, p_tilde)
+            allowance = 2.0**-53 * (x / sigma) ** 2
+            for got_k, want in ((got[0][k], icor_ref), (got[1][k], iunc_ref)):
+                want = float(want)
+                err = abs(got_k - want) / abs(want) if want != 0.0 else abs(got_k)
+                worst = max(worst, err - allowance)
+            want = float(r_ref)
+            worst = max(worst, abs(got[2][k] - want) / (1.0 + abs(want)))
+    assert worst < 5e-14, f"worst relative error {worst:.3e}"
 
 
 # the curve-sweep benchmark regimes with d <= 700: (sigma, p_tilde, f, top
@@ -271,9 +313,10 @@ def test_vector_split_uses_magnitude():
 
 def test_parameter_batch_matches_scalar_calls():
     # one (m, 1) column per parameter evaluates m curves in one call;
-    # rows span every regime (d = p_tilde^2 / 4 sigma^2): tiny-d (d = 0
-    # exactly and subnormal d), series, grouped, plain and saturated
-    # (d = 900), each at f = 0, an interior f and f = 1
+    # rows span every regime (d = p_tilde^2 / 4 sigma^2): factored at
+    # tiny d (d = 0 exactly and subnormal d) and at d = 2.5e-5 and
+    # 0.0025, plain beyond a factored core, and saturated (d = 900),
+    # each at f = 0, an interior f and f = 1
     regimes = [
         (0.3, 0.0), (0.3, 1e-160), (0.5, 0.005), (0.22, 0.022), (0.2, 0.6), (1.0, 4.0), (0.1, 6.0)
     ]
@@ -306,8 +349,9 @@ def test_parameter_batch_matches_scalar_calls():
     assert correlation_R(dp, np.empty((0, 1)), 0.3, 0.1).shape == (0, dp.size)
 
 
-# (sigma, p_tilde) of each kernel regime: tiny-d (d = 0 and subnormal
-# d), series, grouped, plain beyond a grouped core, saturated (d = 900)
+# (sigma, p_tilde) of each kernel regime: factored at tiny d (d = 0
+# and subnormal d) and at d = 2.5e-5 and 0.0025, plain beyond a
+# factored core, saturated (d = 900)
 _REGIMES = [(0.3, 0.0), (0.3, 1e-160), (0.5, 0.005), (0.22, 0.022), (0.2, 0.6), (0.1, 6.0)]
 _CLOSED_FORMS = (correlation_R, coincidence_intensity, accidental_intensity)
 
@@ -396,9 +440,8 @@ def test_coincidence_intensity_builds_no_event_mixed_bracket(monkeypatch):
 
 
 # (sigma, p_tilde, top, others): on linspace(0, top) every point selects
-# one form of the N_B bracket, the grouped one with the series of
-# sinh(z)/z - 1 (z < 0.5) and of Z(z) (z < 1.75), or the series at the
-# origin (d <= 1e-4, z <= 0.05); the ``others`` sit in other regimes
+# one form of the N_B bracket, the factored one with the series of A
+# (z < 0.5) and of Zq (z < 1.75); the ``others`` sit in other regimes
 # (between the seams, and in the plain form)
 _ONE_FORM = [
     (0.22, 0.022, 1.8, (5.0, 10.0, 30.0)),
@@ -414,7 +457,7 @@ def test_one_form_grids_match_mixed_grids(sigma, split, top, others):
     dp = np.linspace(0.0, top, 30)
     d = (split / sigma) ** 2 / 4.0
     z_top = np.sqrt(d) * top / (0.9 * sigma)  # the batch below goes down to 0.9 sigma
-    assert (d <= 1e-4 and z_top <= 0.05) or (d > 1e-4 and z_top < 0.5)
+    assert z_top < 0.5
     mixed = np.concatenate([others, dp])
     for f in (0.0, 0.3, 1.0):
         for fn in _CLOSED_FORMS:
@@ -438,11 +481,56 @@ def test_per_point_terms_match_scalar_terms():
     rng = np.random.default_rng(5)
     f = rng.random((20_000, 1))
     q = np.repeat(rng.uniform(0.0, 3.0, 40), 500)[:, None]
+    # rows at q = 0, at subnormal q and at subnormal d = q^2/4, where
+    # the split terms take their d -> 0 limits
+    f = np.concatenate([f, rng.random((20, 1))])
+    q = np.concatenate([q, np.repeat([0.0, 5e-324, 1e-310, 1e-160], 5)[:, None]])
     batch = _per_point(q, f)
     alone = [_per_point(qi, fi) for qi, fi in zip(q[:, 0].tolist(), f[:, 0].tolist())]
     for k, column in enumerate(batch):
-        assert column.shape == (20_000, 1)
+        assert column.shape == (20_020, 1)
         _assert_same_bytes(column[:, 0], np.array([terms[k] for terms in alone]))
+
+
+def _split_reference(d):
+    """k1, k2, C and (d / (1 - J^2))^2 / J^2 of the factored N_B at d, in mpmath.
+
+    c(d) cancels its O(d) terms, so the working precision grows with
+    the digits d takes off.
+    """
+    if d == 0.0:
+        return [mpmath.mpf(4), mpmath.mpf(-5), mpmath.mpf(11) / 8, mpmath.mpf(1)]
+    d = mpmath.mpf(d)
+    with mpmath.workdps(60 + int(-mpmath.log10(d)) if d < 1 else 60):
+        em2, em1, em54 = (mpmath.expm1(-a * d) for a in (2, 1, mpmath.mpf(5) / 4))
+        return [
+            +(-2 * em2 / d),
+            +(4 * em54 / d),
+            +((2 * em2 + em1 - 4 * em54) / d**2),
+            +((d / -em1) ** 2 * mpmath.e**d),
+        ]
+
+
+def test_split_terms_match_reference():
+    # the factored N_B's per-split scalars at d = 0, at subnormal d
+    # (where 1.25 d rounds), around 2^-20 and on both sides of d = 0.2,
+    # where C leaves its series, and where J^2 and (d / (1 - J^2))^2 / J^2
+    # leave the float range (the last is inf)
+    ds = [0.0, 5e-324, 1e-310, 1e-160, np.nextafter(2.0**-20, 0.0), 2.0**-20, np.nextafter(2.0**-20, 1.0),
+          np.nextafter(0.2, 0.0), 0.2, np.nextafter(0.2, 1.0), 1.0, 10.0, 700.0, 746.0, 1e4]
+    seen = []
+    for d in ds:
+        terms = _split_terms(2.0 * math.sqrt(d))
+        seen.append(terms[0])
+        for k, (got, want) in enumerate(zip(terms[5:], _split_reference(terms[0]))):
+            want = float(want)
+            if math.isinf(want):
+                assert got == want, (d, k)
+                continue
+            # C loses up to ~20x to cancellation just above d = 0.2
+            tol = 2e-15 if k == 2 else 4e-16
+            assert abs(got - want) <= tol * abs(want), (d, k, got, want)
+    assert any(0.18 < d < 0.2 for d in seen) and any(0.2 <= d < 0.22 for d in seen)
 
 
 _SHARED_Z = [0.0, 5e-324, 1e-300, 2.0**-55, 2.0**-54, 1e-8, np.nextafter(0.5, 0.0), 0.5,
@@ -529,6 +617,22 @@ def test_extreme_corners_stay_finite():
         rtol=1e-9,
         atol=1e-12,
     )
+
+
+def test_overflowing_y_keeps_its_limits():
+    # at zero, subnormal and tiny normal d, y = dp/sigma can be so large
+    # that y^4 overflows while z stays below the plain switch: the
+    # event-mixed y^4 term then dominates and R takes its limit -1, and
+    # the accidental intensity, whose envelope has underflowed, is 0
+    cases = [(split, dp) for split in (0.0, 5e-324, 1e-310, 1e-300) for dp in (1e100, 1.3e154)]
+    cases += [(split, 1e100) for split in (3e-154, 1e-150)]
+    with np.errstate(over="ignore"):  # y^2 and y^4 overflow on the way
+        for split, dp in cases:
+            for f in (0.3, 1.0):
+                assert float(correlation_R(dp, 1.0, f, split)) == -1.0, (split, dp, f)
+    # y^4 overflows at d = 2.25e-308, z = 1.95, where the envelope is 0
+    for f in (0.0, 0.3, 1.0):
+        assert float(accidental_intensity(1.3e154, 1.0, f, 3e-154)) == 0.0
 
 
 def test_curve_bundles_parameters():
