@@ -39,8 +39,9 @@ its exact form A(z) y^2 with d / (1 - J^2) at its limit 1. The
 intensities are the same brackets times the envelope
 g1 = e^{-y^2/4} J^2 sinh(z)/z. The event-mixed brackets carry a term
 eds = z/sinh(z) / J^2, and g1 eds is e^{-y^2/4} exactly; the kernel
-takes that product as one factor, because past d = 700 g1 underflows
-while eds overflows. One selector, _fill, picks every form, from a mask
+takes that product as one factor, because past d = 700
+(_SATURATED_DELTA) g1 underflows while eds overflows. One selector,
+_fill, picks every form, from a mask
 with one flag per point or per parameter row; each form runs only on
 the points it serves (a form that serves every point, as in each of the
 fitter's calls, runs on the whole grid without gathering them). Each
@@ -68,6 +69,7 @@ envelope's exponent y^2/4 before exp, about 2^-52 y^2/4 relative.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +126,12 @@ _PLAIN_SWITCH = 2.5
 # The block bounds fix the sign of the NaN that R takes at zero splitting
 # where dp/sigma overflows, so a new size changes those bytes.
 _BLOCK = 8192
+# Past this d, the saturated regime: J^2 sinh(z)/z underflows while eds
+# overflows, so eds comes from _eds_saturated, with the exponentials
+# combined, and the intensities take g1 * eds as e^{-y^2/4} whole.
+_SATURATED_DELTA = 700.0
+# The largest split/sigma whose square is finite; _split_terms refuses more.
+_MAX_SPLIT_RATIO = math.sqrt(sys.float_info.max)
 
 
 def _check_physical(sigma, triplet_fraction, momentum_split):
@@ -166,8 +174,14 @@ def _split_terms(q):
     then the factored N_B's k1, k2, C and (d/(1 - J^2))^2 / J^2, each
     at its d -> 0 limit where d is 0, the last inf where J^2 underflows.
     k1 and k2 are ratios over the rounded arguments of their expm1, as
-    1.25 d rounds at subnormal d.
+    1.25 d rounds at subnormal d. Raises ValueError for q above
+    _MAX_SPLIT_RATIO (~1.34e154), where q^2 overflows, and for q = inf.
     """
+    if not q <= _MAX_SPLIT_RATIO:
+        raise ValueError(
+            f"momentum_split / sigma must be at most {_MAX_SPLIT_RATIO:.4g}, where its"
+            f" square overflows; got {q:g}"
+        )
     delta = q**2 / 4.0
     j2 = math.exp(-delta)
     om = -math.expm1(-delta)  # 1 - J^2, exactly 0 at d = 0
@@ -237,8 +251,8 @@ def _ratio_scale(delta, y, z, inv_s, j2, x, em, mixed):
     """
     if not mixed:
         return 1.0, None
-    eds = _fill(z.shape, delta <= 700.0, np.divide, inv_s, j2)
-    return 1.0, _fill(eds, delta > 700.0, _eds_saturated, delta, z)
+    eds = _fill(z.shape, delta <= _SATURATED_DELTA, np.divide, inv_s, j2)
+    return 1.0, _fill(eds, delta > _SATURATED_DELTA, _eds_saturated, delta, z)
 
 
 def _intensity_scale(delta, y, z, inv_s, j2, x, em, mixed):
@@ -246,8 +260,9 @@ def _intensity_scale(delta, y, z, inv_s, j2, x, em, mixed):
 
     Times g1 the brackets are the intensity pieces. g1 is evaluated as
     e^{z - y^2/4 - d} (1 - e^{-2z}) / (2z), and g1 * eds exactly as
-    e^{-y^2/4}, so past d = 700, where g1 underflows and eds overflows,
-    the eds terms keep their value instead of turning into 0 * inf.
+    e^{-y^2/4}, so past d = _SATURATED_DELTA, where g1 underflows and
+    eds overflows, the eds terms keep their value instead of turning
+    into 0 * inf.
     (2z) / (1 - e^{-2z}) is x_over_expm1(x) at x = -2z, formed from the
     block's x and em = expm1(x). g1 * eds enters only the event-mixed
     brackets, so it is None unless ``mixed``.
@@ -357,7 +372,7 @@ def _weighed(den, coef, bracket):
 
 
 def _eds_saturated(delta, z):
-    """inv_sinhc(z) / J^2 past d = 700, with the exponentials combined.
+    """inv_sinhc(z) / J^2 past d = _SATURATED_DELTA, with the exponentials combined.
 
     e^{d - z} saturating to inf is the intended limit.
     """
@@ -487,6 +502,14 @@ def correlation_R(delta_p, sigma, triplet_fraction, momentum_split):
         zero splitting the analytic limits are returned (the pure
         triplet gives exactly -1 at dp = 0; a pure singlet with zero
         splitting gives exactly 0).
+
+    Raises
+    ------
+    ValueError
+        For a parameter out of its range, and where momentum_split /
+        sigma exceeds sqrt of the largest double, ~1.34e154 (or is
+        inf): d = (split/sigma)^2/4 overflows there. The intensities
+        refuse the same points.
     """
     sigma, f, split = _check_physical(sigma, triplet_fraction, momentum_split)
     return _mixture(_check_delta_p(delta_p), sigma, f, split, _ratio_scale, _finish_R)[()]

@@ -224,10 +224,20 @@ def _components(p):
 
 
 def _sq_dist(p, c):
-    """|p - c|^2 of component-first p and c (c may lack trailing axes), summed as np.sum does."""
-    d = p - np.reshape(c, np.shape(c) + (1,) * (np.ndim(p) - np.ndim(c)))
-    d = d * d
-    return d[0] + d[1] + d[2]
+    """|p - c|^2 of component-first p and c (c may lack trailing axes), summed as np.sum does.
+
+    Row by row: each squared difference is added in place to the first,
+    so no (3, ...) temporary is made. Augmented assignment keeps 0-d
+    results working: on a NumPy scalar it rebinds instead of writing.
+    """
+    c = np.reshape(c, np.shape(c) + (1,) * (np.ndim(p) - np.ndim(c)))
+    total = p[0] - c[0]
+    total *= total
+    for k in (1, 2):
+        d = p[k] - c[k]
+        d *= d
+        total += d
+    return total
 
 
 def _pair_density_kernel(p1, p2, c1, c2, sigma, sign):
@@ -249,21 +259,28 @@ def _exchange_exponents(p1, p2, c1, c2, sigma):
     packets share them.
     """
     sig2 = sigma * sigma
-    a2 = (_sq_dist(p1, c1) + _sq_dist(p2, c2)) / (4.0 * sig2)
-    b2 = (_sq_dist(p1, c2) + _sq_dist(p2, c1)) / (4.0 * sig2)
+    a2 = _sq_dist(p1, c1) + _sq_dist(p2, c2)
+    a2 /= 4.0 * sig2
+    b2 = _sq_dist(p1, c2) + _sq_dist(p2, c1)
+    b2 /= 4.0 * sig2
     lo = np.minimum(a2, b2)
-    gap = np.abs(a2 - b2)
-    return np.exp(-2.0 * lo), gap
+    lo *= -2.0
+    a2 -= b2
+    return np.exp(lo), np.abs(a2)
 
 
 def _exchange_combination(base, gap, sigma, sign):
     """The pair-density kernel of one channel from its _exchange_exponents."""
     sig2 = sigma * sigma
     if sign > 0:
-        comb = base * (1.0 + np.exp(-gap)) ** 2
+        comb = np.exp(-gap)
+        comb += 1.0
     else:
-        comb = base * np.expm1(-gap) ** 2
-    return comb * (2.0 * np.pi * sig2) ** (-3.0)
+        comb = np.expm1(-gap)
+    comb **= 2
+    comb *= base
+    comb *= (2.0 * np.pi * sig2) ** (-3.0)
+    return comb
 
 
 def _pair_density(p1, p2, params: ModelParams, channel: SpinChannel):
@@ -315,21 +332,26 @@ def _marginal(p, params: ModelParams):
     """
     c1, c2 = params.centers
     sig2 = params.sigma**2
-    e1 = _sq_dist(p, c1) / (4.0 * sig2)  # exponent of sqrt(g1)
-    e2 = _sq_dist(p, c2) / (4.0 * sig2)
+    e1 = _sq_dist(p, c1)  # exponent of sqrt(g1)
+    e1 /= 4.0 * sig2
+    e2 = _sq_dist(p, c2)
+    e2 /= 4.0 * sig2
     cross = np.exp(-(e1 + e2))  # sqrt(g1 g2)
 
     def rho(channel: SpinChannel):
         _require_nondegenerate(params, channel)
         if channel is SpinChannel.SINGLET:
-            num = np.exp(-2.0 * e1) + np.exp(-2.0 * e2) + 2.0 * params.overlap() * cross
+            num = np.exp(-2.0 * e1)
+            num += np.exp(-2.0 * e2)
+            num += 2.0 * params.overlap() * cross
         else:
-            lo = np.minimum(e1, e2)
-            diff2 = (np.exp(-lo) * np.expm1(-np.abs(e1 - e2))) ** 2
+            num = np.exp(-np.minimum(e1, e2))
+            num *= np.expm1(-np.abs(e1 - e2))
+            num **= 2
             one_minus_j = -np.expm1(-params.split_magnitude**2 / (8.0 * sig2))
-            num = diff2 + 2.0 * one_minus_j * cross
-        norm = (2.0 * np.pi * sig2) ** (-1.5) / _channel_norm(params, channel.sign)
-        return norm * num
+            num += 2.0 * one_minus_j * cross
+        num *= (2.0 * np.pi * sig2) ** (-1.5) / _channel_norm(params, channel.sign)
+        return num
 
     return rho
 

@@ -33,16 +33,25 @@ exchange exponents are built once per sample and only the final
 packets of its own keeps its draws and its arithmetic exactly.
 
 Sampling is chunked. A chunk makes its draws whole from its own seed
-(spawned from the spec's rng_seed), then works column-wise in blocks
-and sums its weights once; math.fsum adds the chunk sums, so neither
-block size nor thread count changes a bit. Set PAIRCORR_THREADS to
-evaluate chunks in a thread pool.
+(spawned from the spec's rng_seed), into buffers that its thread keeps
+for its next chunk, then works column-wise in blocks and sums its
+weights once; math.fsum adds the chunk sums, so neither block size nor
+thread count changes a bit. Set PAIRCORR_THREADS to evaluate chunks in
+a thread pool. Within a block, every (3, m) quantity is a stack of
+contiguous component rows, finished one row at a time with in-place
+ufuncs, and temporaries are overwritten rather than remade; each
+element still takes the same floating-point operations in the same
+order. The stratified polar variable is non-decreasing within a chunk,
+so each proposal branch is a slice cut by searchsorted, not a boolean
+mask, and a scalar z (every point channel) skips the per-sample
+guards that a jittered channel's z needs.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -202,21 +211,68 @@ def _thread_count() -> int:
 # shared Monte-Carlo machinery
 
 
+class _Draws:
+    """One chunk's random draws, made into buffers that the thread's next chunk reuses.
+
+    Buffers are handed out in request order, so each chunk a thread runs
+    gets the same ones, and fresh memory is touched once per thread
+    rather than once per chunk. The values are those of rng.random(count)
+    and rng.standard_normal((count, 3)) on the chunk's own generator.
+    """
+
+    def __init__(self, seed, count, pool):
+        self.rng = np.random.default_rng(seed)
+        self.count = count
+        self._pool = pool
+        self._taken = 0
+
+    def buffer(self, *shape):
+        """The next buffer, of shape (count, *shape); its contents are left over."""
+        key = (self._taken, shape)
+        self._taken += 1
+        buf = self._pool.get(key)
+        if buf is None or len(buf) < self.count:
+            buf = self._pool[key] = np.empty((self.count,) + shape)
+        return buf[: self.count]
+
+    def uniform(self):
+        return self.rng.random(out=self.buffer())
+
+    def normal(self):
+        """(count, 3) standard normals."""
+        return self.rng.standard_normal(out=self.buffer(3))
+
+    def stratified(self):
+        """One stratified uniform per stratum of [0, 1), non-decreasing in the sample index."""
+        v = self.uniform()
+        for lo in range(0, self.count, _BLOCK):  # block by block: no chunk-sized index array
+            v[lo : lo + _BLOCK] += np.arange(lo, min(lo + _BLOCK, self.count))
+        v /= self.count
+        return v
+
+
 def _mc_sum(total: int, seed_seq: np.random.SeedSequence, chunk_fn):
     """Mean and SE of the weights w over fixed-size chunks, in blocks.
 
-    chunk_fn(seed, count) makes a chunk's draws and returns the function
-    from a block slice to that block's w. The chunk layout and seeds
-    depend only on (total, seed_seq); w is summed once per chunk.
+    chunk_fn(draws) makes a chunk's draws through ``draws``, a _Draws of
+    draws.count samples, and returns the function from a block slice to
+    that block's w. The chunk layout and seeds depend only on
+    (total, seed_seq); w is summed once per chunk.
     """
+    local = threading.local()  # each thread's draw buffers, kept for its next chunk
 
     def chunk_sums(seed, count):
-        block_fn = chunk_fn(seed, count)
-        w = np.empty(count)
+        if not hasattr(local, "pool"):
+            local.pool = {}
+        draws = _Draws(seed, count, local.pool)
+        block_fn = chunk_fn(draws)
+        w = draws.buffer()
         for lo in range(0, count, _BLOCK):
             block = slice(lo, lo + _BLOCK)
             w[block] = block_fn(block)
-        return float(np.sum(w)), float(np.sum(w * w))
+        s1 = float(np.sum(w))
+        w *= w
+        return s1, float(np.sum(w))
 
     n_chunks = (total + _CHUNK - 1) // _CHUNK
     counts = [_CHUNK] * (n_chunks - 1) + [total - _CHUNK * (n_chunks - 1)]
@@ -261,56 +317,87 @@ def _intensity_delta_p(delta_p, spec: QuadratureSpec) -> float:
     return _nonnegative("delta_p", float(delta_p))
 
 
-def _stratified(rng: np.random.Generator, count: int):
-    """One stratified uniform per stratum of [0, 1)."""
-    return (np.arange(count) + rng.random(count)) / count
-
-
 def _sample_cosh_tilt(xi, z):
     """Invert the CDF of z*cosh(z*u)/(2 sinh z) on [-1, 1].
 
     The first bit of xi picks the exp(+z u) or exp(-z u) half; the rest
     inverts the exponential tilt through log/expm1-safe algebra. Falls
-    back to uniform below _TINY_Z. Broadcasts over per-sample z.
+    back to uniform below _TINY_Z. xi must be non-decreasing, so the
+    exp(+z u) half is the slice xi < 0.5. z is a scalar or per sample.
     """
-    pos = xi < 0.5
-    eta = np.clip(np.where(pos, 2.0 * xi, 2.0 * xi - 1.0), 0.0, 1.0)
-    zc = np.where(z < _TINY_Z, 1.0, z)
-    u = 1.0 + np.log(eta + (1.0 - eta) * np.exp(-2.0 * zc)) / zc
-    u = np.where(pos, u, -u)
-    return np.where(z < _TINY_Z, 2.0 * xi - 1.0, np.clip(u, -1.0, 1.0))
+    if not np.ndim(z) and z < _TINY_Z:
+        return 2.0 * xi - 1.0
+    half = np.searchsorted(xi, 0.5)
+    eta = 2.0 * xi
+    eta[half:] -= 1.0
+    np.clip(eta, 0.0, 1.0, out=eta)
+    zc = np.where(z < _TINY_Z, 1.0, z) if np.ndim(z) else z
+    u = 1.0 - eta
+    u *= np.exp(-2.0 * zc)
+    u += eta
+    np.log(u, out=u)
+    u /= zc
+    u += 1.0
+    np.negative(u[half:], out=u[half:])
+    np.clip(u, -1.0, 1.0, out=u)
+    return np.where(z < _TINY_Z, 2.0 * xi - 1.0, u) if np.ndim(z) else u
 
 
 def _cosh_tilt_pdf(u, z):
     """Density z*cosh(z*u)/(2 sinh z) on [-1, 1], stable at any z >= 0."""
-    zc = np.where(z < _TINY_Z, 1.0, z)
-    val = zc * (np.exp(zc * (u - 1.0)) + np.exp(-zc * (u + 1.0))) / (-2.0 * np.expm1(-2.0 * zc))
-    return np.where(z < _TINY_Z, 0.5, val)
+    if not np.ndim(z) and z < _TINY_Z:
+        return 0.5
+    zc = np.where(z < _TINY_Z, 1.0, z) if np.ndim(z) else z
+    val = u - 1.0
+    val *= zc
+    np.exp(val, out=val)
+    minus = u + 1.0
+    minus *= -zc
+    val += np.exp(minus, out=minus)
+    val *= zc
+    val /= -2.0 * np.expm1(-2.0 * zc)
+    return np.where(z < _TINY_Z, 0.5, val) if np.ndim(z) else val
 
 
 # Polar proposals: u uniform for v < 1/2, then per (lo, hi, factor) the
 # cosh tilt at factor * z for lo <= v < hi. The event-mixed integrand
 # carries exp(z u), exp(z u / 2) and flat angular factors (center
-# offsets of s, s/2 and 0), the coincidence one only exp(z u).
+# offsets of s, s/2 and 0), the coincidence one only exp(z u). The
+# tilts tile [1/2, 1) in order, which _tilt_sample's slices rely on.
 _COR_TILTS = ((0.5, 1.0, 1.0),)
 _UNC_TILTS = ((0.5, 0.75, 0.5), (0.75, 1.0, 1.0))
 
 
 def _tilt_sample(v, z, tilts):
-    """Polar cosines of the proposal; each branch runs on its own samples only."""
+    """Polar cosines of the proposal at non-decreasing v, as _Draws.stratified returns it.
+
+    Sorted v makes each branch a slice, cut by searchsorted at 1/2 and
+    at each tilt's hi; every branch runs on its own samples only.
+    """
+    edges = np.searchsorted(v, [0.5] + [hi for _, hi, _ in tilts]).tolist()
     u = np.empty_like(v)
-    low = v < 0.5
-    u[low] = np.clip(4.0 * v[low] - 1.0, -1.0, 1.0)
-    for lo, hi, factor in tilts:
-        sel = (v >= lo) & (v < hi)
-        zs = z[sel] if np.ndim(z) else z
-        u[sel] = _sample_cosh_tilt(np.clip((v[sel] - lo) / (hi - lo), 0.0, 1.0), factor * zs)
+    low = u[: edges[0]]
+    np.multiply(4.0, v[: edges[0]], out=low)
+    low -= 1.0
+    np.clip(low, -1.0, 1.0, out=low)
+    for (lo, hi, factor), start, stop in zip(tilts, edges, edges[1:]):
+        branch = slice(start, stop)
+        xi = v[branch] - lo
+        xi /= hi - lo
+        np.clip(xi, 0.0, 1.0, out=xi)
+        u[branch] = _sample_cosh_tilt(xi, factor * (z[branch] if np.ndim(z) else z))
     return u
 
 
 def _tilt_pdf(u, z, tilts):
     """Density of the proposal at u; each tilt has weight hi - lo."""
-    return sum(((hi - lo) * _cosh_tilt_pdf(u, factor * z) for lo, hi, factor in tilts), 0.25)
+    total = 0.25
+    for lo, hi, factor in tilts:
+        part = _cosh_tilt_pdf(u, factor * z)
+        part *= hi - lo
+        part += total
+        total = part
+    return total
 
 
 def _frames(axes):
@@ -335,12 +422,24 @@ def _rows(a):
     return _components(a).reshape(3, -1)
 
 
-def _direction(u, phi, e1, e2, e3):
-    """Unit vectors as (3, m) rows, polar cosine u around e3; axes may be (m, 3)."""
-    sin_theta = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    a = sin_theta * np.cos(phi)
-    b = sin_theta * np.sin(phi)
-    return a * _rows(e1) + b * _rows(e2) + u * _rows(e3)
+def _direction(length, u, phi, e1, e2, e3):
+    """length times unit vectors, as (3, m) rows, polar cosine u around e3; axes may be (m, 3)."""
+    sin_theta = u * u
+    np.subtract(1.0, sin_theta, out=sin_theta)
+    np.clip(sin_theta, 0.0, None, out=sin_theta)
+    np.sqrt(sin_theta, out=sin_theta)
+    a = np.cos(phi)
+    a *= sin_theta
+    b = np.sin(phi)
+    b *= sin_theta
+    tmp = sin_theta
+    out = np.empty((3,) + u.shape)
+    for row, c1, c2, c3 in zip(out, _rows(e1), _rows(e2), _rows(e3)):
+        np.multiply(a, c1, out=row)
+        row += np.multiply(b, c2, out=tmp)
+        row += np.multiply(u, c3, out=tmp)
+        row *= length
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -369,44 +468,66 @@ def _cor_runner(delta_p, group, spec, seed_seq):
     scale = sigma / math.sqrt(2.0)
     pdf_norm = (math.pi * sigma * sigma) ** -1.5
 
-    frame = None if jitter else _frames(p_split0)
+    def geometry(p_split, p_total):
+        """z, J^2, the frame, and the rows of P and of both packet centers."""
+        split = np.linalg.norm(p_split, axis=-1)
+        if min(signs) < 0.0 and np.any(split < DEGENERACY_RATIO * sigma):
+            raise DegenerateChannelError(
+                f"triplet channel with |p_split| < {DEGENERACY_RATIO:g} * sigma"
+                " (at p_split or in its spread_split jitter)"
+            )
+        j2 = np.exp(-split * split / (4.0 * sigma * sigma))
+        z = split * delta_p / (2.0 * sigma * sigma)
+        ps, pt = _rows(p_split), _rows(p_total)
+        return z, j2, _frames(p_split), pt, (pt + ps) / 2.0, (pt - ps) / 2.0
 
-    def chunk(seed, count):
-        rng = np.random.default_rng(seed)
-        v = _stratified(rng, count)
-        phi = 2.0 * math.pi * rng.random(count)
+    point = None if jitter else geometry(p_split0, p_total0)
+
+    def chunk(draws):
+        v = draws.stratified()
+        phi = draws.uniform()
+        phi *= 2.0 * math.pi
         if jitter:
-            split_normals = rng.standard_normal((count, 3))
-            total_normals = rng.standard_normal((count, 3))
-        xi = rng.standard_normal((count, 3))
+            split_normals = draws.normal()
+            total_normals = draws.normal()
+        xi = draws.normal()
 
         def block(b):
-            p_split, p_total = p_split0, p_total0
             if jitter:
-                p_split = p_split0 + first.spread_split * split_normals[b]
-                p_total = p_total0 + first.spread_total * total_normals[b]
-            split = np.linalg.norm(p_split, axis=-1)
-            if min(signs) < 0.0 and np.any(split < DEGENERACY_RATIO * sigma):
-                raise DegenerateChannelError(
-                    f"triplet channel with |p_split| < {DEGENERACY_RATIO:g} * sigma"
-                    " (at p_split or in its spread_split jitter)"
+                z, j2, frame, pt, c1, c2 = geometry(
+                    p_split0 + first.spread_split * split_normals[b],
+                    p_total0 + first.spread_total * total_normals[b],
                 )
-            j2 = np.exp(-split * split / (4.0 * sigma * sigma))
-            z = split * delta_p / (2.0 * sigma * sigma)
+            else:
+                z, j2, frame, pt, c1, c2 = point
             u = _tilt_sample(v[b], z, _COR_TILTS)
-            q = delta_p * _direction(u, phi[b], *(frame or _frames(p_split)))
-            ps, pt, x = _rows(p_split), _rows(p_total), xi[b].T
-            p1 = (pt - q) / 2.0 + scale * x
-            shared = _exchange_exponents(p1, p1 + q, (pt + ps) / 2.0, (pt - ps) / 2.0, sigma)
-            dens = {
-                sign: _exchange_combination(*shared, sigma, sign) / (2.0 * (1.0 + sign * j2))
-                for sign in signs
-            }
+            q = _direction(delta_p, u, phi[b], *frame)
+            x = xi[b].T.copy()
+            # p1 = (P - q)/2 + scale x; then p2 = p1 + q, written over q
+            p1 = np.empty_like(q)
+            tmp = np.empty_like(u)
+            for k in range(3):
+                row = np.subtract(pt[k], q[k], out=p1[k])
+                row /= 2.0
+                row += np.multiply(x[k], scale, out=tmp)
+                q[k] += row
+            base, gap = _exchange_exponents(p1, q, c1, c2, sigma)
+            dens = {}
+            for sign in signs:
+                dens[sign] = _exchange_combination(base, gap, sigma, sign)
+                dens[sign] /= 2.0 * (1.0 + sign * j2)
             total = dens[first.channel.sign]
             for ratio, sign in ratios:
-                total = total + ratio * dens[sign]
-            pdf = pdf_norm * np.exp(-0.5 * _sq_dist(x, np.zeros(3)))
-            return (delta_p * delta_p * 2.0 * math.pi) * total / (pdf * _tilt_pdf(u, z, _COR_TILTS))
+                total = total + dens[sign] * ratio
+            pdf = _sq_dist(x, np.zeros(3))
+            pdf *= -0.5
+            np.exp(pdf, out=pdf)
+            pdf *= pdf_norm
+            den = _tilt_pdf(u, z, _COR_TILTS)
+            den *= pdf
+            total *= delta_p * delta_p * 2.0 * math.pi
+            total /= den
+            return total
 
         return block
 
@@ -489,30 +610,52 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
     offsets = np.stack([-0.5 * p_split, np.zeros(3), 0.5 * p_split])
     comp_weights = np.array([0.25, 0.5, 0.25])
     var = 0.75 * sigma * sigma
+    spread = math.sqrt(var)
     pdf_norm = (2.0 * math.pi * var) ** -1.5
     n_pairs = params.n_pairs
 
-    def chunk(seed, count):
-        rng = np.random.default_rng(seed)
-        v = _stratified(rng, count)
-        phi = 2.0 * math.pi * rng.random(count)
-        pick = rng.random(count)
-        xi = rng.standard_normal((count, 3))
+    def chunk(draws):
+        v = draws.stratified()
+        phi = draws.uniform()
+        phi *= 2.0 * math.pi
+        pick = draws.uniform()
+        xi = draws.normal()
 
         def block(b):
             u = _tilt_sample(v[b], z, _UNC_TILTS)
-            q = delta_p * _direction(u, phi[b], e1, e2, e3)
-            base = (p_total[:, None] - q) / 2.0
-            comp = (pick[b] >= 0.25).astype(np.int64) + (pick[b] >= 0.75)
-            p1 = base + offsets[comp].T + math.sqrt(var) * xi[b].T
-            rel = p1 - base
-            pdf1 = np.zeros(len(u))
+            q = _direction(delta_p, u, phi[b], e1, e2, e3)
+            comp = (pick[b] >= 0.25).astype(np.int64)
+            comp += pick[b] >= 0.75
+            x = xi[b].T.copy()
+            # p1 = base + offsets[comp] + sqrt(var) x with base = (P - q)/2,
+            # and rel = p1 - base, one component row at a time
+            p1, rel = np.empty_like(q), np.empty_like(q)
+            base = np.empty_like(u)
             for k in range(3):
-                d2 = _sq_dist(rel, offsets[k])
-                pdf1 += comp_weights[k] * pdf_norm * np.exp(-d2 / (2.0 * var))
+                np.subtract(p_total[k], q[k], out=base)
+                base /= 2.0
+                row = np.add(base, np.take(offsets[:, k], comp, out=rel[k], mode="clip"), out=p1[k])
+                row += np.multiply(x[k], spread, out=rel[k])
+                np.subtract(row, base, out=rel[k])
+            pdf1 = 0.0
+            for k in range(3):
+                part = _sq_dist(rel, offsets[k])
+                np.negative(part, out=part)
+                part /= 2.0 * var
+                np.exp(part, out=part)
+                part *= comp_weights[k] * pdf_norm
+                part += pdf1
+                pdf1 = part
             # the marginal takes (m, 3) momenta: transposed views of the component rows
-            rho = n_pairs * mixture_marginal(p1.T, params) * mixture_marginal((p1 + q).T, params)
-            return (delta_p * delta_p * 2.0 * math.pi) * rho / (pdf1 * _tilt_pdf(u, z, _UNC_TILTS))
+            rho = mixture_marginal(p1.T, params)
+            rho *= n_pairs
+            q += p1
+            rho *= mixture_marginal(q.T, params)
+            den = _tilt_pdf(u, z, _UNC_TILTS)
+            den *= pdf1
+            rho *= delta_p * delta_p * 2.0 * math.pi
+            rho /= den
+            return rho
 
         return block
 
@@ -576,11 +719,10 @@ def _pair_norm(params: ModelParams, channel: SpinChannel, spec: QuadratureSpec):
     def gauss(p, c):
         return pdf_norm * np.exp(-_sq_dist(p, c) / (2.0 * sigma * sigma))
 
-    def chunk(seed, count):
-        rng = np.random.default_rng(seed)
-        swap = rng.random(count) < 0.5
-        xi1 = rng.standard_normal((count, 3))
-        xi2 = rng.standard_normal((count, 3))
+    def chunk(draws):
+        swap = draws.uniform() < 0.5
+        xi1 = draws.normal()
+        xi2 = draws.normal()
 
         def block(b):
             p1 = np.where(swap[b], c2[:, None], c1[:, None]) + sigma * xi1[b].T

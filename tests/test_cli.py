@@ -185,6 +185,18 @@ def test_negative_p_tilde_exit_code(command, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_huge_split_ratio_exit_code(tmp_path, capsys):
+    # p_tilde / sigma = 1e203, whose square overflows: a one-line error
+    # and exit 1, no traceback and no output file
+    out = tmp_path / "x.csv"
+    rc = main(["curve", "--sigma", "1e-3", "--p-tilde", "1e200", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "square overflows" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["synth", "--sigma", "0.5", "--noise", "-0.1", "--out", "x.csv"])

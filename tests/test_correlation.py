@@ -7,6 +7,7 @@ including each internal switch point.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -633,6 +634,24 @@ def test_overflowing_y_keeps_its_limits():
     # y^4 overflows at d = 2.25e-308, z = 1.95, where the envelope is 0
     for f in (0.0, 0.3, 1.0):
         assert float(accidental_intensity(1.3e154, 1.0, f, 3e-154)) == 0.0
+
+
+def test_huge_split_ratio_is_refused():
+    # past split/sigma = sqrt(largest double), ~1.34e154, d = (split/sigma)^2/4
+    # overflows: every entry point raises ValueError, for one parameter
+    # point and for a row of a batched call, and so for inf (1e200/1e-200)
+    limit = math.sqrt(sys.float_info.max)
+    for sigma, split in ((1.0, math.nextafter(limit, math.inf)), (1e-3, 1e200), (1e-200, 1e200)):
+        for entry in (correlation_R, coincidence_intensity, accidental_intensity):
+            with pytest.raises(ValueError, match="square overflows"):
+                entry(1.0, sigma, 0.5, split)
+    with pytest.raises(ValueError, match="square overflows"):
+        correlation_R(1.0, np.array([[1.0], [1e-3]]), 0.5, np.array([[0.1], [1e200]]))
+    # at the limit itself the closed forms still answer, as they did
+    # before the check
+    assert float(correlation_R(1.0, 1.0, 0.5, limit)) == -1.0
+    assert float(coincidence_intensity(1.0, 1.0, 0.5, limit)) == 0.0
+    assert float(accidental_intensity(1.0, 1.0, 0.5, limit)) == 0.1098478223669306
 
 
 def test_curve_bundles_parameters():

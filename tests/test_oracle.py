@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import paircorr.oracle
 from paircorr.errors import (
     DegenerateChannelError,
     ToleranceNotMetError,
@@ -16,6 +17,12 @@ from paircorr.correlation import accidental_intensity, coincidence_intensity
 from paircorr.oracle import (
     _BLOCK,
     _CHUNK,
+    _COR_TILTS,
+    _TINY_Z,
+    _UNC_TILTS,
+    _Draws,
+    _tilt_pdf,
+    _tilt_sample,
     ChannelCrossSection,
     OracleResult,
     QuadratureSpec,
@@ -115,6 +122,91 @@ def test_results_are_deterministic(monkeypatch):
     # make the result independent of the thread count, bit for bit
     monkeypatch.setenv("PAIRCORR_THREADS", "3")
     assert {name: run() for name, run in runs.items()} == first
+
+
+def test_results_are_block_size_independent(monkeypatch):
+    # a chunk makes its draws whole and sums its weights once, so the
+    # block size, like the thread count, changes no bit: a partial last
+    # chunk that ends in a partial block, through blocks of 4099 samples
+    # (none aligned with the chunk or the strata cuts) and of a whole chunk
+    spec = _mc(_CHUNK + _BLOCK + 7)
+    jittered = ChannelCrossSection(
+        1.3,
+        SpinChannel.TRIPLET,
+        sigma=0.5,
+        p_split=PARAMS.p_split,
+        p_total=PARAMS.p_total,
+        spread_split=0.05,
+        spread_total=0.1,
+    )
+    runs = {
+        "cor": lambda: intensity_cor_oracle(1.2, PARAMS, spec),
+        "jittered": lambda: intensity_cor_oracle(1.2, [jittered], spec),
+        "uncor": lambda: intensity_uncor_oracle(1.2, PARAMS, spec),
+        "norm": lambda: phi_norm_oracle(PARAMS, spec),
+    }
+    monkeypatch.setenv("PAIRCORR_THREADS", "1")
+    default = {name: run() for name, run in runs.items()}
+    for block in (4099, _CHUNK):
+        monkeypatch.setattr(paircorr.oracle, "_BLOCK", block)
+        assert {name: run() for name, run in runs.items()} == default, block
+
+
+def _masked_sample_cosh_tilt(xi, z):
+    """_sample_cosh_tilt as it was before the slices: np.where over every sample."""
+    pos = xi < 0.5
+    eta = np.clip(np.where(pos, 2.0 * xi, 2.0 * xi - 1.0), 0.0, 1.0)
+    zc = np.where(z < _TINY_Z, 1.0, z)
+    u = 1.0 + np.log(eta + (1.0 - eta) * np.exp(-2.0 * zc)) / zc
+    u = np.where(pos, u, -u)
+    return np.where(z < _TINY_Z, 2.0 * xi - 1.0, np.clip(u, -1.0, 1.0))
+
+
+def _masked_tilt_sample(v, z, tilts):
+    """_tilt_sample as it was: boolean masks, which need no sorted v."""
+    u = np.empty_like(v)
+    low = v < 0.5
+    u[low] = np.clip(4.0 * v[low] - 1.0, -1.0, 1.0)
+    for lo, hi, factor in tilts:
+        sel = (v >= lo) & (v < hi)
+        zs = z[sel] if np.ndim(z) else z
+        u[sel] = _masked_sample_cosh_tilt(np.clip((v[sel] - lo) / (hi - lo), 0.0, 1.0), factor * zs)
+    return u
+
+
+def _masked_tilt_pdf(u, z, tilts):
+    """_tilt_pdf as it was: full-array np.where guards around every density."""
+
+    def cosh_tilt_pdf(u, z):
+        zc = np.where(z < _TINY_Z, 1.0, z)
+        val = zc * (np.exp(zc * (u - 1.0)) + np.exp(-zc * (u + 1.0))) / (-2.0 * np.expm1(-2.0 * zc))
+        return np.where(z < _TINY_Z, 0.5, val)
+
+    return sum(((hi - lo) * cosh_tilt_pdf(u, factor * z) for lo, hi, factor in tilts), 0.25)
+
+
+def test_strata_are_sorted_so_branches_are_slices():
+    # the last chunk of a 2,000,000-sample run holds 164,992 samples:
+    # v = 0.5 falls at sample 82,496 and v = 0.75 at 123,744, both
+    # inside a block, so the slices cut blocks where the masks did
+    count = 2_000_000 - 7 * _CHUNK
+    v = _Draws(np.random.SeedSequence(3), count, {}).stratified()
+    assert np.all(np.diff(v) >= 0.0)
+    assert v[0] >= 0.0 and v[-1] < 1.0
+    cuts = np.searchsorted(v, [0.5, 0.75])
+    assert cuts.tolist() == [82_496, 123_744] and np.all(cuts % _BLOCK)
+    # the per-sample z of a jittered channel spans the uniform fallback
+    z_rows = np.random.default_rng(4).uniform(0.0, 3.0, count) * (np.arange(count) % 5 != 0)
+    for z in (0.0, 0.5 * _TINY_Z, 2.0 * _TINY_Z, 0.3, 2.5, 60.0, z_rows):
+        for tilts in (_COR_TILTS, _UNC_TILTS):
+            for lo in range(0, count, _BLOCK):
+                b = slice(lo, lo + _BLOCK)
+                zb = z[b] if np.ndim(z) else z
+                u = _tilt_sample(v[b], zb, tilts)
+                want = _masked_tilt_sample(v[b], zb, tilts)
+                assert u.tobytes() == want.tobytes(), (z, tilts, lo)
+                pdf = np.broadcast_to(_tilt_pdf(u, zb, tilts), u.shape)
+                assert pdf.tobytes() == _masked_tilt_pdf(u, zb, tilts).tobytes(), (z, tilts, lo)
 
 
 def test_error_estimate_scales_like_sqrt_n():
