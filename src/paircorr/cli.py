@@ -245,7 +245,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fixed p_tilde when not free (default: tied to 0.1 * sigma)",
     )
-    fit_cmd.add_argument("--starts", type=_positive_int, default=16, help="multistart count")
+    fit_cmd.add_argument(
+        "--starts", type=_positive_int, default=16, help="at most this many LM descents (default 16)"
+    )
     fit_cmd.add_argument("--max-iter", type=_positive_int, default=200)
     fit_cmd.add_argument("--seed", type=_nonneg_int, default=0)
     fit_cmd.add_argument("--out", required=True, help="output JSON path")

@@ -3,8 +3,11 @@
 The model curve R(dp; sigma, f, p_tilde) is fitted to digitized
 correlation data by weighted least squares. The optimizer is a small
 bounded Levenberg-Marquardt loop with forward-difference Jacobians,
-started from a Latin-hypercube set of initial points because the
-objective is multimodal when sigma and f are both free. The starts run
+run from several starts because the objective is multimodal when
+sigma and f are both free. When p_tilde is tied or fixed, one model
+call on a (sigma, f) grid gives the chi^2 profile over sigma (the
+minimum over f at each sigma), and its local minima are the starts;
+when p_tilde is free, the starts are a Latin hypercube. The starts run
 in lockstep: each round evaluates every running start's trial point
 together with its forward-difference probes in one parameter-batched
 correlation_R call, so an accepted trial has its next Jacobian at once,
@@ -12,7 +15,8 @@ and solves all their damped systems in one stacked solve. A parameter
 pinned on a bound whose step points out of the box is held fixed for
 that step, so a start parked on a bound still converges in the other
 parameters instead of crawling. Each start follows the same path it
-would alone, and everything is deterministic for a fixed rng_seed.
+would alone, and everything is deterministic (for a fixed rng_seed
+when p_tilde is free).
 
 The quality-of-fit number reported alongside the estimates is
 
@@ -54,6 +58,11 @@ _PARAM_NAMES = ("sigma", "f", "p_tilde")
 # is sitting on the zero-correlation ridge and carries no information
 # about the free parameters.
 _SENSITIVITY_FLOOR = 1e-10
+# The (sigma, f) grid that seeds fits with p_tilde not free: enough
+# points that every basin of the chi^2 profile holds a grid point, as
+# tests/test_fitting.py checks against Latin-hypercube starts.
+_PROFILE_SIGMAS = 61
+_PROFILE_FRACTIONS = 11
 
 
 @dataclass(frozen=True)
@@ -73,8 +82,10 @@ class FitConfig:
     sigma_bounds, f_bounds, p_tilde_bounds : (float, float)
         Box constraints applied to both starts and steps.
     multistart_count : int
-        Latin-hypercube starting points; sigma starts are log-uniform
-        over [0.05, 2] a.u. clipped to its bounds.
+        At most this many LM descents: the lowest local minima of the
+        chi^2 profile, or with p_tilde free this many Latin-hypercube
+        starts. Either way sigma starts are sought over [0.05, 2] a.u.
+        clipped to its bounds (log-uniform or log-spaced).
     max_iterations : int
         Levenberg-Marquardt iterations per start.
     step_tol : float
@@ -83,7 +94,8 @@ class FitConfig:
     residual_tol : float
         Convergence declared when the objective falls to or below this.
     rng_seed : int
-        Seed for the start layout; fixed seed reproduces the fit.
+        Seed of the Latin hypercube used when p_tilde is free; a fixed
+        seed reproduces the fit. The profile starts use no randomness.
     """
 
     free: tuple = ("sigma", "f")
@@ -187,6 +199,11 @@ def _bounds_arrays(config: FitConfig):
     return lo, hi
 
 
+def _sigma_range(config: FitConfig):
+    """Where sigma starts are sought: [0.05, 2] a.u. clipped to its bounds."""
+    return max(config.sigma_bounds[0], 0.05), min(config.sigma_bounds[1], 2.0)
+
+
 def _latin_starts(config: FitConfig, rng: np.random.Generator):
     """Latin-hypercube start matrix, one row per start."""
     m = config.multistart_count
@@ -194,8 +211,7 @@ def _latin_starts(config: FitConfig, rng: np.random.Generator):
     for name in config.free:
         strata = (rng.permutation(m) + rng.random(m)) / m
         if name == "sigma":
-            lo = max(config.sigma_bounds[0], 0.05)
-            hi = min(config.sigma_bounds[1], 2.0)
+            lo, hi = _sigma_range(config)
             columns.append(np.exp(np.log(lo) + strata * (np.log(hi) - np.log(lo))))
         elif name == "f":
             lo, hi = config.f_bounds
@@ -205,6 +221,37 @@ def _latin_starts(config: FitConfig, rng: np.random.Generator):
             hi = min(config.p_tilde_bounds[1], 2.0)
             columns.append(lo + strata * (hi - lo))
     return np.stack(columns, axis=1)
+
+
+def _profile_starts(evaluate, lo, hi, config: FitConfig):
+    """Starts at the local minima of the chi^2 profile over sigma, lowest first.
+
+    For fits with p_tilde not free. One ``evaluate`` call covers the
+    (sigma, f) grid, clipped to the box: _PROFILE_SIGMAS log-spaced
+    sigmas over _sigma_range and _PROFILE_FRACTIONS values of f over
+    f_bounds, with a fixed parameter's axis its one value. The profile
+    is the minimum over f at each sigma, and each of its local minima
+    becomes a start, at most multistart_count of them.
+    """
+    sigmas = np.geomspace(*_sigma_range(config), _PROFILE_SIGMAS)
+    fractions = np.linspace(*config.f_bounds, _PROFILE_FRACTIONS)
+    sigma, f = np.meshgrid(
+        sigmas if "sigma" in config.free else [config.sigma],
+        fractions if "f" in config.free else [config.f],
+        indexing="ij",
+    )
+    grid = np.stack([{"sigma": sigma, "f": f}[name] for name in config.free], axis=-1)
+    grid = np.clip(grid, lo, hi)
+    r, _ = evaluate(grid.reshape(sigma.size, -1))
+    cost = (r * r).sum(axis=1).reshape(sigma.shape)
+    best = cost.argmin(axis=1)
+    profile = cost[np.arange(len(cost)), best]
+    # the last point of a flat stretch counts, so a flat profile has a minimum
+    left = np.concatenate([[np.inf], profile[:-1]])
+    right = np.concatenate([profile[1:], [np.inf]])
+    minima = np.flatnonzero((profile <= left) & (profile < right))
+    minima = minima[np.argsort(profile[minima], kind="stable")][: config.multistart_count]
+    return grid[minima, best[minima]]
 
 
 def _lm_lockstep(evaluate, theta0, lo, hi, config: FitConfig):
@@ -325,9 +372,10 @@ def _lm_lockstep(evaluate, theta0, lo, hi, config: FitConfig):
 def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     """Weighted least-squares fit of the correlation model to a dataset.
 
-    Runs ``config.multistart_count`` Levenberg-Marquardt descents from
-    a Latin-hypercube of starting points and returns the best final
-    objective (ties broken by start index).
+    Runs at most ``config.multistart_count`` Levenberg-Marquardt
+    descents, from the local minima of the chi^2 profile on a grid when
+    p_tilde is not free and from a Latin hypercube when it is, and
+    returns the best final objective (ties broken by start index).
 
     Raises
     ------
@@ -362,8 +410,10 @@ def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
         return sqrt_w * (r_model - robs), np.abs(r_model).max(axis=1)
 
     lo, hi = _bounds_arrays(config)
-    rng = np.random.default_rng(config.rng_seed)
-    starts = _latin_starts(config, rng)
+    if "p_tilde" in config.free:
+        starts = _latin_starts(config, np.random.default_rng(config.rng_seed))
+    else:
+        starts = _profile_starts(evaluate, lo, hi, config)
     thetas, costs, converged, iterations, scales, traces = _lm_lockstep(
         evaluate, starts, lo, hi, config
     )

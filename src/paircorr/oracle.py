@@ -372,9 +372,10 @@ def _tilt_sample(v, z, tilts):
     """Polar cosines of the proposal at non-decreasing v, as _Draws.stratified returns it.
 
     Sorted v makes each branch a slice, cut by searchsorted at 1/2 and
-    at each tilt's hi; every branch runs on its own samples only.
+    at each tilt's hi; every branch runs on its own samples only. The
+    last tilt runs to the end, so it also takes a v that rounded to 1.
     """
-    edges = np.searchsorted(v, [0.5] + [hi for _, hi, _ in tilts]).tolist()
+    edges = np.searchsorted(v, [0.5] + [hi for _, hi, _ in tilts[:-1]]).tolist() + [len(v)]
     u = np.empty_like(v)
     low = u[: edges[0]]
     np.multiply(4.0, v[: edges[0]], out=low)
@@ -717,7 +718,15 @@ def _pair_norm(params: ModelParams, channel: SpinChannel, spec: QuadratureSpec):
     pdf_norm = (2.0 * math.pi * sigma * sigma) ** -1.5
 
     def gauss(p, c):
-        return pdf_norm * np.exp(-_sq_dist(p, c) / (2.0 * sigma * sigma))
+        g = _sq_dist(p, c)
+        np.negative(g, out=g)
+        g /= 2.0 * sigma * sigma
+        np.exp(g, out=g)
+        g *= pdf_norm
+        return g
+
+    # per axis, the centers of p1 and of p2 indexed by swap: (c1, c2) and (c2, c1)
+    ends = [(np.array([a, b]), np.array([b, a])) for a, b in zip(c1, c2)]
 
     def chunk(draws):
         swap = draws.uniform() < 0.5
@@ -725,10 +734,23 @@ def _pair_norm(params: ModelParams, channel: SpinChannel, spec: QuadratureSpec):
         xi2 = draws.normal()
 
         def block(b):
-            p1 = np.where(swap[b], c2[:, None], c1[:, None]) + sigma * xi1[b].T
-            p2 = np.where(swap[b], c1[:, None], c2[:, None]) + sigma * xi2[b].T
-            pdf = 0.5 * (gauss(p1, c1) * gauss(p2, c2) + gauss(p1, c2) * gauss(p2, c1))
-            return _pair_density(p1.T, p2.T, params, channel) / pdf
+            pick = swap[b].astype(np.intp)
+            p1, p2 = xi1[b].T.copy(), xi2[b].T.copy()
+            center = np.empty_like(p1[0])
+            for k, (end1, end2) in enumerate(ends):
+                p1[k] *= sigma
+                p1[k] += np.take(end1, pick, out=center, mode="clip")
+                p2[k] *= sigma
+                p2[k] += np.take(end2, pick, out=center, mode="clip")
+            pdf = gauss(p1, c1)
+            pdf *= gauss(p2, c2)
+            cross = gauss(p1, c2)
+            cross *= gauss(p2, c1)
+            pdf += cross
+            pdf *= 0.5
+            dens = _pair_density(p1.T, p2.T, params, channel)
+            dens /= pdf
+            return dens
 
         return block
 

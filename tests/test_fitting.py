@@ -1,5 +1,7 @@
 """Least-squares parameter recovery, fit guards, synthetic data."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from paircorr.errors import (
     NonConvergenceError,
     UndefinedMetricError,
 )
-from paircorr.fitting import FitConfig, fit, synthesize, approximation_error
+from paircorr.fitting import FitConfig, _latin_starts, fit, synthesize, approximation_error
 from paircorr.model import ModelParams
 
 TRUTH = ModelParams(sigma=0.22, p_split=0.022, triplet_fraction=0.5)
@@ -221,13 +223,15 @@ def test_frozen_fits(key):
 
 
 def test_starts_converge_with_few_model_calls(monkeypatch):
-    # On this dataset eight starts reach f = 0 and one reaches the lower
-    # sigma bound. Clipping a step solved for the free system crawled
-    # along those bounds for all max_iterations (7,124 model calls per
-    # fit); holding the pinned parameter fixed lets every start stop.
+    # On this dataset one of the two profile starts and eight of the 16
+    # Latin-hypercube starts reach f = 0, and one Latin-hypercube start
+    # reaches the lower sigma bound. Clipping a step solved for the free
+    # system crawled along those bounds for all max_iterations (7,124
+    # model calls per fit); holding the pinned parameter fixed lets
+    # every start stop.
     data = _acceptance_data(0.55, 5)
     calls = []
-    outcomes = []
+    captured = []
     real_model = paircorr.fitting.correlation_R
     real_lm = paircorr.fitting._lm_lockstep
 
@@ -237,20 +241,76 @@ def test_starts_converge_with_few_model_calls(monkeypatch):
 
     def recorded(*args):
         out = real_lm(*args)
-        outcomes.append(out)
+        captured.append((args, out))
         return out
 
     monkeypatch.setattr(paircorr.fitting, "correlation_R", counted)
     monkeypatch.setattr(paircorr.fitting, "_lm_lockstep", recorded)
     res = fit(data)
-    _, _, converged, iterations, _, _ = outcomes[0]
+    (evaluate, _, lo, hi, config), (theta, _, converged, iterations, _, _) = captured[0]
+    assert np.any(theta[:, 1] == 0.0)
     assert np.all(converged)
-    assert np.all(iterations < FitConfig().max_iterations)
+    assert np.all(iterations < config.max_iterations)
     assert res.converged
-    # each round evaluates the trial points together with their Jacobian
-    # probes, and the winner's curve serves both the residuals and the
-    # approximation error
-    assert len(calls) == res.model_calls <= 45
+    # the profile grid is one call; then each round evaluates the trial
+    # points together with their Jacobian probes, and the winner's curve
+    # serves both the residuals and the approximation error
+    assert len(calls) == res.model_calls <= 10
+
+    calls.clear()
+    starts = _latin_starts(config, np.random.default_rng(config.rng_seed))
+    theta, _, converged, iterations, _, _ = real_lm(evaluate, starts, lo, hi, config)
+    assert np.sum(theta[:, 1] == 0.0) == 8
+    assert np.sum(theta[:, 0] == lo[0]) == 1
+    assert np.all(converged)
+    assert np.all(iterations < config.max_iterations)
+    assert len(calls) <= 44
+
+
+def _noisy_case(rng, kind):
+    """A noisy dataset with random truth and design, and a config of the given kind."""
+    sigma = float(np.exp(rng.uniform(np.log(0.08), np.log(1.2))))
+    f = float(rng.uniform(0.05, 0.95))
+    p_tilde = float(rng.uniform(0.02, 0.5)) * sigma
+    grid = np.linspace(0.1 * sigma, rng.uniform(2.0, 8.0) * sigma, rng.integers(8, 61))
+    truth = ModelParams(sigma=sigma, p_split=p_tilde, triplet_fraction=f)
+    with warnings.catch_warnings():
+        # noise may push R below -1, which Dataset keeps with a warning
+        warnings.simplefilter("ignore", UserWarning)
+        data = synthesize(
+            truth, grid, noise_rel=rng.uniform(0.05, 0.3), rng_seed=int(rng.integers(1 << 30))
+        )
+    config = {
+        "tied": FitConfig(),
+        "fixed": FitConfig(p_tilde=p_tilde),
+        "sigma": FitConfig(free=("sigma",), f=f, p_tilde=p_tilde),
+        "f": FitConfig(free=("f",), sigma=sigma, p_tilde=p_tilde),
+    }[kind]
+    return data, config
+
+
+def test_profile_starts_reach_the_latin_hypercube_optimum(monkeypatch):
+    # With p_tilde not free, fit seeds the descents from one grid call
+    # instead of 16 Latin-hypercube starts. On noisy data the grid must
+    # find the basin those starts find: the (61, 11) grid meets this
+    # bound on every case, a (5, 3) or (11, 3) grid misses on some.
+    captured = []
+    real_lm = paircorr.fitting._lm_lockstep
+
+    def recorded(*args):
+        captured.append(args)
+        return real_lm(*args)
+
+    monkeypatch.setattr(paircorr.fitting, "_lm_lockstep", recorded)
+    rng = np.random.default_rng(2024)
+    for i in range(100):
+        data, config = _noisy_case(rng, ("tied", "fixed", "sigma", "f")[i % 4])
+        captured.clear()
+        res = fit(data, config)
+        evaluate, _, lo, hi, _ = captured[0]
+        starts = _latin_starts(config, np.random.default_rng(config.rng_seed))
+        latin = real_lm(evaluate, starts, lo, hi, config)[1].min()
+        assert res.objective <= latin * (1.0 + 1e-9), (i, config.free)
 
 
 def test_model_calls_counts_every_model_call(monkeypatch):

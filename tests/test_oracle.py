@@ -209,6 +209,20 @@ def test_strata_are_sorted_so_branches_are_slices():
                 assert pdf.tobytes() == _masked_tilt_pdf(u, zb, tilts).tobytes(), (z, tilts, lo)
 
 
+def test_tilt_sample_takes_v_of_one():
+    # the last stratum rounds to v = 1.0 when its uniform exceeds
+    # 1 - 2^-35; the last tilt takes it, at the end of its inverse CDF
+    # (u = -1, or u = 1 where the tilt falls back to uniform), and the
+    # cosines below it do not change
+    v = np.array([0.1, 0.6, 1.0])
+    for z, end in ((0.3, -1.0), (np.full(3, 0.3), -1.0), (0.5 * _TINY_Z, 1.0)):
+        for tilts in (_COR_TILTS, _UNC_TILTS):
+            u = _tilt_sample(v, z, tilts)
+            assert u[2] == end, (z, tilts)
+            head = _tilt_sample(v[:2], z[:2] if np.ndim(z) else z, tilts)
+            assert u[:2].tobytes() == head.tobytes()
+
+
 def test_error_estimate_scales_like_sqrt_n():
     coarse = phi_norm_oracle(_pure(PARAMS, 0.0), _mc(1 << 16))
     fine = phi_norm_oracle(_pure(PARAMS, 0.0), _mc(1 << 20))
