@@ -21,39 +21,52 @@ Numerics
 With d = s^2/(4 sigma^2), z = s dp / (2 sigma^2) and y = dp/sigma, the
 raw formulas contain sinh(z)/z factors that overflow for large z and
 brackets that cancel to O(d^2) for small splitting. One bracket kernel
-serves every entry point, in two parts: the coincidence brackets, whose
-mixture is the ratio's numerator, and the event-mixed brackets, whose
-mixture is its denominator. Each entry point builds only the brackets
-behind what it returns: correlation_R both parts, coincidence_intensity
-the coincidence part alone, and accidental_intensity the event-mixed
-part plus the one coincidence bracket (the triplet one) that its cross
-term holds. The brackets come from cancellation-free primitives, with
-the numerator reduced by sinh(z)/z and the denominator by
-J^2 sinh(z)/z, so R stays finite even where J^2 or z/sinh(z) underflow
-on their own. The one genuinely cancelling bracket, the triplet
-event-mixed term, takes one factored form below d/4 + z/2 = 2.5, exact
-for every d from 0 up (see N_B below), and the plain sum of decaying
-exponentials past it. At tiny d (below the smallest normal double,
-where 1 - J^2 is subnormal or 0) the triplet coincidence bracket takes
-its exact form A(z) y^2 with d / (1 - J^2) at its limit 1. The
-intensities are the same brackets times the envelope
-g1 = e^{-y^2/4} J^2 sinh(z)/z. The event-mixed brackets carry a term
-eds = z/sinh(z) / J^2, and g1 eds is e^{-y^2/4} exactly; the kernel
-takes that product as one factor, because past d = 700
-(_SATURATED_DELTA) g1 underflows while eds overflows. One selector,
-_fill, picks every form, from a mask
-with one flag per point or per parameter row; each form runs only on
-the points it serves (a form that serves every point, as in each of the
-fitter's calls, runs on the whole grid without gathering them). Each
-entry point runs whole per block: on grids longer than two blocks,
-y = dp/sigma, the brackets and the entry point's finishing step
-(2 num/den - 1 for R, n_pairs dp^2 times a constant times its half for
-an intensity) go _BLOCK points at a time into one output array, so the
-temporaries stay in cache and none is grid-sized. Per block, e^{-z} and
-expm1(-2z) are computed once, and inv_sinhc(z) and the envelope's
-x/expm1(x) at x = -2z are both formed from them; sech(z/2), which only
-the event-mixed brackets take, comes from sech itself. A block drops
-each array once it is dead and makes no placeholder for a form that
+serves every entry point. It returns five brackets, none of which
+depends on f: the singlet and triplet coincidence brackets bc0 and bc1,
+and the event-mixed ones bu0 (singlet squared), bu1 (triplet squared)
+and buc (cross). f enters only afterwards, when the brackets are mixed
+into the ratio's numerator and denominator,
+
+    num = (1 - f) bc0 + f bc1,
+    den = (1 - f)^2 bu0 + f^2 bu1 + 2 f (1 - f) buc,   R = 2 num/den - 1,
+
+where a den term whose weight is 0 is left out, so that an inf bracket
+cannot turn den into nan. The kernel runs on the broadcast of
+(dp, sigma, split) alone, so a call with an f axis of its own pays for
+the brackets once and for the mix once per f. Each entry point builds
+only the brackets behind what it returns: correlation_R all five,
+coincidence_intensity bc0 and bc1, and accidental_intensity the three
+event-mixed ones plus bc1, which buc holds. The brackets come from
+cancellation-free primitives, the coincidence ones reduced by
+sinh(z)/z and the event-mixed ones by J^2 sinh(z)/z, so R stays finite
+even where J^2 or z/sinh(z) underflow on their own. The one genuinely
+cancelling bracket, bu1, takes one factored form below
+d/4 + z/2 = 2.5, exact for every d from 0 up (see N_B below), and the
+plain sum of decaying exponentials past it. At tiny d (below the
+smallest normal double, where 1 - J^2 is subnormal or 0) bc1 takes its
+exact form A(z) y^2 with d / (1 - J^2) at its limit 1. _regimes labels
+each point with the form that serves it. The intensities are the same
+brackets times the envelope g1 = e^{-y^2/4} J^2 sinh(z)/z. The
+event-mixed brackets carry a term eds = z/sinh(z) / J^2, and g1 eds is
+e^{-y^2/4} exactly; the kernel takes that product as one factor,
+because past d = 700 (_SATURATED_DELTA) g1 underflows while eds
+overflows. One selector, _fill, picks every form, from a mask with one
+flag per point or per parameter row; each form runs only on the points
+it serves (a form that serves every point, as in each of the fitter's
+calls, runs on the whole grid without gathering them). Parameter rows
+that share one split ratio share one set of split terms, taken as
+scalars, with no per-row mask. Each entry point runs whole per block:
+on grids longer than two blocks, y = dp/sigma, the brackets, the mix
+and the entry point's finishing step (2 num/den - 1 for R, n_pairs dp^2
+times a constant times its half for an intensity) go _BLOCK points at
+a time into one output array, so the temporaries stay in cache and
+none is grid-sized. Per block, e^{-z} and expm1(-2z) are computed once,
+and inv_sinhc(z) and the envelope's x/expm1(x) at x = -2z are both
+formed from them; sech(z/2), which only the event-mixed brackets take,
+comes from sech itself. A block drops each array once it is dead,
+builds bu1's factored form (its largest set of temporaries) before any
+other event-mixed bracket, mixes into the brackets in place where they
+have the output's shape, and makes no placeholder for a form that
 serves every point, which keeps its heap peak near the size of a
 1e5-point output (at most ~1 MB). glibc returns the heap top to the
 system once it exceeds twice the largest freed mmapped chunk (there,
@@ -69,6 +82,7 @@ envelope's exponent y^2/4 before exp, about 2^-52 y^2/4 relative.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -200,20 +214,25 @@ def _per_point(q, f):
 
     NumPy's vector exp and expm1 may differ from libm in the last bit, so
     the split terms come from libm, once per distinct q (a fit with
-    p_tilde tied to 0.1 sigma has only a few). The weights are exact
-    products but for (1 - f)^2: libm pow and x * x disagree in the last
-    bit on about 1 f in 1,000, and float_power, unlike power, calls
-    pow for scalars and arrays alike. So each row of a batched call is
-    bitwise equal to the one-parameter call. Scalars come back as
-    floats, arrays as float arrays of the shape of q (split terms) or f
-    (weights).
+    p_tilde tied to 0.1 sigma has at most three, the values 0.1 sigma /
+    sigma rounds to). Where every q of a batched call is one value, as
+    in most of the fitter's calls, the split terms come back as floats,
+    so the kernel takes no per-row broadcasts or masks; an empty q gives
+    empty arrays. The weights are exact products but for (1 - f)^2:
+    libm pow and x * x disagree in the last bit on about 1 f in 1,000,
+    and float_power, unlike power, calls pow for scalars and arrays
+    alike. So each row of a batched call is bitwise equal to the
+    one-parameter call. Scalars come back as floats, arrays as float
+    arrays of the shape of q (split terms) or f (weights).
     """
-    if np.ndim(q):
+    if not np.ndim(q):
+        terms = _split_terms(q)
+    elif q.size and (q == q.flat[0]).all():
+        terms = _split_terms(q.flat[0].item())
+    else:
         distinct, where = np.unique(q.ravel(), return_inverse=True)
         table = np.array([_split_terms(v) for v in distinct.tolist()]).reshape(-1, 9)
         terms = tuple(np.take(table.T, where.reshape(q.shape), axis=1))
-    else:
-        terms = _split_terms(q)
     return terms + (np.float_power(1.0 - f, 2.0), f * f, 2.0 * f * (1.0 - f))
 
 
@@ -309,32 +328,31 @@ def _series(coefs, z, inv_s):
     return inv_s * _horner(coefs, z2)
 
 
-def _event_mixed(g, ge, bc1, a, near, y, z, inv_s, j2, j4, jh, om, k1, k2, c, fac, w0, w1, w2):
-    """den: the event-mixed brackets weighed by (1 - f)^2, f^2 and 2 f (1 - f).
+def _event_mixed(g, ge, bc1, a, near, y, z, inv_s, j2, j4, jh, om, k1, k2, c, fac):
+    """The event-mixed brackets (singlet^2 bu0, triplet^2 bu1, cross buc).
 
-    The brackets (singlet^2 bu0, triplet^2 bu1, cross buc) are divided
-    by J^2 sinh(z)/z and multiplied by the g of the scale; every eds
-    term is written with ge = g * eds, never as g times eds.
+    Each is divided by J^2 sinh(z)/z and multiplied by the g of the
+    scale; every eds term is written with ge = g * eds, never as g
+    times eds.
     """
     sh = sech(0.5 * z)
-    op = 1.0 + j2
-    # bu0 and the plain form of N_B below share these two terms
+    # N_B * inv_sinhc / (J^2 (1 - J^2)^2): the factored form on the near
+    # points, below the plain switch, at every d. It takes the most
+    # temporaries, so it runs first, while no other bracket is alive
+    bu1 = _fill(z.shape, near, _nb_factored, y, z, inv_s, sh, a, g, k1, k2, c, fac)
+    # bu0 and the plain form of N_B share these two terms
     ends = (1.0 + 2.0 * j4) * ge + g
     mid = 4.0 * jh * sh * g
-    # each bracket joins den as soon as it is built, in the order bu0,
-    # bu1, buc, so that few block-sized arrays are alive at once
-    den = _weighed(0.0, w0, (ends + mid) / (op * op))
-    # N_B * inv_sinhc / (J^2 (1 - J^2)^2): the factored form on the near
-    # points, below the plain switch, at every d; divide by om twice, not
-    # by om * om: for d below ~1e-154 the square underflows to zero while
-    # the staged quotient stays exact
-    bu1 = _fill(z.shape, ~near, lambda e, m, om: (e - m) / om / om, ends, mid, om)
+    del sh
+    # divide by om twice, not by om * om: for d below ~1e-154 the square
+    # underflows to zero while the staged quotient stays exact
+    bu1 = _fill(bu1, ~near, lambda e, m, om: (e - m) / om / om, ends, mid, om)
+    op = 1.0 + j2
+    bu0 = (ends + mid) / (op * op)
     del ends, mid
-    den = _weighed(den, w1, _fill(bu1, near, _nb_factored, y, z, inv_s, sh, a, g, k1, k2, c, fac))
-    del sh, bu1
     # the cross bracket's constant part factors exactly:
     # (1 - J^4) - J^2 (1 - J^2) = (1 - J^2)(1 + 2 J^2), cancelling om
-    return _weighed(den, w2, ((1.0 + 2.0 * j2) * ge + bc1) / op)
+    return bu0, bu1, ((1.0 + 2.0 * j2) * ge + bc1) / op
 
 
 def _nb_factored(y, z, inv_s, sh, a, g, k1, k2, c, fac):
@@ -355,22 +373,6 @@ def _nb_factored(y, z, inv_s, sh, a, g, k1, k2, c, fac):
     return ((y * g) * y * (y * y * zq + (k1 * a + k2 * b)) + c * g) * fac
 
 
-def _weighed(den, coef, bracket):
-    """den + coef * bracket, summing only where coef is nonzero.
-
-    Brackets may be inf for enormous splitting and f*f can underflow, so
-    a term whose weight is 0 stays out of den rather than let 0 * inf
-    poison it.
-    """
-    live = np.count_nonzero(coef)
-    if live == np.size(coef):
-        return den + coef * bracket
-    if live:
-        with np.errstate(invalid="ignore"):
-            return den + np.where(coef != 0.0, coef * bracket, 0.0)
-    return den
-
-
 def _eds_saturated(delta, z):
     """inv_sinhc(z) / J^2 past d = _SATURATED_DELTA, with the exponentials combined.
 
@@ -385,33 +387,82 @@ def _eds_saturated(delta, z):
 def _mixture(dp, sigma, f, split, scale, finish, halves=("num", "den")):
     """finish(dp, *h) for the halves h named in ``halves``, of (num, den), in that order.
 
-    num weighs the coincidence brackets by 1 - f and f, den the
-    event-mixed ones by (1 - f)^2, f^2 and 2 f (1 - f); the kernel
-    builds only the brackets behind the halves asked for. ``finish`` is
-    the entry point's per-point step from the halves to its result.
-    Grids longer than two blocks go through y = dp/sigma, the kernel and
-    finish _BLOCK points at a time along the last axis, into one output
-    array; each point's arithmetic is the same either way.
+    The kernel builds only the brackets behind the halves asked for, on
+    the broadcast of (dp, sigma, split) alone: no bracket depends on f.
+    _mix then weighs them into the halves on the full shape, and
+    ``finish``, the entry point's per-point step, takes the halves to its
+    result. So an f axis of its own costs the kernel nothing.
+    Grids longer than two blocks go through y = dp/sigma, the kernel, the
+    mix and finish _BLOCK points at a time along the last axis, into one
+    output array; each point's arithmetic is the same either way.
     """
-    terms = (f,) + _per_point(split / sigma, f)
-    shape = np.broadcast_shapes(np.shape(dp), np.shape(sigma), np.shape(terms[1]), np.shape(f))
+    q = split / sigma
+    *terms, w0, w1, w2 = _per_point(q, f)
+    weights = (f, w0, w1, w2)
+    # the brackets' shape, and the output's
+    inner = np.broadcast_shapes(np.shape(dp), np.shape(sigma), np.shape(q))
+    shape = inner if isinstance(f, float) else np.broadcast_shapes(inner, f.shape)
+    # each bracket is a fresh array of the output's shape: mix in place
+    in_place = bool(inner) and inner == shape
     n = shape[-1] if shape else 1
     if n <= 2 * _BLOCK:
-        y = np.broadcast_to(dp / sigma, shape)
-        return finish(dp, *_mixture_block(scale, halves, y, *terms))
+        y = np.broadcast_to(dp / sigma, inner)
+        return finish(dp, *_mix(halves, weights, _mixture_block(scale, halves, y, *terms), in_place))
     out = np.empty(shape)
-    args = (dp, sigma) + terms
+    args = (dp, sigma, *weights, *terms)
     # which arguments run along the grid, and so are cut per block
     along = [np.shape(a)[-1:] == (n,) for a in args]
     for lo in range(0, n, _BLOCK):
         cut = np.s_[..., lo : lo + _BLOCK]
         dp_cut, sigma_cut, *parts = (a[cut] if c else a for a, c in zip(args, along))
-        y = dp_cut / sigma_cut
         block = out[cut]
-        if y.shape != block.shape:
-            y = np.broadcast_to(y, block.shape)
-        block[...] = finish(dp_cut, *_mixture_block(scale, halves, y, *parts))
+        width = block.shape[-1:] if inner[-1:] == (n,) else inner[-1:]
+        y = np.broadcast_to(dp_cut / sigma_cut, inner[:-1] + width)
+        # no name for the brackets or the halves, which would keep them
+        # alive into the next block
+        block[...] = finish(
+            dp_cut, *_mix(halves, parts[:4], _mixture_block(scale, halves, y, *parts[4:]), in_place)
+        )
     return out
+
+
+# _mix's product and sum, each written into its second operand
+_INTO_SECOND = (lambda a, b: np.multiply(a, b, b), lambda a, b: np.add(a, b, b))
+
+
+def _mix(halves, weights, brackets, in_place):
+    """The halves from the brackets of _mixture_block, f and the _per_point weights.
+
+    num = (1 - f) bc0 + f bc1 and den = (1 - f)^2 bu0 + f^2 bu1 +
+    2 f (1 - f) buc, each summed in that order. A den term whose weight
+    is 0 stays out of den: brackets may be inf for enormous splitting
+    and f*f can underflow, and 0 * inf would poison it. With
+    ``in_place`` (the brackets are arrays of the output's shape, which
+    nothing else holds) each product and sum is written into its second
+    operand, a bracket the mix consumes, so the mix makes no new array;
+    otherwise they are plain operators, which keep NumPy's scalar
+    warnings on 0-d values.
+    """
+    f, *w = weights
+    mul, add = _INTO_SECOND if in_place else (operator.mul, operator.add)
+    mixed = []
+    for half, b in zip(halves, brackets):
+        if half == "num":
+            mixed.append(add(mul(1.0 - f, b[0]), mul(f, b[1])))
+            continue
+        den = 0.0
+        for coef, bracket in zip(w, b):
+            if isinstance(coef, float):  # one weight: the term is all in or all out
+                live, size = coef != 0.0, 1
+            else:
+                live, size = np.count_nonzero(coef), coef.size
+            if live == size:
+                den = add(den, mul(coef, bracket))
+            elif live:
+                with np.errstate(invalid="ignore"):
+                    den = den + np.where(coef != 0.0, coef * bracket, 0.0)
+        mixed.append(den)
+    return mixed
 
 
 def _z_terms(delta, y):
@@ -430,13 +481,14 @@ def _z_terms(delta, y):
     return z, x, em, inv_s
 
 
-def _mixture_block(scale, halves, y, f, delta, j2, j4, jh, om, k1, k2, c, fac, w0, w1, w2):
-    """The halves of _mixture on one block of y, with f and the _per_point terms cut to match.
+def _mixture_block(scale, halves, y, delta, j2, j4, jh, om, k1, k2, c, fac):
+    """The brackets behind the halves of _mixture on one block of y, with the _split_terms cut to match.
 
-    The brackets of num are the singlet and triplet coincidence brackets
-    divided by sinh(z)/z, those of den the event-mixed ones divided by
-    J^2 sinh(z)/z, each multiplied by the g of ``scale``
-    (``_ratio_scale`` or ``_intensity_scale``). With g = 1 they enter
+    For each half named in ``halves`` a tuple: (bc0, bc1), the singlet
+    and triplet coincidence brackets divided by sinh(z)/z, for num;
+    (bu0, bu1, buc), the event-mixed ones divided by J^2 sinh(z)/z, for
+    den. Each is multiplied by the g of ``scale`` (``_ratio_scale`` or
+    ``_intensity_scale``). With g = 1 their mixtures enter
     R = 2 num/den - 1 directly. Reducing the denominator by the extra
     J^2 keeps the ratio well defined even where J^2 or z/sinh(z)
     underflow on their own: the lone growing factor e^{d - z} appears
@@ -444,25 +496,55 @@ def _mixture_block(scale, halves, y, f, delta, j2, j4, jh, om, k1, k2, c, fac, w
     -1, which the inf propagates to exactly.
 
     ``delta`` and the rest of ``_split_terms`` are scalars or arrays per
-    parameter point; ``y`` has the full broadcast shape.
+    parameter point; ``y`` has the brackets' broadcast shape.
     """
     z, x, em, inv_s = _z_terms(delta, y)
     g, ge = scale(delta, y, z, inv_s, j2, x, em, "den" in halves)
     del x, em  # dead from here; see the heap note in the module docstring
     small = z < 0.5
     # the points of den that the factored form of N_B serves
-    near = z < 2.0 * _PLAIN_SWITCH - 0.5 * delta if "den" in halves else None
+    near = _near(delta, z) if "den" in halves else None
     # A(z) only where it is taken: by bc1 below z = 0.5 and by the factored N_B
     a = _fill(z.shape, small if near is None else small | near, _a, z, inv_s)
     bc1 = _bc1(delta, y, z, inv_s, om, g, a, small)
-    # den first, so that num is not alive while den's larger set of
-    # brackets is
+    brackets = {}
     if "den" in halves:
-        den = _event_mixed(g, ge, bc1, a, near, y, z, inv_s, j2, j4, jh, om, k1, k2, c, fac, w0, w1, w2)
-        del ge
+        brackets["den"] = _event_mixed(g, ge, bc1, a, near, y, z, inv_s, j2, j4, jh, om, k1, k2, c, fac)
+    del ge, a, small, near
     if "num" in halves:
-        num = (1.0 - f) * ((1.0 + inv_s) / (1.0 + j2) * g) + f * bc1
-    return tuple(num if h == "num" else den for h in halves)
+        bc0 = 1.0 + inv_s
+        bc0 /= 1.0 + j2
+        bc0 *= g
+        brackets["num"] = (bc0, bc1)
+    return tuple(brackets[h] for h in halves)
+
+
+def _near(delta, z):
+    """Where the factored form of N_B serves: below d/4 + z/2 = _PLAIN_SWITCH."""
+    return z < 2.0 * _PLAIN_SWITCH - 0.5 * delta
+
+
+# Labels of _regimes: the form that serves a point, plus a flag where bc1
+# takes its tiny-d form
+_FACTORED, _PLAIN, _SATURATED, _TINY = 0, 1, 2, 4
+
+
+def _regimes(delta_p, sigma, split):
+    """A small-int label per point of the broadcast of (delta_p, sigma, split): which regime serves it.
+
+    _FACTORED where the factored N_B serves (``_near``), _SATURATED past
+    d = _SATURATED_DELTA, where eds takes its saturated form, and
+    _PLAIN elsewhere; _TINY is added where d is below _TINY_DELTA and
+    bc1 takes its exact tiny-d form. The labels come from the kernel's
+    own switches and its z = sqrt(d) dp/sigma. No entry point calls
+    this, so it costs them nothing.
+    """
+    sigma, _, split = _check_physical(sigma, 0.0, split)
+    delta = _per_point(split / sigma, 0.0)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # z is inf or NaN where y overflows, as in the kernel
+        z = np.sqrt(delta) * (_check_delta_p(delta_p) / sigma)
+    form = np.where(delta > _SATURATED_DELTA, _SATURATED, np.where(_near(delta, z), _FACTORED, _PLAIN))
+    return (form + np.where(delta < _TINY_DELTA, _TINY, 0)).astype(np.int8)
 
 
 def _finish_R(dp, num, den):
@@ -493,7 +575,12 @@ def correlation_R(delta_p, sigma, triplet_fraction, momentum_split):
 
     Array-valued parameters broadcast against delta_p, so an (m, 1)
     column of each with an n-point grid evaluates m curves in one call;
-    each row equals the one-parameter call bit for bit.
+    each row equals the one-parameter call bit for bit. Only the mix of
+    the brackets depends on f, so f on an axis of its own, e.g. sigma
+    and momentum_split as (m, 1, 1) columns and f as a (1, k, 1) axis,
+    runs the bracket kernel on m rows and costs k times only the mix.
+    Rows that share one split ratio momentum_split / sigma share one set
+    of split terms.
 
     Returns
     -------

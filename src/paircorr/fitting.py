@@ -7,7 +7,9 @@ run from several starts because the objective is multimodal when
 sigma and f are both free. When p_tilde is tied or fixed, one model
 call on a (sigma, f) grid gives the chi^2 profile over sigma (the
 minimum over f at each sigma), and its local minima are the starts;
-when p_tilde is free, the starts are a Latin hypercube. The starts run
+that call puts f on an axis of its own, so the closed-form kernel runs
+once per sigma and f costs only the mix of its brackets. When p_tilde
+is free, the starts are a Latin hypercube. The starts run
 in lockstep: each round evaluates every running start's trial point
 together with its forward-difference probes in one parameter-batched
 correlation_R call, so an accepted trial has its next Jacobian at once,
@@ -85,7 +87,8 @@ class FitConfig:
         At most this many LM descents: the lowest local minima of the
         chi^2 profile, or with p_tilde free this many Latin-hypercube
         starts. Either way sigma starts are sought over [0.05, 2] a.u.
-        clipped to its bounds (log-uniform or log-spaced).
+        clipped to its bounds, or over the bounds where the two do not
+        meet (log-uniform or log-spaced).
     max_iterations : int
         Levenberg-Marquardt iterations per start.
     step_tol : float
@@ -200,8 +203,11 @@ def _bounds_arrays(config: FitConfig):
 
 
 def _sigma_range(config: FitConfig):
-    """Where sigma starts are sought: [0.05, 2] a.u. clipped to its bounds."""
-    return max(config.sigma_bounds[0], 0.05), min(config.sigma_bounds[1], 2.0)
+    """Where sigma starts are sought: [0.05, 2] a.u. clipped to its bounds, or the bounds where the two do not meet."""
+    lo, hi = config.sigma_bounds
+    if lo >= 2.0 or hi <= 0.05:
+        return lo, hi
+    return max(lo, 0.05), min(hi, 2.0)
 
 
 def _latin_starts(config: FitConfig, rng: np.random.Generator):
@@ -223,27 +229,31 @@ def _latin_starts(config: FitConfig, rng: np.random.Generator):
     return np.stack(columns, axis=1)
 
 
-def _profile_starts(evaluate, lo, hi, config: FitConfig):
+def _profile_starts(model, dp, lo, hi, config: FitConfig):
     """Starts at the local minima of the chi^2 profile over sigma, lowest first.
 
-    For fits with p_tilde not free. One ``evaluate`` call covers the
+    For fits with p_tilde not free. One ``model`` call covers the
     (sigma, f) grid, clipped to the box: _PROFILE_SIGMAS log-spaced
     sigmas over _sigma_range and _PROFILE_FRACTIONS values of f over
-    f_bounds, with a fixed parameter's axis its one value. The profile
-    is the minimum over f at each sigma, and each of its local minima
+    f_bounds, with a fixed parameter's axis its one value. The call
+    takes dp as an (m_sigma, 1, N) broadcast, sigma and p_tilde as
+    (m_sigma, 1, 1) columns and f as a (1, m_f, 1) axis, so the kernel
+    runs once per sigma and f enters only its final mix. The profile is
+    the minimum over f at each sigma, and each of its local minima
     becomes a start, at most multistart_count of them.
     """
-    sigmas = np.geomspace(*_sigma_range(config), _PROFILE_SIGMAS)
-    fractions = np.linspace(*config.f_bounds, _PROFILE_FRACTIONS)
-    sigma, f = np.meshgrid(
-        sigmas if "sigma" in config.free else [config.sigma],
-        fractions if "f" in config.free else [config.f],
-        indexing="ij",
-    )
-    grid = np.stack([{"sigma": sigma, "f": f}[name] for name in config.free], axis=-1)
-    grid = np.clip(grid, lo, hi)
-    r, _ = evaluate(grid.reshape(sigma.size, -1))
-    cost = (r * r).sum(axis=1).reshape(sigma.shape)
+    axes = {
+        "sigma": np.geomspace(*_sigma_range(config), _PROFILE_SIGMAS),
+        "f": np.linspace(*config.f_bounds, _PROFILE_FRACTIONS),
+    }
+    for j, name in enumerate(config.free):
+        axes[name] = np.clip(axes[name], lo[j], hi[j])
+    sigma = axes["sigma"] if "sigma" in config.free else np.array([config.sigma])
+    f = axes["f"] if "f" in config.free else np.array([config.f])
+    sigma, f = sigma[:, None, None], f[None, :, None]
+    p_tilde = 0.1 * sigma if config.p_tilde is None else config.p_tilde
+    r, _ = model(np.broadcast_to(dp, (sigma.shape[0], 1, dp.size)), sigma, f, p_tilde)
+    cost = (r * r).sum(axis=-1)
     best = cost.argmin(axis=1)
     profile = cost[np.arange(len(cost)), best]
     # the last point of a flat stretch counts, so a flat profile has a minimum
@@ -251,7 +261,8 @@ def _profile_starts(evaluate, lo, hi, config: FitConfig):
     right = np.concatenate([profile[1:], [np.inf]])
     minima = np.flatnonzero((profile <= left) & (profile < right))
     minima = minima[np.argsort(profile[minima], kind="stable")][: config.multistart_count]
-    return grid[minima, best[minima]]
+    chosen = {"sigma": sigma[minima, 0, 0], "f": f[0, best[minima], 0]}
+    return np.stack([chosen[name] for name in config.free], axis=-1)
 
 
 def _lm_lockstep(evaluate, theta0, lo, hi, config: FitConfig):
@@ -402,18 +413,20 @@ def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     data_scale = float(np.max(np.abs(robs)))
     calls = 0
 
-    def evaluate(thetas):
+    def model(grid, sigma, f, p_tilde):
         nonlocal calls
         calls += 1
-        grid = np.broadcast_to(dp, (thetas.shape[0], dp.size))
-        r_model = correlation_R(grid, *_resolve(thetas, config))
-        return sqrt_w * (r_model - robs), np.abs(r_model).max(axis=1)
+        r_model = correlation_R(grid, sigma, f, p_tilde)
+        return sqrt_w * (r_model - robs), np.abs(r_model).max(axis=-1)
+
+    def evaluate(thetas):
+        return model(np.broadcast_to(dp, (thetas.shape[0], dp.size)), *_resolve(thetas, config))
 
     lo, hi = _bounds_arrays(config)
     if "p_tilde" in config.free:
         starts = _latin_starts(config, np.random.default_rng(config.rng_seed))
     else:
-        starts = _profile_starts(evaluate, lo, hi, config)
+        starts = _profile_starts(model, dp, lo, hi, config)
     thetas, costs, converged, iterations, scales, traces = _lm_lockstep(
         evaluate, starts, lo, hi, config
     )

@@ -8,6 +8,7 @@ including each internal switch point.
 
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,8 +21,13 @@ import paircorr.model
 from paircorr._stable import inv_sinhc, x_over_expm1
 from paircorr.correlation import (
     _BLOCK,
+    _FACTORED,
+    _PLAIN,
+    _SATURATED,
+    _TINY,
     CorrelationCurve,
     _per_point,
+    _regimes,
     _split_terms,
     accidental_intensity,
     coincidence_intensity,
@@ -491,6 +497,108 @@ def test_per_point_terms_match_scalar_terms():
     for k, column in enumerate(batch):
         assert column.shape == (20_020, 1)
         _assert_same_bytes(column[:, 0], np.array([terms[k] for terms in alone]))
+
+
+def _with_warnings(call, *args):
+    """call(*args) and the set of (category, message) of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call(*args)
+    return out, {(w.category, str(w.message)) for w in caught}
+
+
+def _row_calls(dp, sigma, f, split):
+    """correlation_R one (sigma, f, split) at a time, stacked as (m, k, N), with the warnings of all."""
+    calls = [
+        _with_warnings(correlation_R, dp, s, fr, sp)
+        for s, sp in zip(sigma.ravel().tolist(), split.ravel().tolist())
+        for fr in f.ravel().tolist()
+    ]
+    rows = np.array([r for r, _ in calls]).reshape(sigma.shape[0], f.shape[1], -1)
+    return rows, set().union(*(w for _, w in calls))
+
+
+def test_f_axis_matches_scalar_calls():
+    # sigma and split as (m, 1, 1) columns and f as a (1, k, 1) axis:
+    # the kernel runs once per row and f enters only the mix, yet every
+    # point equals the one-parameter call, in bytes and in warnings. The
+    # rows hold d = 0, subnormal d and d = 900, where eds and so bu0,
+    # bu1 and buc are inf: at f = 0 and f = 1 the terms whose weight is 0
+    # must stay out of den, not turn it into 0 * inf = nan
+    dp = np.concatenate([[0.0], np.geomspace(1e-4, 60.0, 29), [1e300]])
+    sigma, split = (np.array(col)[:, None, None] for col in zip(*_REGIMES))
+    f = np.array([0.0, 1e-300, 0.3, 1.0])[None, :, None]
+    got, got_warnings = _with_warnings(correlation_R, dp, sigma, f, split)
+    want, want_warnings = _row_calls(dp, sigma, f, split)
+    _assert_same_bytes(got, want)
+    assert got_warnings == want_warnings
+    # at d = 900 den is inf, and R has pinned to -1 at f = 0 and f = 1
+    with np.errstate(over="ignore"):
+        den = paircorr.correlation._mixture(
+            dp[:5], 0.1, 0.5, 6.0, paircorr.correlation._ratio_scale, lambda dp, num, den: den
+        )
+    assert np.all(np.isinf(den))
+    assert np.all(got[-1, [0, -1], :5] == -1.0)
+    # rows sharing one split ratio (0.1 sigma / sigma is exactly 0.1 at
+    # powers of two) take scalar split terms; rows at the three ratios
+    # that 0.1 sigma / sigma rounds to over the profile grid take per-row ones
+    shared = 2.0 ** np.arange(-5.0, 2.0)[:, None, None]
+    spread = np.geomspace(0.05, 2.0, 61)[:, None, None]
+    assert np.unique(0.1 * shared / shared).size == 1
+    assert np.unique(0.1 * spread / spread).size == 3
+    assert all(isinstance(t, float) for t in _per_point(0.1 * shared / shared, f)[:9])
+    f = np.linspace(0.0, 1.0, 11)[None, :, None]
+    dp = np.linspace(0.0, 6.0, 30)
+    for sigma in (shared, spread):
+        got, got_warnings = _with_warnings(correlation_R, dp * sigma, sigma, f, 0.1 * sigma)
+        rows = [_with_warnings(correlation_R, dp * s, s, f, 0.1 * s) for s in sigma[:, 0, 0].tolist()]
+        _assert_same_bytes(got, np.concatenate([r for r, _ in rows]))
+        assert got_warnings == set().union(*(w for _, w in rows))
+        want, _ = _row_calls(dp * sigma[:1], sigma[:1], f, 0.1 * sigma[:1])
+        _assert_same_bytes(got[:1], want)
+    # empty batches keep their shapes
+    dp = np.linspace(0.0, 1.0, 5)
+    for sigma_shape, f_shape, shape in [
+        ((0, 1), (), (0, 5)),
+        ((3, 0, 1), (1, 1, 1), (3, 0, 5)),
+        ((3, 1, 1), (1, 0, 1), (3, 0, 5)),
+        ((0, 1, 1), (1, 4, 1), (0, 4, 5)),
+    ]:
+        sigma = np.full(sigma_shape, 0.3)
+        assert correlation_R(dp, sigma, np.full(f_shape, 0.5), 0.1 * sigma).shape == shape
+
+
+def test_regime_labels_cover_the_seam_scan(monkeypatch):
+    # _regimes labels each point from the kernel's own switches: a
+    # one-point R call runs the factored N_B exactly where the label is
+    # _FACTORED and the saturated eds exactly where it is _SATURATED. The
+    # reference scan's points, with rows at d = 0 and subnormal d, carry
+    # every label; _PLAIN | _TINY needs z past the plain switch at
+    # subnormal d, or NaN z (0 * inf) at d = 0
+    served = []
+    for name in ("_nb_factored", "_eds_saturated"):
+        real = getattr(paircorr.correlation, name)
+        monkeypatch.setattr(
+            paircorr.correlation, name, lambda *a, name=name, real=real: served.append(name) or real(*a)
+        )
+    points = [(sigma, split, dp) for sigma, split, _, dp in _scan_points()]
+    points += [(0.3, split, dp) for split in (0.0, 1e-160) for dp in (0.0, 0.3, 1e300)]
+    points += [(1e-10, 0.0, 1e300)]
+    labels = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sigma, split, dp in points:
+            label = int(_regimes(dp, sigma, split))
+            labels.add(label)
+            served.clear()
+            correlation_R(np.array([dp]), sigma, 0.5, split)
+            form = label & ~_TINY
+            assert ("_nb_factored" in served) == (form == _FACTORED), (sigma, split, dp)
+            assert ("_eds_saturated" in served) == (form == _SATURATED), (sigma, split, dp)
+            assert bool(label & _TINY) == ((split / sigma) ** 2 / 4.0 < sys.float_info.min)
+    assert labels == {_FACTORED, _PLAIN, _SATURATED, _FACTORED | _TINY, _PLAIN | _TINY}
+    # a label per point of the broadcast, as small ints
+    grid = _regimes(np.linspace(0.0, 30.0, 7), np.array([[0.1], [1.0]]), 4.0)
+    assert grid.shape == (2, 7) and grid.dtype == np.int8
 
 
 def _split_reference(d):

@@ -14,7 +14,7 @@ from paircorr.errors import (
     NonConvergenceError,
     UndefinedMetricError,
 )
-from paircorr.fitting import FitConfig, _latin_starts, fit, synthesize, approximation_error
+from paircorr.fitting import FitConfig, _latin_starts, _sigma_range, fit, synthesize, approximation_error
 from paircorr.model import ModelParams
 
 TRUTH = ModelParams(sigma=0.22, p_split=0.022, triplet_fraction=0.5)
@@ -334,9 +334,16 @@ def test_model_calls_counts_every_model_call(monkeypatch):
         except NonConvergenceError as exc:
             res = exc.result
         assert res.model_calls == len(calls)
-        # one batched call per round, then one at the winner
+        # with p_tilde tied, first the profile grid: one 3-d call whose
+        # dp is an (m_sigma, 1, N) broadcast, so that the kernel runs once
+        # per sigma; then one batched call per round, then one at the winner
+        profile = [shape for shape in calls if len(shape) == 3]
+        if "p_tilde" in config.free:
+            assert profile == []
+        else:
+            assert profile == [calls[0]] == [(61, 1, len(data))]
         assert calls[-1] == (len(data),)
-        assert all(len(shape) == 2 for shape in calls[:-1])
+        assert all(len(shape) == 2 for shape in calls[len(profile) : -1])
     assert not res.converged
 
 
@@ -361,3 +368,31 @@ def test_each_start_runs_as_if_alone(monkeypatch):
             for got, want in zip(together[:5], alone[:5]):
                 np.testing.assert_array_equal(got[i], want[0])
             assert together[5][i] == alone[5][0]
+
+
+@pytest.mark.parametrize("sigma, bounds", [(5.0, (3.0, 10.0)), (0.02, (1e-3, 0.04))])
+def test_sigma_starts_when_the_bounds_miss_the_start_range(monkeypatch, sigma, bounds):
+    # sigma starts are sought over [0.05, 2] clipped to the bounds; where
+    # the two do not meet, over the bounds themselves, never over an
+    # inverted interval whose starts all clip to one bound
+    captured = []
+    real_lm = paircorr.fitting._lm_lockstep
+
+    def recorded(*args):
+        captured.append(args[1])
+        return real_lm(*args)
+
+    monkeypatch.setattr(paircorr.fitting, "_lm_lockstep", recorded)
+    lo, hi = _sigma_range(FitConfig(sigma_bounds=bounds))
+    assert bounds[0] <= lo < hi <= bounds[1]
+    data = _acceptance_data(sigma, 3)
+    for free in (("sigma", "f"), ("sigma", "f", "p_tilde")):
+        config = FitConfig(free=free, sigma_bounds=bounds)
+        res = fit(data, config)
+        starts = captured[-1][:, 0]
+        assert np.all((bounds[0] <= starts) & (starts <= bounds[1]))
+        assert len(np.unique(starts)) == len(starts)
+        if "p_tilde" in free:
+            assert len(starts) == config.multistart_count
+        assert abs(res.sigma - sigma) / sigma < 0.15
+        assert abs(res.f - 0.5) < 0.15
