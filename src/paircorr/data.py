@@ -15,6 +15,7 @@ inputs produces byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -141,7 +142,7 @@ def load_dataset(path, label: str = "") -> Dataset:
                 values = [float(part) for part in fields]
             except ValueError:
                 raise DataFormatError(f"non-numeric field in {line!r}", line=lineno) from None
-            if not all(np.isfinite(values)) or min(values[:1] + values[2:]) <= 0.0:
+            if not all(map(math.isfinite, values)) or min(values[:1] + values[2:]) <= 0.0:
                 raise DataFormatError(
                     f"values must be finite, delta_p and sigma_R > 0, got {line!r}", line=lineno
                 )

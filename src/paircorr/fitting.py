@@ -10,15 +10,19 @@ minimum over f at each sigma), and its local minima are the starts;
 that call puts f on an axis of its own, so the closed-form kernel runs
 once per sigma and f costs only the mix of its brackets. When p_tilde
 is free, the starts are a Latin hypercube. The starts run
-in lockstep: each round evaluates every running start's trial point
-together with its forward-difference probes in one parameter-batched
-correlation_R call, so an accepted trial has its next Jacobian at once,
-and solves all their damped systems in one stacked solve. A parameter
-pinned on a bound whose step points out of the box is held fixed for
-that step, so a start parked on a bound still converges in the other
+in lockstep, one parameter-batched correlation_R call per round. From
+one Jacobian a descent tries trial points at growing damping until one
+lowers the objective; a round evaluates the first few of those trials
+for every running start at once, each with its forward-difference
+probes, so the first trial that descends has its next Jacobian at once
+and a run of rejections costs one round instead of one each. All the
+damped systems of a round go to one stacked solve. A parameter pinned
+on a bound whose step points out of the box is held fixed for that
+step, so a start parked on a bound still converges in the other
 parameters instead of crawling. Each start follows the same path it
-would alone, and everything is deterministic (for a fixed rng_seed
-when p_tilde is free).
+would alone, bit for bit, and everything is deterministic (for a fixed
+rng_seed when p_tilde is free). The winner's model curve comes from the
+round that accepted it, so a fit makes no call beyond its rounds.
 
 The quality-of-fit number reported alongside the estimates is
 
@@ -65,6 +69,12 @@ _SENSITIVITY_FLOOR = 1e-10
 # tests/test_fitting.py checks against Latin-hypercube starts.
 _PROFILE_SIGMAS = 61
 _PROFILE_FRACTIONS = 11
+# Rungs of a damping chain evaluated per round, after an accepted step
+# and after a round without descent. A rung adds n + 1 rows to the
+# round's call, cheap beside the call itself; on fit-batch-style fits
+# deeper chains (2/8, 3/6, 4/4) saved calls but no time.
+_CHAIN_RUNGS = 2
+_CHAIN_RUNGS_REJECTED = 4
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,8 @@ class FitConfig:
         chi^2 profile, or with p_tilde free this many Latin-hypercube
         starts. Either way sigma starts are sought over [0.05, 2] a.u.
         clipped to its bounds, or over the bounds where the two do not
-        meet (log-uniform or log-spaced).
+        meet (log-uniform or log-spaced); Latin-hypercube p_tilde starts
+        likewise over [0, 2] a.u. (uniform).
     max_iterations : int
         Levenberg-Marquardt iterations per start.
     step_tol : float
@@ -155,8 +166,8 @@ class FitResult:
     ``residuals`` are unweighted model-minus-data values per point, and
     ``objective_trace`` is the accepted-step objective sequence of the
     winning start (non-increasing by construction). ``model_calls``
-    counts the correlation_R calls the fit made, the final evaluation at
-    the winner included.
+    counts the correlation_R calls the fit made: the profile grid call,
+    if any, and one per lockstep round.
     """
 
     sigma: float
@@ -223,8 +234,10 @@ def _latin_starts(config: FitConfig, rng: np.random.Generator):
             lo, hi = config.f_bounds
             columns.append(lo + strata * (hi - lo))
         else:
-            lo = config.p_tilde_bounds[0]
-            hi = min(config.p_tilde_bounds[1], 2.0)
+            # [0, 2] clipped to the bounds, or the bounds where the two do not meet
+            lo, hi = config.p_tilde_bounds
+            if lo < 2.0:
+                hi = min(hi, 2.0)
             columns.append(lo + strata * (hi - lo))
     return np.stack(columns, axis=1)
 
@@ -252,8 +265,10 @@ def _profile_starts(model, dp, lo, hi, config: FitConfig):
     f = axes["f"] if "f" in config.free else np.array([config.f])
     sigma, f = sigma[:, None, None], f[None, :, None]
     p_tilde = 0.1 * sigma if config.p_tilde is None else config.p_tilde
-    r, _ = model(np.broadcast_to(dp, (sigma.shape[0], 1, dp.size)), sigma, f, p_tilde)
-    cost = (r * r).sum(axis=-1)
+    # only the residuals: the grid's model curves are not kept
+    r = model(np.broadcast_to(dp, (sigma.shape[0], 1, dp.size)), sigma, f, p_tilde)[0]
+    r *= r
+    cost = r.sum(axis=-1)
     best = cost.argmin(axis=1)
     profile = cost[np.arange(len(cost)), best]
     # the last point of a flat stretch counts, so a flat profile has a minimum
@@ -265,119 +280,190 @@ def _profile_starts(model, dp, lo, hi, config: FitConfig):
     return np.stack([chosen[name] for name in config.free], axis=-1)
 
 
+def _clip(x, lo, hi):
+    """np.clip of one float, NaN and signed zeros included."""
+    if not (x != x or x > lo):
+        x = lo
+    if not (x != x or x < hi):
+        x = hi
+    return x
+
+
 def _lm_lockstep(evaluate, theta0, lo, hi, config: FitConfig):
     """Bounded Levenberg-Marquardt descents from every start, in lockstep.
 
     ``evaluate`` maps a (k, n) stack of parameter vectors to their
-    (k, N) weighted residuals and (k,) model scales max |R_model| with
-    one model call. Each round makes one such call, covering every
-    running start's pending point (the start itself in the first round,
-    its trial point after that) together with the point's n
-    forward-difference probes (stepping backward at upper bounds). A
-    trial that lowers the objective is accepted, and its probes give the
-    start's next Jacobian in the same round; a rejected trial's probes
-    are dropped. One stacked solve then gives the damped steps
-    (Marquardt's diagonal scaling, damping cut by 3 on success and
-    raised 4x on failure). A parameter that sits on a bound while its
-    step points out of the box is held fixed for that step, and the
+    (k, N) weighted residuals and (k, N) model curves with one model
+    call. A start's damping chain is the run of trial points that a
+    descent on its own would try from one Jacobian: rung j solves the
+    same damped system with lambda_j = min(lambda * 4**j, 1e12)
+    (Marquardt's diagonal scaling). Each round makes one call, covering
+    the pending rungs of every running start (the start itself in the
+    first round), each with its n forward-difference probes (stepping
+    backward at upper bounds). A start takes the first rung that lowers
+    its objective, and that rung's probes give its next Jacobian in the
+    same round; the rungs before it count as rejections (damping raised
+    4x each), and the accepted rung's damping is cut by 3. A chain holds
+    _CHAIN_RUNGS rungs, or _CHAIN_RUNGS_REJECTED after a round without
+    descent, stops before the first rung whose step falls below
+    step_tol (a negligible first step means convergence), and ends at
+    the 30th rejection in a row. A parameter that sits on a bound while
+    its step points out of the box is held fixed for that step, and the
     system is solved in the others. A start drops out once it converges
-    or reaches max_iterations.
+    or reaches max_iterations. All damped systems of a round go to one
+    stacked solve. Each start follows the path of a descent on its own,
+    bit for bit, in fewer rounds; the small per-start arithmetic runs on
+    Python floats, which round exactly as NumPy's float64 does.
 
     Returns per-start arrays (theta, cost, converged, iterations,
-    model_scale) and the accepted-step objective trace of each start.
+    model), with ``model`` the model curve at theta, and the
+    accepted-step objective trace of each start.
     """
-    theta = np.clip(theta0, lo, hi)
-    count, n = theta.shape
-    trial = theta.copy()
-    scale = cost = None  # set by the first round
+    count, n = theta0.shape
+    lo_hi = list(zip(lo.tolist(), hi.tolist()))
+    theta = np.clip(theta0, lo, hi).tolist()
+    step_tol, tol, max_iterations = config.step_tol, config.residual_tol, config.max_iterations
+    cost = [0.0] * count
+    lam = [1e-3] * count
+    iterations = [0] * count
+    rejected = [0] * count
+    converged = [False] * count
     traces = [[] for _ in range(count)]
-    lam = np.full(count, 1e-3)
-    iterations = np.zeros(count, dtype=int)
-    rejected = np.zeros(count, dtype=int)
-    converged = np.zeros(count, dtype=bool)
-    jtj = np.zeros((count, n, n))
-    grad = np.zeros((count, n))
-    diag = np.zeros((count, n))
-    it = np.arange(count)  # starts whose trial point the next round evaluates
-    while it.size:
-        base = trial[it]
-        h = 1e-6 * (np.abs(base) + 1e-3)
-        up = base + h
-        shifted = np.clip(np.where(up > hi, base - h, up), lo, hi)
-        step = shifted - base
-        pi, pk = np.nonzero(step)
-        probes = base[pi]
-        probes[np.arange(pi.size), pk] = shifted[pi, pk]
-        r_all, s_all = evaluate(np.concatenate([base, probes]))
-        r_trial, s_trial = r_all[: it.size], s_all[: it.size]
-        c_trial = (r_trial * r_trial).sum(axis=1)
+    model = [None] * count
+    # each start's damped system from its last Jacobian: [J^T J | -J^T r | Marquardt diagonal]
+    system = np.empty((count, n, n + 2))
+    # pending chains: (start, first point, rungs, cut short by a negligible step)
+    chains = [(i, i, 1, False) for i in range(count)]
+    points = theta
+    first = True
+    while chains:
+        # every point with its probes, each moving one coordinate
+        batch, steps = [], []
+        for point in points:
+            batch += point
+            step = []
+            for k, (x, (lb, ub)) in enumerate(zip(point, lo_hi)):
+                h = 1e-6 * (abs(x) + 1e-3)
+                shifted = x + h
+                if shifted > ub:
+                    # backward from an upper bound, and nowhere in a box narrower than h
+                    shifted = _clip(x - h, lb, ub)
+                batch += point[:k] + [shifted] + point[k + 1 :]
+                step.append(shifted - x)
+            steps.append(step)
+        res, curves = evaluate(np.array(batch).reshape(-1, n))
+        res = res.reshape(len(points), n + 1, -1)
+        at_point = res[:, 0]
+        c_trial = (at_point * at_point).sum(axis=1).tolist()
 
-        # trial points: accept on descent, otherwise raise the damping;
-        # the first round accepts the starts themselves
-        first = cost is None
-        if first:
-            scale, cost = np.empty(count), np.empty(count)
-            better = np.ones(count, dtype=bool)
-        else:
-            better = c_trial < cost[it]
-        acc, rej = it[better], it[~better]
-        theta[acc] = trial[acc]
-        cost[acc] = c_trial[better]
-        scale[acc] = s_trial[better]
-        for i, c in zip(acc.tolist(), cost[acc].tolist()):
+        # each start takes its chain's first rung that lowers the
+        # objective; the first round accepts the starts themselves
+        fresh, fresh_rows, solve = [], [], []
+        for i, row, rungs, cut in chains:
+            for r in range(row, row + rungs):
+                c = c_trial[r]
+                if first or c < cost[i]:
+                    break
+                lam[i] = min(lam[i] * 4.0, 1e12)
+                rejected[i] += 1
+            else:
+                # no descent: a stationary point once the damping is
+                # exhausted or the next step is negligible
+                if rejected[i] >= 30 or cut:
+                    converged[i] = True
+                else:
+                    solve.append((i, min(_CHAIN_RUNGS_REJECTED, 30 - rejected[i])))
+                continue
+            theta[i] = points[r]
+            model[i] = curves[r * (n + 1)]
+            cost[i] = c
             traces[i].append(c)
-        if not first:
-            lam[acc] = np.maximum(lam[acc] / 3.0, 1e-12)
-        lam[rej] = np.minimum(lam[rej] * 4.0, 1e12)
-        rejected[rej] += 1
-        converged[acc] = cost[acc] <= config.residual_tol
-        # damping exhausted without descent: a stationary point
-        converged[rej] = rejected[rej] >= 30
+            if not first:
+                lam[i] = max(lam[i] / 3.0, 1e-12)
+            if c <= tol:
+                converged[i] = True
+            elif iterations[i] < max_iterations:
+                iterations[i] += 1
+                rejected[i] = 0
+                fresh.append(i)
+                fresh_rows.append(r)
+                solve.append((i, _CHAIN_RUNGS))
+        first = False
 
-        # Jacobians of the accepted starts that go on, from their probes;
-        # a probe the box pinned stays a zero column
-        go = better & ~converged[it] & (iterations[it] < config.max_iterations)
-        ip = it[go]
-        jac = np.zeros((it.size, r_all.shape[1], n))
-        jac[pi, :, pk] = (r_all[it.size :] - r_trial[pi]) / step[pi, pk][:, None]
-        jac = jac[go]
-        jac_t = jac.transpose(0, 2, 1)
-        jtj[ip] = square = jac_t @ jac
-        grad[ip] = (jac_t @ r_trial[go][:, :, None])[:, :, 0]
-        d = np.diagonal(square, axis1=1, axis2=2)
-        diag[ip] = np.maximum(d, 1e-14 * np.maximum(d.max(axis=1), 1.0)[:, None])
-        iterations[ip] += 1
-        rejected[ip] = 0
-
-        solve = np.concatenate([ip, rej[~converged[rej]]])
-        if not solve.size:
+        if fresh:
+            # Jacobians of the accepted starts that go on, from their
+            # probes; a probe the box pinned leaves a zero column
+            probed = res[fresh_rows]
+            shift = np.array([steps[r] for r in fresh_rows])
+            jac = np.empty((len(fresh), probed.shape[2], n))
+            jac_t = jac.transpose(0, 2, 1)
+            np.subtract(probed[:, 1:], probed[:, :1], out=jac_t)
+            stuck = shift == 0.0
+            shift[stuck] = np.inf
+            jac_t /= shift[:, :, None]
+            jac_t[stuck] = 0.0
+            square = jac_t @ jac
+            d = np.diagonal(square, axis1=1, axis2=2)
+            floor = 1e-14 * np.maximum(d.max(axis=1), 1.0)
+            system[fresh] = np.concatenate(
+                (square, -(jac_t @ probed[:, 0, :, None]), np.maximum(d, floor[:, None])[:, :, None]),
+                axis=2,
+            )
+        if not solve:
             break
-        # J^T J plus a positive diagonal is positive definite, so no
-        # system here is singular
-        a = jtj[solve]
-        # a fresh array, so the reshape is a view and the slice its diagonals
-        a.reshape(solve.size, n * n)[:, :: n + 1] += lam[solve, None] * diag[solve]
-        b = -grad[solve]
-        delta = np.linalg.solve(a, b[:, :, None])[:, :, 0]
-        at = theta[solve]
-        held = ((at <= lo) & (delta < 0.0)) | ((at >= hi) & (delta > 0.0))
-        rows = np.flatnonzero(held.any(axis=1))
-        if rows.size:
+
+        # every rung of every chain in one stacked solve; J^T J plus a
+        # positive diagonal is positive definite, so no system is singular
+        owner, damping = [], []
+        for i, rungs in solve:
+            owner += [i] * rungs
+            rung = lam[i]
+            for _ in range(rungs):
+                damping.append(rung)
+                rung = min(rung * 4.0, 1e12)
+        damped = system[owner]
+        # a fresh array, so the reshape is a view and the slice the diagonals of J^T J
+        damped.reshape(len(owner), -1)[:, :: n + 3] += np.array(damping)[:, None] * damped[:, :, n + 1]
+        a, b = damped[:, :, :n], damped[:, :, n]
+        delta = np.linalg.solve(a, b[:, :, None])[:, :, 0].tolist()
+        held = [
+            [(x <= lb and dx < 0.0) or (x >= ub and dx > 0.0) for x, dx, (lb, ub) in zip(theta[i], dx_row, lo_hi)]
+            for i, dx_row in zip(owner, delta)
+        ]
+        held_rows = [r for r, h in enumerate(held) if any(h)]
+        if held_rows:
             # unit rows and columns with a zero right-hand side pin the
             # held parameters; the others get the reduced solve
-            a_red, b_red, h_red = a[rows], b[rows], held[rows]
+            a_red, b_red = a[held_rows], b[held_rows]
+            h_red = np.array([held[r] for r in held_rows])
             a_red[h_red[:, :, None] | h_red[:, None, :]] = 0.0
             hr, hk = np.nonzero(h_red)
             a_red[hr, hk, hk] = 1.0
             b_red[h_red] = 0.0
-            delta[rows] = np.linalg.solve(a_red, b_red[:, :, None])[:, :, 0]
-        stepped = np.clip(at + delta, lo, hi)
-        trial[solve] = stepped
-        moved = np.abs(stepped - at).max(axis=1)
-        small = moved <= config.step_tol * (1.0 + np.abs(at).max(axis=1))
-        converged[solve[small]] = True
-        it = solve[~small]
-    return theta, cost, converged, iterations, scale, traces
+            reduced = np.linalg.solve(a_red, b_red[:, :, None])[:, :, 0].tolist()
+            for r, dx_row in zip(held_rows, reduced):
+                delta[r] = dx_row
+
+        # a chain stops before its first negligible step; a negligible
+        # first step means the start has converged
+        chains, points = [], []
+        r = 0
+        for i, rungs in solve:
+            at = theta[i]
+            limit = step_tol * (1.0 + max(map(abs, at)))
+            m = 0
+            for dx_row in delta[r : r + rungs]:
+                stepped = [_clip(x + dx, lb, ub) for x, dx, (lb, ub) in zip(at, dx_row, lo_hi)]
+                if all(abs(y - x) <= limit for y, x in zip(stepped, at)):
+                    break
+                points.append(stepped)
+                m += 1
+            if m:
+                chains.append((i, len(points) - m, m, m < rungs))
+            else:
+                converged[i] = True
+            r += rungs
+    return np.array(theta), np.array(cost), np.array(converged), np.array(iterations), np.array(model), traces
 
 
 def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
@@ -417,7 +503,9 @@ def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
         nonlocal calls
         calls += 1
         r_model = correlation_R(grid, sigma, f, p_tilde)
-        return sqrt_w * (r_model - robs), np.abs(r_model).max(axis=-1)
+        res = r_model - robs
+        res *= sqrt_w
+        return res, r_model
 
     def evaluate(thetas):
         return model(np.broadcast_to(dp, (thetas.shape[0], dp.size)), *_resolve(thetas, config))
@@ -427,10 +515,10 @@ def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
         starts = _latin_starts(config, np.random.default_rng(config.rng_seed))
     else:
         starts = _profile_starts(model, dp, lo, hi, config)
-    thetas, costs, converged, iterations, scales, traces = _lm_lockstep(
+    thetas, costs, converged, iterations, curves, traces = _lm_lockstep(
         evaluate, starts, lo, hi, config
     )
-    if np.all(scales <= _SENSITIVITY_FLOOR * (1.0 + data_scale)):
+    if np.all(np.abs(curves).max(axis=1) <= _SENSITIVITY_FLOOR * (1.0 + data_scale)):
         raise InsufficientSensitivityError(
             "the model curve is identically negligible at every multistart"
             " optimum; the free parameters are not identifiable from this"
@@ -440,7 +528,8 @@ def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     best_index = int(np.argmin(costs))  # first minimum: ties go to the lower index
     theta = thetas[best_index]
     sigma, f, p_tilde = (float(np.ravel(v)[0]) for v in _resolve(theta[None], config))
-    r_model = correlation_R(dp, sigma, f, p_tilde)
+    # a row of a parameter-batched call equals the one-parameter call
+    r_model = curves[best_index]
     result = FitResult(
         sigma=sigma,
         f=f,
@@ -453,7 +542,7 @@ def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
         objective=float(costs[best_index]),
         objective_trace=tuple(traces[best_index]),
         start_index=best_index,
-        model_calls=calls + 1,
+        model_calls=calls,
     )
     if not converged.any():
         raise NonConvergenceError(

@@ -1,5 +1,6 @@
 """Least-squares parameter recovery, fit guards, synthetic data."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -252,10 +253,11 @@ def test_starts_converge_with_few_model_calls(monkeypatch):
     assert np.all(converged)
     assert np.all(iterations < config.max_iterations)
     assert res.converged
-    # the profile grid is one call; then each round evaluates the trial
-    # points together with their Jacobian probes, and the winner's curve
-    # serves both the residuals and the approximation error
-    assert len(calls) == res.model_calls <= 10
+    # the profile grid is one call; then each round evaluates the damping
+    # chains' trial points together with their Jacobian probes, and the
+    # winner's curve from its accepted round serves both the residuals
+    # and the approximation error
+    assert len(calls) == res.model_calls <= 8
 
     calls.clear()
     starts = _latin_starts(config, np.random.default_rng(config.rng_seed))
@@ -264,7 +266,116 @@ def test_starts_converge_with_few_model_calls(monkeypatch):
     assert np.sum(theta[:, 0] == lo[0]) == 1
     assert np.all(converged)
     assert np.all(iterations < config.max_iterations)
-    assert len(calls) <= 44
+    assert len(calls) <= 27
+
+
+# (sigma, noise seed, p_tilde tied, fixed at 0.1 sigma or free) -> the
+# winner's sigma, f and objective as float.hex, its iterations and its
+# objective trace, recorded from the lockstep fitter that evaluated one
+# trial point per start and round: a change to how the rounds are
+# batched must leave every accepted step bit for bit where it was.
+EXACT_FITS = {
+    (0.22, 0, "tied"): (
+        "0x1.c294aaa2409d1p-3 0x1.fa3692178eb82p-2 0x1.3a0e29f20822fp+4",
+        12,
+        """
+        0x1.521844b09bb40p+11 0x1.4f30f1ece08f7p+11 0x1.42cfa6d64cbacp+11
+        0x1.30bf844fe79eep+11 0x1.a8d213451e6efp+10 0x1.082b465cfc762p+9
+        0x1.855d3630cfec0p+5 0x1.3cecd16026e4ap+4 0x1.3a0ef9a790045p+4
+        0x1.3a0e29f9d39cfp+4 0x1.3a0e29f2082e2p+4 0x1.3a0e29f20822fp+4
+        """,
+    ),
+    (0.22, 0, "fixed"): (
+        "0x1.c294af0007332p-3 0x1.fa369d36ab83fp-2 0x1.3a0e280cc21b3p+4",
+        10,
+        """
+        0x1.4115993cb89acp+11 0x1.3809aef4eeb38p+11 0x1.18fb86057026ep+11
+        0x1.8ccc3f018f0cbp+10 0x1.5370312ce8cefp+8 0x1.13fc26cf27268p+5
+        0x1.3a1849d7a8665p+4 0x1.3a0e282a125e6p+4 0x1.3a0e280cc2258p+4
+        0x1.3a0e280cc21b3p+4
+        """,
+    ),
+    (0.22, 0, "free"): (
+        "0x1.c2bc4675812e9p-3 0x1.faff703903364p-2 0x1.39cba24cf3782p+4",
+        11,
+        """
+        0x1.ffd9f86dfbbdbp+18 0x1.0ead065de8305p+16 0x1.ff498e36fd6ccp+13
+        0x1.aac6f2d8df35ep+13 0x1.1d7fbb6ab2c87p+10 0x1.ad9aed58d88c4p+4
+        0x1.3bb906210365dp+4 0x1.39cba31733023p+4 0x1.39cba24cf37b4p+4
+        0x1.39cba24cf37acp+4 0x1.39cba24cf3782p+4
+        """,
+    ),
+    (0.39, 1011, "tied"): (
+        "0x1.900b00def8426p-2 0x1.0342a9a566010p-1 0x1.14544b693d460p+5",
+        5,
+        """
+        0x1.4ce4c77c1f15ap+7 0x1.14753190e1c09p+5 0x1.14544b6a0a3b3p+5
+        0x1.14544b693d466p+5 0x1.14544b693d460p+5
+        """,
+    ),
+    (0.39, 1011, "fixed"): (
+        "0x1.900b2961b94b7p-2 0x1.03430975602b8p-1 0x1.1453d1b34b2e0p+5",
+        12,
+        """
+        0x1.53d878e6bbfabp+11 0x1.5398ffef8c17ap+11 0x1.3cd39b8fd8bd2p+11
+        0x1.0c40a410b6699p+11 0x1.51ce64f4c0f82p+10 0x1.5f734b87649bdp+8
+        0x1.9b8c4b7b52a23p+5 0x1.1552efc725cd8p+5 0x1.145424818bb5dp+5
+        0x1.1453d1b79b896p+5 0x1.1453d1b34b3bfp+5 0x1.1453d1b34b2e0p+5
+        """,
+    ),
+    (0.39, 1011, "free"): (
+        "0x1.902dfdbfd4730p-2 0x1.03a47e4b0ed34p-1 0x1.13cffbfbcf759p+5",
+        11,
+        """
+        0x1.5ed790dcaeb30p+17 0x1.b89c347c4014bp+13 0x1.c9b4778bdbb44p+10
+        0x1.731abc4acbd24p+10 0x1.a3e9ba54a162ap+5 0x1.30396aae0f211p+5
+        0x1.21af25f3514fcp+5 0x1.202d19b980c5cp+5 0x1.13d0f5b7f56e3p+5
+        0x1.13cffbfbcf764p+5 0x1.13cffbfbcf759p+5
+        """,
+    ),
+    (0.55, 2016, "tied"): (
+        "0x1.18fd98f65d8dfp-1 0x1.f68a4f108c188p-2 0x1.1954c5be4d12ep+4",
+        4,
+        """
+        0x1.312f233340f5ep+4 0x1.1955a82af3cdcp+4 0x1.1954c5be51026p+4
+        0x1.1954c5be4d12ep+4
+        """,
+    ),
+    (0.55, 2016, "fixed"): (
+        "0x1.18fd7e0fe6952p-1 0x1.f6896fdfe60e4p-2 0x1.1954df8ccddbcp+4",
+        11,
+        """
+        0x1.39ed645c1d031p+11 0x1.24924e168adf1p+11 0x1.1772bbc26ae7ep+11
+        0x1.64fa8328d43ffp+10 0x1.64b9e883ae5d6p+8 0x1.0de409616731ap+5
+        0x1.1a3a810bfbf03p+4 0x1.19550406ae0a6p+4 0x1.1954df8d83172p+4
+        0x1.1954df8ccddfdp+4 0x1.1954df8ccddbcp+4
+        """,
+    ),
+    (0.55, 2016, "free"): (
+        "0x1.19120bdcccff9p-1 0x1.f73151471b526p-2 0x1.194b39d408920p+4",
+        9,
+        """
+        0x1.7346a12499a0bp+18 0x1.50b749595c00bp+14 0x1.79a0ccc5bdf6cp+10
+        0x1.3b5d105b14e65p+5 0x1.195b0cadb3f83p+4 0x1.194b40e0bbf93p+4
+        0x1.194b39d4cd5a4p+4 0x1.194b39d408969p+4 0x1.194b39d408920p+4
+        """,
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXACT_FITS))
+def test_exact_fit_path(key):
+    sigma, seed, kind = key
+    config = {
+        "tied": FitConfig(),
+        "fixed": FitConfig(p_tilde=0.1 * sigma),
+        "free": FitConfig(free=("sigma", "f", "p_tilde")),
+    }[kind]
+    res = fit(_acceptance_data(sigma, seed), config)
+    estimates, iterations, trace = EXACT_FITS[key]
+    assert " ".join(v.hex() for v in (res.sigma, res.f, res.objective)) == estimates
+    assert res.iterations == iterations
+    assert tuple(v.hex() for v in res.objective_trace) == tuple(trace.split())
 
 
 def _noisy_case(rng, kind):
@@ -336,14 +447,13 @@ def test_model_calls_counts_every_model_call(monkeypatch):
         assert res.model_calls == len(calls)
         # with p_tilde tied, first the profile grid: one 3-d call whose
         # dp is an (m_sigma, 1, N) broadcast, so that the kernel runs once
-        # per sigma; then one batched call per round, then one at the winner
+        # per sigma; then one batched call per round and none at the winner
         profile = [shape for shape in calls if len(shape) == 3]
         if "p_tilde" in config.free:
             assert profile == []
         else:
             assert profile == [calls[0]] == [(61, 1, len(data))]
-        assert calls[-1] == (len(data),)
-        assert all(len(shape) == 2 for shape in calls[len(profile) : -1])
+        assert all(len(shape) == 2 for shape in calls[len(profile) :])
     assert not res.converged
 
 
@@ -368,6 +478,17 @@ def test_each_start_runs_as_if_alone(monkeypatch):
             for got, want in zip(together[:5], alone[:5]):
                 np.testing.assert_array_equal(got[i], want[0])
             assert together[5][i] == alone[5][0]
+
+
+def test_clip_matches_numpy():
+    # the lockstep clips its steps on Python floats, and must order NaN,
+    # infinities and signed zeros exactly as np.clip does with array
+    # bounds (scalar bounds order signed zeros the other way)
+    values = [-0.0, 0.0, 5e-324, 0.5, 1.0, -1.0, 2.0, np.nan, np.inf, -np.inf]
+    for x, lo, hi in itertools.product(values, repeat=3):
+        for size in (1, 17):
+            want = np.clip(np.full(size, x), np.full(size, lo), np.full(size, hi)).tolist()
+            assert [repr(paircorr.fitting._clip(x, lo, hi))] * size == [repr(v) for v in want]
 
 
 @pytest.mark.parametrize("sigma, bounds", [(5.0, (3.0, 10.0)), (0.02, (1e-3, 0.04))])
@@ -396,3 +517,14 @@ def test_sigma_starts_when_the_bounds_miss_the_start_range(monkeypatch, sigma, b
             assert len(starts) == config.multistart_count
         assert abs(res.sigma - sigma) / sigma < 0.15
         assert abs(res.f - 0.5) < 0.15
+
+
+@pytest.mark.parametrize("bounds", [(2.0, 10.0), (3.0, 10.0), (2.5, 2.6)])
+def test_latin_p_tilde_starts_when_the_bounds_miss_the_start_range(bounds):
+    # p_tilde starts are sought over [0, 2] clipped to the bounds; where
+    # the two do not meet, over the bounds themselves, never over an
+    # inverted or empty interval whose starts all clip to one bound
+    config = FitConfig(free=("sigma", "f", "p_tilde"), p_tilde_bounds=bounds)
+    starts = _latin_starts(config, np.random.default_rng(config.rng_seed))[:, 2]
+    assert np.all((bounds[0] <= starts) & (starts <= bounds[1]))
+    assert len(np.unique(starts)) == len(starts) == config.multistart_count
