@@ -209,8 +209,8 @@ def _split_terms(q):
     return delta, j2, math.exp(-2.0 * delta), math.exp(-0.25 * delta), om, k1, k2, c, fac
 
 
-def _per_point(q, f):
-    """_split_terms of q, then the denominator weights (1 - f)^2, f^2, 2 f (1 - f).
+def _per_point(q):
+    """_split_terms of q, per parameter point; f enters only in _mix.
 
     NumPy's vector exp and expm1 may differ from libm in the last bit, so
     the split terms come from libm, once per distinct q (a fit with
@@ -218,22 +218,17 @@ def _per_point(q, f):
     sigma rounds to). Where every q of a batched call is one value, as
     in most of the fitter's calls, the split terms come back as floats,
     so the kernel takes no per-row broadcasts or masks; an empty q gives
-    empty arrays. The weights are exact products but for (1 - f)^2:
-    libm pow and x * x disagree in the last bit on about 1 f in 1,000,
-    and float_power, unlike power, calls pow for scalars and arrays
-    alike. So each row of a batched call is bitwise equal to the
-    one-parameter call. Scalars come back as floats, arrays as float
-    arrays of the shape of q (split terms) or f (weights).
+    empty arrays. Each row of a batched call so takes the split terms of
+    the one-parameter call, bit for bit. A scalar q gives floats, an
+    array q float arrays of its shape.
     """
     if not np.ndim(q):
-        terms = _split_terms(q)
-    elif q.size and (q == q.flat[0]).all():
-        terms = _split_terms(q.flat[0].item())
-    else:
-        distinct, where = np.unique(q.ravel(), return_inverse=True)
-        table = np.array([_split_terms(v) for v in distinct.tolist()]).reshape(-1, 9)
-        terms = tuple(np.take(table.T, where.reshape(q.shape), axis=1))
-    return terms + (np.float_power(1.0 - f, 2.0), f * f, 2.0 * f * (1.0 - f))
+        return _split_terms(q)
+    if q.size and (q == q.flat[0]).all():
+        return _split_terms(q.flat[0].item())
+    distinct, where = np.unique(q.ravel(), return_inverse=True)
+    table = np.array([_split_terms(v) for v in distinct.tolist()]).reshape(-1, 9)
+    return tuple(np.take(table.T, where.reshape(q.shape), axis=1))
 
 
 def _fill(out, mask, form, *args):
@@ -266,10 +261,9 @@ def _fill(out, mask, form, *args):
 def _ratio_scale(delta, y, z, inv_s, j2, x, em, mixed):
     """(g, g * eds) = (1, eds), eds = inv_sinhc(z) / J^2: the brackets R uses.
 
-    eds enters only the event-mixed brackets, so it is None unless ``mixed``.
+    Only correlation_R takes this scale, and it always builds den, so
+    ``mixed`` holds on every call.
     """
-    if not mixed:
-        return 1.0, None
     eds = _fill(z.shape, delta <= _SATURATED_DELTA, np.divide, inv_s, j2)
     return 1.0, _fill(eds, delta > _SATURATED_DELTA, _eds_saturated, delta, z)
 
@@ -397,8 +391,7 @@ def _mixture(dp, sigma, f, split, scale, finish, halves=("num", "den")):
     output array; each point's arithmetic is the same either way.
     """
     q = split / sigma
-    *terms, w0, w1, w2 = _per_point(q, f)
-    weights = (f, w0, w1, w2)
+    terms = _per_point(q)
     # the brackets' shape, and the output's
     inner = np.broadcast_shapes(np.shape(dp), np.shape(sigma), np.shape(q))
     shape = inner if isinstance(f, float) else np.broadcast_shapes(inner, f.shape)
@@ -407,22 +400,20 @@ def _mixture(dp, sigma, f, split, scale, finish, halves=("num", "den")):
     n = shape[-1] if shape else 1
     if n <= 2 * _BLOCK:
         y = np.broadcast_to(dp / sigma, inner)
-        return finish(dp, *_mix(halves, weights, _mixture_block(scale, halves, y, *terms), in_place))
+        return finish(dp, *_mix(halves, f, _mixture_block(scale, halves, y, *terms), in_place))
     out = np.empty(shape)
-    args = (dp, sigma, *weights, *terms)
+    args = (dp, sigma, f, *terms)
     # which arguments run along the grid, and so are cut per block
     along = [np.shape(a)[-1:] == (n,) for a in args]
     for lo in range(0, n, _BLOCK):
         cut = np.s_[..., lo : lo + _BLOCK]
-        dp_cut, sigma_cut, *parts = (a[cut] if c else a for a, c in zip(args, along))
+        dp_cut, sigma_cut, f_cut, *terms_cut = (a[cut] if c else a for a, c in zip(args, along))
         block = out[cut]
         width = block.shape[-1:] if inner[-1:] == (n,) else inner[-1:]
         y = np.broadcast_to(dp_cut / sigma_cut, inner[:-1] + width)
         # no name for the brackets or the halves, which would keep them
         # alive into the next block
-        block[...] = finish(
-            dp_cut, *_mix(halves, parts[:4], _mixture_block(scale, halves, y, *parts[4:]), in_place)
-        )
+        block[...] = finish(dp_cut, *_mix(halves, f_cut, _mixture_block(scale, halves, y, *terms_cut), in_place))
     return out
 
 
@@ -430,20 +421,23 @@ def _mixture(dp, sigma, f, split, scale, finish, halves=("num", "den")):
 _INTO_SECOND = (lambda a, b: np.multiply(a, b, b), lambda a, b: np.add(a, b, b))
 
 
-def _mix(halves, weights, brackets, in_place):
-    """The halves from the brackets of _mixture_block, f and the _per_point weights.
+def _mix(halves, f, brackets, in_place):
+    """The halves from the brackets of _mixture_block, weighed by f: the one place f enters.
 
     num = (1 - f) bc0 + f bc1 and den = (1 - f)^2 bu0 + f^2 bu1 +
-    2 f (1 - f) buc, each summed in that order. A den term whose weight
-    is 0 stays out of den: brackets may be inf for enormous splitting
-    and f*f can underflow, and 0 * inf would poison it. With
-    ``in_place`` (the brackets are arrays of the output's shape, which
-    nothing else holds) each product and sum is written into its second
-    operand, a bracket the mix consumes, so the mix makes no new array;
-    otherwise they are plain operators, which keep NumPy's scalar
-    warnings on 0-d values.
+    2 f (1 - f) buc, each summed in that order; den's weights are formed
+    only where den is built. They are exact products but for (1 - f)^2:
+    libm pow and x * x disagree in the last bit on about 1 f in 1,000,
+    and float_power, unlike power, calls pow for scalars and arrays
+    alike, so each row of a batched call is bitwise equal to the
+    one-parameter call. A den term whose weight is 0 stays out of den:
+    brackets may be inf for enormous splitting and f*f can underflow,
+    and 0 * inf would poison it. With ``in_place`` (the brackets are
+    arrays of the output's shape, which nothing else holds) each product
+    and sum is written into its second operand, a bracket the mix
+    consumes, so the mix makes no new array; otherwise they are plain
+    operators, which keep NumPy's scalar warnings on 0-d values.
     """
-    f, *w = weights
     mul, add = _INTO_SECOND if in_place else (operator.mul, operator.add)
     mixed = []
     for half, b in zip(halves, brackets):
@@ -451,7 +445,7 @@ def _mix(halves, weights, brackets, in_place):
             mixed.append(add(mul(1.0 - f, b[0]), mul(f, b[1])))
             continue
         den = 0.0
-        for coef, bracket in zip(w, b):
+        for coef, bracket in zip((np.float_power(1.0 - f, 2.0), f * f, 2.0 * f * (1.0 - f)), b):
             if isinstance(coef, float):  # one weight: the term is all in or all out
                 live, size = coef != 0.0, 1
             else:
@@ -540,7 +534,7 @@ def _regimes(delta_p, sigma, split):
     this, so it costs them nothing.
     """
     sigma, _, split = _check_physical(sigma, 0.0, split)
-    delta = _per_point(split / sigma, 0.0)[0]
+    delta = _per_point(split / sigma)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # z is inf or NaN where y overflows, as in the kernel
         z = np.sqrt(delta) * (_check_delta_p(delta_p) / sigma)
     form = np.where(delta > _SATURATED_DELTA, _SATURATED, np.where(_near(delta, z), _FACTORED, _PLAIN))

@@ -5,7 +5,9 @@ uncertainty per R value, as produced by digitizing a published
 correlation curve. The CSV format is deliberately strict: a mandatory
 header ``delta_p,R`` or ``delta_p,R,sigma_R``, comma separation, decimal
 points, UTF-8, and ``#`` comment lines. Anything else is rejected with
-the offending line number rather than guessed at.
+the offending line number rather than guessed at. A leading UTF-8
+byte-order mark, as spreadsheet exports write, is read past; writers
+emit none.
 
 All writers are atomic (temp file in the target directory, then
 ``os.replace``) and emit ``repr`` floats, so a rerun with identical
@@ -119,7 +121,7 @@ def load_dataset(path, label: str = "") -> Dataset:
     header = None
     has_sigma = False
     dp, r, sr = [], [], []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

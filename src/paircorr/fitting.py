@@ -75,6 +75,9 @@ _PROFILE_FRACTIONS = 11
 # deeper chains (2/8, 3/6, 4/4) saved calls but no time.
 _CHAIN_RUNGS = 2
 _CHAIN_RUNGS_REJECTED = 4
+# A start converges once its proposed step falls below
+# _STEP_TOL * (1 + |theta|).
+_STEP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -101,12 +104,9 @@ class FitConfig:
         meet (log-uniform or log-spaced); Latin-hypercube p_tilde starts
         likewise over [0, 2] a.u. (uniform).
     max_iterations : int
-        Levenberg-Marquardt iterations per start.
-    step_tol : float
-        Convergence declared when the proposed step falls below
-        step_tol * (1 + |theta|).
-    residual_tol : float
-        Convergence declared when the objective falls to or below this.
+        Levenberg-Marquardt iterations per start. A start also converges
+        once its proposed step falls below a fixed relative tolerance,
+        1e-10 * (1 + |theta|).
     rng_seed : int
         Seed of the Latin hypercube used when p_tilde is free; a fixed
         seed reproduces the fit. The profile starts use no randomness.
@@ -121,8 +121,6 @@ class FitConfig:
     p_tilde_bounds: tuple = (0.0, 10.0)
     multistart_count: int = 16
     max_iterations: int = 200
-    step_tol: float = 1e-10
-    residual_tol: float = 0.0
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -147,8 +145,6 @@ class FitConfig:
             self,
             sigma=_positive("fixed sigma", self.sigma),
             f=_fraction("fixed f", self.f),
-            step_tol=_positive("step_tol", self.step_tol),
-            residual_tol=_nonnegative("residual_tol", self.residual_tol),
             multistart_count=_whole("multistart_count", self.multistart_count, 1),
             max_iterations=_whole("max_iterations", self.max_iterations, 1),
             rng_seed=_whole("rng_seed", self.rng_seed, 0),
@@ -306,7 +302,7 @@ def _lm_lockstep(evaluate, theta0, lo, hi, config: FitConfig):
     4x each), and the accepted rung's damping is cut by 3. A chain holds
     _CHAIN_RUNGS rungs, or _CHAIN_RUNGS_REJECTED after a round without
     descent, stops before the first rung whose step falls below
-    step_tol (a negligible first step means convergence), and ends at
+    _STEP_TOL (a negligible first step means convergence), and ends at
     the 30th rejection in a row. A parameter that sits on a bound while
     its step points out of the box is held fixed for that step, and the
     system is solved in the others. A start drops out once it converges
@@ -322,7 +318,6 @@ def _lm_lockstep(evaluate, theta0, lo, hi, config: FitConfig):
     count, n = theta0.shape
     lo_hi = list(zip(lo.tolist(), hi.tolist()))
     theta = np.clip(theta0, lo, hi).tolist()
-    step_tol, tol, max_iterations = config.step_tol, config.residual_tol, config.max_iterations
     cost = [0.0] * count
     lam = [1e-3] * count
     iterations = [0] * count
@@ -380,9 +375,7 @@ def _lm_lockstep(evaluate, theta0, lo, hi, config: FitConfig):
             traces[i].append(c)
             if not first:
                 lam[i] = max(lam[i] / 3.0, 1e-12)
-            if c <= tol:
-                converged[i] = True
-            elif iterations[i] < max_iterations:
+            if iterations[i] < config.max_iterations:
                 iterations[i] += 1
                 rejected[i] = 0
                 fresh.append(i)
@@ -450,7 +443,7 @@ def _lm_lockstep(evaluate, theta0, lo, hi, config: FitConfig):
         r = 0
         for i, rungs in solve:
             at = theta[i]
-            limit = step_tol * (1.0 + max(map(abs, at)))
+            limit = _STEP_TOL * (1.0 + max(map(abs, at)))
             m = 0
             for dx_row in delta[r : r + rungs]:
                 stepped = [_clip(x + dx, lb, ub) for x, dx, (lb, ub) in zip(at, dx_row, lo_hi)]

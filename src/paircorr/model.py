@@ -240,18 +240,6 @@ def _sq_dist(p, c):
     return total
 
 
-def _pair_density_kernel(p1, p2, c1, c2, sigma, sign):
-    """Unnormalized pair density (e^{-A/2} +/- e^{-B/2})^2 (2 pi sigma^2)^-3.
-
-    A/2 and B/2 are the direct and exchanged Gaussian exponents. The
-    antisymmetric difference is written through expm1 so it stays
-    accurate when the two exponents nearly coincide. Component-wise:
-    p1, p2, c1 and c2 are component-first, (3, ...) with p[k] the k-th
-    component, and broadcast together as _sq_dist does.
-    """
-    return _exchange_combination(*_exchange_exponents(p1, p2, c1, c2, sigma), sigma, sign)
-
-
 def _exchange_exponents(p1, p2, c1, c2, sigma):
     """(e^{-2 lo}, gap) of the exponents A/2 and B/2: lo the smaller, gap |A/2 - B/2|.
 
@@ -270,7 +258,11 @@ def _exchange_exponents(p1, p2, c1, c2, sigma):
 
 
 def _exchange_combination(base, gap, sigma, sign):
-    """The pair-density kernel of one channel from its _exchange_exponents."""
+    """Unnormalized pair density (e^{-A/2} +/- e^{-B/2})^2 (2 pi sigma^2)^-3 from the _exchange_exponents.
+
+    The antisymmetric difference is written through expm1 so it stays
+    accurate when the two exponents nearly coincide.
+    """
     sig2 = sigma * sigma
     if sign > 0:
         comb = np.exp(-gap)
@@ -287,9 +279,9 @@ def _pair_density(p1, p2, params: ModelParams, channel: SpinChannel):
     """Joint momentum density |Psi(p1, p2)|^2 of one spin channel at (..., 3) momenta."""
     _require_nondegenerate(params, channel)
     c1, c2 = params.centers
-    s = channel.sign
-    kern = _pair_density_kernel(_components(p1), _components(p2), c1, c2, params.sigma, s)
-    return kern / _channel_norm(params, s)
+    sigma, s = params.sigma, channel.sign
+    exponents = _exchange_exponents(_components(p1), _components(p2), c1, c2, sigma)
+    return _exchange_combination(*exponents, sigma, s) / _channel_norm(params, s)
 
 
 def _channel_weights(f: float):

@@ -3,9 +3,9 @@
 Everything the closed-form module computes analytically is recomputed
 here by direct numerical integration of the two-particle densities:
 
-* the mixture's yield normalization, the weighted sum of the singlet
-  and triplet pair-density norms, by separable Gauss-Legendre
-  quadrature or by importance-sampled Monte Carlo;
+* the mixture's yield normalization, the integral of its pair density
+  (singlet and triplet weighted by 1 - f and f), by separable
+  Gauss-Legendre quadrature or by importance-sampled Monte Carlo;
 * the single-particle density rho(p) = integral of the pair density over
   the partner momentum, by 3-d tensor quadrature;
 * the coincidence intensity, the 5-d integral
@@ -72,7 +72,6 @@ from .model import (
     _exchange_combination,
     _exchange_exponents,
     _nonnegative,
-    _pair_density,
     _positive,
     _require_nondegenerate,
     _set_scalars,
@@ -154,8 +153,8 @@ class OracleResult:
     refinement delta for quadrature; comparisons against closed forms
     should use max(analytic_tol * |closed|, 3 * est_error). samples_used
     counts the Monte-Carlo samples drawn, sample_count per run (coincidence
-    channels that share their packets share one run), or the quadrature
-    nodes evaluated.
+    channels that share their packets share one run, and a mixture's
+    norm is one run), or the quadrature nodes evaluated.
     """
 
     value: float
@@ -683,12 +682,15 @@ def _box_rule(params: ModelParams, n: int):
     return rule
 
 
-def _pair_norm_quad_value(params: ModelParams, channel: SpinChannel, n: int) -> float:
-    """Separable Gauss-Legendre evaluation of the pair-density norm."""
+def _pair_norm_quad_value(params: ModelParams, n: int) -> float:
+    """Separable Gauss-Legendre evaluation of the mixture's pair-density norm.
+
+    The three per-axis products serve both channels; only the exchange
+    sign and the channel norm differ between them.
+    """
     c1, c2 = params.centers
     sig2 = params.sigma * params.sigma
     j = params.overlap()
-    sign = channel.sign
     prod1 = prod2 = prod_cross = 1.0
     for ax, (x, w) in enumerate(_box_rule(params, n)):
         prod1 *= float(np.sum(w * np.exp(-((x - c1[ax]) ** 2) / (2.0 * sig2))))
@@ -696,22 +698,30 @@ def _pair_norm_quad_value(params: ModelParams, channel: SpinChannel, n: int) -> 
         prod_cross *= float(
             np.sum(w * np.exp(-((x - c1[ax]) ** 2 + (x - c2[ax]) ** 2) / (4.0 * sig2)))
         )
-    total = 2.0 * prod1 * prod2 + sign * 2.0 * prod_cross * prod_cross
-    return total * (2.0 * math.pi * sig2) ** -3.0 / (2.0 * (1.0 + sign * j * j))
+    value = 0.0
+    for frac, channel in _channel_weights(params.triplet_fraction):
+        sign = channel.sign
+        total = 2.0 * prod1 * prod2 + sign * 2.0 * prod_cross * prod_cross
+        value += frac * (total * (2.0 * math.pi * sig2) ** -3.0 / (2.0 * (1.0 + sign * j * j)))
+    return value
 
 
-def _pair_norm(params: ModelParams, channel: SpinChannel, spec: QuadratureSpec):
-    """(value, est_error, samples used) of the pair-density norm, unchecked.
+def _pair_norm(params: ModelParams, spec: QuadratureSpec):
+    """(value, est_error, samples used) of the mixture's pair-density norm, unchecked.
 
     tensor-quadrature exploits separability (the 6-d integral is a
     product of 1-d Gaussian integrals per axis); monte-carlo importance
-    samples from the two-center product proposal.
+    samples from the two-center product proposal and weighs each draw
+    by the mixture density, so the SE is that of the mixture's joint
+    weight. A degenerate triplet of nonzero weight is refused before
+    any work.
     """
-    _require_nondegenerate(params, channel)
+    for _, channel in _channel_weights(params.triplet_fraction):
+        _require_nondegenerate(params, channel)
     if spec.method == "tensor-quadrature":
         n = spec.nodes_per_axis
-        coarse = _pair_norm_quad_value(params, channel, n // 2)
-        fine = _pair_norm_quad_value(params, channel, n)
+        coarse = _pair_norm_quad_value(params, n // 2)
+        fine = _pair_norm_quad_value(params, n)
         return fine, abs(fine - coarse), 9 * (n + n // 2)
     c1, c2 = params.centers
     sigma = params.sigma
@@ -748,7 +758,7 @@ def _pair_norm(params: ModelParams, channel: SpinChannel, spec: QuadratureSpec):
             cross *= gauss(p2, c1)
             pdf += cross
             pdf *= 0.5
-            dens = _pair_density(p1.T, p2.T, params, channel)
+            dens = mixture_density(p1.T, p2.T, params)
             dens /= pdf
             return dens
 
@@ -760,20 +770,14 @@ def _pair_norm(params: ModelParams, channel: SpinChannel, spec: QuadratureSpec):
 def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     """Check that the differential pair yield integrates to n_pairs.
 
-    The yield is n_pairs times the singlet and triplet pair norms weighted
-    by 1 - f and f, so f = 0 or 1 with n_pairs = 1 checks that one pure
-    channel's pair density integrates to 1. The error estimates add
-    linearly. The two Monte-Carlo runs share their draws, so the value
-    is the joint estimate of the mixture, and the linear sum of the SEs
-    bounds its SE; where the channels' errors cancel, it overstates it.
+    The yield is n_pairs times the norm of the mixture, whose singlet
+    and triplet pair densities are weighted by 1 - f and f, so f = 0 or
+    1 with n_pairs = 1 checks that one pure channel's pair density
+    integrates to 1. The mixture is integrated once: Monte Carlo draws
+    sample_count samples, samples_used counts them once, and the SE is
+    that of the mixture's joint weight.
     """
-    value = est = 0.0
-    used = 0
-    for frac, channel in _channel_weights(params.triplet_fraction):
-        part_value, part_est, part_used = _pair_norm(params, channel, spec)
-        value += frac * part_value
-        est += frac * part_est
-        used += part_used
+    value, est, used = _pair_norm(params, spec)
     return _finish(params.n_pairs * value, params.n_pairs * est, used, spec, "phi_norm_oracle")
 
 

@@ -1,12 +1,16 @@
-"""The names the benchmark's traced run wraps must exist in the package.
+"""The benchmark must keep running on the package.
 
 perfbench/tracing.py replaces functions by name (``WRAPPED``) in the
 modules that call them; a refactor that drops or stops calling one of
 them would break the traced run, not the test suite, without this check.
+The benchmark's own self-test runs here too, so a change that breaks a
+workload or one of its checks fails locally.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +19,8 @@ import paircorr.correlation
 import paircorr.oracle
 from paircorr.model import ModelParams
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -54,3 +59,14 @@ def test_uncor_oracle_records_marginal_points():
     marginal = table.ids("model.mixture_marginal")
     assert len(marginal) > 0
     assert int(table.points[marginal].sum()) == 2 * result.samples_used
+
+
+def test_benchmark_selftest_passes():
+    # every workload runs to its end at tiny sizes and every benchmark
+    # check accepts a right answer and rejects a wrong one
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    assert "\n0 failure(s)" in proc.stdout

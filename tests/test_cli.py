@@ -78,6 +78,17 @@ def test_synth_then_fit_roundtrip(tmp_path, capsys):
     assert abs(payload["f"] - 0.5) < 1e-3
 
 
+def test_fit_with_one_free_parameter(tmp_path):
+    data = tmp_path / "data.csv"
+    result = tmp_path / "fit.json"
+    assert main(["synth", "--sigma", "0.22", "--grid", "0.02:1.1:30", "--noise", "0",
+                 "--out", str(data)]) == 0
+    assert main(["fit", "--data", str(data), "--free", "sigma", "--out", str(result)]) == 0
+    payload = json.loads(result.read_text())
+    assert payload["f"] == 0.5  # held at the --f default
+    assert abs(payload["sigma"] - 0.22) < 1e-4
+
+
 def test_repeated_calls_share_no_state(tmp_path):
     # one parser serves every call in a process: no call may see another's arguments
     data, again, curve, first, second = (
@@ -221,6 +232,9 @@ def test_usage_errors(tmp_path):
         ["synth", "--sigma", "0.5", "--out", "x.csv", "--seed", "-1"],
         ["oracle-check", "--sigma", "0.5", "--seed", "-1", "--out", "r.csv"],
         ["oracle-check", "--sigma", "0.5", "--tol", "0", "--out", "r.csv"],
+        ["curve", "--sigma", "0.5", "--grid", "1:2", "--out", "x.csv"],
+        ["curve", "--sigma", "0.5", "--grid", "a:1:3", "--out", "x.csv"],
+        ["oracle-check", "--sigma", "0.5", "--samples", "abc", "--out", "r.csv"],
     ],
 )
 def test_config_usage_errors(argv, capsys):

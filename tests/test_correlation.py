@@ -26,6 +26,7 @@ from paircorr.correlation import (
     _SATURATED,
     _TINY,
     CorrelationCurve,
+    _mix,
     _per_point,
     _regimes,
     _split_terms,
@@ -483,8 +484,9 @@ def test_one_form_grids_match_mixed_grids(sigma, split, top, others):
 
 def test_per_point_terms_match_scalar_terms():
     # a batched call takes each parameter point's constants from the
-    # same libm arithmetic as a one-parameter call; (1 - f)^2 is where
-    # a vector x * x would differ (about 1 f in 1,000)
+    # same libm arithmetic as a one-parameter call, and _mix each f
+    # weight; (1 - f)^2 is where a vector x * x would differ (about 1 f
+    # in 1,000)
     rng = np.random.default_rng(5)
     f = rng.random((20_000, 1))
     q = np.repeat(rng.uniform(0.0, 3.0, 40), 500)[:, None]
@@ -492,11 +494,20 @@ def test_per_point_terms_match_scalar_terms():
     # the split terms take their d -> 0 limits
     f = np.concatenate([f, rng.random((20, 1))])
     q = np.concatenate([q, np.repeat([0.0, 5e-324, 1e-310, 1e-160], 5)[:, None]])
-    batch = _per_point(q, f)
-    alone = [_per_point(qi, fi) for qi, fi in zip(q[:, 0].tolist(), f[:, 0].tolist())]
+    batch = _per_point(q)
+    alone = [_per_point(qi) for qi in q[:, 0].tolist()]
     for k, column in enumerate(batch):
         assert column.shape == (20_020, 1)
         _assert_same_bytes(column[:, 0], np.array([terms[k] for terms in alone]))
+    # a unit bracket picks one weight out of its half: 1 - f and f of
+    # num, (1 - f)^2, f^2 and 2 f (1 - f) of den
+    for half, size in (("num", 2), ("den", 3)):
+        for k in range(size):
+            unit = (tuple(float(j == k) for j in range(size)),)
+            weight = _mix((half,), f, unit, False)[0]
+            assert weight.shape == (20_020, 1)
+            alone = [_mix((half,), fi, unit, False)[0] for fi in f[:, 0].tolist()]
+            _assert_same_bytes(weight[:, 0], np.array(alone))
 
 
 def _with_warnings(call, *args):
@@ -546,7 +557,7 @@ def test_f_axis_matches_scalar_calls():
     spread = np.geomspace(0.05, 2.0, 61)[:, None, None]
     assert np.unique(0.1 * shared / shared).size == 1
     assert np.unique(0.1 * spread / spread).size == 3
-    assert all(isinstance(t, float) for t in _per_point(0.1 * shared / shared, f)[:9])
+    assert all(isinstance(t, float) for t in _per_point(0.1 * shared / shared))
     f = np.linspace(0.0, 1.0, 11)[None, :, None]
     dp = np.linspace(0.0, 6.0, 30)
     for sigma in (shared, spread):

@@ -9,6 +9,7 @@ import pytest
 from paircorr.correlation import correlation_curve
 from paircorr.data import (
     Dataset,
+    _atomic_write,
     load_dataset,
     save_curve,
     save_dataset,
@@ -124,6 +125,34 @@ def test_load_skips_comments_and_blanks(tmp_path):
     path.write_text("# digitized points\n\ndelta_p,R\n# interior note\n0.5,0.1\n\n0.7,0.2\n")
     ds = load_dataset(path)
     assert ds.delta_p == (0.5, 0.7)
+
+
+def test_load_reads_past_a_byte_order_mark(tmp_path):
+    # spreadsheet exports often start with a UTF-8 byte-order mark
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    save_dataset(plain, POINTS)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_dataset(marked, label=POINTS.label) == load_dataset(plain, label=POINTS.label)
+    assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")  # writers add none
+
+
+def test_duplicate_delta_p_names_the_file(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("delta_p,R\n0.5,0.1\n0.5,0.2\n")
+    with pytest.raises(DataFormatError) as excinfo:
+        load_dataset(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+    assert "duplicate delta_p" in str(excinfo.value)
+
+
+def test_atomic_write_cleans_up_on_failure(tmp_path):
+    # replacing a directory fails; the temp file must not be left behind
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        _atomic_write(target, "text\n")
+    assert target.is_dir()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_save_curve_formats(tmp_path):

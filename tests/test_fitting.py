@@ -94,7 +94,7 @@ def test_insensitive_configuration_raises():
 
 def test_nonconvergence_carries_best_effort():
     data = synthesize(TRUTH, GRID, noise_rel=0.10, rng_seed=7)
-    cfg = FitConfig(multistart_count=1, max_iterations=1, step_tol=1e-14)
+    cfg = FitConfig(multistart_count=1, max_iterations=1)
     with pytest.raises(NonConvergenceError) as excinfo:
         fit(data, cfg)
     best = excinfo.value.result
@@ -127,9 +127,6 @@ def test_config_validation():
         dict(p_tilde=np.nan),
         dict(p_tilde=np.inf),
         dict(p_tilde=-0.1),
-        dict(step_tol=np.nan),
-        dict(step_tol=0.0),
-        dict(residual_tol=np.nan),
         dict(sigma=np.array([0.5, 0.6])),
         # counts and the seed are whole numbers, refused rather than
         # failing later inside fit()
@@ -142,6 +139,11 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             FitConfig(**bad)
+
+
+def test_bounds_must_be_ordered():
+    with pytest.raises(ValueError, match="ordered pair"):
+        FitConfig(sigma_bounds=(2.0, 1.0))
 
 
 def test_offset_data_approximation_error():

@@ -76,6 +76,28 @@ def test_phi_norm_counts_pairs():
     assert abs(res.value - PARAMS.n_pairs) <= 3.0 * res.est_error
 
 
+def test_phi_norm_integrates_the_mixture_once():
+    # the mixture's norm is one run over one set of draws: it reports
+    # sample_count, and its value is the f-weighted pure runs of the
+    # same seed, which draw the same samples
+    spec = _mc(1 << 16, seed=4)
+    mixed = phi_norm_oracle(PARAMS, spec)
+    assert mixed.samples_used == spec.sample_count
+    f = PARAMS.triplet_fraction
+    singlet, triplet = (phi_norm_oracle(_pure(PARAMS, g), spec).value for g in (0.0, 1.0))
+    weighed = PARAMS.n_pairs * ((1.0 - f) * singlet + f * triplet)
+    assert abs(mixed.value - weighed) <= 1e-12 * weighed
+    # by quadrature, one run at n and one at n/2 nodes per axis, each
+    # of three per-axis products on three axes
+    n = QUAD.nodes_per_axis
+    assert phi_norm_oracle(PARAMS, QUAD).samples_used == 9 * (n + n // 2)
+
+
+def test_oracle_result_refuses_negative_error():
+    with pytest.raises(ValueError, match="est_error"):
+        OracleResult(1.0, -1.0, 1)
+
+
 def test_rho_single_matches_marginal():
     # the partner integral of the pair yield must reproduce the
     # closed-form single-particle density
