@@ -32,28 +32,31 @@ exchange exponents are built once per sample and only the final
 (e^{-A/2} +/- e^{-B/2})^2 factor is formed per channel. A channel with
 packets of its own keeps its draws and its arithmetic exactly.
 
-Sampling is chunked. A chunk makes its draws whole from its own seed
-(spawned from the spec's rng_seed), into buffers that its thread keeps
-for its next chunk, then works column-wise in blocks and sums its
-weights once; math.fsum adds the chunk sums, so neither block size nor
-thread count changes a bit. Set PAIRCORR_THREADS to evaluate chunks in
-a thread pool. Within a block, every (3, m) quantity is a stack of
-contiguous component rows, finished one row at a time with in-place
-ufuncs, and temporaries are overwritten rather than remade; each
-element still takes the same floating-point operations in the same
-order. The stratified polar variable is non-decreasing within a chunk,
-so each proposal branch is a slice cut by searchsorted, not a boolean
-mask, and a scalar z (every point channel) skips the per-sample
-guards that a jittered channel's z needs.
+Sampling is chunked and streamed. A chunk draws from its own seed
+(spawned from the spec's rng_seed), block by block: PCG64's jump-ahead
+starts each uniform stream at the block's own slice, so each block
+gets exactly the values a whole-chunk draw would give, and a thread
+holds one block's draws and one chunk's weights at a time. The chunk
+sums its weights once and math.fsum adds the chunk sums, so neither
+block size nor thread count changes a bit. Set PAIRCORR_THREADS to
+evaluate chunks in a thread pool. Within a block, every (3, m)
+quantity is a stack of contiguous component rows, finished one row at
+a time with in-place ufuncs, and temporaries are overwritten rather
+than remade; each element still takes the same floating-point
+operations in the same order. The stratified polar variable is
+non-decreasing within a chunk, so each proposal branch is a slice cut
+by searchsorted, not a boolean mask, and a scalar z (every point
+channel) skips the per-sample guards that a jittered channel's z
+needs.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,12 +157,19 @@ class OracleResult:
     should use max(analytic_tol * |closed|, 3 * est_error). samples_used
     counts the Monte-Carlo samples drawn, sample_count per run (coincidence
     channels that share their packets share one run, and a mixture's
-    norm is one run), or the quadrature nodes evaluated.
+    norm is one run), or the quadrature nodes evaluated. chunks counts the
+    Monte-Carlo chunks those runs drew (0 for quadrature and at
+    delta_p = 0), threads is the worker count they ran on, and elapsed_s
+    is the call's wall time. These three describe how the number was
+    made, not the number, so equality ignores them.
     """
 
     value: float
     est_error: float
     samples_used: int
+    chunks: int = field(default=0, compare=False)
+    threads: int = field(default=1, compare=False)
+    elapsed_s: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if self.est_error < 0.0:
@@ -210,65 +220,70 @@ def _thread_count() -> int:
 # shared Monte-Carlo machinery
 
 
-class _Draws:
-    """One chunk's random draws, made into buffers that the thread's next chunk reuses.
+def _streams(seed, count, kinds):
+    """One chunk's draws, made and handed out block by block.
 
-    Buffers are handed out in request order, so each chunk a thread runs
-    gets the same ones, and fresh memory is touched once per thread
-    rather than once per chunk. The values are those of rng.random(count)
-    and rng.standard_normal((count, 3)) on the chunk's own generator.
+    Yields (block slice, draws): the block's samples of each stream in
+    ``kinds``, a tuple naming them in the order the chunk's generator
+    makes them, the uniform kinds first. "uniform" is count doubles;
+    "strata" is one stratified uniform per stratum of [0, 1),
+    non-decreasing in the sample index; "normal" is (count, 3) standard
+    normals. Each value is the one that whole-chunk draws on
+    np.random.default_rng(seed), in kinds order, would make.
+
+    A uniform double takes exactly one 64-bit output, so uniform stream
+    k starts at output k * count and runs on a generator of its own,
+    advanced there. A normal takes a varying number of outputs, so the
+    normal streams share one generator that starts after the uniforms:
+    each but the last is drawn whole, since the next starts only where
+    it ends, and the last is drawn block by block.
     """
 
-    def __init__(self, seed, count, pool):
-        self.rng = np.random.default_rng(seed)
-        self.count = count
-        self._pool = pool
-        self._taken = 0
+    def generator(start):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rng.bit_generator.advance(start)
+        return rng
 
-    def buffer(self, *shape):
-        """The next buffer, of shape (count, *shape); its contents are left over."""
-        key = (self._taken, shape)
-        self._taken += 1
-        buf = self._pool.get(key)
-        if buf is None or len(buf) < self.count:
-            buf = self._pool[key] = np.empty((self.count,) + shape)
-        return buf[: self.count]
+    normal = generator(sum(kind != "normal" for kind in kinds) * count)
+    sources = []
+    for k, kind in enumerate(kinds):
+        if kind != "normal":
+            sources.append(generator(k * count))
+        elif k < len(kinds) - 1:
+            sources.append(normal.standard_normal((count, 3)))
+        else:
+            sources.append(normal)
+    for lo in range(0, count, _BLOCK):
+        m = min(_BLOCK, count - lo)
+        draws = []
+        for kind, source in zip(kinds, sources):
+            if source is normal:
+                x = normal.standard_normal((m, 3))
+            elif kind == "normal":
+                x = source[lo : lo + m]
+            else:
+                x = source.random(m)
+                if kind == "strata":
+                    x += np.arange(lo, lo + m)
+                    x /= count
+            draws.append(x)
+        yield slice(lo, lo + m), draws
 
-    def uniform(self):
-        return self.rng.random(out=self.buffer())
 
-    def normal(self):
-        """(count, 3) standard normals."""
-        return self.rng.standard_normal(out=self.buffer(3))
+def _mc_sum(total: int, seed_seq: np.random.SeedSequence, kinds, block_fn):
+    """Mean, SE, samples, chunks and threads of the weights w over fixed-size chunks.
 
-    def stratified(self):
-        """One stratified uniform per stratum of [0, 1), non-decreasing in the sample index."""
-        v = self.uniform()
-        for lo in range(0, self.count, _BLOCK):  # block by block: no chunk-sized index array
-            v[lo : lo + _BLOCK] += np.arange(lo, min(lo + _BLOCK, self.count))
-        v /= self.count
-        return v
-
-
-def _mc_sum(total: int, seed_seq: np.random.SeedSequence, chunk_fn):
-    """Mean and SE of the weights w over fixed-size chunks, in blocks.
-
-    chunk_fn(draws) makes a chunk's draws through ``draws``, a _Draws of
-    draws.count samples, and returns the function from a block slice to
-    that block's w. The chunk layout and seeds depend only on
-    (total, seed_seq); w is summed once per chunk.
+    A chunk streams its draws of ``kinds`` (see _streams) from its own
+    seed, and block_fn(*draws) returns each block's w, so a thread holds
+    one block's draws and one chunk's w at a time. The chunk layout and
+    seeds depend only on (total, seed_seq), and w is summed once per
+    chunk, so neither the block size nor the thread count changes a bit.
     """
-    local = threading.local()  # each thread's draw buffers, kept for its next chunk
 
     def chunk_sums(seed, count):
-        if not hasattr(local, "pool"):
-            local.pool = {}
-        draws = _Draws(seed, count, local.pool)
-        block_fn = chunk_fn(draws)
-        w = draws.buffer()
-        for lo in range(0, count, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            w[block] = block_fn(block)
+        w = np.empty(count)
+        for block, draws in _streams(seed, count, kinds):
+            w[block] = block_fn(*draws)
         s1 = float(np.sum(w))
         w *= w
         return s1, float(np.sum(w))
@@ -286,15 +301,19 @@ def _mc_sum(total: int, seed_seq: np.random.SeedSequence, chunk_fn):
     s2 = math.fsum(pair[1] for pair in sums)
     mean = s1 / total
     variance = max(s2 / total - mean * mean, 0.0)
-    return mean, math.sqrt(variance / total), total
+    return mean, math.sqrt(variance / total), total, n_chunks, threads
 
 
-def _finish(value, est, used, spec: QuadratureSpec, what: str) -> OracleResult:
+def _finish(
+    spec: QuadratureSpec, what: str, started, value, est, used, chunks=0, threads=1
+) -> OracleResult:
     """The result, or ToleranceNotMetError carrying it when it misses the target.
 
     Monte Carlo is held to 3 * SE, quadrature to its refinement delta.
+    started is the call's time.perf_counter() reading at entry.
     """
-    result = OracleResult(float(value), float(est), int(used))
+    elapsed = time.perf_counter() - started
+    result = OracleResult(float(value), float(est), int(used), chunks, threads, elapsed)
     mc = spec.method == "monte-carlo"
     spread = 3.0 * est if mc else est
     if spread > spec.target_rel_tol * abs(value):
@@ -368,7 +387,7 @@ _UNC_TILTS = ((0.5, 0.75, 0.5), (0.75, 1.0, 1.0))
 
 
 def _tilt_sample(v, z, tilts):
-    """Polar cosines of the proposal at non-decreasing v, as _Draws.stratified returns it.
+    """Polar cosines of the proposal at non-decreasing v, as a "strata" stream gives it.
 
     Sorted v makes each branch a slice, cut by searchsorted at 1/2 and
     at each tilt's hi; every branch runs on its own samples only. The
@@ -434,10 +453,12 @@ def _direction(length, u, phi, e1, e2, e3):
     b *= sin_theta
     tmp = sin_theta
     out = np.empty((3,) + u.shape)
-    for row, c1, c2, c3 in zip(out, _rows(e1), _rows(e2), _rows(e3)):
-        np.multiply(a, c1, out=row)
-        row += np.multiply(b, c2, out=tmp)
-        row += np.multiply(u, c3, out=tmp)
+    for row, *comps in zip(out, _rows(e1), _rows(e2), _rows(e3)):
+        # a zero frame component adds only a signed zero: its product is skipped
+        (x, c), *rest = [(x, c) for x, c in zip((a, b, u), comps) if c.any()]
+        np.multiply(x, c, out=row)
+        for x, c in rest:
+            row += np.multiply(x, c, out=tmp)
         row *= length
     return out
 
@@ -453,7 +474,7 @@ def _cor_runner(delta_p, group, spec, seed_seq):
     (P, s) Gaussian-smeared per sample. The per-sample weight is the
     first member's density plus each other member's density times its
     weight over the first's; a one-member group is one channel's
-    integral. A chunk draws the polar and azimuthal variables, then the
+    integral. The draws are the polar and azimuthal variables, then the
     two jitter normals only if a spread is nonzero, then the p1 normals;
     a point group keeps (P, s) as single vectors and builds its frame
     once.
@@ -482,56 +503,49 @@ def _cor_runner(delta_p, group, spec, seed_seq):
         return z, j2, _frames(p_split), pt, (pt + ps) / 2.0, (pt - ps) / 2.0
 
     point = None if jitter else geometry(p_split0, p_total0)
+    kinds = ("strata", "uniform") + ("normal",) * (3 if jitter else 1)
 
-    def chunk(draws):
-        v = draws.stratified()
-        phi = draws.uniform()
+    def block(v, phi, *normals):
+        *jitters, xi = normals
         phi *= 2.0 * math.pi
         if jitter:
-            split_normals = draws.normal()
-            total_normals = draws.normal()
-        xi = draws.normal()
+            split_normals, total_normals = jitters
+            z, j2, frame, pt, c1, c2 = geometry(
+                p_split0 + first.spread_split * split_normals,
+                p_total0 + first.spread_total * total_normals,
+            )
+        else:
+            z, j2, frame, pt, c1, c2 = point
+        u = _tilt_sample(v, z, _COR_TILTS)
+        q = _direction(delta_p, u, phi, *frame)
+        x = xi.T.copy()
+        # p1 = (P - q)/2 + scale x; then p2 = p1 + q, written over q
+        p1 = np.empty_like(q)
+        tmp = np.empty_like(u)
+        for k in range(3):
+            row = np.subtract(pt[k], q[k], out=p1[k])
+            row /= 2.0
+            row += np.multiply(x[k], scale, out=tmp)
+            q[k] += row
+        base, gap = _exchange_exponents(p1, q, c1, c2, sigma)
+        dens = {}
+        for sign in signs:
+            dens[sign] = _exchange_combination(base, gap, sigma, sign)
+            dens[sign] /= 2.0 * (1.0 + sign * j2)
+        total = dens[first.channel.sign]
+        for ratio, sign in ratios:
+            total = total + dens[sign] * ratio
+        pdf = _sq_dist(x, np.zeros(3))
+        pdf *= -0.5
+        np.exp(pdf, out=pdf)
+        pdf *= pdf_norm
+        den = _tilt_pdf(u, z, _COR_TILTS)
+        den *= pdf
+        total *= delta_p * delta_p * 2.0 * math.pi
+        total /= den
+        return total
 
-        def block(b):
-            if jitter:
-                z, j2, frame, pt, c1, c2 = geometry(
-                    p_split0 + first.spread_split * split_normals[b],
-                    p_total0 + first.spread_total * total_normals[b],
-                )
-            else:
-                z, j2, frame, pt, c1, c2 = point
-            u = _tilt_sample(v[b], z, _COR_TILTS)
-            q = _direction(delta_p, u, phi[b], *frame)
-            x = xi[b].T.copy()
-            # p1 = (P - q)/2 + scale x; then p2 = p1 + q, written over q
-            p1 = np.empty_like(q)
-            tmp = np.empty_like(u)
-            for k in range(3):
-                row = np.subtract(pt[k], q[k], out=p1[k])
-                row /= 2.0
-                row += np.multiply(x[k], scale, out=tmp)
-                q[k] += row
-            base, gap = _exchange_exponents(p1, q, c1, c2, sigma)
-            dens = {}
-            for sign in signs:
-                dens[sign] = _exchange_combination(base, gap, sigma, sign)
-                dens[sign] /= 2.0 * (1.0 + sign * j2)
-            total = dens[first.channel.sign]
-            for ratio, sign in ratios:
-                total = total + dens[sign] * ratio
-            pdf = _sq_dist(x, np.zeros(3))
-            pdf *= -0.5
-            np.exp(pdf, out=pdf)
-            pdf *= pdf_norm
-            den = _tilt_pdf(u, z, _COR_TILTS)
-            den *= pdf
-            total *= delta_p * delta_p * 2.0 * math.pi
-            total /= den
-            return total
-
-        return block
-
-    return _mc_sum(spec.sample_count, seed_seq, chunk)
+    return _mc_sum(spec.sample_count, seed_seq, kinds, block)
 
 
 def _mixture_channels(params: ModelParams):
@@ -560,28 +574,30 @@ def intensity_cor_oracle(delta_p, channels, spec: QuadratureSpec) -> OracleResul
     mixture reports sample_count. The SE of a group is that of its
     joint weight. Channels of weight zero are left out.
     """
+    started = time.perf_counter()
     channels = _mixture_channels(channels) if isinstance(channels, ModelParams) else list(channels)
     delta_p = _intensity_delta_p(delta_p, spec)
     if not channels:
         raise ValueError("at least one channel is required")
     if delta_p == 0.0:
-        return OracleResult(0.0, 0.0, 0)
+        return _finish(spec, "intensity_cor_oracle", started, 0.0, 0.0, 0)
     children = np.random.SeedSequence(spec.rng_seed).spawn(len(channels))
     groups = {}
     for ccs, child in zip(channels, children):
         if ccs.weight != 0.0:
             key = (ccs.sigma, ccs.p_split, ccs.p_total, ccs.spread_split, ccs.spread_total)
             groups.setdefault(key, (child, []))[1].append(ccs)
-    values, variances, used = [], [], 0
+    values, variances, used, chunks, threads = [], [], 0, 0, 1
     for child, group in groups.values():
-        mean, se, n = _cor_runner(delta_p, group, spec, child)
+        mean, se, n, n_chunks, threads = _cor_runner(delta_p, group, spec, child)
         weight = group[0].weight
         values.append(weight * mean)
         variances.append((weight * se) ** 2)
         used += n
+        chunks += n_chunks
     value = math.fsum(values)
     se = math.sqrt(math.fsum(variances))
-    return _finish(value, se, used, spec, "intensity_cor_oracle")
+    return _finish(spec, "intensity_cor_oracle", started, value, se, used, chunks, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +611,10 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
     by rho_single); the 5-d integral over p1 and the direction is done
     by Monte Carlo with a three-center Gaussian proposal for p1.
     """
+    started = time.perf_counter()
     delta_p = _intensity_delta_p(delta_p, spec)
     if delta_p == 0.0:
-        return OracleResult(0.0, 0.0, 0)
+        return _finish(spec, "intensity_uncor_oracle", started, 0.0, 0.0, 0)
     sigma = params.sigma
     p_total = np.asarray(params.p_total)
     p_split = np.asarray(params.p_split)
@@ -614,55 +631,46 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
     pdf_norm = (2.0 * math.pi * var) ** -1.5
     n_pairs = params.n_pairs
 
-    def chunk(draws):
-        v = draws.stratified()
-        phi = draws.uniform()
+    def block(v, phi, pick, xi):
         phi *= 2.0 * math.pi
-        pick = draws.uniform()
-        xi = draws.normal()
+        u = _tilt_sample(v, z, _UNC_TILTS)
+        q = _direction(delta_p, u, phi, e1, e2, e3)
+        comp = (pick >= 0.25).astype(np.int64)
+        comp += pick >= 0.75
+        x = xi.T.copy()
+        # p1 = base + offsets[comp] + sqrt(var) x with base = (P - q)/2,
+        # and rel = p1 - base, one component row at a time
+        p1, rel = np.empty_like(q), np.empty_like(q)
+        base = np.empty_like(u)
+        for k in range(3):
+            np.subtract(p_total[k], q[k], out=base)
+            base /= 2.0
+            row = np.add(base, np.take(offsets[:, k], comp, out=rel[k], mode="clip"), out=p1[k])
+            row += np.multiply(x[k], spread, out=rel[k])
+            np.subtract(row, base, out=rel[k])
+        pdf1 = 0.0
+        for k in range(3):
+            part = _sq_dist(rel, offsets[k])
+            np.negative(part, out=part)
+            part /= 2.0 * var
+            np.exp(part, out=part)
+            part *= comp_weights[k] * pdf_norm
+            part += pdf1
+            pdf1 = part
+        # the marginal takes (m, 3) momenta: transposed views of the component rows
+        rho = mixture_marginal(p1.T, params)
+        rho *= n_pairs
+        q += p1
+        rho *= mixture_marginal(q.T, params)
+        den = _tilt_pdf(u, z, _UNC_TILTS)
+        den *= pdf1
+        rho *= delta_p * delta_p * 2.0 * math.pi
+        rho /= den
+        return rho
 
-        def block(b):
-            u = _tilt_sample(v[b], z, _UNC_TILTS)
-            q = _direction(delta_p, u, phi[b], e1, e2, e3)
-            comp = (pick[b] >= 0.25).astype(np.int64)
-            comp += pick[b] >= 0.75
-            x = xi[b].T.copy()
-            # p1 = base + offsets[comp] + sqrt(var) x with base = (P - q)/2,
-            # and rel = p1 - base, one component row at a time
-            p1, rel = np.empty_like(q), np.empty_like(q)
-            base = np.empty_like(u)
-            for k in range(3):
-                np.subtract(p_total[k], q[k], out=base)
-                base /= 2.0
-                row = np.add(base, np.take(offsets[:, k], comp, out=rel[k], mode="clip"), out=p1[k])
-                row += np.multiply(x[k], spread, out=rel[k])
-                np.subtract(row, base, out=rel[k])
-            pdf1 = 0.0
-            for k in range(3):
-                part = _sq_dist(rel, offsets[k])
-                np.negative(part, out=part)
-                part /= 2.0 * var
-                np.exp(part, out=part)
-                part *= comp_weights[k] * pdf_norm
-                part += pdf1
-                pdf1 = part
-            # the marginal takes (m, 3) momenta: transposed views of the component rows
-            rho = mixture_marginal(p1.T, params)
-            rho *= n_pairs
-            q += p1
-            rho *= mixture_marginal(q.T, params)
-            den = _tilt_pdf(u, z, _UNC_TILTS)
-            den *= pdf1
-            rho *= delta_p * delta_p * 2.0 * math.pi
-            rho /= den
-            return rho
-
-        return block
-
-    mean, se, used = _mc_sum(
-        spec.sample_count, np.random.SeedSequence(spec.rng_seed), chunk
-    )
-    return _finish(mean, se, used, spec, "intensity_uncor_oracle")
+    kinds = ("strata", "uniform", "uniform", "normal")
+    run = _mc_sum(spec.sample_count, np.random.SeedSequence(spec.rng_seed), kinds, block)
+    return _finish(spec, "intensity_uncor_oracle", started, *run)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +715,7 @@ def _pair_norm_quad_value(params: ModelParams, n: int) -> float:
 
 
 def _pair_norm(params: ModelParams, spec: QuadratureSpec):
-    """(value, est_error, samples used) of the mixture's pair-density norm, unchecked.
+    """(value, est_error, samples, chunks, threads) of the mixture's pair-density norm, unchecked.
 
     tensor-quadrature exploits separability (the 6-d integral is a
     product of 1-d Gaussian integrals per axis); monte-carlo importance
@@ -722,7 +730,7 @@ def _pair_norm(params: ModelParams, spec: QuadratureSpec):
         n = spec.nodes_per_axis
         coarse = _pair_norm_quad_value(params, n // 2)
         fine = _pair_norm_quad_value(params, n)
-        return fine, abs(fine - coarse), 9 * (n + n // 2)
+        return fine, abs(fine - coarse), 9 * (n + n // 2), 0, 1
     c1, c2 = params.centers
     sigma = params.sigma
     pdf_norm = (2.0 * math.pi * sigma * sigma) ** -1.5
@@ -738,33 +746,27 @@ def _pair_norm(params: ModelParams, spec: QuadratureSpec):
     # per axis, the centers of p1 and of p2 indexed by swap: (c1, c2) and (c2, c1)
     ends = [(np.array([a, b]), np.array([b, a])) for a, b in zip(c1, c2)]
 
-    def chunk(draws):
-        swap = draws.uniform() < 0.5
-        xi1 = draws.normal()
-        xi2 = draws.normal()
+    def block(swap, xi1, xi2):
+        pick = (swap < 0.5).astype(np.intp)
+        p1, p2 = xi1.T.copy(), xi2.T.copy()
+        center = np.empty_like(p1[0])
+        for k, (end1, end2) in enumerate(ends):
+            p1[k] *= sigma
+            p1[k] += np.take(end1, pick, out=center, mode="clip")
+            p2[k] *= sigma
+            p2[k] += np.take(end2, pick, out=center, mode="clip")
+        pdf = gauss(p1, c1)
+        pdf *= gauss(p2, c2)
+        cross = gauss(p1, c2)
+        cross *= gauss(p2, c1)
+        pdf += cross
+        pdf *= 0.5
+        dens = mixture_density(p1.T, p2.T, params)
+        dens /= pdf
+        return dens
 
-        def block(b):
-            pick = swap[b].astype(np.intp)
-            p1, p2 = xi1[b].T.copy(), xi2[b].T.copy()
-            center = np.empty_like(p1[0])
-            for k, (end1, end2) in enumerate(ends):
-                p1[k] *= sigma
-                p1[k] += np.take(end1, pick, out=center, mode="clip")
-                p2[k] *= sigma
-                p2[k] += np.take(end2, pick, out=center, mode="clip")
-            pdf = gauss(p1, c1)
-            pdf *= gauss(p2, c2)
-            cross = gauss(p1, c2)
-            cross *= gauss(p2, c1)
-            pdf += cross
-            pdf *= 0.5
-            dens = mixture_density(p1.T, p2.T, params)
-            dens /= pdf
-            return dens
-
-        return block
-
-    return _mc_sum(spec.sample_count, np.random.SeedSequence(spec.rng_seed), chunk)
+    kinds = ("uniform", "normal", "normal")
+    return _mc_sum(spec.sample_count, np.random.SeedSequence(spec.rng_seed), kinds, block)
 
 
 def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
@@ -777,8 +779,10 @@ def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     sample_count samples, samples_used counts them once, and the SE is
     that of the mixture's joint weight.
     """
-    value, est, used = _pair_norm(params, spec)
-    return _finish(params.n_pairs * value, params.n_pairs * est, used, spec, "phi_norm_oracle")
+    started = time.perf_counter()
+    value, est, *counts = _pair_norm(params, spec)
+    n_pairs = params.n_pairs
+    return _finish(spec, "phi_norm_oracle", started, n_pairs * value, n_pairs * est, *counts)
 
 
 def _rho_single_value(p, params: ModelParams, n: int) -> float:
@@ -799,10 +803,11 @@ def rho_single(p, params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     mixture, which Gauss-Legendre nodes resolve to near machine
     precision, so a Monte-Carlo path would only add noise.
     """
+    started = time.perf_counter()
     if spec.method != "tensor-quadrature":
         raise UnsupportedMethodError("rho_single supports method='tensor-quadrature' only")
     n = spec.nodes_per_axis
     coarse = _rho_single_value(p, params, n // 2)
     fine = _rho_single_value(p, params, n)
     used = n**3 + (n // 2) ** 3
-    return _finish(fine, abs(fine - coarse), used, spec, "rho_single")
+    return _finish(spec, "rho_single", started, fine, abs(fine - coarse), used)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from paircorr.oracle import (
     _COR_TILTS,
     _TINY_Z,
     _UNC_TILTS,
-    _Draws,
+    _streams,
     _tilt_pdf,
     _tilt_sample,
     ChannelCrossSection,
@@ -96,6 +97,52 @@ def test_phi_norm_integrates_the_mixture_once():
 def test_oracle_result_refuses_negative_error():
     with pytest.raises(ValueError, match="est_error"):
         OracleResult(1.0, -1.0, 1)
+
+
+def test_results_report_chunks_and_threads(monkeypatch):
+    # chunks add up over the runs behind a result, threads is the worker
+    # count they ran on; neither takes part in equality
+    monkeypatch.setenv("PAIRCORR_THREADS", "2")
+    spec = _mc(_CHUNK + 7)
+    geom_b = dict(sigma=0.6, p_split=(0.2, 0.1, -0.5))
+    split = [
+        ChannelCrossSection(0.9, SpinChannel.SINGLET, sigma=0.5, p_split=PARAMS.p_split),
+        ChannelCrossSection(1.8, SpinChannel.TRIPLET, **geom_b),
+    ]
+    for res, chunks in (
+        (intensity_cor_oracle(1.2, PARAMS, spec), 2),
+        (intensity_cor_oracle(1.2, split, spec), 4),
+        (intensity_uncor_oracle(1.2, PARAMS, spec), 2),
+        (phi_norm_oracle(PARAMS, spec), 2),
+    ):
+        assert (res.chunks, res.threads) == (chunks, 2)
+        assert res.elapsed_s > 0.0
+    for res in (phi_norm_oracle(PARAMS, QUAD), intensity_cor_oracle(0.0, PARAMS, spec)):
+        assert (res.chunks, res.threads) == (0, 1)
+    with pytest.raises(ToleranceNotMetError) as excinfo:
+        intensity_uncor_oracle(1.2, PARAMS, QuadratureSpec(sample_count=4096, target_rel_tol=1e-6))
+    assert (excinfo.value.result.chunks, excinfo.value.result.threads) == (1, 2)
+    described = OracleResult(1.0, 0.5, 3, chunks=2, threads=4, elapsed_s=1.0)
+    assert described == OracleResult(1.0, 0.5, 3)
+
+
+def test_draws_stream_block_by_block(monkeypatch):
+    # a chunk holds one block of draws at a time, not its whole draws:
+    # at one thread a chunk-sized call peaks near one chunk of weights
+    # (2 MiB) plus a block's working set. Measured 8.0 MiB (coincidence,
+    # mixture) and 9.5 MiB (accidental); the bounds add 25 %. Whole-chunk
+    # draws alone would take 10 and 12 MiB.
+    monkeypatch.setenv("PAIRCORR_THREADS", "1")
+    spec = _mc(_CHUNK)
+    for oracle, bound_mib in ((intensity_cor_oracle, 10.0), (intensity_uncor_oracle, 12.0)):
+        oracle(1.2, PARAMS, _mc(1024))  # first-call set-up stays out of the peak
+        tracemalloc.start()
+        try:
+            oracle(1.2, PARAMS, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20, (oracle.__name__, peak / 2**20)
 
 
 def test_rho_single_matches_marginal():
@@ -212,7 +259,8 @@ def test_strata_are_sorted_so_branches_are_slices():
     # v = 0.5 falls at sample 82,496 and v = 0.75 at 123,744, both
     # inside a block, so the slices cut blocks where the masks did
     count = 2_000_000 - 7 * _CHUNK
-    v = _Draws(np.random.SeedSequence(3), count, {}).stratified()
+    blocks = _streams(np.random.SeedSequence(3), count, ("strata",))
+    v = np.concatenate([block_v for _, (block_v,) in blocks])
     assert np.all(np.diff(v) >= 0.0)
     assert v[0] >= 0.0 and v[-1] < 1.0
     cuts = np.searchsorted(v, [0.5, 0.75])
