@@ -23,14 +23,13 @@ u is drawn from a mixture of a uniform density and cosh-tilted
 densities matched to the exp(z u) factors of the integrand, with
 stratified inversion per chunk, so the realized error falls much faster
 than the reported (conservative) 1/sqrt(N) standard error. One runner
-serves every coincidence channel: a channel whose (P, s) is jittered
-draws them per sample, and a point channel is the same code with no
-jitter draws and (P, s) as single vectors. Channels that share their
-packets (sigma, P, s and both spreads), such as the singlet and triplet
-of a mixture, run on one set of draws (common random numbers): the
-exchange exponents are built once per sample and only the final
-(e^{-A/2} +/- e^{-B/2})^2 factor is formed per channel. A channel with
-packets of its own keeps its draws and its arithmetic exactly.
+serves every coincidence channel, a point mass at fixed (P, s).
+Channels that share their packets (sigma, P and s), such as the
+singlet and triplet of a mixture, run on one set of draws (common
+random numbers): the exchange exponents are built once per sample and
+only the final (e^{-A/2} +/- e^{-B/2})^2 factor is formed per channel.
+A channel with packets of its own keeps its draws and its arithmetic
+exactly.
 
 Sampling is chunked and streamed. A chunk draws from its own seed
 (spawned from the spec's rng_seed), block by block: PCG64's jump-ahead
@@ -45,9 +44,7 @@ a time with in-place ufuncs, and temporaries are overwritten rather
 than remade; each element still takes the same floating-point
 operations in the same order. The stratified polar variable is
 non-decreasing within a chunk, so each proposal branch is a slice cut
-by searchsorted, not a boolean mask, and a scalar z (every point
-channel) skips the per-sample guards that a jittered channel's z
-needs.
+by searchsorted, not a boolean mask.
 """
 
 from __future__ import annotations
@@ -71,7 +68,6 @@ from .model import (
     SpinChannel,
     _as_vec3,
     _channel_weights,
-    _components,
     _exchange_combination,
     _exchange_exponents,
     _nonnegative,
@@ -178,20 +174,14 @@ class OracleResult:
 
 @dataclass(frozen=True)
 class ChannelCrossSection:
-    """One emission channel's contribution to the pair yield.
-
-    A point mass of the given weight at fixed (P, s), optionally
-    smeared by isotropic Gaussian jitter of the total momentum
-    (spread_total) and of the splitting vector (spread_split).
-    """
+    """One emission channel's contribution to the pair yield: a point mass
+    of the given weight at fixed (P, s)."""
 
     weight: float
     channel: SpinChannel
     sigma: float
     p_split: tuple = (0.0, 0.0, 0.0)
     p_total: tuple = (0.0, 0.0, 0.0)
-    spread_split: float = 0.0
-    spread_total: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "p_split", _as_vec3(self.p_split, "p_split"))
@@ -200,8 +190,6 @@ class ChannelCrossSection:
             self,
             weight=_nonnegative("weight", self.weight),
             sigma=_positive("sigma", self.sigma),
-            spread_split=_nonnegative("spread_split", self.spread_split),
-            spread_total=_nonnegative("spread_total", self.spread_total),
         )
 
 
@@ -341,40 +329,38 @@ def _sample_cosh_tilt(xi, z):
     The first bit of xi picks the exp(+z u) or exp(-z u) half; the rest
     inverts the exponential tilt through log/expm1-safe algebra. Falls
     back to uniform below _TINY_Z. xi must be non-decreasing, so the
-    exp(+z u) half is the slice xi < 0.5. z is a scalar or per sample.
+    exp(+z u) half is the slice xi < 0.5.
     """
-    if not np.ndim(z) and z < _TINY_Z:
+    if z < _TINY_Z:
         return 2.0 * xi - 1.0
     half = np.searchsorted(xi, 0.5)
     eta = 2.0 * xi
     eta[half:] -= 1.0
     np.clip(eta, 0.0, 1.0, out=eta)
-    zc = np.where(z < _TINY_Z, 1.0, z) if np.ndim(z) else z
     u = 1.0 - eta
-    u *= np.exp(-2.0 * zc)
+    u *= np.exp(-2.0 * z)
     u += eta
     np.log(u, out=u)
-    u /= zc
+    u /= z
     u += 1.0
     np.negative(u[half:], out=u[half:])
     np.clip(u, -1.0, 1.0, out=u)
-    return np.where(z < _TINY_Z, 2.0 * xi - 1.0, u) if np.ndim(z) else u
+    return u
 
 
 def _cosh_tilt_pdf(u, z):
     """Density z*cosh(z*u)/(2 sinh z) on [-1, 1], stable at any z >= 0."""
-    if not np.ndim(z) and z < _TINY_Z:
+    if z < _TINY_Z:
         return 0.5
-    zc = np.where(z < _TINY_Z, 1.0, z) if np.ndim(z) else z
     val = u - 1.0
-    val *= zc
+    val *= z
     np.exp(val, out=val)
     minus = u + 1.0
-    minus *= -zc
+    minus *= -z
     val += np.exp(minus, out=minus)
-    val *= zc
-    val /= -2.0 * np.expm1(-2.0 * zc)
-    return np.where(z < _TINY_Z, 0.5, val) if np.ndim(z) else val
+    val *= z
+    val /= -2.0 * np.expm1(-2.0 * z)
+    return val
 
 
 # Polar proposals: u uniform for v < 1/2, then per (lo, hi, factor) the
@@ -404,7 +390,7 @@ def _tilt_sample(v, z, tilts):
         xi = v[branch] - lo
         xi /= hi - lo
         np.clip(xi, 0.0, 1.0, out=xi)
-        u[branch] = _sample_cosh_tilt(xi, factor * (z[branch] if np.ndim(z) else z))
+        u[branch] = _sample_cosh_tilt(xi, factor * z)
     return u
 
 
@@ -419,30 +405,21 @@ def _tilt_pdf(u, z, tilts):
     return total
 
 
-def _frames(axes):
-    """Orthonormal frames with e3 along each axis (+z for a zero axis).
-
-    ``axes`` is one 3-vector or an (m, 3) array of them.
-    """
-    a = np.asarray(axes, dtype=float)
-    norms = np.linalg.norm(a, axis=-1, keepdims=True)
-    e3 = np.where(norms > 0.0, a / np.where(norms == 0.0, 1.0, norms), [0.0, 0.0, 1.0])
-    helper = np.where(
-        (np.abs(e3[..., 0]) <= 0.9)[..., None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
-    )
+def _frame(axis):
+    """Orthonormal frame (e1, e2, e3) with e3 along the 3-vector axis (+z for a zero axis)."""
+    a = np.asarray(axis, dtype=float)
+    # axis=-1 sums the squares by add.reduce, not by the dot product a bare norm takes
+    norm = np.linalg.norm(a, axis=-1)
+    e3 = a / norm if norm > 0.0 else np.array([0.0, 0.0, 1.0])
+    helper = np.array([1.0, 0.0, 0.0] if abs(e3[0]) <= 0.9 else [0.0, 1.0, 0.0])
     e1 = np.cross(helper, e3)
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    e1 /= np.linalg.norm(e1, axis=-1)
     e2 = np.cross(e3, e1)
     return e1, e2, e3
 
 
-def _rows(a):
-    """Component rows, (3, m) or (3, 1), of an (m, 3) array or a 3-vector."""
-    return _components(a).reshape(3, -1)
-
-
 def _direction(length, u, phi, e1, e2, e3):
-    """length times unit vectors, as (3, m) rows, polar cosine u around e3; axes may be (m, 3)."""
+    """length times unit vectors, as (3, m) rows, polar cosine u around e3."""
     sin_theta = u * u
     np.subtract(1.0, sin_theta, out=sin_theta)
     np.clip(sin_theta, 0.0, None, out=sin_theta)
@@ -453,9 +430,9 @@ def _direction(length, u, phi, e1, e2, e3):
     b *= sin_theta
     tmp = sin_theta
     out = np.empty((3,) + u.shape)
-    for row, *comps in zip(out, _rows(e1), _rows(e2), _rows(e3)):
+    for row, *comps in zip(out, e1, e2, e3):
         # a zero frame component adds only a signed zero: its product is skipped
-        (x, c), *rest = [(x, c) for x, c in zip((a, b, u), comps) if c.any()]
+        (x, c), *rest = [(x, c) for x, c in zip((a, b, u), comps) if c != 0.0]
         np.multiply(x, c, out=row)
         for x, c in rest:
             row += np.multiply(x, c, out=tmp)
@@ -470,52 +447,32 @@ def _direction(length, u, phi, e1, e2, e3):
 def _cor_runner(delta_p, group, spec, seed_seq):
     """Coincidence integral of channels that share their packets, on one set of draws.
 
-    ``group`` lists ChannelCrossSections of one (sigma, P, s, spreads),
-    (P, s) Gaussian-smeared per sample. The per-sample weight is the
-    first member's density plus each other member's density times its
-    weight over the first's; a one-member group is one channel's
-    integral. The draws are the polar and azimuthal variables, then the
-    two jitter normals only if a spread is nonzero, then the p1 normals;
-    a point group keeps (P, s) as single vectors and builds its frame
-    once.
+    ``group`` lists ChannelCrossSections of one (sigma, P, s). The
+    per-sample weight is the first member's density plus each other
+    member's density times its weight over the first's; a one-member
+    group is one channel's integral. The draws are the polar and
+    azimuthal variables, then the p1 normals.
     """
     first, *rest = group
     sigma = first.sigma
     signs = {ccs.channel.sign for ccs in group}
     ratios = [(ccs.weight / first.weight, ccs.channel.sign) for ccs in rest]
-    p_total0 = np.asarray(first.p_total)
-    p_split0 = np.asarray(first.p_split)
-    jitter = first.spread_split != 0.0 or first.spread_total != 0.0
+    pt = np.asarray(first.p_total)
+    ps = np.asarray(first.p_split)
+    split = np.linalg.norm(ps, axis=-1)
+    if min(signs) < 0.0 and split < DEGENERACY_RATIO * sigma:
+        raise DegenerateChannelError(
+            f"triplet channel with |p_split| < {DEGENERACY_RATIO:g} * sigma"
+        )
+    j2 = np.exp(-split * split / (4.0 * sigma * sigma))
+    z = split * delta_p / (2.0 * sigma * sigma)
+    frame = _frame(ps)
+    c1, c2 = (pt + ps) / 2.0, (pt - ps) / 2.0
     scale = sigma / math.sqrt(2.0)
     pdf_norm = (math.pi * sigma * sigma) ** -1.5
 
-    def geometry(p_split, p_total):
-        """z, J^2, the frame, and the rows of P and of both packet centers."""
-        split = np.linalg.norm(p_split, axis=-1)
-        if min(signs) < 0.0 and np.any(split < DEGENERACY_RATIO * sigma):
-            raise DegenerateChannelError(
-                f"triplet channel with |p_split| < {DEGENERACY_RATIO:g} * sigma"
-                " (at p_split or in its spread_split jitter)"
-            )
-        j2 = np.exp(-split * split / (4.0 * sigma * sigma))
-        z = split * delta_p / (2.0 * sigma * sigma)
-        ps, pt = _rows(p_split), _rows(p_total)
-        return z, j2, _frames(p_split), pt, (pt + ps) / 2.0, (pt - ps) / 2.0
-
-    point = None if jitter else geometry(p_split0, p_total0)
-    kinds = ("strata", "uniform") + ("normal",) * (3 if jitter else 1)
-
-    def block(v, phi, *normals):
-        *jitters, xi = normals
+    def block(v, phi, xi):
         phi *= 2.0 * math.pi
-        if jitter:
-            split_normals, total_normals = jitters
-            z, j2, frame, pt, c1, c2 = geometry(
-                p_split0 + first.spread_split * split_normals,
-                p_total0 + first.spread_total * total_normals,
-            )
-        else:
-            z, j2, frame, pt, c1, c2 = point
         u = _tilt_sample(v, z, _COR_TILTS)
         q = _direction(delta_p, u, phi, *frame)
         x = xi.T.copy()
@@ -545,7 +502,7 @@ def _cor_runner(delta_p, group, spec, seed_seq):
         total /= den
         return total
 
-    return _mc_sum(spec.sample_count, seed_seq, kinds, block)
+    return _mc_sum(spec.sample_count, seed_seq, ("strata", "uniform", "normal"), block)
 
 
 def _mixture_channels(params: ModelParams):
@@ -567,9 +524,8 @@ def intensity_cor_oracle(delta_p, channels, spec: QuadratureSpec) -> OracleResul
     contributing weight * I_cor(channel). A mixture runs as its own
     point-mass channel list, so the two forms agree bit for bit.
 
-    Channels with equal (sigma, p_split, p_total, spread_split,
-    spread_total) form a group, in the order of their first member,
-    and a group makes sample_count draws, seeded from its first
+    Channels with equal (sigma, p_split, p_total) form a group, in the
+    order of their first member, and a group makes sample_count draws, seeded from its first
     member's child seed; samples_used is sample_count per group, so a
     mixture reports sample_count. The SE of a group is that of its
     joint weight. Channels of weight zero are left out.
@@ -585,7 +541,7 @@ def intensity_cor_oracle(delta_p, channels, spec: QuadratureSpec) -> OracleResul
     groups = {}
     for ccs, child in zip(channels, children):
         if ccs.weight != 0.0:
-            key = (ccs.sigma, ccs.p_split, ccs.p_total, ccs.spread_split, ccs.spread_total)
+            key = (ccs.sigma, ccs.p_split, ccs.p_total)
             groups.setdefault(key, (child, []))[1].append(ccs)
     values, variances, used, chunks, threads = [], [], 0, 0, 1
     for child, group in groups.values():
@@ -620,7 +576,7 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
     p_split = np.asarray(params.p_split)
     split = params.split_magnitude
     z = split * delta_p / (2.0 * sigma * sigma)
-    e1, e2, e3 = _frames(p_split)
+    e1, e2, e3 = _frame(p_split)
     # Proposal for p1: Gaussians at the three possible term centers
     # (offsets -s/2, 0, +s/2 from (P - q)/2), inflated to 0.75 sigma^2
     # so every product term's sigma^2/2 profile is dominated.

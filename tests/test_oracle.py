@@ -170,19 +170,9 @@ def test_method_restrictions():
 def test_results_are_deterministic(monkeypatch):
     # a partial last chunk that ends in a partial block
     spec = _mc(_CHUNK + _BLOCK + 7)
-    jittered = ChannelCrossSection(
-        1.3,
-        SpinChannel.TRIPLET,
-        sigma=0.5,
-        p_split=PARAMS.p_split,
-        p_total=PARAMS.p_total,
-        spread_split=0.05,
-        spread_total=0.1,
-    )
     runs = {
         "cor": lambda: intensity_cor_oracle(1.2, PARAMS, spec),
         "uncor": lambda: intensity_uncor_oracle(1.2, PARAMS, spec),
-        "jittered": lambda: intensity_cor_oracle(1.2, [jittered], spec),
     }
     monkeypatch.setenv("PAIRCORR_THREADS", "1")
     first = {name: run() for name, run in runs.items()}
@@ -199,18 +189,8 @@ def test_results_are_block_size_independent(monkeypatch):
     # chunk that ends in a partial block, through blocks of 4099 samples
     # (none aligned with the chunk or the strata cuts) and of a whole chunk
     spec = _mc(_CHUNK + _BLOCK + 7)
-    jittered = ChannelCrossSection(
-        1.3,
-        SpinChannel.TRIPLET,
-        sigma=0.5,
-        p_split=PARAMS.p_split,
-        p_total=PARAMS.p_total,
-        spread_split=0.05,
-        spread_total=0.1,
-    )
     runs = {
         "cor": lambda: intensity_cor_oracle(1.2, PARAMS, spec),
-        "jittered": lambda: intensity_cor_oracle(1.2, [jittered], spec),
         "uncor": lambda: intensity_uncor_oracle(1.2, PARAMS, spec),
         "norm": lambda: phi_norm_oracle(PARAMS, spec),
     }
@@ -238,8 +218,7 @@ def _masked_tilt_sample(v, z, tilts):
     u[low] = np.clip(4.0 * v[low] - 1.0, -1.0, 1.0)
     for lo, hi, factor in tilts:
         sel = (v >= lo) & (v < hi)
-        zs = z[sel] if np.ndim(z) else z
-        u[sel] = _masked_sample_cosh_tilt(np.clip((v[sel] - lo) / (hi - lo), 0.0, 1.0), factor * zs)
+        u[sel] = _masked_sample_cosh_tilt(np.clip((v[sel] - lo) / (hi - lo), 0.0, 1.0), factor * z)
     return u
 
 
@@ -265,18 +244,15 @@ def test_strata_are_sorted_so_branches_are_slices():
     assert v[0] >= 0.0 and v[-1] < 1.0
     cuts = np.searchsorted(v, [0.5, 0.75])
     assert cuts.tolist() == [82_496, 123_744] and np.all(cuts % _BLOCK)
-    # the per-sample z of a jittered channel spans the uniform fallback
-    z_rows = np.random.default_rng(4).uniform(0.0, 3.0, count) * (np.arange(count) % 5 != 0)
-    for z in (0.0, 0.5 * _TINY_Z, 2.0 * _TINY_Z, 0.3, 2.5, 60.0, z_rows):
+    for z in (0.0, 0.5 * _TINY_Z, 2.0 * _TINY_Z, 0.3, 2.5, 60.0):
         for tilts in (_COR_TILTS, _UNC_TILTS):
             for lo in range(0, count, _BLOCK):
                 b = slice(lo, lo + _BLOCK)
-                zb = z[b] if np.ndim(z) else z
-                u = _tilt_sample(v[b], zb, tilts)
-                want = _masked_tilt_sample(v[b], zb, tilts)
+                u = _tilt_sample(v[b], z, tilts)
+                want = _masked_tilt_sample(v[b], z, tilts)
                 assert u.tobytes() == want.tobytes(), (z, tilts, lo)
-                pdf = np.broadcast_to(_tilt_pdf(u, zb, tilts), u.shape)
-                assert pdf.tobytes() == _masked_tilt_pdf(u, zb, tilts).tobytes(), (z, tilts, lo)
+                pdf = np.broadcast_to(_tilt_pdf(u, z, tilts), u.shape)
+                assert pdf.tobytes() == _masked_tilt_pdf(u, z, tilts).tobytes(), (z, tilts, lo)
 
 
 def test_tilt_sample_takes_v_of_one():
@@ -285,11 +261,11 @@ def test_tilt_sample_takes_v_of_one():
     # (u = -1, or u = 1 where the tilt falls back to uniform), and the
     # cosines below it do not change
     v = np.array([0.1, 0.6, 1.0])
-    for z, end in ((0.3, -1.0), (np.full(3, 0.3), -1.0), (0.5 * _TINY_Z, 1.0)):
+    for z, end in ((0.3, -1.0), (0.5 * _TINY_Z, 1.0)):
         for tilts in (_COR_TILTS, _UNC_TILTS):
             u = _tilt_sample(v, z, tilts)
             assert u[2] == end, (z, tilts)
-            head = _tilt_sample(v[:2], z[:2] if np.ndim(z) else z, tilts)
+            head = _tilt_sample(v[:2], z, tilts)
             assert u[:2].tobytes() == head.tobytes()
 
 
@@ -391,26 +367,14 @@ def test_degenerate_triplet_in_group_is_refused():
 
 def test_frozen_oracle_outputs():
     # (value, est_error, samples_used) pinned bit for bit: a restructured
-    # sampler must keep the draws and the arithmetic of a point channel,
-    # a jittered channel and the accidental integral
+    # sampler must keep the draws and the arithmetic of a point channel
+    # and the accidental integral
     spec = _mc(1 << 18)
     point = ChannelCrossSection(
         1.8, SpinChannel.TRIPLET, sigma=0.6, p_split=(0.2, 0.1, -0.5), p_total=(0.1, 0, 0.2)
     )
-    jittered = ChannelCrossSection(
-        1.3,
-        SpinChannel.TRIPLET,
-        sigma=0.5,
-        p_split=PARAMS.p_split,
-        p_total=PARAMS.p_total,
-        spread_split=0.05,
-        spread_total=0.1,
-    )
     assert intensity_cor_oracle(0.9, [point], spec) == OracleResult(
         0.37461775233676486, 0.000630161661757, 262144
-    )
-    assert intensity_cor_oracle(0.9, [jittered], spec) == OracleResult(
-        0.45955332462657195, 0.0007056983960405865, 262144
     )
     assert intensity_uncor_oracle(1.2, PARAMS, spec) == OracleResult(
         1.47115023682443, 0.0011432407007761398, 262144
@@ -507,29 +471,10 @@ def test_degenerate_triplet_is_refused():
         phi_norm_oracle(bad, _mc(1024))
     with pytest.raises(DegenerateChannelError):
         phi_norm_oracle(_pure(bad, 1.0), _mc(1024))
-    # jitter that wanders into the degenerate region is caught sample-wise
-    wobbly = ChannelCrossSection(
-        1.0, SpinChannel.TRIPLET, sigma=0.5, p_split=(0, 0, 0), spread_split=1e-8
-    )
+    # a triplet channel of its own, at a splitting just under the threshold
+    bare = ChannelCrossSection(1.0, SpinChannel.TRIPLET, sigma=0.5, p_split=(0, 0, 4e-7))
     with pytest.raises(DegenerateChannelError):
-        intensity_cor_oracle(1.0, [wobbly], _mc(4096))
-
-
-def test_narrow_jitter_stays_near_point_mass():
-    spec = _mc(1 << 18)
-    point = ChannelCrossSection(1.0, SpinChannel.SINGLET, sigma=0.5, p_split=(0, 0, 0.5))
-    smeared = ChannelCrossSection(
-        1.0,
-        SpinChannel.SINGLET,
-        sigma=0.5,
-        p_split=(0, 0, 0.5),
-        spread_split=0.025,
-        spread_total=0.025,
-    )
-    rp = intensity_cor_oracle(1.2, [point], spec)
-    rj = intensity_cor_oracle(1.2, [smeared], spec)
-    margin = 0.02 * rp.value + 3.0 * (rp.est_error + rj.est_error)
-    assert abs(rj.value - rp.value) <= margin
+        intensity_cor_oracle(1.0, [bare], _mc(4096))
 
 
 def test_oracles_match_closed_forms():
@@ -578,8 +523,6 @@ def test_spec_and_channel_validation():
     with pytest.raises(ValueError):
         ChannelCrossSection(1.0, SpinChannel.SINGLET, sigma=0.0)
     with pytest.raises(ValueError):
-        ChannelCrossSection(1.0, SpinChannel.SINGLET, sigma=0.5, spread_split=-0.1)
-    with pytest.raises(ValueError):
         intensity_cor_oracle(1.0, [], _mc(1024))
     with pytest.raises(ValueError):
         intensity_cor_oracle(-1.0, PARAMS, _mc(1024))
@@ -590,7 +533,6 @@ def test_spec_and_channel_validation():
         dict(sigma=np.inf),
         dict(p_split=(np.nan, 0.0, 0.0)),
         dict(p_total=(0.0, np.inf, 0.0)),
-        dict(spread_total=np.nan),
         dict(weight=np.array([1.0, 2.0])),
     ):
         with pytest.raises(ValueError):
