@@ -17,9 +17,13 @@ here by direct numerical integration of the two-particle densities:
 The Monte-Carlo design exploits the model's structure. For a fixed
 detector direction n every term of the pair density has the same
 Gaussian profile in p1, centered at (P - dp*n)/2 with covariance
-sigma^2/2; drawing p1 from exactly that Gaussian removes the p1
-variance entirely, leaving only the angular integral. The polar cosine
-u is drawn from a mixture of a uniform density and cosh-tilted
+sigma^2/2, so the p1 integral is exact: the density at that centre
+over the Gaussian's peak value. What is left depends on n only through
+its polar cosine u about the splitting s, so the azimuth is exact too
+(a factor 2 pi), and the coincidence oracle samples u alone. The
+accidental integrand has several p1 centres; it draws p1 from a
+three-centre Gaussian mixture and the azimuth uniformly. The polar
+cosine u is drawn from a mixture of a uniform density and cosh-tilted
 densities matched to the exp(z u) factors of the integrand, with
 stratified inversion per chunk, so the realized error falls much faster
 than the reported (conservative) 1/sqrt(N) standard error. One runner
@@ -58,15 +62,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DegenerateChannelError,
     ToleranceNotMetError,
     UnsupportedMethodError,
 )
 from .model import (
-    DEGENERACY_RATIO,
     ModelParams,
     SpinChannel,
     _as_vec3,
+    _channel_norm,
     _channel_weights,
     _exchange_combination,
     _exchange_exponents,
@@ -418,24 +421,32 @@ def _frame(axis):
     return e1, e2, e3
 
 
-def _direction(length, u, phi, e1, e2, e3):
-    """length times unit vectors, as (3, m) rows, polar cosine u around e3."""
+def _direction(length, u, frame, phi=None):
+    """length times unit vectors, as (3, m) rows, at polar cosine u around e3.
+
+    frame is (e1, e2, e3) and phi the azimuth from e1; phi None is
+    azimuth 0, the e1-e3 plane.
+    """
     sin_theta = u * u
     np.subtract(1.0, sin_theta, out=sin_theta)
     np.clip(sin_theta, 0.0, None, out=sin_theta)
     np.sqrt(sin_theta, out=sin_theta)
-    a = np.cos(phi)
-    a *= sin_theta
-    b = np.sin(phi)
-    b *= sin_theta
-    tmp = sin_theta
-    out = np.empty((3,) + u.shape)
-    for row, *comps in zip(out, e1, e2, e3):
+    e1, e2, e3 = frame
+    if phi is None:
+        terms = ((sin_theta, e1), (u, e3))
+    else:
+        a = np.cos(phi)
+        a *= sin_theta
+        b = np.sin(phi)
+        b *= sin_theta
+        terms = ((a, e1), (b, e2), (u, e3))
+    out = np.zeros((3,) + u.shape)
+    tmp = np.empty_like(u)
+    for k, row in enumerate(out):
         # a zero frame component adds only a signed zero: its product is skipped
-        (x, c), *rest = [(x, c) for x, c in zip((a, b, u), comps) if c != 0.0]
-        np.multiply(x, c, out=row)
-        for x, c in rest:
-            row += np.multiply(x, c, out=tmp)
+        for x, e in terms:
+            if e[k] != 0.0:
+                row += np.multiply(x, e[k], out=tmp)
         row *= length
     return out
 
@@ -450,59 +461,58 @@ def _cor_runner(delta_p, group, spec, seed_seq):
     ``group`` lists ChannelCrossSections of one (sigma, P, s). The
     per-sample weight is the first member's density plus each other
     member's density times its weight over the first's; a one-member
-    group is one channel's integral. The draws are the polar and
-    azimuthal variables, then the p1 normals.
+    group is one channel's integral.
+
+    Only the polar cosine u is sampled, from the "strata" stream; p1 and
+    the azimuth are integrated exactly. At a fixed detector direction
+    q = dp*n every exchange term of the pair density is the same
+    Gaussian in p1, centred at (P - q)/2 with covariance sigma^2/2, so
+    the density's ratio to that Gaussian does not depend on p1 and the
+    p1 integral is the density at the centre, p1 = (P - q)/2 and
+    p2 = p1 + q, over the Gaussian's peak density. That value depends
+    on q only through |q| and q.s, so the azimuth around s contributes
+    a factor 2 pi, and q is taken in the e1-e3 plane of the frame
+    along s.
     """
     first, *rest = group
     sigma = first.sigma
-    signs = {ccs.channel.sign for ccs in group}
+    params = ModelParams(sigma, first.p_split, first.p_total)
+    for ccs in group:
+        _require_nondegenerate(params, ccs.channel)
+    norms = {ccs.channel.sign: _channel_norm(params, ccs.channel.sign) for ccs in group}
     ratios = [(ccs.weight / first.weight, ccs.channel.sign) for ccs in rest]
     pt = np.asarray(first.p_total)
     ps = np.asarray(first.p_split)
-    split = np.linalg.norm(ps, axis=-1)
-    if min(signs) < 0.0 and split < DEGENERACY_RATIO * sigma:
-        raise DegenerateChannelError(
-            f"triplet channel with |p_split| < {DEGENERACY_RATIO:g} * sigma"
-        )
-    j2 = np.exp(-split * split / (4.0 * sigma * sigma))
-    z = split * delta_p / (2.0 * sigma * sigma)
+    z = np.linalg.norm(ps, axis=-1) * delta_p / (2.0 * sigma * sigma)
     frame = _frame(ps)
-    c1, c2 = (pt + ps) / 2.0, (pt - ps) / 2.0
-    scale = sigma / math.sqrt(2.0)
+    c1, c2 = params.centers
+    # the p1 Gaussian's peak density
     pdf_norm = (math.pi * sigma * sigma) ** -1.5
 
-    def block(v, phi, xi):
-        phi *= 2.0 * math.pi
+    def block(v):
         u = _tilt_sample(v, z, _COR_TILTS)
-        q = _direction(delta_p, u, phi, *frame)
-        x = xi.T.copy()
-        # p1 = (P - q)/2 + scale x; then p2 = p1 + q, written over q
+        # p1 = (P - q)/2, then p2 = p1 + q, written over q
+        q = _direction(delta_p, u, frame)
         p1 = np.empty_like(q)
-        tmp = np.empty_like(u)
         for k in range(3):
             row = np.subtract(pt[k], q[k], out=p1[k])
             row /= 2.0
-            row += np.multiply(x[k], scale, out=tmp)
             q[k] += row
         base, gap = _exchange_exponents(p1, q, c1, c2, sigma)
         dens = {}
-        for sign in signs:
+        for sign, norm in norms.items():
             dens[sign] = _exchange_combination(base, gap, sigma, sign)
-            dens[sign] /= 2.0 * (1.0 + sign * j2)
+            dens[sign] /= norm
         total = dens[first.channel.sign]
         for ratio, sign in ratios:
             total = total + dens[sign] * ratio
-        pdf = _sq_dist(x, np.zeros(3))
-        pdf *= -0.5
-        np.exp(pdf, out=pdf)
-        pdf *= pdf_norm
         den = _tilt_pdf(u, z, _COR_TILTS)
-        den *= pdf
+        den *= pdf_norm
         total *= delta_p * delta_p * 2.0 * math.pi
         total /= den
         return total
 
-    return _mc_sum(spec.sample_count, seed_seq, ("strata", "uniform", "normal"), block)
+    return _mc_sum(spec.sample_count, seed_seq, ("strata",), block)
 
 
 def _mixture_channels(params: ModelParams):
@@ -515,18 +525,21 @@ def _mixture_channels(params: ModelParams):
 
 
 def intensity_cor_oracle(delta_p, channels, spec: QuadratureSpec) -> OracleResult:
-    """Coincidence intensity by direct 5-d Monte-Carlo integration.
+    """Coincidence intensity by Monte-Carlo integration of the 5-d integral.
 
     Evaluates (dp)^2 * int d^3p1 dOmega Phi(p1, p1 + dp*n) with the
     unnormalized solid-angle measure (int dOmega = 4 pi), the same
     convention the closed form uses. ``channels`` is a ModelParams (its
     singlet/triplet mixture) or a sequence of ChannelCrossSection, each
     contributing weight * I_cor(channel). A mixture runs as its own
-    point-mass channel list, so the two forms agree bit for bit.
+    point-mass channel list, so the two forms agree bit for bit. p1 and
+    the azimuth of n are integrated exactly and only the polar cosine of
+    n is sampled (see _cor_runner).
 
     Channels with equal (sigma, p_split, p_total) form a group, in the
-    order of their first member, and a group makes sample_count draws, seeded from its first
-    member's child seed; samples_used is sample_count per group, so a
+    order of their first member, and a group makes sample_count draws,
+    seeded from its first member's child seed; samples_used is
+    sample_count per group, so a
     mixture reports sample_count. The SE of a group is that of its
     joint weight. Channels of weight zero are left out.
     """
@@ -576,7 +589,7 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
     p_split = np.asarray(params.p_split)
     split = params.split_magnitude
     z = split * delta_p / (2.0 * sigma * sigma)
-    e1, e2, e3 = _frame(p_split)
+    frame = _frame(p_split)
     # Proposal for p1: Gaussians at the three possible term centers
     # (offsets -s/2, 0, +s/2 from (P - q)/2), inflated to 0.75 sigma^2
     # so every product term's sigma^2/2 profile is dominated.
@@ -590,7 +603,7 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
     def block(v, phi, pick, xi):
         phi *= 2.0 * math.pi
         u = _tilt_sample(v, z, _UNC_TILTS)
-        q = _direction(delta_p, u, phi, e1, e2, e3)
+        q = _direction(delta_p, u, frame, phi)
         comp = (pick >= 0.25).astype(np.int64)
         comp += pick >= 0.75
         x = xi.T.copy()

@@ -13,7 +13,7 @@ from paircorr.errors import (
     ToleranceNotMetError,
     UnsupportedMethodError,
 )
-from paircorr.model import ModelParams, SpinChannel, mixture_marginal
+from paircorr.model import ModelParams, SpinChannel, mixture_density, mixture_marginal
 from paircorr.correlation import accidental_intensity, coincidence_intensity
 from paircorr.oracle import (
     _BLOCK,
@@ -129,12 +129,14 @@ def test_results_report_chunks_and_threads(monkeypatch):
 def test_draws_stream_block_by_block(monkeypatch):
     # a chunk holds one block of draws at a time, not its whole draws:
     # at one thread a chunk-sized call peaks near one chunk of weights
-    # (2 MiB) plus a block's working set. Measured 8.0 MiB (coincidence,
-    # mixture) and 9.5 MiB (accidental); the bounds add 25 %. Whole-chunk
-    # draws alone would take 10 and 12 MiB.
+    # (2 MiB) plus a block's working set. Measured 5.8 MiB (coincidence,
+    # mixture, which draws only the polar variable) and 9.5 MiB
+    # (accidental). The coincidence bound sits below the 8.0 MiB of a
+    # runner that also draws p1 and the azimuth; the accidental one adds
+    # 25 %, below the 12 MiB whole-chunk draws alone would take.
     monkeypatch.setenv("PAIRCORR_THREADS", "1")
     spec = _mc(_CHUNK)
-    for oracle, bound_mib in ((intensity_cor_oracle, 10.0), (intensity_uncor_oracle, 12.0)):
+    for oracle, bound_mib in ((intensity_cor_oracle, 8.0), (intensity_uncor_oracle, 12.0)):
         oracle(1.2, PARAMS, _mc(1024))  # first-call set-up stays out of the peak
         tracemalloc.start()
         try:
@@ -365,6 +367,13 @@ def test_degenerate_triplet_in_group_is_refused():
         intensity_cor_oracle(1.0, channels, _mc(4096))
 
 
+def _near(res, pin):
+    # the same samples_used, value within 1e-13 and est_error within 1e-12 of |value|
+    assert res.samples_used == pin.samples_used
+    assert abs(res.value - pin.value) <= 1e-13 * abs(pin.value), (res, pin)
+    assert abs(res.est_error - pin.est_error) <= 1e-12 * abs(pin.value), (res, pin)
+
+
 def test_frozen_oracle_outputs():
     # (value, est_error, samples_used) pinned bit for bit: a restructured
     # sampler must keep the draws and the arithmetic of a point channel
@@ -373,9 +382,11 @@ def test_frozen_oracle_outputs():
     point = ChannelCrossSection(
         1.8, SpinChannel.TRIPLET, sigma=0.6, p_split=(0.2, 0.1, -0.5), p_total=(0.1, 0, 0.2)
     )
-    assert intensity_cor_oracle(0.9, [point], spec) == OracleResult(
-        0.37461775233676486, 0.000630161661757, 262144
-    )
+    single = intensity_cor_oracle(0.9, [point], spec)
+    assert single == OracleResult(0.3746177523367646, 0.0006301616617569997, 262144)
+    # the pins from when p1 and the azimuth were sampled too, on the same
+    # polar cosines, stay as cross-checks of the exact p1 and azimuth
+    _near(single, OracleResult(0.37461775233676486, 0.000630161661757, 262144))
     assert intensity_uncor_oracle(1.2, PARAMS, spec) == OracleResult(
         1.47115023682443, 0.0011432407007761398, 262144
     )
@@ -390,7 +401,8 @@ def test_frozen_oracle_outputs():
     # the mixture's singlet and triplet share one set of draws; the pin
     # from when each channel drew its own stays as a cross-check
     mixed = intensity_cor_oracle(0.9, full, spec)
-    assert mixed == OracleResult(1.1315992032218363, 0.0009688461706777268, 262144)
+    assert mixed == OracleResult(1.131599203221836, 0.0009688461706777258, 262144)
+    _near(mixed, OracleResult(1.1315992032218363, 0.0009688461706777268, 262144))
     closed = coincidence_intensity(
         0.9, full.sigma, full.triplet_fraction, full.p_split, n_pairs=full.n_pairs
     )
@@ -406,6 +418,32 @@ def test_frozen_oracle_outputs():
     assert phi_norm_oracle(_pure(full, 1.0), spec) == OracleResult(
         0.9985164441747301, 0.0013104568648924454, 262144
     )
+
+
+def test_density_over_the_p1_proposal_depends_on_u_alone():
+    # the coincidence oracle samples only the polar cosine u and takes p1
+    # at the centre of its Gaussian proposal, (P - q)/2 with covariance
+    # sigma^2/2, and the azimuth phi at 0; that is exact only while the
+    # 6-d pair density over the proposal is the same at every p1 and phi
+    sigma, dp = 0.5, 0.9
+    p_split, p_total = np.array([0.3, -0.1, 0.7]), np.array([0.1, 0.2, -0.3])
+    e3 = p_split / np.linalg.norm(p_split)
+    e1 = np.cross([1.0, 0.0, 0.0], e3)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(e3, e1)
+    rng = np.random.default_rng(8)
+    for f in (0.0, 1.0, 0.4):
+        params = ModelParams(sigma, p_split, p_total, triplet_fraction=f, n_pairs=1.5)
+        for u in (-0.9, -0.4, 0.25, 0.7, 0.99):
+            x = np.vstack([np.zeros(3), rng.standard_normal((64, 3))])
+            phi = np.concatenate([[0.0], rng.uniform(0.0, 2.0 * np.pi, 64)])
+            sin_theta = math.sqrt(1.0 - u * u)
+            q = dp * (sin_theta * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2) + u * e3)
+            p1 = (p_total - q) / 2.0 + sigma / math.sqrt(2.0) * x
+            proposal = (math.pi * sigma * sigma) ** -1.5 * np.exp(-0.5 * np.sum(x * x, axis=1))
+            ratio = mixture_density(p1, p1 + q, params) / proposal
+            assert ratio[0] > 0.0
+            np.testing.assert_allclose(ratio[1:], ratio[0], rtol=1e-13, atol=0.0, err_msg=f"f={f}, u={u}")
 
 
 def test_zero_weight_channel_is_skipped():
