@@ -41,7 +41,6 @@ from .model import (
     pair_amplitude,
 )
 from .oracle import (
-    ChannelCrossSection,
     OracleResult,
     QuadratureSpec,
     intensity_cor_oracle,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ChannelCrossSection",
     "CorrelationCurve",
     "Dataset",
     "FitConfig",

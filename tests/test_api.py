@@ -5,7 +5,6 @@ import importlib
 import paircorr
 
 PUBLIC = [
-    "ChannelCrossSection",
     "CorrelationCurve",
     "DataFormatError",
     "Dataset",
@@ -52,8 +51,10 @@ SUBMODULES = ("_stable", "cli", "correlation", "data", "fitting", "model", "orac
 REEXPORTED = ("correlation", "data", "fitting", "model", "oracle")
 
 # per-channel copies of the mixture API (a pure channel is f = 0 or 1),
-# a second coincidence-oracle entry point and private building blocks
+# a second coincidence-oracle entry point and input form, and private
+# building blocks
 REMOVED = (
+    "ChannelCrossSection",
     "general_channel_integral",
     "overlap_j",
     "pair_norm_oracle",

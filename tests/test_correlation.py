@@ -40,38 +40,44 @@ mpmath.mp.dps = 50
 
 
 def _mp_reference(dp, sigma, f, split):
-    """(I_cor, I_unc, R) from the raw formulas, 50-digit arithmetic.
+    """(I_cor, I_unc, R) from the raw formulas, 50-digit arithmetic at d >= 1.
 
     Requires split > 0 whenever f > 0; the split = 0 limit is exercised
-    separately via a vanishingly small splitting.
+    separately via a vanishingly small splitting. The triplet brackets
+    cancel to O(d^2) at d = (split / sigma)^2 / 4 < 1, so below it the
+    working precision grows by twice the digits d takes off; d is formed
+    in mpmath, where it cannot underflow.
     """
     dp, sigma, f, split = (mpmath.mpf(repr(float(v))) for v in (dp, sigma, f, split))
-    j2 = mpmath.e ** (-(split**2) / (4 * sigma**2))
-    j4 = j2 * j2
-    j52 = j2 ** mpmath.mpf("1.25")  # J^{5/2} = (J^2)^{5/4}
-    z = split * dp / (2 * sigma**2)
-    s_fac = mpmath.sinh(z) / z if z != 0 else mpmath.mpf(1)
-    half = mpmath.sinh(z / 2) / z if z != 0 else mpmath.mpf("0.5")
-    env = mpmath.e ** (-(dp**2) / (4 * sigma**2))
-    pref_c = dp * dp * env / (2 * mpmath.sqrt(mpmath.pi) * sigma**3)
-    pref_u = dp * dp * env / (4 * mpmath.sqrt(mpmath.pi) * sigma**3)
+    d = (split / sigma) ** 2 / 4
+    extra = 2 * int(mpmath.ceil(-mpmath.log10(d))) if 0 < d < 1 else 0
+    with mpmath.extradps(extra):
+        j2 = mpmath.e ** -d
+        j4 = j2 * j2
+        j52 = j2 ** mpmath.mpf("1.25")  # J^{5/2} = (J^2)^{5/4}
+        z = split * dp / (2 * sigma**2)
+        s_fac = mpmath.sinh(z) / z if z != 0 else mpmath.mpf(1)
+        half = mpmath.sinh(z / 2) / z if z != 0 else mpmath.mpf("0.5")
+        env = mpmath.e ** (-(dp**2) / (4 * sigma**2))
+        pref_c = dp * dp * env / (2 * mpmath.sqrt(mpmath.pi) * sigma**3)
+        pref_u = dp * dp * env / (4 * mpmath.sqrt(mpmath.pi) * sigma**3)
 
-    bracket_c = mpmath.mpf(0)
-    bracket_u = mpmath.mpf(0)
-    if f < 1:
-        bracket_c += (1 - f) * (s_fac + 1) / (1 + j2)
-        bracket_u += (1 - f) ** 2 * (1 + 2 * j4 + j2 * s_fac + 8 * j52 * half) / (1 + j2) ** 2
-    if f > 0:
-        bracket_c += f * (s_fac - 1) / (1 - j2)
-        bracket_u += f * f * (1 + 2 * j4 + j2 * s_fac - 8 * j52 * half) / (1 - j2) ** 2
-    if 0 < f < 1:
-        bracket_u += 2 * f * (1 - f) * (1 - 2 * j4 + j2 * s_fac) / ((1 + j2) * (1 - j2))
+        bracket_c = mpmath.mpf(0)
+        bracket_u = mpmath.mpf(0)
+        if f < 1:
+            bracket_c += (1 - f) * (s_fac + 1) / (1 + j2)
+            bracket_u += (1 - f) ** 2 * (1 + 2 * j4 + j2 * s_fac + 8 * j52 * half) / (1 + j2) ** 2
+        if f > 0:
+            bracket_c += f * (s_fac - 1) / (1 - j2)
+            bracket_u += f * f * (1 + 2 * j4 + j2 * s_fac - 8 * j52 * half) / (1 - j2) ** 2
+        if 0 < f < 1:
+            bracket_u += 2 * f * (1 - f) * (1 - 2 * j4 + j2 * s_fac) / ((1 + j2) * (1 - j2))
 
-    icor = pref_c * j2 * bracket_c
-    iunc = pref_u * bracket_u
-    # the ratio with dp^2 and the envelope cancelled, so that it is
-    # defined at dp = 0 as well
-    return icor, iunc, 2 * j2 * bracket_c / bracket_u - 1
+        icor = pref_c * j2 * bracket_c
+        iunc = pref_u * bracket_u
+        # the ratio with dp^2 and the envelope cancelled, so that it is
+        # defined at dp = 0 as well
+        return icor, iunc, 2 * j2 * bracket_c / bracket_u - 1
 
 
 def _scan_points():
@@ -102,6 +108,13 @@ def _scan_points():
         for ydp in (0.0, 1e-6, 0.5, 3.0, 20.0, 60.0):
             for f in (0.0, 0.3, 1.0):
                 seams.append((1.0, 2.0 * math.sqrt(dlt), f, ydp))
+    # tiny splittings: the factored form at small d (1e-20, 1e-80), the
+    # tiny-d form at subnormal d (1e-160) and d = 0 after underflow (1e-300)
+    for ratio in (1e-20, 1e-80, 1e-160, 1e-300):
+        for sigma in (0.22, 1.0):
+            for ydp in (1e-6, 0.3, 1.0, 3.0, 8.0, 20.0):
+                for f in (0.0, 0.3, 1.0):
+                    seams.append((sigma, ratio * sigma, f, ydp * sigma))
     return pts + seams
 
 

@@ -1,7 +1,8 @@
-"""Smoke test: every demo script runs to completion against the source tree."""
+"""Smoke tests: every demo script and the README examples run against the source tree."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,26 @@ def test_single_channel_overlaps(tmp_path):
     for ratio, j in printed:
         want = ModelParams(sigma=0.5, p_split=float(ratio) * 0.5).overlap()
         assert j == f"{want:.6f}"
+
+
+def _readme_block(heading, lang):
+    """The first ```lang block under the README's ## heading."""
+    section = (ROOT / "README.md").read_text().split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_examples_run(tmp_path):
+    # the Quick start, then the curve, synth and fit command lines in
+    # order (fit reads what synth writes); oracle-check is left out, as
+    # it takes seconds and exits 4 until the oracles verify its rows
+    commands = [[sys.executable, "-c", _readme_block("Quick start", "python")]]
+    for line in _readme_block("Command line", "sh").splitlines():
+        args = shlex.split(line)
+        assert args[0] == "paircorr", line
+        if args[1] != "oracle-check":
+            commands.append([sys.executable, "-m", "paircorr.cli", *args[1:]])
+    assert [cmd[3] for cmd in commands[1:]] == ["curve", "synth", "fit"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for cmd in commands:
+        proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (cmd[1:], proc.stderr)

@@ -13,7 +13,7 @@ from paircorr.errors import (
     ToleranceNotMetError,
     UnsupportedMethodError,
 )
-from paircorr.model import ModelParams, SpinChannel, mixture_density, mixture_marginal
+from paircorr.model import ModelParams, mixture_density, mixture_marginal
 from paircorr.correlation import accidental_intensity, coincidence_intensity
 from paircorr.oracle import (
     _BLOCK,
@@ -24,7 +24,6 @@ from paircorr.oracle import (
     _streams,
     _tilt_pdf,
     _tilt_sample,
-    ChannelCrossSection,
     OracleResult,
     QuadratureSpec,
     intensity_cor_oracle,
@@ -104,18 +103,12 @@ def test_results_report_chunks_and_threads(monkeypatch):
     # count they ran on; neither takes part in equality
     monkeypatch.setenv("PAIRCORR_THREADS", "2")
     spec = _mc(_CHUNK + 7)
-    geom_b = dict(sigma=0.6, p_split=(0.2, 0.1, -0.5))
-    split = [
-        ChannelCrossSection(0.9, SpinChannel.SINGLET, sigma=0.5, p_split=PARAMS.p_split),
-        ChannelCrossSection(1.8, SpinChannel.TRIPLET, **geom_b),
-    ]
-    for res, chunks in (
-        (intensity_cor_oracle(1.2, PARAMS, spec), 2),
-        (intensity_cor_oracle(1.2, split, spec), 4),
-        (intensity_uncor_oracle(1.2, PARAMS, spec), 2),
-        (phi_norm_oracle(PARAMS, spec), 2),
+    for res in (
+        intensity_cor_oracle(1.2, PARAMS, spec),
+        intensity_uncor_oracle(1.2, PARAMS, spec),
+        phi_norm_oracle(PARAMS, spec),
     ):
-        assert (res.chunks, res.threads) == (chunks, 2)
+        assert (res.chunks, res.threads) == (2, 2)
         assert res.elapsed_s > 0.0
     for res in (phi_norm_oracle(PARAMS, QUAD), intensity_cor_oracle(0.0, PARAMS, spec)):
         assert (res.chunks, res.threads) == (0, 1)
@@ -129,14 +122,21 @@ def test_results_report_chunks_and_threads(monkeypatch):
 def test_draws_stream_block_by_block(monkeypatch):
     # a chunk holds one block of draws at a time, not its whole draws:
     # at one thread a chunk-sized call peaks near one chunk of weights
-    # (2 MiB) plus a block's working set. Measured 5.8 MiB (coincidence,
-    # mixture, which draws only the polar variable) and 9.5 MiB
-    # (accidental). The coincidence bound sits below the 8.0 MiB of a
-    # runner that also draws p1 and the azimuth; the accidental one adds
-    # 25 %, below the 12 MiB whole-chunk draws alone would take.
+    # (2 MiB) plus a block's working set. Measured 5.3 MiB (coincidence,
+    # mixture, which draws only the polar variable), 9.5 MiB
+    # (accidental) and 7.5 MiB (Monte-Carlo pair norm). The coincidence
+    # bound sits at the 8.0 MiB of a runner that also draws p1 and the
+    # azimuth; the accidental and norm ones add 25 %, below the 12 MiB
+    # whole-chunk draws alone would take and the 13.0 MiB the norm took
+    # with its first momentum drawn whole.
     monkeypatch.setenv("PAIRCORR_THREADS", "1")
     spec = _mc(_CHUNK)
-    for oracle, bound_mib in ((intensity_cor_oracle, 8.0), (intensity_uncor_oracle, 12.0)):
+    runs = (
+        (intensity_cor_oracle, 8.0),
+        (intensity_uncor_oracle, 12.0),
+        (lambda dp, params, spec: phi_norm_oracle(params, spec), 9.5),
+    )
+    for oracle, bound_mib in runs:
         oracle(1.2, PARAMS, _mc(1024))  # first-call set-up stays out of the peak
         tracemalloc.start()
         try:
@@ -144,7 +144,7 @@ def test_draws_stream_block_by_block(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound_mib * 2**20, (oracle.__name__, peak / 2**20)
+        assert peak <= bound_mib * 2**20, (bound_mib, peak / 2**20)
 
 
 def test_rho_single_matches_marginal():
@@ -161,10 +161,6 @@ def test_method_restrictions():
         intensity_cor_oracle(1.0, PARAMS, QUAD)
     with pytest.raises(UnsupportedMethodError):
         intensity_uncor_oracle(1.0, PARAMS, QUAD)
-    with pytest.raises(UnsupportedMethodError):
-        intensity_cor_oracle(
-            1.0, [ChannelCrossSection(1.0, SpinChannel.SINGLET, sigma=0.5)], QUAD
-        )
     with pytest.raises(UnsupportedMethodError):
         rho_single(np.zeros(3), PARAMS, _mc(1024))
 
@@ -285,45 +281,36 @@ def test_independent_seeds_agree():
     assert abs(a.value - b.value) <= 3.0 * (a.est_error + b.est_error)
 
 
-def test_point_mass_channels_reduce_to_mixture():
-    # a channel list with the mixture's own weights must take the same
-    # code path as the mixture, so the values agree exactly
-    spec = _mc(1 << 18)
-    common = dict(sigma=PARAMS.sigma, p_split=PARAMS.p_split, p_total=PARAMS.p_total)
-    channels = [
-        ChannelCrossSection(
-            PARAMS.n_pairs * (1.0 - PARAMS.triplet_fraction),
-            SpinChannel.SINGLET,
-            **common,
-        ),
-        ChannelCrossSection(
-            PARAMS.n_pairs * PARAMS.triplet_fraction, SpinChannel.TRIPLET, **common
-        ),
-    ]
-    assert intensity_cor_oracle(1.2, channels, spec) == intensity_cor_oracle(
-        1.2, PARAMS, spec
-    )
-    # any sequence of channels will do, a tuple as well as a list
-    assert intensity_cor_oracle(1.2, tuple(channels), spec) == intensity_cor_oracle(
-        1.2, PARAMS, spec
-    )
-
-
 def test_mixture_channels_share_draws():
-    # singlet and triplet of one geometry run on one set of draws, so the
-    # mixture counts sample_count samples and agrees with its channels
-    # run one at a time
+    # singlet and triplet run on one set of draws, so the mixture counts
+    # sample_count samples and agrees with its pure channels, each at
+    # its share of the yield, run one at a time
     spec = _mc(1 << 18)
-    common = dict(sigma=PARAMS.sigma, p_split=PARAMS.p_split, p_total=PARAMS.p_total)
     f = PARAMS.triplet_fraction
     both = intensity_cor_oracle(1.2, PARAMS, spec)
     singlet, triplet = (
-        intensity_cor_oracle(1.2, [ChannelCrossSection(PARAMS.n_pairs * w, channel, **common)], spec)
-        for w, channel in ((1.0 - f, SpinChannel.SINGLET), (f, SpinChannel.TRIPLET))
+        intensity_cor_oracle(1.2, dataclasses.replace(PARAMS, triplet_fraction=g, n_pairs=n), spec)
+        for g, n in ((0.0, PARAMS.n_pairs * (1.0 - f)), (1.0, PARAMS.n_pairs * f))
     )
     assert both.samples_used == spec.sample_count
     budget = 3.0 * (both.est_error + singlet.est_error + triplet.est_error)
     assert abs(both.value - singlet.value - triplet.value) <= budget
+
+
+def test_oracles_integrate_mixture_density(monkeypatch):
+    # the coincidence oracle and the Monte-Carlo pair norm weigh their
+    # draws by model.mixture_density alone: doubling it doubles value and
+    # est_error exactly, through the sums, fsum and sqrt
+    spec = _mc(_CHUNK + _BLOCK + 7)
+    runs = (
+        lambda: intensity_cor_oracle(1.2, PARAMS, spec),
+        lambda: phi_norm_oracle(PARAMS, spec),
+    )
+    plain = [run() for run in runs]
+    monkeypatch.setattr(paircorr.oracle, "mixture_density", lambda *a: 2.0 * mixture_density(*a))
+    for run, res in zip(runs, plain):
+        doubled = run()
+        assert (doubled.value, doubled.est_error) == (2.0 * res.value, 2.0 * res.est_error)
 
 
 def test_mixture_is_thread_count_independent(monkeypatch):
@@ -332,39 +319,6 @@ def test_mixture_is_thread_count_independent(monkeypatch):
     one = intensity_cor_oracle(0.9, PARAMS, spec)
     monkeypatch.setenv("PAIRCORR_THREADS", "2")
     assert intensity_cor_oracle(0.9, PARAMS, spec) == one
-
-
-def test_channels_group_by_geometry():
-    # the singlet and triplet of geometry A share draws although channel
-    # B sits between them in the list; B draws its own
-    spec = _mc(1 << 18)
-    geom_a = dict(sigma=0.5, p_split=(0.3, -0.1, 0.7), p_total=(0.2, 0.0, -0.4))
-    geom_b = dict(sigma=0.6, p_split=(0.2, 0.1, -0.5), p_total=(0.1, 0.0, 0.2))
-    channels = [
-        ChannelCrossSection(0.9, SpinChannel.SINGLET, **geom_a),
-        ChannelCrossSection(1.8, SpinChannel.TRIPLET, **geom_b),
-        ChannelCrossSection(0.4, SpinChannel.TRIPLET, **geom_a),
-    ]
-    res = intensity_cor_oracle(0.9, channels, spec)
-    assert res.samples_used == 2 * spec.sample_count
-    pure_f = {SpinChannel.SINGLET: 0.0, SpinChannel.TRIPLET: 1.0}
-    closed = sum(
-        ccs.weight * coincidence_intensity(0.9, ccs.sigma, pure_f[ccs.channel], ccs.p_split)
-        for ccs in channels
-    )
-    assert abs(res.value - closed) <= 3.0 * res.est_error
-
-
-def test_degenerate_triplet_in_group_is_refused():
-    # the triplet shares draws with the singlet listed first, and is
-    # still refused
-    common = dict(sigma=0.5, p_split=(0.0, 0.0, 0.0))
-    channels = [
-        ChannelCrossSection(1.0, SpinChannel.SINGLET, **common),
-        ChannelCrossSection(1.0, SpinChannel.TRIPLET, **common),
-    ]
-    with pytest.raises(DegenerateChannelError):
-        intensity_cor_oracle(1.0, channels, _mc(4096))
 
 
 def _near(res, pin):
@@ -376,13 +330,11 @@ def _near(res, pin):
 
 def test_frozen_oracle_outputs():
     # (value, est_error, samples_used) pinned bit for bit: a restructured
-    # sampler must keep the draws and the arithmetic of a point channel
+    # sampler must keep the draws and the arithmetic of a pure channel
     # and the accidental integral
     spec = _mc(1 << 18)
-    point = ChannelCrossSection(
-        1.8, SpinChannel.TRIPLET, sigma=0.6, p_split=(0.2, 0.1, -0.5), p_total=(0.1, 0, 0.2)
-    )
-    single = intensity_cor_oracle(0.9, [point], spec)
+    point = ModelParams(0.6, (0.2, 0.1, -0.5), (0.1, 0, 0.2), triplet_fraction=1.0, n_pairs=1.8)
+    single = intensity_cor_oracle(0.9, point, spec)
     assert single == OracleResult(0.3746177523367646, 0.0006301616617569997, 262144)
     # the pins from when p1 and the azimuth were sampled too, on the same
     # polar cosines, stay as cross-checks of the exact p1 and azimuth
@@ -398,10 +350,12 @@ def test_frozen_oracle_outputs():
         triplet_fraction=0.7,
         n_pairs=2.5,
     )
-    # the mixture's singlet and triplet share one set of draws; the pin
-    # from when each channel drew its own stays as a cross-check
+    # the mixture's singlet and triplet share one set of draws, weighed
+    # by mixture_density; the pins from when the oracle weighed them
+    # itself, and from when each channel drew its own, stay as cross-checks
     mixed = intensity_cor_oracle(0.9, full, spec)
-    assert mixed == OracleResult(1.131599203221836, 0.0009688461706777258, 262144)
+    assert mixed == OracleResult(1.1315992032218358, 0.0009688461706777263, 262144)
+    _near(mixed, OracleResult(1.131599203221836, 0.0009688461706777258, 262144))
     _near(mixed, OracleResult(1.1315992032218363, 0.0009688461706777268, 262144))
     closed = coincidence_intensity(
         0.9, full.sigma, full.triplet_fraction, full.p_split, n_pairs=full.n_pairs
@@ -412,12 +366,19 @@ def test_frozen_oracle_outputs():
     assert intensity_uncor_oracle(0.9, full, spec) == OracleResult(
         1.60234510201822, 0.0013118720030790413, 262144
     )
-    assert phi_norm_oracle(_pure(full, 0.0), spec) == OracleResult(
-        1.0004253803940717, 0.00037574767872306804, 262144
+    # the norm's second momentum draws on a jumped generator of its own;
+    # the pins from when it followed the first on one generator bound
+    # the move, and both runs must hold the norm of 1
+    norms = (
+        (0.0, OracleResult(1.0000650943960032, 0.0003756644883851808, 262144),
+         OracleResult(1.0004253803940717, 0.00037574767872306804, 262144)),
+        (1.0, OracleResult(0.9997729769125979, 0.0013101667304337363, 262144),
+         OracleResult(0.9985164441747301, 0.0013104568648924454, 262144)),
     )
-    assert phi_norm_oracle(_pure(full, 1.0), spec) == OracleResult(
-        0.9985164441747301, 0.0013104568648924454, 262144
-    )
+    for f, pin, old in norms:
+        assert phi_norm_oracle(_pure(full, f), spec) == pin
+        assert abs(pin.value - 1.0) <= 3.0 * pin.est_error
+        assert abs(pin.value - old.value) <= 3.0 * (pin.est_error + old.est_error)
 
 
 def test_density_over_the_p1_proposal_depends_on_u_alone():
@@ -447,25 +408,12 @@ def test_density_over_the_p1_proposal_depends_on_u_alone():
 
 
 def test_zero_weight_channel_is_skipped():
-    spec = _mc(1 << 18)
-    keep = ChannelCrossSection(0.7, SpinChannel.SINGLET, sigma=0.4, p_split=(0, 0, 0.3))
-    dead = ChannelCrossSection(0.0, SpinChannel.TRIPLET, sigma=0.6, p_split=(0, 0, 1.0))
-    assert intensity_cor_oracle(0.9, [keep, dead], spec) == intensity_cor_oracle(
-        0.9, [keep], spec
-    )
-
-
-def test_channel_sum_is_linear():
-    spec = _mc(1 << 18)
-    a = ChannelCrossSection(0.7, SpinChannel.SINGLET, sigma=0.4, p_split=(0, 0, 0.3))
-    b = ChannelCrossSection(
-        1.8, SpinChannel.TRIPLET, sigma=0.6, p_split=(0.2, 0.1, -0.5), p_total=(0.1, 0, 0.2)
-    )
-    both = intensity_cor_oracle(0.9, [a, b], spec)
-    only_a = intensity_cor_oracle(0.9, [a], spec)
-    only_b = intensity_cor_oracle(0.9, [b], spec)
-    budget = 3.0 * (both.est_error + only_a.est_error + only_b.est_error)
-    assert abs(both.value - only_a.value - only_b.value) <= budget
+    # a pure singlet at zero splitting, where the triplet of weight
+    # f = 0 is degenerate: it is never touched, and the singlet runs
+    singlet = ModelParams(sigma=0.4, triplet_fraction=0.0, n_pairs=0.7)
+    res = intensity_cor_oracle(0.9, singlet, _mc(1 << 18))
+    closed = coincidence_intensity(0.9, singlet.sigma, 0.0, 0.0, n_pairs=singlet.n_pairs)
+    assert abs(res.value - closed) <= 3.0 * res.est_error
 
 
 def test_intensity_scales_with_n_pairs():
@@ -509,10 +457,12 @@ def test_degenerate_triplet_is_refused():
         phi_norm_oracle(bad, _mc(1024))
     with pytest.raises(DegenerateChannelError):
         phi_norm_oracle(_pure(bad, 1.0), _mc(1024))
-    # a triplet channel of its own, at a splitting just under the threshold
-    bare = ChannelCrossSection(1.0, SpinChannel.TRIPLET, sigma=0.5, p_split=(0, 0, 4e-7))
-    with pytest.raises(DegenerateChannelError):
-        intensity_cor_oracle(1.0, [bare], _mc(4096))
+    # the coincidence oracle refuses the zero-split mixture, and a pure
+    # triplet at a splitting just under the threshold
+    bare = ModelParams(0.5, (0, 0, 4e-7), triplet_fraction=1.0)
+    for params in (bad, bare):
+        with pytest.raises(DegenerateChannelError):
+            intensity_cor_oracle(1.0, params, _mc(4096))
 
 
 def test_oracles_match_closed_forms():
@@ -557,24 +507,8 @@ def test_spec_and_channel_validation():
         with pytest.raises(ValueError):
             QuadratureSpec(target_rel_tol=tol)
     with pytest.raises(ValueError):
-        ChannelCrossSection(-1.0, SpinChannel.SINGLET, sigma=0.5)
-    with pytest.raises(ValueError):
-        ChannelCrossSection(1.0, SpinChannel.SINGLET, sigma=0.0)
-    with pytest.raises(ValueError):
-        intensity_cor_oracle(1.0, [], _mc(1024))
-    with pytest.raises(ValueError):
         intensity_cor_oracle(-1.0, PARAMS, _mc(1024))
     # non-finite inputs are refused up front instead of yielding nan
-    good = dict(weight=1.0, channel=SpinChannel.SINGLET, sigma=0.5)
-    for bad in (
-        dict(weight=np.nan),
-        dict(sigma=np.inf),
-        dict(p_split=(np.nan, 0.0, 0.0)),
-        dict(p_total=(0.0, np.inf, 0.0)),
-        dict(weight=np.array([1.0, 2.0])),
-    ):
-        with pytest.raises(ValueError):
-            ChannelCrossSection(**{**good, **bad})
     for dp in (np.nan, np.inf):
         with pytest.raises(ValueError):
             intensity_cor_oracle(dp, PARAMS, _mc(1024))
