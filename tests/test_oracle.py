@@ -465,6 +465,15 @@ def test_degenerate_triplet_is_refused():
             intensity_cor_oracle(1.0, params, _mc(4096))
 
 
+def test_degenerate_triplet_in_group_is_refused():
+    # at zero splitting the triplet shares draws with the singlet in one
+    # mixture, and is refused at any nonzero weight, however small
+    for f in (1e-3, 0.5, 0.999):
+        mixed = ModelParams(sigma=0.5, p_split=(0.0, 0.0, 0.0), triplet_fraction=f)
+        with pytest.raises(DegenerateChannelError):
+            intensity_cor_oracle(1.0, mixed, _mc(4096))
+
+
 def test_oracles_match_closed_forms():
     spec = _mc(1 << 19)
     for dp in (0.6, 1.2):
