@@ -17,6 +17,7 @@ closed-form density. The coordinate-space width does spread with time;
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,16 +142,24 @@ class ModelParams:
             n_pairs=_positive("n_pairs", self.n_pairs),
         )
 
-    @property
+    # The per-parameter scalars below are cached properties: each takes
+    # microseconds to form, and the oracles evaluate the densities block
+    # by block. They live in the instance __dict__, not in fields, so
+    # repr, equality and hashing ignore them.
+
+    @functools.cached_property
     def split_magnitude(self) -> float:
         return float(np.linalg.norm(self.p_split))
 
-    @property
+    @functools.cached_property
     def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Wavepacket centers ((P + s)/2, (P - s)/2) as arrays."""
+        """Wavepacket centers ((P + s)/2, (P - s)/2) as read-only arrays."""
         p = np.asarray(self.p_total)
         s = np.asarray(self.p_split)
-        return (p + s) / 2.0, (p - s) / 2.0
+        centers = (p + s) / 2.0, (p - s) / 2.0
+        for c in centers:
+            c.flags.writeable = False
+        return centers
 
     def overlap(self) -> float:
         """Overlap magnitude J = exp(-s^2 / (8 sigma^2)) of the two packets."""
@@ -159,6 +168,21 @@ class ModelParams:
 
     def is_degenerate(self) -> bool:
         return self.split_magnitude < DEGENERACY_RATIO * self.sigma
+
+    @functools.cached_property
+    def _channel_norms(self) -> dict:
+        """{channel: its normalization 2 (1 +/- J^2)}.
+
+        The triplet value is formed through expm1 rather than from the
+        rounded overlap: near the degeneracy threshold 1 - J^2 is ~1e-12
+        and subtracting a float J^2 from 1 would cost six digits.
+        """
+        j = self.overlap()
+        arg = self.split_magnitude**2 / (4.0 * self.sigma**2)
+        return {
+            SpinChannel.SINGLET: 2.0 * (1.0 + j * j),
+            SpinChannel.TRIPLET: -2.0 * float(np.expm1(-arg)),
+        }
 
 
 def coordinate_uncertainty(sigma, t=0.0):
@@ -189,20 +213,6 @@ def _require_nondegenerate(params: ModelParams, channel: SpinChannel):
         )
 
 
-def _channel_norm(params: ModelParams, sign: float) -> float:
-    """Normalization 2 (1 + sign * J^2) of one channel.
-
-    The triplet value is formed through expm1 rather than from the
-    rounded overlap: near the degeneracy threshold 1 - J^2 is ~1e-12
-    and subtracting a float J^2 from 1 would cost six digits.
-    """
-    if sign > 0:
-        j = params.overlap()
-        return 2.0 * (1.0 + j * j)
-    arg = params.split_magnitude**2 / (4.0 * params.sigma**2)
-    return -2.0 * float(np.expm1(-arg))
-
-
 def pair_amplitude(p1, p2, params: ModelParams, channel: SpinChannel, t=0.0):
     """Normalized symmetrized two-particle amplitude.
 
@@ -215,7 +225,7 @@ def pair_amplitude(p1, p2, params: ModelParams, channel: SpinChannel, t=0.0):
     s = channel.sign
     direct = _wavepacket(p1, c1, params.sigma, t) * _wavepacket(p2, c2, params.sigma, t)
     exchanged = _wavepacket(p2, c1, params.sigma, t) * _wavepacket(p1, c2, params.sigma, t)
-    return (direct + s * exchanged) / np.sqrt(_channel_norm(params, s))
+    return (direct + s * exchanged) / np.sqrt(params._channel_norms[channel])
 
 
 def _components(p):
@@ -322,7 +332,7 @@ def mixture_density(p1, p2, params: ModelParams):
     def density(channel: SpinChannel):
         _require_nondegenerate(params, channel)
         comb = _exchange_combination(*exponents, sigma, channel.sign)
-        comb /= _channel_norm(params, channel.sign)
+        comb /= params._channel_norms[channel]
         return comb
 
     return _mixed(density, params)
@@ -357,7 +367,7 @@ def _marginal(p, params: ModelParams):
             num **= 2
             one_minus_j = -np.expm1(-params.split_magnitude**2 / (8.0 * sig2))
             num += 2.0 * one_minus_j * cross
-        num *= (2.0 * np.pi * sig2) ** (-1.5) / _channel_norm(params, channel.sign)
+        num *= (2.0 * np.pi * sig2) ** (-1.5) / params._channel_norms[channel]
         return num
 
     return rho

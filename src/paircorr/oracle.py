@@ -21,11 +21,13 @@ over the Gaussian's peak value. What is left depends on n only through
 its polar cosine u about the splitting s, so the azimuth is exact too
 (a factor 2 pi), and the coincidence oracle samples u alone. The
 accidental integrand has several p1 centres; it draws p1 from a
-three-centre Gaussian mixture and the azimuth uniformly. The polar
-cosine u is drawn from a mixture of a uniform density and cosh-tilted
-densities matched to the exp(z u) factors of the integrand, with
-stratified inversion per chunk, so the realized error falls much faster
-than the reported (conservative) 1/sqrt(N) standard error.
+three-centre Gaussian mixture whose centres lie along s, so its weight
+has the same distribution at every azimuth, and it too takes the
+azimuth at 0 (a factor 2 pi). The polar cosine u is drawn from a
+mixture of a uniform density and cosh-tilted densities matched to the
+exp(z u) factors of the integrand, with stratified inversion per chunk,
+so the realized error falls much faster than the reported
+(conservative) 1/sqrt(N) standard error.
 
 Sampling is chunked and streamed. A chunk draws from its own seed
 (spawned from the spec's rng_seed), block by block: PCG64's jump-ahead
@@ -367,7 +369,7 @@ def _tilt_pdf(u, z, tilts):
 
 
 def _frame(axis):
-    """Orthonormal frame (e1, e2, e3) with e3 along the 3-vector axis (+z for a zero axis)."""
+    """Orthonormal (e1, e3) with e3 along the 3-vector axis (+z for a zero axis)."""
     a = np.asarray(axis, dtype=float)
     # axis=-1 sums the squares by add.reduce, not by the dot product a bare norm takes
     norm = np.linalg.norm(a, axis=-1)
@@ -375,34 +377,24 @@ def _frame(axis):
     helper = np.array([1.0, 0.0, 0.0] if abs(e3[0]) <= 0.9 else [0.0, 1.0, 0.0])
     e1 = np.cross(helper, e3)
     e1 /= np.linalg.norm(e1, axis=-1)
-    e2 = np.cross(e3, e1)
-    return e1, e2, e3
+    return e1, e3
 
 
-def _direction(length, u, frame, phi=None):
-    """length times unit vectors, as (3, m) rows, at polar cosine u around e3.
+def _direction(length, u, frame):
+    """length times unit vectors, as (3, m) rows, at polar cosine u around e3 and azimuth 0.
 
-    frame is (e1, e2, e3) and phi the azimuth from e1; phi None is
-    azimuth 0, the e1-e3 plane.
+    frame is (e1, e3); the vectors lie in the e1-e3 plane, on the e1 side.
     """
     sin_theta = u * u
     np.subtract(1.0, sin_theta, out=sin_theta)
     np.clip(sin_theta, 0.0, None, out=sin_theta)
     np.sqrt(sin_theta, out=sin_theta)
-    e1, e2, e3 = frame
-    if phi is None:
-        terms = ((sin_theta, e1), (u, e3))
-    else:
-        a = np.cos(phi)
-        a *= sin_theta
-        b = np.sin(phi)
-        b *= sin_theta
-        terms = ((a, e1), (b, e2), (u, e3))
+    e1, e3 = frame
     out = np.zeros((3,) + u.shape)
     tmp = np.empty_like(u)
     for k, row in enumerate(out):
         # a zero frame component adds only a signed zero: its product is skipped
-        for x, e in terms:
+        for x, e in ((sin_theta, e1), (u, e3)):
             if e[k] != 0.0:
                 row += np.multiply(x, e[k], out=tmp)
         row *= length
@@ -474,12 +466,47 @@ def intensity_cor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> 
 # accidental (event-mixed) intensity
 
 
+def _p1_proposal(params: ModelParams):
+    """The accidental oracle's proposal for p1 around base = (P - q)/2: (offsets, spread, pdf).
+
+    Gaussians at the three possible term centers, offsets -s/2, 0 and
+    +s/2 from base with weights 1/4, 1/2 and 1/4, each inflated to
+    variance 0.75 sigma^2 (standard deviation spread) so every product
+    term's sigma^2/2 profile is dominated. pdf(rel) is the proposal
+    density at component-first rel = p1 - base. The offsets lie along
+    s, so the proposal is symmetric under rotations about s.
+    """
+    p_split = np.asarray(params.p_split)
+    offsets = np.stack([-0.5 * p_split, np.zeros(3), 0.5 * p_split])
+    var = 0.75 * params.sigma * params.sigma
+    pdf_norm = (2.0 * math.pi * var) ** -1.5
+
+    def pdf(rel):
+        total = 0.0
+        for offset, weight in zip(offsets, (0.25, 0.5, 0.25)):
+            part = _sq_dist(rel, offset)
+            np.negative(part, out=part)
+            part /= 2.0 * var
+            np.exp(part, out=part)
+            part *= weight * pdf_norm
+            part += total
+            total = part
+        return total
+
+    return offsets, math.sqrt(var), pdf
+
+
 def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     """Accidental intensity (dp)^2 int d^3p1 dOmega rho(p1) rho(p1+dp*n) / n_pairs.
 
     rho is the closed-form single-particle marginal (itself validated
-    by rho_single); the 5-d integral over p1 and the direction is done
-    by Monte Carlo with a three-center Gaussian proposal for p1.
+    by rho_single). p1 is drawn from _p1_proposal and the polar cosine
+    u from the "strata" stream; the azimuth is exact. The marginals'
+    centers and the proposal's lie on the line through P/2 along s, so
+    rotating q and p1 - P/2 together about s leaves each weight
+    unchanged: its distribution, and so the mean and the SE, are the
+    same at every azimuth. q is taken in the e1-e3 plane of the frame
+    along s, and the azimuth contributes a factor 2 pi.
     """
     started = time.perf_counter()
     delta_p = _intensity_delta_p(delta_p, spec)
@@ -487,28 +514,19 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
         return _finish(spec, "intensity_uncor_oracle", started, 0.0, 0.0, 0)
     sigma = params.sigma
     p_total = np.asarray(params.p_total)
-    p_split = np.asarray(params.p_split)
-    split = params.split_magnitude
-    z = split * delta_p / (2.0 * sigma * sigma)
-    frame = _frame(p_split)
-    # Proposal for p1: Gaussians at the three possible term centers
-    # (offsets -s/2, 0, +s/2 from (P - q)/2), inflated to 0.75 sigma^2
-    # so every product term's sigma^2/2 profile is dominated.
-    offsets = np.stack([-0.5 * p_split, np.zeros(3), 0.5 * p_split])
-    comp_weights = np.array([0.25, 0.5, 0.25])
-    var = 0.75 * sigma * sigma
-    spread = math.sqrt(var)
-    pdf_norm = (2.0 * math.pi * var) ** -1.5
+    z = params.split_magnitude * delta_p / (2.0 * sigma * sigma)
+    frame = _frame(params.p_split)
+    offsets, spread, pdf = _p1_proposal(params)
     n_pairs = params.n_pairs
 
-    def block(v, phi, pick, xi):
-        phi *= 2.0 * math.pi
+    def block(v, pick, xi):
         u = _tilt_sample(v, z, _UNC_TILTS)
-        q = _direction(delta_p, u, frame, phi)
+        q = _direction(delta_p, u, frame)
+        # the proposal's component, by its weights 1/4, 1/2, 1/4
         comp = (pick >= 0.25).astype(np.int64)
         comp += pick >= 0.75
         x = xi.T.copy()
-        # p1 = base + offsets[comp] + sqrt(var) x with base = (P - q)/2,
+        # p1 = base + offsets[comp] + spread x with base = (P - q)/2,
         # and rel = p1 - base, one component row at a time
         p1, rel = np.empty_like(q), np.empty_like(q)
         base = np.empty_like(u)
@@ -518,15 +536,7 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
             row = np.add(base, np.take(offsets[:, k], comp, out=rel[k], mode="clip"), out=p1[k])
             row += np.multiply(x[k], spread, out=rel[k])
             np.subtract(row, base, out=rel[k])
-        pdf1 = 0.0
-        for k in range(3):
-            part = _sq_dist(rel, offsets[k])
-            np.negative(part, out=part)
-            part /= 2.0 * var
-            np.exp(part, out=part)
-            part *= comp_weights[k] * pdf_norm
-            part += pdf1
-            pdf1 = part
+        pdf1 = pdf(rel)
         # the marginal takes (m, 3) momenta: transposed views of the component rows
         rho = mixture_marginal(p1.T, params)
         rho *= n_pairs
@@ -538,7 +548,7 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
         rho /= den
         return rho
 
-    kinds = ("strata", "uniform", "uniform", "normal")
+    kinds = ("strata", "uniform", "normal")
     run = _mc_sum(spec.sample_count, np.random.SeedSequence(spec.rng_seed), kinds, block)
     return _finish(spec, "intensity_uncor_oracle", started, *run)
 

@@ -330,3 +330,19 @@ def test_params_vector_coercion():
     c1, c2 = params.centers
     np.testing.assert_allclose(c1, [0.0, 0.0, 0.4])
     np.testing.assert_allclose(c2, [0.0, 0.0, -0.4])
+
+
+def test_cached_scalars_stay_out_of_equality():
+    # split_magnitude, centers and the channel norms are formed once per
+    # parameter set; the cache is no field, so a used instance still
+    # equals, hashes and prints as a fresh one, and its centers are
+    # read-only, so no caller can change them for the next
+    used = ModelParams(0.5, (0.3, -0.1, 0.7), (0.1, 0.2, -0.3), triplet_fraction=0.4)
+    mixture_density(np.zeros(3), np.ones(3), used)
+    mixture_marginal(np.zeros(3), used)
+    fresh = ModelParams(0.5, (0.3, -0.1, 0.7), (0.1, 0.2, -0.3), triplet_fraction=0.4)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert used.centers is used.centers
+    for c in used.centers:
+        with pytest.raises(ValueError, match="read-only"):
+            c[0] = 1.0

@@ -21,6 +21,8 @@ from paircorr.oracle import (
     _COR_TILTS,
     _TINY_Z,
     _UNC_TILTS,
+    _direction,
+    _frame,
     _streams,
     _tilt_pdf,
     _tilt_sample,
@@ -123,8 +125,9 @@ def test_draws_stream_block_by_block(monkeypatch):
     # a chunk holds one block of draws at a time, not its whole draws:
     # at one thread a chunk-sized call peaks near one chunk of weights
     # (2 MiB) plus a block's working set. Measured 5.3 MiB (coincidence,
-    # mixture, which draws only the polar variable), 9.5 MiB
-    # (accidental) and 7.5 MiB (Monte-Carlo pair norm). The coincidence
+    # mixture, which draws only the polar variable), 9.3 MiB
+    # (accidental, which draws no azimuth; 9.5 MiB when it did) and
+    # 7.5 MiB (Monte-Carlo pair norm). The coincidence
     # bound sits at the 8.0 MiB of a runner that also draws p1 and the
     # azimuth; the accidental and norm ones add 25 %, below the 12 MiB
     # whole-chunk draws alone would take and the 13.0 MiB the norm took
@@ -328,6 +331,17 @@ def _near(res, pin):
     assert abs(res.est_error - pin.est_error) <= 1e-12 * abs(pin.value), (res, pin)
 
 
+def _same_accidental(res, old, dp, params):
+    # an estimate of the same integral with the same variance: within
+    # 3 joint SE of the old pin, SE within 2 %, and within 3 SE of the closed form
+    assert abs(res.value - old.value) <= 3.0 * (res.est_error + old.est_error), (res, old)
+    assert abs(res.est_error / old.est_error - 1.0) <= 0.02, (res, old)
+    closed = accidental_intensity(
+        dp, params.sigma, params.triplet_fraction, params.p_split, n_pairs=params.n_pairs
+    )
+    assert abs(res.value - closed) <= 3.0 * res.est_error, (res, closed)
+
+
 def test_frozen_oracle_outputs():
     # (value, est_error, samples_used) pinned bit for bit: a restructured
     # sampler must keep the draws and the arithmetic of a pure channel
@@ -339,8 +353,13 @@ def test_frozen_oracle_outputs():
     # the pins from when p1 and the azimuth were sampled too, on the same
     # polar cosines, stay as cross-checks of the exact p1 and azimuth
     _near(single, OracleResult(0.37461775233676486, 0.000630161661757, 262144))
-    assert intensity_uncor_oracle(1.2, PARAMS, spec) == OracleResult(
-        1.47115023682443, 0.0011432407007761398, 262144
+    # the accidental pins moved when its azimuth became exact; the pins
+    # from when it drew the azimuth, on the same polar cosines, stay as
+    # cross-checks of the value and of the unchanged variance
+    accidental = intensity_uncor_oracle(1.2, PARAMS, spec)
+    assert accidental == OracleResult(1.4728886000427193, 0.0011448225065081468, 262144)
+    _same_accidental(
+        accidental, OracleResult(1.47115023682443, 0.0011432407007761398, 262144), 1.2, PARAMS
     )
     # a split and a total momentum with every frame component nonzero
     full = ModelParams(
@@ -363,8 +382,10 @@ def test_frozen_oracle_outputs():
     assert abs(mixed.value - closed) <= 3.0 * mixed.est_error
     separate = OracleResult(1.1315991582933402, 0.0009515730609372622, 524288)
     assert abs(mixed.value - separate.value) <= 3.0 * (mixed.est_error + separate.est_error)
-    assert intensity_uncor_oracle(0.9, full, spec) == OracleResult(
-        1.60234510201822, 0.0013118720030790413, 262144
+    accidental = intensity_uncor_oracle(0.9, full, spec)
+    assert accidental == OracleResult(1.6046135886591082, 0.0013117899287589277, 262144)
+    _same_accidental(
+        accidental, OracleResult(1.60234510201822, 0.0013118720030790413, 262144), 0.9, full
     )
     # the norm's second momentum draws on a jumped generator of its own;
     # the pins from when it followed the first on one generator bound
@@ -405,6 +426,40 @@ def test_density_over_the_p1_proposal_depends_on_u_alone():
             ratio = mixture_density(p1, p1 + q, params) / proposal
             assert ratio[0] > 0.0
             np.testing.assert_allclose(ratio[1:], ratio[0], rtol=1e-13, atol=0.0, err_msg=f"f={f}, u={u}")
+
+
+def test_accidental_weight_is_azimuth_invariant():
+    # the accidental oracle takes the azimuth phi at 0; that is exact only
+    # while rotating q and p1 - P/2 together about s leaves the weight
+    # rho(p1) rho(p1 + q) / pdf1 unchanged, so that it has the same
+    # distribution at every phi
+    sigma, dp = 0.5, 0.9
+    p_split, p_total = np.array([0.3, -0.1, 0.7]), np.array([0.1, 0.2, -0.3])
+    axis = p_split / np.linalg.norm(p_split)
+    frame = _frame(p_split)
+    rng = np.random.default_rng(24)
+    phi = np.concatenate([[0.0], rng.uniform(0.0, 2.0 * np.pi, 32)])[:, None]
+
+    def rotate(v):
+        # v rotated about s through every phi (Rodrigues), one row per phi
+        along = axis * (v @ axis)
+        return along + (v - along) * np.cos(phi) + np.cross(axis, v) * np.sin(phi)
+
+    for f in (0.0, 0.4, 1.0):
+        params = ModelParams(sigma, p_split, p_total, triplet_fraction=f, n_pairs=1.5)
+        offsets, spread, pdf = paircorr.oracle._p1_proposal(params)
+        for u in (-0.9, -0.4, 0.25, 0.7, 0.99):
+            q0 = _direction(dp, np.array([u]), frame)[:, 0]
+            for comp, offset in enumerate(offsets):
+                # a draw of each proposal component: p1 = (P - q)/2 + rel
+                q, rel = rotate(q0), rotate(offset + spread * rng.standard_normal(3))
+                p1 = (p_total - q) / 2.0 + rel
+                weight = mixture_marginal(p1, params) * mixture_marginal(p1 + q, params)
+                weight /= pdf(rel.T)
+                assert weight[0] > 0.0
+                np.testing.assert_allclose(
+                    weight[1:], weight[0], rtol=1e-13, atol=0.0, err_msg=f"f={f}, u={u}, {comp}"
+                )
 
 
 def test_zero_weight_channel_is_skipped():
