@@ -23,6 +23,7 @@ from paircorr.oracle import (
     _UNC_TILTS,
     _direction,
     _frame,
+    _p1_proposal,
     _streams,
     _tilt_pdf,
     _tilt_sample,
@@ -447,7 +448,7 @@ def test_accidental_weight_is_azimuth_invariant():
 
     for f in (0.0, 0.4, 1.0):
         params = ModelParams(sigma, p_split, p_total, triplet_fraction=f, n_pairs=1.5)
-        offsets, spread, pdf = paircorr.oracle._p1_proposal(params)
+        offsets, spread, pdf = _p1_proposal(params)
         for u in (-0.9, -0.4, 0.25, 0.7, 0.99):
             q0 = _direction(dp, np.array([u]), frame)[:, 0]
             for comp, offset in enumerate(offsets):
