@@ -238,54 +238,69 @@ def _components(p):
     return p.transpose(-1, *range(p.ndim - 1))
 
 
-def _sq_dist(p, c):
+def _out(work, name):
+    """The row called name of a Monte-Carlo worker's workspace, or None without one.
+
+    As the out= of a ufunc, None makes a fresh result, so a core written
+    with out=_out(work, ...) allocates when work is None and writes into
+    reused rows of the current block length (oracle._Workspace.take) when
+    it is given; the arithmetic is the same either way.
+    """
+    return None if work is None else work.take(name)
+
+
+def _sq_dist(p, c, work=None, name="sq"):
     """|p - c|^2 of component-first p and c (c may lack trailing axes), summed as np.sum does.
 
     Row by row: each squared difference is added in place to the first,
     so no (3, ...) temporary is made. Augmented assignment keeps 0-d
     results working: on a NumPy scalar it rebinds instead of writing.
+    The sum lands in work's row called name.
     """
     c = np.reshape(c, np.shape(c) + (1,) * (np.ndim(p) - np.ndim(c)))
-    total = p[0] - c[0]
+    total = np.subtract(p[0], c[0], out=_out(work, name))
     total *= total
     for k in (1, 2):
-        d = p[k] - c[k]
+        d = np.subtract(p[k], c[k], out=_out(work, "tmp"))
         d *= d
         total += d
     return total
 
 
-def _exchange_exponents(p1, p2, c1, c2, sigma):
+def _exchange_exponents(p1, p2, c1, c2, sigma, work=None):
     """(e^{-2 lo}, gap) of the exponents A/2 and B/2: lo the smaller, gap |A/2 - B/2|.
 
-    They do not depend on the channel, so both channels share them. A
-    function of its own frees A/2 and B/2 before the channels are
-    formed, so the channels' arrays reuse that memory: inlined into
-    mixture_density, a 2^15-point call took 17 % longer (2-vCPU x86-64).
+    They do not depend on the channel, so both channels share them.
+    Shapes may grow here (p1 and p2 broadcast), so each step that could
+    widen its result writes through out= rather than in place.
     """
     sig2 = sigma * sigma
-    a2 = _sq_dist(p1, c1) + _sq_dist(p2, c2)
+    a2 = _sq_dist(p1, c1, work, "a2")
+    a2 = np.add(a2, _sq_dist(p2, c2, work), out=_out(work, "a2"))
     a2 /= 4.0 * sig2
-    b2 = _sq_dist(p1, c2) + _sq_dist(p2, c1)
+    b2 = _sq_dist(p1, c2, work, "b2")
+    b2 = np.add(b2, _sq_dist(p2, c1, work), out=_out(work, "b2"))
     b2 /= 4.0 * sig2
-    lo = np.minimum(a2, b2)
+    lo = np.minimum(a2, b2, out=_out(work, "lo"))
     lo *= -2.0
     a2 -= b2
-    return np.exp(lo), np.abs(a2)
+    return np.exp(lo, out=_out(work, "lo")), np.abs(a2, out=_out(work, "a2"))
 
 
-def _exchange_combination(base, gap, sigma, sign):
+def _exchange_combination(base, gap, sigma, sign, work=None, name="comb"):
     """Unnormalized pair density (e^{-A/2} +/- e^{-B/2})^2 (2 pi sigma^2)^-3 from the _exchange_exponents.
 
     The antisymmetric difference is written through expm1 so it stays
     accurate when the two exponents nearly coincide.
     """
     sig2 = sigma * sigma
+    row = _out(work, name)
+    comb = np.negative(gap, out=row)
     if sign > 0:
-        comb = np.exp(-gap)
+        comb = np.exp(comb, out=row)
         comb += 1.0
     else:
-        comb = np.expm1(-gap)
+        comb = np.expm1(comb, out=row)
     comb **= 2
     comb *= base
     comb *= (2.0 * np.pi * sig2) ** (-3.0)
@@ -305,17 +320,20 @@ def _channel_weights(f: float):
 def _mixed(density, params: ModelParams):
     """Sum of weight * density(channel) over the mixture's channels.
 
-    Each density(channel) is fresh, so the sum is formed in place in the first.
+    Each density(channel) is its own array, fresh or a workspace row of
+    its channel, so the sum is formed in place in the first.
     """
     (w, channel), *rest = _channel_weights(params.triplet_fraction)
     total = density(channel)
     total *= w
     for w, channel in rest:
-        total += w * density(channel)
+        part = density(channel)
+        part *= w
+        total += part
     return total
 
 
-def mixture_density(p1, p2, params: ModelParams):
+def mixture_density(p1, p2, params: ModelParams, _work=None):
     """Incoherent singlet/triplet mixture of the pair densities |Psi(p1, p2)|^2.
 
     p1 and p2 have shape (..., 3) and broadcast together.
@@ -323,22 +341,26 @@ def mixture_density(p1, p2, params: ModelParams):
     f = 1 are the pure channels, exactly. Any f > 0 requires a
     non-degenerate triplet state. Time independent: the free-evolution
     phases of the direct and exchanged terms cancel. Symmetric under
-    p1 <-> p2 for every f.
+    p1 <-> p2 for every f. ``_work`` is private to the Monte-Carlo
+    oracles: given their workspace, the result and every temporary are
+    reused rows of it, valid until its next use.
     """
     c1, c2 = params.centers
     sigma = params.sigma
-    exponents = _exchange_exponents(_components(p1), _components(p2), c1, c2, sigma)
+    exponents = _exchange_exponents(_components(p1), _components(p2), c1, c2, sigma, _work)
 
     def density(channel: SpinChannel):
         _require_nondegenerate(params, channel)
-        comb = _exchange_combination(*exponents, sigma, channel.sign)
+        # B/2 and the squared distances are spent once the exponents are formed
+        row = "b2" if channel is SpinChannel.SINGLET else "sq"
+        comb = _exchange_combination(*exponents, sigma, channel.sign, _work, row)
         comb /= params._channel_norms[channel]
         return comb
 
     return _mixed(density, params)
 
 
-def _marginal(p, params: ModelParams):
+def _marginal(p, params: ModelParams, work=None):
     """channel -> its single-particle density at component-first p, sharing e1, e2, cross.
 
     Closed form: [g1 + g2 +/- 2 J sqrt(g1 g2)] / (2 (1 +/- J^2)) times
@@ -349,34 +371,40 @@ def _marginal(p, params: ModelParams):
     """
     c1, c2 = params.centers
     sig2 = params.sigma**2
-    e1 = _sq_dist(p, c1)  # exponent of sqrt(g1)
+    e1 = _sq_dist(p, c1, work, "e1")  # exponent of sqrt(g1)
     e1 /= 4.0 * sig2
-    e2 = _sq_dist(p, c2)
+    e2 = _sq_dist(p, c2, work, "e2")
     e2 /= 4.0 * sig2
-    cross = np.exp(-(e1 + e2))  # sqrt(g1 g2)
+    cross_row = _out(work, "cross")
+    cross = np.add(e1, e2, out=cross_row)
+    cross = np.exp(np.negative(cross, out=cross_row), out=cross_row)  # sqrt(g1 g2)
 
     def rho(channel: SpinChannel):
         _require_nondegenerate(params, channel)
+        row, tmp = _out(work, channel.value), _out(work, "tmp")
         if channel is SpinChannel.SINGLET:
-            num = np.exp(-2.0 * e1)
-            num += np.exp(-2.0 * e2)
-            num += 2.0 * params.overlap() * cross
+            num = np.exp(np.multiply(e1, -2.0, out=row), out=row)
+            num += np.exp(np.multiply(e2, -2.0, out=tmp), out=tmp)
+            num += np.multiply(cross, 2.0 * params.overlap(), out=tmp)
         else:
-            num = np.exp(-np.minimum(e1, e2))
-            num *= np.expm1(-np.abs(e1 - e2))
+            num = np.minimum(e1, e2, out=row)
+            num = np.exp(np.negative(num, out=row), out=row)
+            gap = np.abs(np.subtract(e1, e2, out=tmp), out=tmp)
+            num *= np.expm1(np.negative(gap, out=tmp), out=tmp)
             num **= 2
             one_minus_j = -np.expm1(-params.split_magnitude**2 / (8.0 * sig2))
-            num += 2.0 * one_minus_j * cross
+            num += np.multiply(cross, 2.0 * one_minus_j, out=tmp)
         num *= (2.0 * np.pi * sig2) ** (-1.5) / params._channel_norms[channel]
         return num
 
     return rho
 
 
-def mixture_marginal(p, params: ModelParams):
+def mixture_marginal(p, params: ModelParams, _work=None):
     """Single-particle momentum density at (..., 3) momenta p: the mixture's
     pair density integrated over the partner momentum.
 
     f = 0 and f = 1 are the pure singlet and triplet marginals, exactly.
+    ``_work`` is private to the Monte-Carlo oracles, as in mixture_density.
     """
-    return _mixed(_marginal(_components(p), params), params)
+    return _mixed(_marginal(_components(p), params, _work), params)

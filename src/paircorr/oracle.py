@@ -36,19 +36,28 @@ gets exactly the values a whole-chunk draw would give, and a thread
 holds one block's draws and one chunk's weights at a time. The chunk
 sums its weights once and math.fsum adds the chunk sums, so neither
 block size nor thread count changes a bit. Set PAIRCORR_THREADS to
-evaluate chunks in a thread pool. Within a block, every (3, m)
-quantity is a stack of contiguous component rows, finished one row at
-a time with in-place ufuncs, and temporaries are overwritten rather
-than remade; each element still takes the same floating-point
-operations in the same order. The stratified polar variable is
-non-decreasing within a chunk, so each proposal branch is a slice cut
-by searchsorted, not a boolean mask.
+evaluate chunks in a thread pool.
+
+Each worker of a call takes one workspace (_Workspace) for the length
+of the call: the chunk's weights, the draw rows, which the generators
+fill in place, and every (m,) and (3, m) temporary of a block, the
+model's density temporaries included (mixture_density and
+mixture_marginal write into it when handed it). Every block of every
+chunk reuses those rows, so no block allocates; blocks that made and
+freed their own ~256 KiB temporaries made glibc return the memory to
+the kernel and fault it in again on the next block. A (3, m) quantity
+is a stack of contiguous component rows, finished one row at a time
+with in-place ufuncs; each element still takes the same floating-point
+operations in the same order as with fresh arrays. The stratified
+polar variable is non-decreasing within a chunk, so each proposal
+branch is a slice cut by searchsorted, not a boolean mask.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -64,6 +73,7 @@ from .model import (
     _channel_weights,
     _mixed,
     _nonnegative,
+    _out,
     _positive,
     _require_nondegenerate,
     _set_scalars,
@@ -176,7 +186,49 @@ def _thread_count() -> int:
 # shared Monte-Carlo machinery
 
 
-def _streams(seed, count, kinds):
+class _Workspace:
+    """The reused arrays of one worker for the length of one _mc_sum call.
+
+    weights holds a chunk's weights. take(name) hands out the row called
+    name, a C-contiguous (m,) array of the current block length m, and
+    take(name, rows) a (rows, m) one; each name keeps one buffer of
+    ``block`` samples per row, made on its first use, and the same views
+    until resize changes m. A caller owns a name only until the next
+    block, or until a callee that writes it runs; the row "tmp" is
+    scratch that no function holds across a call of another.
+    """
+
+    def __init__(self, block, chunk):
+        self.weights = np.empty(chunk)
+        self.m = block
+        self._block = block
+        self._buffers = {}
+        self._views = {}
+
+    def resize(self, m):
+        if m != self.m:
+            self.m = m
+            self._views.clear()
+
+    def take(self, name, rows=0, dtype=float):
+        view = self._views.get(name)
+        if view is None:
+            buf = self._buffers.get(name)
+            if buf is None:
+                buf = self._buffers[name] = np.empty(max(rows, 1) * self._block, dtype)
+            view = buf[: max(rows, 1) * self.m]
+            self._views[name] = view = view.reshape(rows, self.m) if rows else view
+        return view
+
+
+def _scratch(work, name, m, rows=0):
+    """work's row called name ((rows, m) for rows > 0), or without a workspace a fresh one."""
+    if work is None:
+        return np.empty((rows, m) if rows else m)
+    return work.take(name, rows)
+
+
+def _streams(seed, count, kinds, work=None):
     """One chunk's draws, made and handed out block by block.
 
     Yields (block slice, draws): the block's samples of each stream in
@@ -184,7 +236,10 @@ def _streams(seed, count, kinds):
     is count doubles; "strata" is one stratified uniform per stratum of
     [0, 1), non-decreasing in the sample index; "normal" is (count, 3)
     standard normals. Every stream is drawn block by block, and the
-    block size changes no value.
+    block size changes no value. Given a workspace, the draws of every
+    block are filled into the same rows of it (Generator out=), so they
+    are valid only until the next block; without one, each block's
+    draws are fresh arrays.
 
     All streams run on PCG64(seed). A uniform double takes exactly one
     64-bit output, so uniform stream k starts at output k * count, on a
@@ -206,18 +261,33 @@ def _streams(seed, count, kinds):
         else np.random.Generator(np.random.PCG64(seed).jumped(k - uniforms))
         for k in range(len(kinds))
     ]
-    for lo in range(0, count, _BLOCK):
-        m = min(_BLOCK, count - lo)
+    block = min(_BLOCK, count)
+    if work is not None:
+        work.resize(block)
+    if "strata" in kinds:
+        # the strata offsets lo + i of the current block, whole numbers
+        # formed exactly: 0, 1, ... by a cumulative sum, then a block on
+        index = _scratch(work, "index", block)
+        index.fill(1.0)
+        index[0] = 0.0
+        np.cumsum(index, out=index)
+    for lo in range(0, count, block):
+        m = min(block, count - lo)
+        if work is not None:
+            work.resize(m)
         draws = []
-        for kind, source in zip(kinds, sources):
+        for k, (kind, source) in enumerate(zip(kinds, sources)):
             if kind == "normal":
-                x = source.standard_normal((m, 3))
+                out = None if work is None else work.take(f"draw{k}", 3).reshape(m, 3)
+                x = source.standard_normal((m, 3), out=out)
             else:
-                x = source.random(m)
+                x = source.random(m, out=_out(work, f"draw{k}"))
                 if kind == "strata":
-                    x += np.arange(lo, lo + m)
+                    x += index[:m]
                     x /= count
             draws.append(x)
+        if "strata" in kinds:
+            index += block
         yield slice(lo, lo + m), draws
 
 
@@ -225,22 +295,33 @@ def _mc_sum(total: int, seed_seq: np.random.SeedSequence, kinds, block_fn):
     """Mean, SE, samples, chunks and threads of the weights w over fixed-size chunks.
 
     A chunk streams its draws of ``kinds`` (see _streams) from its own
-    seed, and block_fn(*draws) returns each block's w, so a thread holds
-    one block's draws and one chunk's w at a time. The chunk layout and
-    seeds depend only on (total, seed_seq), and w is summed once per
-    chunk, so neither the block size nor the thread count changes a bit.
+    seed, and block_fn(work, out, *draws) writes each block's w into
+    out, a slice of the chunk's weights, taking every other array from
+    work. A worker takes one _Workspace for the whole call and reuses it
+    for every block of every chunk it runs, so no block allocates. The
+    chunk layout and seeds depend only on (total, seed_seq), and w is
+    summed once per chunk, so neither the block size nor the thread
+    count changes a bit.
     """
-
-    def chunk_sums(seed, count):
-        w = np.empty(count)
-        for block, draws in _streams(seed, count, kinds):
-            w[block] = block_fn(*draws)
-        s1 = float(np.sum(w))
-        w *= w
-        return s1, float(np.sum(w))
-
     n_chunks = (total + _CHUNK - 1) // _CHUNK
     counts = [_CHUNK] * (n_chunks - 1) + [total - _CHUNK * (n_chunks - 1)]
+    # workspaces between chunks: at most one is made per concurrent worker
+    idle = queue.SimpleQueue()
+
+    def chunk_sums(seed, count):
+        try:
+            work = idle.get_nowait()
+        except queue.Empty:
+            work = _Workspace(min(_BLOCK, counts[0]), counts[0])
+        w = work.weights[:count]
+        for block, draws in _streams(seed, count, kinds, work):
+            block_fn(work, w[block], *draws)
+        s1 = float(np.sum(w))
+        w *= w
+        s2 = float(np.sum(w))
+        idle.put(work)
+        return s1, s2
+
     seeds = seed_seq.spawn(n_chunks)
     threads = _thread_count()
     if threads > 1:
@@ -286,8 +367,8 @@ def _intensity_delta_p(delta_p, spec: QuadratureSpec) -> float:
     return _nonnegative("delta_p", float(delta_p))
 
 
-def _sample_cosh_tilt(xi, z):
-    """Invert the CDF of z*cosh(z*u)/(2 sinh z) on [-1, 1].
+def _sample_cosh_tilt(xi, z, out):
+    """Invert the CDF of z*cosh(z*u)/(2 sinh z) on [-1, 1] into out, overwriting xi.
 
     The first bit of xi picks the exp(+z u) or exp(-z u) half; the rest
     inverts the exponential tilt through log/expm1-safe algebra. Falls
@@ -295,12 +376,15 @@ def _sample_cosh_tilt(xi, z):
     exp(+z u) half is the slice xi < 0.5.
     """
     if z < _TINY_Z:
-        return 2.0 * xi - 1.0
+        np.multiply(xi, 2.0, out=out)
+        out -= 1.0
+        return
     half = np.searchsorted(xi, 0.5)
-    eta = 2.0 * xi
+    eta = xi
+    eta *= 2.0
     eta[half:] -= 1.0
     np.clip(eta, 0.0, 1.0, out=eta)
-    u = 1.0 - eta
+    u = np.subtract(1.0, eta, out=out)
     u *= np.exp(-2.0 * z)
     u += eta
     np.log(u, out=u)
@@ -308,17 +392,16 @@ def _sample_cosh_tilt(xi, z):
     u += 1.0
     np.negative(u[half:], out=u[half:])
     np.clip(u, -1.0, 1.0, out=u)
-    return u
 
 
-def _cosh_tilt_pdf(u, z):
-    """Density z*cosh(z*u)/(2 sinh z) on [-1, 1], stable at any z >= 0."""
+def _cosh_tilt_pdf(u, z, out=None, tmp=None):
+    """Density z*cosh(z*u)/(2 sinh z) on [-1, 1], stable at any z >= 0, in out (fresh if None)."""
     if z < _TINY_Z:
         return 0.5
-    val = u - 1.0
+    val = np.subtract(u, 1.0, out=out)
     val *= z
     np.exp(val, out=val)
-    minus = u + 1.0
+    minus = np.add(u, 1.0, out=tmp)
     minus *= -z
     val += np.exp(minus, out=minus)
     val *= z
@@ -335,33 +418,40 @@ _COR_TILTS = ((0.5, 1.0, 1.0),)
 _UNC_TILTS = ((0.5, 0.75, 0.5), (0.75, 1.0, 1.0))
 
 
-def _tilt_sample(v, z, tilts):
+def _tilt_sample(v, z, tilts, work=None):
     """Polar cosines of the proposal at non-decreasing v, as a "strata" stream gives it.
 
     Sorted v makes each branch a slice, cut by searchsorted at 1/2 and
     at each tilt's hi; every branch runs on its own samples only. The
     last tilt runs to the end, so it also takes a v that rounded to 1.
+    The cosines land in work's row "u", or in a fresh array without a
+    workspace.
     """
     edges = np.searchsorted(v, [0.5] + [hi for _, hi, _ in tilts[:-1]]).tolist() + [len(v)]
-    u = np.empty_like(v)
+    u = _scratch(work, "u", len(v))
     low = u[: edges[0]]
     np.multiply(4.0, v[: edges[0]], out=low)
     low -= 1.0
     np.clip(low, -1.0, 1.0, out=low)
+    xi_row = _out(work, "tmp")
     for (lo, hi, factor), start, stop in zip(tilts, edges, edges[1:]):
         branch = slice(start, stop)
-        xi = v[branch] - lo
+        xi = np.subtract(v[branch], lo, out=None if xi_row is None else xi_row[branch])
         xi /= hi - lo
         np.clip(xi, 0.0, 1.0, out=xi)
-        u[branch] = _sample_cosh_tilt(xi, factor * z)
+        _sample_cosh_tilt(xi, factor * z, u[branch])
     return u
 
 
-def _tilt_pdf(u, z, tilts):
-    """Density of the proposal at u; each tilt has weight hi - lo."""
+def _tilt_pdf(u, z, tilts, work=None):
+    """Density of the proposal at u; each tilt has weight hi - lo.
+
+    The parts alternate between work's rows "tilt0" and "tilt1", so the
+    density lands in one of them.
+    """
     total = 0.25
-    for lo, hi, factor in tilts:
-        part = _cosh_tilt_pdf(u, factor * z)
+    for i, (lo, hi, factor) in enumerate(tilts):
+        part = _cosh_tilt_pdf(u, factor * z, _out(work, f"tilt{i % 2}"), _out(work, "tmp"))
         part *= hi - lo
         part += total
         total = part
@@ -380,18 +470,21 @@ def _frame(axis):
     return e1, e3
 
 
-def _direction(length, u, frame):
+def _direction(length, u, frame, work=None):
     """length times unit vectors, as (3, m) rows, at polar cosine u around e3 and azimuth 0.
 
-    frame is (e1, e3); the vectors lie in the e1-e3 plane, on the e1 side.
+    frame is (e1, e3); the vectors lie in the e1-e3 plane, on the e1
+    side. They land in work's rows "q", or in a fresh array without a
+    workspace.
     """
-    sin_theta = u * u
+    sin_theta = np.multiply(u, u, out=_out(work, "sin"))
     np.subtract(1.0, sin_theta, out=sin_theta)
     np.clip(sin_theta, 0.0, None, out=sin_theta)
     np.sqrt(sin_theta, out=sin_theta)
     e1, e3 = frame
-    out = np.zeros((3,) + u.shape)
-    tmp = np.empty_like(u)
+    out = _scratch(work, "q", len(u), 3)
+    out.fill(0.0)
+    tmp = _scratch(work, "tmp", len(u))
     for k, row in enumerate(out):
         # a zero frame component adds only a signed zero: its product is skipped
         for x, e in ((sin_theta, e1), (u, e3)):
@@ -438,22 +531,21 @@ def intensity_cor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> 
     # the p1 Gaussian's peak density
     pdf_norm = (math.pi * sigma * sigma) ** -1.5
 
-    def block(v):
-        u = _tilt_sample(v, z, _COR_TILTS)
+    def block(work, out, v):
+        u = _tilt_sample(v, z, _COR_TILTS, work)
         # p1 = (P - q)/2, then p2 = p1 + q, written over q
-        q = _direction(delta_p, u, frame)
-        p1 = np.empty_like(q)
+        q = _direction(delta_p, u, frame, work)
+        p1 = work.take("p1", 3)
         for k in range(3):
             row = np.subtract(pt[k], q[k], out=p1[k])
             row /= 2.0
             q[k] += row
         # the density takes (m, 3) momenta: transposed views of the component rows
-        total = mixture_density(p1.T, q.T, params)
-        den = _tilt_pdf(u, z, _COR_TILTS)
+        total = mixture_density(p1.T, q.T, params, work)
+        den = _tilt_pdf(u, z, _COR_TILTS, work)
         den *= pdf_norm
         total *= delta_p * delta_p * 2.0 * math.pi
-        total /= den
-        return total
+        np.divide(total, den, out=out)
 
     # the first child of rng_seed, not rng_seed itself: the pinned results drew from it
     seed = np.random.SeedSequence(spec.rng_seed).spawn(1)[0]
@@ -481,10 +573,11 @@ def _p1_proposal(params: ModelParams):
     var = 0.75 * params.sigma * params.sigma
     pdf_norm = (2.0 * math.pi * var) ** -1.5
 
-    def pdf(rel):
+    def pdf(rel, work=None):
+        # the parts alternate between work's rows "prop0" and "prop1"
         total = 0.0
-        for offset, weight in zip(offsets, (0.25, 0.5, 0.25)):
-            part = _sq_dist(rel, offset)
+        for i, (offset, weight) in enumerate(zip(offsets, (0.25, 0.5, 0.25))):
+            part = _sq_dist(rel, offset, work, f"prop{i % 2}")
             np.negative(part, out=part)
             part /= 2.0 * var
             np.exp(part, out=part)
@@ -519,34 +612,31 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
     offsets, spread, pdf = _p1_proposal(params)
     n_pairs = params.n_pairs
 
-    def block(v, pick, xi):
-        u = _tilt_sample(v, z, _UNC_TILTS)
-        q = _direction(delta_p, u, frame)
+    def block(work, out, v, pick, xi):
+        u = _tilt_sample(v, z, _UNC_TILTS, work)
+        q = _direction(delta_p, u, frame, work)
         # the proposal's component, by its weights 1/4, 1/2, 1/4
-        comp = (pick >= 0.25).astype(np.int64)
-        comp += pick >= 0.75
-        x = xi.T.copy()
+        comp = np.greater_equal(pick, 0.25, out=work.take("comp", dtype=np.intp))
+        comp += np.greater_equal(pick, 0.75, out=work.take("above", dtype=bool))
         # p1 = base + offsets[comp] + spread x with base = (P - q)/2,
         # and rel = p1 - base, one component row at a time
-        p1, rel = np.empty_like(q), np.empty_like(q)
-        base = np.empty_like(u)
+        p1, rel, base = work.take("p1", 3), work.take("rel", 3), work.take("tmp")
         for k in range(3):
             np.subtract(p_total[k], q[k], out=base)
             base /= 2.0
             row = np.add(base, np.take(offsets[:, k], comp, out=rel[k], mode="clip"), out=p1[k])
-            row += np.multiply(x[k], spread, out=rel[k])
+            row += np.multiply(xi[:, k], spread, out=rel[k])
             np.subtract(row, base, out=rel[k])
-        pdf1 = pdf(rel)
-        # the marginal takes (m, 3) momenta: transposed views of the component rows
-        rho = mixture_marginal(p1.T, params)
-        rho *= n_pairs
+        pdf1 = pdf(rel, work)
+        # the marginal takes (m, 3) momenta: transposed views of the
+        # component rows; its result is a workspace row that the next
+        # call reuses, so the first is copied into out by the product
+        rho = np.multiply(mixture_marginal(p1.T, params, work), n_pairs, out=out)
         q += p1
-        rho *= mixture_marginal(q.T, params)
-        den = _tilt_pdf(u, z, _UNC_TILTS)
-        den *= pdf1
+        rho *= mixture_marginal(q.T, params, work)
+        pdf1 *= _tilt_pdf(u, z, _UNC_TILTS, work)
         rho *= delta_p * delta_p * 2.0 * math.pi
-        rho /= den
-        return rho
+        rho /= pdf1
 
     kinds = ("strata", "uniform", "normal")
     run = _mc_sum(spec.sample_count, np.random.SeedSequence(spec.rng_seed), kinds, block)
@@ -616,8 +706,8 @@ def _pair_norm(params: ModelParams, spec: QuadratureSpec):
     sigma = params.sigma
     pdf_norm = (2.0 * math.pi * sigma * sigma) ** -1.5
 
-    def gauss(p, c):
-        g = _sq_dist(p, c)
+    def gauss(p, c, work, name):
+        g = _sq_dist(p, c, work, name)
         np.negative(g, out=g)
         g /= 2.0 * sigma * sigma
         np.exp(g, out=g)
@@ -627,24 +717,22 @@ def _pair_norm(params: ModelParams, spec: QuadratureSpec):
     # per axis, the centers of p1 and of p2 indexed by swap: (c1, c2) and (c2, c1)
     ends = [(np.array([a, b]), np.array([b, a])) for a, b in zip(c1, c2)]
 
-    def block(swap, xi1, xi2):
-        pick = (swap < 0.5).astype(np.intp)
-        p1, p2 = xi1.T.copy(), xi2.T.copy()
-        center = np.empty_like(p1[0])
+    def block(work, out, swap, xi1, xi2):
+        pick = np.less(swap, 0.5, out=work.take("pick", dtype=np.intp))
+        p1, p2, center = work.take("p1", 3), work.take("p2", 3), work.take("tmp")
         for k, (end1, end2) in enumerate(ends):
-            p1[k] *= sigma
+            np.multiply(xi1[:, k], sigma, out=p1[k])
             p1[k] += np.take(end1, pick, out=center, mode="clip")
-            p2[k] *= sigma
+            np.multiply(xi2[:, k], sigma, out=p2[k])
             p2[k] += np.take(end2, pick, out=center, mode="clip")
-        pdf = gauss(p1, c1)
-        pdf *= gauss(p2, c2)
-        cross = gauss(p1, c2)
-        cross *= gauss(p2, c1)
+        pdf = gauss(p1, c1, work, "gauss0")
+        pdf *= gauss(p2, c2, work, "gauss1")
+        cross = gauss(p1, c2, work, "gauss1")
+        cross *= gauss(p2, c1, work, "gauss2")
         pdf += cross
         pdf *= 0.5
-        dens = mixture_density(p1.T, p2.T, params)
-        dens /= pdf
-        return dens
+        dens = mixture_density(p1.T, p2.T, params, work)
+        np.divide(dens, pdf, out=out)
 
     kinds = ("uniform", "normal", "normal")
     return _mc_sum(spec.sample_count, np.random.SeedSequence(spec.rng_seed), kinds, block)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import platform
+import resource
 import tracemalloc
 
 import numpy as np
@@ -175,6 +177,7 @@ def test_results_are_deterministic(monkeypatch):
     runs = {
         "cor": lambda: intensity_cor_oracle(1.2, PARAMS, spec),
         "uncor": lambda: intensity_uncor_oracle(1.2, PARAMS, spec),
+        "norm": lambda: phi_norm_oracle(PARAMS, spec),
     }
     monkeypatch.setenv("PAIRCORR_THREADS", "1")
     first = {name: run() for name, run in runs.items()}
@@ -201,6 +204,69 @@ def test_results_are_block_size_independent(monkeypatch):
     for block in (4099, _CHUNK):
         monkeypatch.setattr(paircorr.oracle, "_BLOCK", block)
         assert {name: run() for name, run in runs.items()} == default, block
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def test_blocks_reuse_one_workspace(monkeypatch):
+    # at one thread, a call of a chunk and a half runs both chunks on one
+    # workspace: every block fills the same draw rows, the second chunk's
+    # weights land where the first chunk's did, and the densities come
+    # back in the same rows block after block
+    monkeypatch.setenv("PAIRCORR_THREADS", "1")
+    seen, results = [], []
+    mc_sum = paircorr.oracle._mc_sum
+
+    def spy(total, seed_seq, kinds, block_fn):
+        def block(work, out, *draws):
+            seen.append((_address(out), tuple(_address(d) for d in draws)))
+            block_fn(work, out, *draws)
+
+        return mc_sum(total, seed_seq, kinds, block)
+
+    def recorded(density):
+        def run(*args):
+            result = density(*args)
+            results.append(_address(result))
+            return result
+
+        return run
+
+    monkeypatch.setattr(paircorr.oracle, "_mc_sum", spy)
+    monkeypatch.setattr(paircorr.oracle, "mixture_density", recorded(mixture_density))
+    monkeypatch.setattr(paircorr.oracle, "mixture_marginal", recorded(mixture_marginal))
+    spec = _mc(_CHUNK + _CHUNK // 2)
+    n = _CHUNK // _BLOCK
+    for run in (
+        lambda: intensity_cor_oracle(1.2, PARAMS, spec),
+        lambda: intensity_uncor_oracle(1.2, PARAMS, spec),
+        lambda: phi_norm_oracle(PARAMS, spec),
+    ):
+        seen.clear()
+        results.clear()
+        run()
+        assert len(seen) == n + n // 2
+        outs, draws = zip(*seen)
+        assert len(set(draws)) == 1
+        assert list(outs[:n]) == [outs[0] + 8 * _BLOCK * j for j in range(n)]
+        assert outs[n:] == outs[: n // 2]
+        assert len(results) in (len(seen), 2 * len(seen)) and len(set(results)) == 1
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults")
+def test_blocks_do_not_page_fault(monkeypatch):
+    # a block allocates nothing, so after a warm-up a call faults in only
+    # its workspace (~2.4k minor faults at 4 chunks), not its blocks'
+    # temporaries: ~48k when each block made and freed its own
+    monkeypatch.setenv("PAIRCORR_THREADS", "1")
+    spec = _mc(4 * _CHUNK)
+    intensity_uncor_oracle(1.2, PARAMS, spec)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    intensity_uncor_oracle(1.2, PARAMS, spec)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 10_000, faults
 
 
 def _masked_sample_cosh_tilt(xi, z):
