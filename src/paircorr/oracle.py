@@ -58,6 +58,7 @@ from __future__ import annotations
 import math
 import os
 import queue
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -298,9 +299,16 @@ def _mc_sum(total: int, seed_seq: np.random.SeedSequence, kinds, block_fn):
     seed, and block_fn(work, out, *draws) writes each block's w into
     out, a slice of the chunk's weights, taking every other array from
     work. A worker takes one _Workspace for the whole call and reuses it
-    for every block of every chunk it runs, so no block allocates. The
-    chunk layout and seeds depend only on (total, seed_seq), and w is
-    summed once per chunk, so neither the block size nor the thread
+    for every block of every chunk it runs, so no block allocates.
+
+    Each chunk, holding its w whole, sums w and then the squared
+    deviations of w about its own mean; the chunks are combined in chunk
+    order by M2 = sum M2_c + sum n_c (mean_c - mean)^2, each sum by
+    math.fsum. No step subtracts two near-equal sums of squares, so the
+    SE stays a spread where the weights barely vary. It is never below
+    one machine epsilon of the mean: weights that do not vary at all
+    still carry their rounding. The chunk layout and seeds depend only
+    on (total, seed_seq), so neither the block size nor the thread
     count changes a bit.
     """
     n_chunks = (total + _CHUNK - 1) // _CHUNK
@@ -317,10 +325,11 @@ def _mc_sum(total: int, seed_seq: np.random.SeedSequence, kinds, block_fn):
         for block, draws in _streams(seed, count, kinds, work):
             block_fn(work, w[block], *draws)
         s1 = float(np.sum(w))
+        w -= s1 / count
         w *= w
-        s2 = float(np.sum(w))
+        m2 = float(np.sum(w))
         idle.put(work)
-        return s1, s2
+        return s1, m2
 
     seeds = seed_seq.spawn(n_chunks)
     threads = _thread_count()
@@ -329,11 +338,12 @@ def _mc_sum(total: int, seed_seq: np.random.SeedSequence, kinds, block_fn):
             sums = list(pool.map(chunk_sums, seeds, counts))
     else:
         sums = [chunk_sums(seed, count) for seed, count in zip(seeds, counts)]
-    s1 = math.fsum(pair[0] for pair in sums)
-    s2 = math.fsum(pair[1] for pair in sums)
-    mean = s1 / total
-    variance = max(s2 / total - mean * mean, 0.0)
-    return mean, math.sqrt(variance / total), total, n_chunks, threads
+    mean = math.fsum(s1 for s1, _ in sums) / total
+    within = math.fsum(m2 for _, m2 in sums)
+    between = math.fsum(n * (s1 / n - mean) ** 2 for n, (s1, _) in zip(counts, sums))
+    variance = (within + between) / total
+    se = max(math.sqrt(variance / total), sys.float_info.epsilon * abs(mean))
+    return mean, se, total, n_chunks, threads
 
 
 def _finish(

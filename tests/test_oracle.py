@@ -391,6 +391,36 @@ def test_mixture_is_thread_count_independent(monkeypatch):
     assert intensity_cor_oracle(0.9, PARAMS, spec) == one
 
 
+def test_se_is_the_spread_of_weights_that_barely_vary(monkeypatch):
+    # the paper's singlet (sigma = 0.22, p_tilde = 0.022), whose weights
+    # vary by ~1e-12 of their mean at these dp: the one-pass
+    # s2/N - mean^2 rounded to 0.0 at dp = 0.055 and to ~5x the spread at
+    # 0.11. The SE must be a two-pass spread of the weights drawn.
+    monkeypatch.setenv("PAIRCORR_THREADS", "1")
+    weights = []
+    mc_sum = paircorr.oracle._mc_sum
+
+    def gathered(total, seed_seq, kinds, block_fn):
+        def block(work, out, *draws):
+            block_fn(work, out, *draws)
+            weights.append(out.copy())
+
+        return mc_sum(total, seed_seq, kinds, block)
+
+    monkeypatch.setattr(paircorr.oracle, "_mc_sum", gathered)
+    singlet = ModelParams(0.22, 0.022)
+    for dp in (0.055, 0.11):
+        weights.clear()
+        res = intensity_cor_oracle(dp, singlet, QuadratureSpec(rng_seed=5, target_rel_tol=0.5))
+        w = np.concatenate(weights)
+        assert w.size == res.samples_used == 2_000_000
+        mean = math.fsum(w) / w.size
+        se = math.sqrt(math.fsum((w - mean) ** 2) / w.size / w.size)
+        assert abs(res.value - mean) <= 1e-14 * mean
+        assert 0.0 < res.est_error
+        assert abs(res.est_error - se) <= 1e-9 * se, (dp, res.est_error, se)
+
+
 def _near(res, pin):
     # the same samples_used, value within 1e-13 and est_error within 1e-12 of |value|
     assert res.samples_used == pin.samples_used
@@ -412,11 +442,15 @@ def _same_accidental(res, old, dp, params):
 def test_frozen_oracle_outputs():
     # (value, est_error, samples_used) pinned bit for bit: a restructured
     # sampler must keep the draws and the arithmetic of a pure channel
-    # and the accidental integral
+    # and the accidental integral. Every est_error moved by a few ulps
+    # when the SE became a sum of squared deviations about each chunk's
+    # mean; the pins of the one-pass s2/N - mean^2 stay as _near
+    # cross-checks, and no value moved.
     spec = _mc(1 << 18)
     point = ModelParams(0.6, (0.2, 0.1, -0.5), (0.1, 0, 0.2), triplet_fraction=1.0, n_pairs=1.8)
     single = intensity_cor_oracle(0.9, point, spec)
-    assert single == OracleResult(0.3746177523367646, 0.0006301616617569997, 262144)
+    assert single == OracleResult(0.3746177523367646, 0.0006301616617569996, 262144)
+    _near(single, OracleResult(0.3746177523367646, 0.0006301616617569997, 262144))
     # the pins from when p1 and the azimuth were sampled too, on the same
     # polar cosines, stay as cross-checks of the exact p1 and azimuth
     _near(single, OracleResult(0.37461775233676486, 0.000630161661757, 262144))
@@ -424,7 +458,8 @@ def test_frozen_oracle_outputs():
     # from when it drew the azimuth, on the same polar cosines, stay as
     # cross-checks of the value and of the unchanged variance
     accidental = intensity_uncor_oracle(1.2, PARAMS, spec)
-    assert accidental == OracleResult(1.4728886000427193, 0.0011448225065081468, 262144)
+    assert accidental == OracleResult(1.4728886000427193, 0.0011448225065081464, 262144)
+    _near(accidental, OracleResult(1.4728886000427193, 0.0011448225065081468, 262144))
     _same_accidental(
         accidental, OracleResult(1.47115023682443, 0.0011432407007761398, 262144), 1.2, PARAMS
     )
@@ -440,7 +475,8 @@ def test_frozen_oracle_outputs():
     # by mixture_density; the pins from when the oracle weighed them
     # itself, and from when each channel drew its own, stay as cross-checks
     mixed = intensity_cor_oracle(0.9, full, spec)
-    assert mixed == OracleResult(1.1315992032218358, 0.0009688461706777263, 262144)
+    assert mixed == OracleResult(1.1315992032218358, 0.0009688461706777262, 262144)
+    _near(mixed, OracleResult(1.1315992032218358, 0.0009688461706777263, 262144))
     _near(mixed, OracleResult(1.131599203221836, 0.0009688461706777258, 262144))
     _near(mixed, OracleResult(1.1315992032218363, 0.0009688461706777268, 262144))
     closed = coincidence_intensity(
@@ -450,7 +486,8 @@ def test_frozen_oracle_outputs():
     separate = OracleResult(1.1315991582933402, 0.0009515730609372622, 524288)
     assert abs(mixed.value - separate.value) <= 3.0 * (mixed.est_error + separate.est_error)
     accidental = intensity_uncor_oracle(0.9, full, spec)
-    assert accidental == OracleResult(1.6046135886591082, 0.0013117899287589277, 262144)
+    assert accidental == OracleResult(1.6046135886591082, 0.001311789928758929, 262144)
+    _near(accidental, OracleResult(1.6046135886591082, 0.0013117899287589277, 262144))
     _same_accidental(
         accidental, OracleResult(1.60234510201822, 0.0013118720030790413, 262144), 0.9, full
     )
@@ -458,13 +495,16 @@ def test_frozen_oracle_outputs():
     # the pins from when it followed the first on one generator bound
     # the move, and both runs must hold the norm of 1
     norms = (
-        (0.0, OracleResult(1.0000650943960032, 0.0003756644883851808, 262144),
+        (0.0, OracleResult(1.0000650943960032, 0.00037566448838518125, 262144),
+         OracleResult(1.0000650943960032, 0.0003756644883851808, 262144),
          OracleResult(1.0004253803940717, 0.00037574767872306804, 262144)),
-        (1.0, OracleResult(0.9997729769125979, 0.0013101667304337363, 262144),
+        (1.0, OracleResult(0.9997729769125979, 0.001310166730433736, 262144),
+         OracleResult(0.9997729769125979, 0.0013101667304337363, 262144),
          OracleResult(0.9985164441747301, 0.0013104568648924454, 262144)),
     )
-    for f, pin, old in norms:
+    for f, pin, one_pass, old in norms:
         assert phi_norm_oracle(_pure(full, f), spec) == pin
+        _near(pin, one_pass)
         assert abs(pin.value - 1.0) <= 3.0 * pin.est_error
         assert abs(pin.value - old.value) <= 3.0 * (pin.est_error + old.est_error)
 
