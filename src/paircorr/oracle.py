@@ -193,16 +193,17 @@ class _Workspace:
     weights holds a chunk's weights. take(name) hands out the row called
     name, a C-contiguous (m,) array of the current block length m, and
     take(name, rows) a (rows, m) one; each name keeps one buffer of
-    ``block`` samples per row, made on its first use, and the same views
-    until resize changes m. A caller owns a name only until the next
-    block, or until a callee that writes it runs; the row "tmp" is
-    scratch that no function holds across a call of another.
+    ``block`` samples per row, made on its first use. A caller owns a
+    name only until the next block, or until a callee that writes it
+    runs; the row "tmp" is scratch that no function holds across a call
+    of another. The views of the current length are kept until resize
+    changes it: a block takes ~50 rows, and slicing each anew cost as
+    much as a ufunc call on it, time held under the interpreter lock.
     """
 
     def __init__(self, block, chunk):
         self.weights = np.empty(chunk)
-        self.m = block
-        self._block = block
+        self.m = self._block = block
         self._buffers = {}
         self._views = {}
 

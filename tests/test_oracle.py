@@ -127,11 +127,10 @@ def test_results_report_chunks_and_threads(monkeypatch):
 def test_draws_stream_block_by_block(monkeypatch):
     # a chunk holds one block of draws at a time, not its whole draws:
     # at one thread a chunk-sized call peaks near one chunk of weights
-    # (2 MiB) plus a block's working set. Measured 5.3 MiB (coincidence,
-    # mixture, which draws only the polar variable), 9.3 MiB
-    # (accidental, which draws no azimuth; 9.5 MiB when it did) and
-    # 7.5 MiB (Monte-Carlo pair norm). The coincidence
-    # bound sits at the 8.0 MiB of a runner that also draws p1 and the
+    # (2 MiB) plus a block's working set, which its workspace keeps for
+    # the call. Measured 6.0 MiB (coincidence, mixture, which draws only
+    # the polar variable), 9.1 MiB (accidental, which draws no azimuth)
+    # and 7.5 MiB (Monte-Carlo pair norm). The coincidence bound sits at the 8.0 MiB of a runner that also draws p1 and the
     # azimuth; the accidental and norm ones add 25 %, below the 12 MiB
     # whole-chunk draws alone would take and the 13.0 MiB the norm took
     # with its first momentum drawn whole.
