@@ -43,9 +43,9 @@ of the call: the chunk's weights, the draw rows, which the generators
 fill in place, and every (m,) and (3, m) temporary of a block, the
 model's density temporaries included (mixture_density and
 mixture_marginal write into it when handed it). Every block of every
-chunk reuses those rows, so no block allocates; blocks that made and
-freed their own ~256 KiB temporaries made glibc return the memory to
-the kernel and fault it in again on the next block. A (3, m) quantity
+chunk reuses those rows, so no block allocates: ~256 KiB temporaries
+made and freed per block would be handed back to the kernel by glibc
+and faulted in again by the next block. A (3, m) quantity
 is a stack of contiguous component rows, finished one row at a time
 with in-place ufuncs; each element still takes the same floating-point
 operations in the same order as with fresh arrays. The stratified
