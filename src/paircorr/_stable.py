@@ -44,9 +44,14 @@ def _expm1(x):
 
 
 def _ratio(x, em, factor=None):
-    """x factor / em, or 1 where x = 0: inv_sinhc and x_over_expm1 on em = expm1(x)."""
+    """x factor / em, or 1 where x = 0: inv_sinhc and x_over_expm1 on em = expm1(x).
+
+    With a factor, the ratio is inv_sinhc's z / sinh(z) <= 1, and it is
+    held there: 2z e^{-z} / (1 - e^{-2z}) rounds to 1 + 2^-52 at some z
+    in [3.5e-16, 1.5e-8], where the exact value, 1 - z^2/6, rounds to 1.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = x / em if factor is None else x * factor / em
+        val = x / em if factor is None else np.minimum(x * factor / em, 1.0)
     if x.all():  # no 0 to fill in (one pass, against two for the fill)
         return val[()]
     return np.where(x == 0.0, 1.0, val)[()]

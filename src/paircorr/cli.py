@@ -121,7 +121,6 @@ def _cmd_fit(args) -> int:
         p_tilde=args.p_tilde,
         multistart_count=args.starts,
         max_iterations=args.max_iter,
-        rng_seed=args.seed,
     )
     try:
         result = fit(dataset, config)
@@ -249,7 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--starts", type=_positive_int, default=16, help="at most this many LM descents (default 16)"
     )
     fit_cmd.add_argument("--max-iter", type=_positive_int, default=200)
-    fit_cmd.add_argument("--seed", type=_nonneg_int, default=0)
     fit_cmd.add_argument("--out", required=True, help="output JSON path")
     fit_cmd.set_defaults(func=_cmd_fit)
 

@@ -168,13 +168,16 @@ def _split_magnitude(momentum_split):
     return np.linalg.norm(split) if split.shape == (3,) else split
 
 
+def _scalars(*params):
+    """params, refused where one is an array: the rule of the entry points that take one parameter point."""
+    if any(np.ndim(v) for v in params):
+        raise ValueError("parameters must be scalars here; correlation_R takes arrays of them")
+    return params
+
+
 def _check_scalar_physical(sigma, triplet_fraction, momentum_split, n_pairs):
     """_check_physical and n_pairs for the entry points that take one parameter point."""
-    checked = _check_physical(sigma, triplet_fraction, momentum_split)
-    checked += (_nonnegative("n_pairs", n_pairs),)
-    if any(np.ndim(v) for v in checked):
-        raise ValueError("parameters must be scalars here; correlation_R takes arrays of them")
-    return checked
+    return _scalars(*_check_physical(sigma, triplet_fraction, momentum_split), _nonnegative("n_pairs", n_pairs))
 
 
 def _check_delta_p(delta_p):
@@ -647,10 +650,12 @@ class CorrelationCurve:
 
 
 def correlation_curve(delta_p, sigma, triplet_fraction, momentum_split):
-    """Evaluate R on a grid and bundle the result with its (validated) parameters."""
-    params = (sigma, triplet_fraction, _split_magnitude(momentum_split))
-    if any(np.ndim(v) for v in params):
-        raise ValueError("parameters must be scalars here; correlation_R takes arrays of them")
+    """Evaluate R on a grid and bundle the result with its (validated) parameters.
+
+    correlation_R validates every value; this adds only the rule that
+    the parameters are scalars.
+    """
+    params = _scalars(sigma, triplet_fraction, _split_magnitude(momentum_split))
     r = np.atleast_1d(correlation_R(delta_p, sigma, triplet_fraction, momentum_split))
     dp = np.atleast_1d(np.asarray(delta_p, dtype=float))
     return CorrelationCurve(dp, r, *(float(v) for v in params))

@@ -4,12 +4,14 @@ The model curve R(dp; sigma, f, p_tilde) is fitted to digitized
 correlation data by weighted least squares. The optimizer is a small
 bounded Levenberg-Marquardt loop with forward-difference Jacobians,
 run from several starts because the objective is multimodal when
-sigma and f are both free. When p_tilde is tied or fixed, one model
-call on a (sigma, f) grid gives the chi^2 profile over sigma (the
-minimum over f at each sigma), and its local minima are the starts;
-that call puts f on an axis of its own, so the closed-form kernel runs
-once per sigma and f costs only the mix of its brackets. When p_tilde
-is free, the starts are a Latin hypercube. The starts run
+sigma and f are both free. R depends on (sigma, p_tilde) only through
+dp/sigma and q = p_tilde/sigma, so one model call on a grid of sigma,
+q and f covers the start space: it gives the chi^2 profile over
+(sigma, q), the minimum over f at each point, and the local minima of
+that profile along sigma are the starts. With p_tilde tied or fixed
+the q axis has one value. The call puts f on an axis of its own, so
+the closed-form kernel runs once per (sigma, q) and f costs only the
+mix of its brackets. The starts run
 in lockstep, one parameter-batched correlation_R call per round. From
 one Jacobian a descent tries trial points at growing damping until one
 lowers the objective; a round evaluates the first few of those trials
@@ -20,9 +22,9 @@ damped systems of a round go to one stacked solve. A parameter pinned
 on a bound whose step points out of the box is held fixed for that
 step, so a start parked on a bound still converges in the other
 parameters instead of crawling. Each start follows the same path it
-would alone, bit for bit, and everything is deterministic (for a fixed
-rng_seed when p_tilde is free). The winner's model curve comes from the
-round that accepted it, so a fit makes no call beyond its rounds.
+would alone, bit for bit, and everything is deterministic, with no
+seed. The winner's model curve comes from the round that accepted it,
+so a fit makes no call beyond its rounds.
 
 The quality-of-fit number reported alongside the estimates is
 
@@ -64,11 +66,18 @@ _PARAM_NAMES = ("sigma", "f", "p_tilde")
 # is sitting on the zero-correlation ridge and carries no information
 # about the free parameters.
 _SENSITIVITY_FLOOR = 1e-10
-# The (sigma, f) grid that seeds fits with p_tilde not free: enough
+# The (sigma, q = p_tilde / sigma, f) grid that seeds every fit: enough
 # points that every basin of the chi^2 profile holds a grid point, as
-# tests/test_fitting.py checks against Latin-hypercube starts.
+# tests/test_fitting.py checks against stratified random starts. q runs
+# from where R barely sees p_tilde to past the data's width. q = 0 is
+# left out: R is even in p_tilde, so a descent started there cannot
+# leave it. With p_tilde free, 2-d minima of the profile (4 or 8
+# neighbours) gave too few starts, some of which stalled at p_tilde = 0
+# above the random starts' optimum; the minima along sigma at each q
+# met that optimum to 1e-6 on 300 noisy datasets.
 _PROFILE_SIGMAS = 61
 _PROFILE_FRACTIONS = 11
+_PROFILE_RATIOS = np.geomspace(0.02, 4.0, 24)
 # Rungs of a damping chain evaluated per round, after an accepted step
 # and after a round without descent. A rung adds n + 1 rows to the
 # round's call, cheap beside the call itself; on fit-batch-style fits
@@ -97,19 +106,16 @@ class FitConfig:
     sigma_bounds, f_bounds, p_tilde_bounds : (float, float)
         Box constraints applied to both starts and steps.
     multistart_count : int
-        At most this many LM descents: the lowest local minima of the
-        chi^2 profile, or with p_tilde free this many Latin-hypercube
-        starts. Either way sigma starts are sought over [0.05, 2] a.u.
-        clipped to its bounds, or over the bounds where the two do not
-        meet (log-uniform or log-spaced); Latin-hypercube p_tilde starts
-        likewise over [0, 2] a.u. (uniform).
+        At most this many LM descents, from the lowest local minima of
+        the chi^2 profile on a fixed grid. sigma starts are sought over
+        [0.05, 2] a.u. clipped to its bounds, or over the bounds where
+        the two do not meet (log-spaced); with p_tilde free, p_tilde
+        starts at fixed multiples 0.02 to 4 of sigma, clipped to its
+        bounds.
     max_iterations : int
         Levenberg-Marquardt iterations per start. A start also converges
         once its proposed step falls below a fixed relative tolerance,
         1e-10 * (1 + |theta|).
-    rng_seed : int
-        Seed of the Latin hypercube used when p_tilde is free; a fixed
-        seed reproduces the fit. The profile starts use no randomness.
     """
 
     free: tuple = ("sigma", "f")
@@ -121,7 +127,6 @@ class FitConfig:
     p_tilde_bounds: tuple = (0.0, 10.0)
     multistart_count: int = 16
     max_iterations: int = 200
-    rng_seed: int = 0
 
     def __post_init__(self):
         free = tuple(self.free)
@@ -147,7 +152,6 @@ class FitConfig:
             f=_fraction("fixed f", self.f),
             multistart_count=_whole("multistart_count", self.multistart_count, 1),
             max_iterations=_whole("max_iterations", self.max_iterations, 1),
-            rng_seed=_whole("rng_seed", self.rng_seed, 0),
         )
         if self.p_tilde is not None:
             _set_scalars(self, p_tilde=_nonnegative("fixed p_tilde", self.p_tilde))
@@ -217,63 +221,56 @@ def _sigma_range(config: FitConfig):
     return max(lo, 0.05), min(hi, 2.0)
 
 
-def _latin_starts(config: FitConfig, rng: np.random.Generator):
-    """Latin-hypercube start matrix, one row per start."""
-    m = config.multistart_count
-    columns = []
-    for name in config.free:
-        strata = (rng.permutation(m) + rng.random(m)) / m
-        if name == "sigma":
-            lo, hi = _sigma_range(config)
-            columns.append(np.exp(np.log(lo) + strata * (np.log(hi) - np.log(lo))))
-        elif name == "f":
-            lo, hi = config.f_bounds
-            columns.append(lo + strata * (hi - lo))
-        else:
-            # [0, 2] clipped to the bounds, or the bounds where the two do not meet
-            lo, hi = config.p_tilde_bounds
-            if lo < 2.0:
-                hi = min(hi, 2.0)
-            columns.append(lo + strata * (hi - lo))
-    return np.stack(columns, axis=1)
-
-
 def _profile_starts(model, dp, lo, hi, config: FitConfig):
-    """Starts at the local minima of the chi^2 profile over sigma, lowest first.
+    """Starts at the local minima of the chi^2 profile along sigma, lowest first.
 
-    For fits with p_tilde not free. One ``model`` call covers the
-    (sigma, f) grid, clipped to the box: _PROFILE_SIGMAS log-spaced
-    sigmas over _sigma_range and _PROFILE_FRACTIONS values of f over
-    f_bounds, with a fixed parameter's axis its one value. The call
-    takes dp as an (m_sigma, 1, N) broadcast, sigma and p_tilde as
-    (m_sigma, 1, 1) columns and f as a (1, m_f, 1) axis, so the kernel
-    runs once per sigma and f enters only its final mix. The profile is
-    the minimum over f at each sigma, and each of its local minima
-    becomes a start, at most multistart_count of them.
+    One ``model`` call covers the grid, clipped to the box:
+    _PROFILE_SIGMAS log-spaced sigmas over _sigma_range, the ratios
+    q = p_tilde / sigma of _PROFILE_RATIOS, with p_tilde = q sigma
+    clipped to p_tilde_bounds, and _PROFILE_FRACTIONS values of f over
+    f_bounds. A fixed parameter's axis is its one value, and so is the
+    q axis when p_tilde is not free. The call takes dp as an
+    (m_sigma m_q, 1, N) broadcast, sigma and p_tilde as (m_sigma m_q,
+    1, 1) columns and f as a (1, m_f, 1) axis, so the kernel runs once
+    per (sigma, q) and f enters only its final mix. The profile is the
+    minimum over f at each (sigma, q), and each of its local minima
+    along sigma at one q becomes a start: at most multistart_count
+    distinct ones, lowest first.
     """
     axes = {
         "sigma": np.geomspace(*_sigma_range(config), _PROFILE_SIGMAS),
         "f": np.linspace(*config.f_bounds, _PROFILE_FRACTIONS),
     }
     for j, name in enumerate(config.free):
-        axes[name] = np.clip(axes[name], lo[j], hi[j])
+        if name in axes:
+            axes[name] = np.clip(axes[name], lo[j], hi[j])
     sigma = axes["sigma"] if "sigma" in config.free else np.array([config.sigma])
     f = axes["f"] if "f" in config.free else np.array([config.f])
-    sigma, f = sigma[:, None, None], f[None, :, None]
-    p_tilde = 0.1 * sigma if config.p_tilde is None else config.p_tilde
+    # p_tilde at each (sigma, q)
+    if "p_tilde" in config.free:
+        p_tilde = np.clip(np.outer(sigma, _PROFILE_RATIOS), *config.p_tilde_bounds)
+    elif config.p_tilde is None:
+        p_tilde = 0.1 * sigma[:, None]
+    else:
+        p_tilde = np.full((len(sigma), 1), config.p_tilde)
+    ratios = p_tilde.shape[1]
+    sigma, f, p_tilde = np.repeat(sigma, ratios)[:, None, None], f[None, :, None], p_tilde.reshape(-1, 1, 1)
     # only the residuals: the grid's model curves are not kept
-    r = model(np.broadcast_to(dp, (sigma.shape[0], 1, dp.size)), sigma, f, p_tilde)[0]
+    r = model(np.broadcast_to(dp, (len(sigma), 1, dp.size)), sigma, f, p_tilde)[0]
     r *= r
     cost = r.sum(axis=-1)
     best = cost.argmin(axis=1)
-    profile = cost[np.arange(len(cost)), best]
+    profile = cost[np.arange(len(cost)), best].reshape(-1, ratios)
     # the last point of a flat stretch counts, so a flat profile has a minimum
-    left = np.concatenate([[np.inf], profile[:-1]])
-    right = np.concatenate([profile[1:], [np.inf]])
+    edge = np.full((1, ratios), np.inf)
+    left = np.concatenate([edge, profile[:-1]])
+    right = np.concatenate([profile[1:], edge])
     minima = np.flatnonzero((profile <= left) & (profile < right))
-    minima = minima[np.argsort(profile[minima], kind="stable")][: config.multistart_count]
-    chosen = {"sigma": sigma[minima, 0, 0], "f": f[0, best[minima], 0]}
-    return np.stack([chosen[name] for name in config.free], axis=-1)
+    minima = minima[np.argsort(profile.ravel()[minima], kind="stable")]
+    chosen = {"sigma": sigma[minima, 0, 0], "f": f[0, best[minima], 0], "p_tilde": p_tilde[minima, 0, 0]}
+    # a p_tilde clipped to its bounds can repeat a start: the first runs
+    starts = list(dict.fromkeys(zip(*(chosen[name].tolist() for name in config.free))))
+    return np.array(starts[: config.multistart_count]).reshape(-1, len(config.free))
 
 
 def _clip(x, lo, hi):
@@ -463,9 +460,9 @@ def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     """Weighted least-squares fit of the correlation model to a dataset.
 
     Runs at most ``config.multistart_count`` Levenberg-Marquardt
-    descents, from the local minima of the chi^2 profile on a grid when
-    p_tilde is not free and from a Latin hypercube when it is, and
-    returns the best final objective (ties broken by start index).
+    descents, from the local minima of the chi^2 profile on a fixed
+    grid, and returns the best final objective (ties broken by start
+    index). The same data and config give the same result.
 
     Raises
     ------
@@ -504,10 +501,7 @@ def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
         return model(np.broadcast_to(dp, (thetas.shape[0], dp.size)), *_resolve(thetas, config))
 
     lo, hi = _bounds_arrays(config)
-    if "p_tilde" in config.free:
-        starts = _latin_starts(config, np.random.default_rng(config.rng_seed))
-    else:
-        starts = _profile_starts(model, dp, lo, hi, config)
+    starts = _profile_starts(model, dp, lo, hi, config)
     thetas, costs, converged, iterations, curves, traces = _lm_lockstep(
         evaluate, starts, lo, hi, config
     )

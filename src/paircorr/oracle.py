@@ -74,7 +74,6 @@ from .model import (
     _channel_weights,
     _mixed,
     _nonnegative,
-    _out,
     _positive,
     _require_nondegenerate,
     _set_scalars,
@@ -223,14 +222,7 @@ class _Workspace:
         return view
 
 
-def _scratch(work, name, m, rows=0):
-    """work's row called name ((rows, m) for rows > 0), or without a workspace a fresh one."""
-    if work is None:
-        return np.empty((rows, m) if rows else m)
-    return work.take(name, rows)
-
-
-def _streams(seed, count, kinds, work=None):
+def _streams(seed, count, kinds, work):
     """One chunk's draws, made and handed out block by block.
 
     Yields (block slice, draws): the block's samples of each stream in
@@ -238,10 +230,9 @@ def _streams(seed, count, kinds, work=None):
     is count doubles; "strata" is one stratified uniform per stratum of
     [0, 1), non-decreasing in the sample index; "normal" is (count, 3)
     standard normals. Every stream is drawn block by block, and the
-    block size changes no value. Given a workspace, the draws of every
-    block are filled into the same rows of it (Generator out=), so they
-    are valid only until the next block; without one, each block's
-    draws are fresh arrays.
+    block size changes no value. The draws of every block are filled
+    into the same rows of the workspace ``work`` (Generator out=), so
+    they are valid only until the next block.
 
     All streams run on PCG64(seed). A uniform double takes exactly one
     64-bit output, so uniform stream k starts at output k * count, on a
@@ -264,26 +255,23 @@ def _streams(seed, count, kinds, work=None):
         for k in range(len(kinds))
     ]
     block = min(_BLOCK, count)
-    if work is not None:
-        work.resize(block)
+    work.resize(block)
     if "strata" in kinds:
         # the strata offsets lo + i of the current block, whole numbers
         # formed exactly: 0, 1, ... by a cumulative sum, then a block on
-        index = _scratch(work, "index", block)
+        index = work.take("index")
         index.fill(1.0)
         index[0] = 0.0
         np.cumsum(index, out=index)
     for lo in range(0, count, block):
         m = min(block, count - lo)
-        if work is not None:
-            work.resize(m)
+        work.resize(m)
         draws = []
         for k, (kind, source) in enumerate(zip(kinds, sources)):
             if kind == "normal":
-                out = None if work is None else work.take(f"draw{k}", 3).reshape(m, 3)
-                x = source.standard_normal((m, 3), out=out)
+                x = source.standard_normal((m, 3), out=work.take(f"draw{k}", 3).reshape(m, 3))
             else:
-                x = source.random(m, out=_out(work, f"draw{k}"))
+                x = source.random(m, out=work.take(f"draw{k}"))
                 if kind == "strata":
                     x += index[:m]
                     x /= count
@@ -405,8 +393,8 @@ def _sample_cosh_tilt(xi, z, out):
     np.clip(u, -1.0, 1.0, out=u)
 
 
-def _cosh_tilt_pdf(u, z, out=None, tmp=None):
-    """Density z*cosh(z*u)/(2 sinh z) on [-1, 1], stable at any z >= 0, in out (fresh if None)."""
+def _cosh_tilt_pdf(u, z, out, tmp):
+    """Density z*cosh(z*u)/(2 sinh z) on [-1, 1], stable at any z >= 0, in out (tmp is scratch)."""
     if z < _TINY_Z:
         return 0.5
     val = np.subtract(u, 1.0, out=out)
@@ -429,32 +417,31 @@ _COR_TILTS = ((0.5, 1.0, 1.0),)
 _UNC_TILTS = ((0.5, 0.75, 0.5), (0.75, 1.0, 1.0))
 
 
-def _tilt_sample(v, z, tilts, work=None):
+def _tilt_sample(v, z, tilts, work):
     """Polar cosines of the proposal at non-decreasing v, as a "strata" stream gives it.
 
     Sorted v makes each branch a slice, cut by searchsorted at 1/2 and
     at each tilt's hi; every branch runs on its own samples only. The
     last tilt runs to the end, so it also takes a v that rounded to 1.
-    The cosines land in work's row "u", or in a fresh array without a
-    workspace.
+    The cosines land in work's row "u", whose length must be len(v).
     """
     edges = np.searchsorted(v, [0.5] + [hi for _, hi, _ in tilts[:-1]]).tolist() + [len(v)]
-    u = _scratch(work, "u", len(v))
+    u = work.take("u")
     low = u[: edges[0]]
     np.multiply(4.0, v[: edges[0]], out=low)
     low -= 1.0
     np.clip(low, -1.0, 1.0, out=low)
-    xi_row = _out(work, "tmp")
+    xi_row = work.take("tmp")
     for (lo, hi, factor), start, stop in zip(tilts, edges, edges[1:]):
         branch = slice(start, stop)
-        xi = np.subtract(v[branch], lo, out=None if xi_row is None else xi_row[branch])
+        xi = np.subtract(v[branch], lo, out=xi_row[branch])
         xi /= hi - lo
         np.clip(xi, 0.0, 1.0, out=xi)
         _sample_cosh_tilt(xi, factor * z, u[branch])
     return u
 
 
-def _tilt_pdf(u, z, tilts, work=None):
+def _tilt_pdf(u, z, tilts, work):
     """Density of the proposal at u; each tilt has weight hi - lo.
 
     The parts alternate between work's rows "tilt0" and "tilt1", so the
@@ -462,7 +449,7 @@ def _tilt_pdf(u, z, tilts, work=None):
     """
     total = 0.25
     for i, (lo, hi, factor) in enumerate(tilts):
-        part = _cosh_tilt_pdf(u, factor * z, _out(work, f"tilt{i % 2}"), _out(work, "tmp"))
+        part = _cosh_tilt_pdf(u, factor * z, work.take(f"tilt{i % 2}"), work.take("tmp"))
         part *= hi - lo
         part += total
         total = part
@@ -481,21 +468,20 @@ def _frame(axis):
     return e1, e3
 
 
-def _direction(length, u, frame, work=None):
+def _direction(length, u, frame, work):
     """length times unit vectors, as (3, m) rows, at polar cosine u around e3 and azimuth 0.
 
     frame is (e1, e3); the vectors lie in the e1-e3 plane, on the e1
-    side. They land in work's rows "q", or in a fresh array without a
-    workspace.
+    side. They land in work's rows "q".
     """
-    sin_theta = np.multiply(u, u, out=_out(work, "sin"))
+    sin_theta = np.multiply(u, u, out=work.take("sin"))
     np.subtract(1.0, sin_theta, out=sin_theta)
     np.clip(sin_theta, 0.0, None, out=sin_theta)
     np.sqrt(sin_theta, out=sin_theta)
     e1, e3 = frame
-    out = _scratch(work, "q", len(u), 3)
+    out = work.take("q", 3)
     out.fill(0.0)
-    tmp = _scratch(work, "tmp", len(u))
+    tmp = work.take("tmp")
     for k, row in enumerate(out):
         # a zero frame component adds only a signed zero: its product is skipped
         for x, e in ((sin_theta, e1), (u, e3)):
@@ -575,8 +561,8 @@ def _p1_proposal(params: ModelParams):
     Gaussians at the three possible term centers, offsets -s/2, 0 and
     +s/2 from base with weights 1/4, 1/2 and 1/4, each inflated to
     variance 0.75 sigma^2 (standard deviation spread) so every product
-    term's sigma^2/2 profile is dominated. pdf(rel) is the proposal
-    density at component-first rel = p1 - base. The offsets lie along
+    term's sigma^2/2 profile is dominated. pdf(rel, work) is the
+    proposal density at component-first rel = p1 - base. The offsets lie along
     s, so the proposal is symmetric under rotations about s.
     """
     p_split = np.asarray(params.p_split)
@@ -584,7 +570,7 @@ def _p1_proposal(params: ModelParams):
     var = 0.75 * params.sigma * params.sigma
     pdf_norm = (2.0 * math.pi * var) ** -1.5
 
-    def pdf(rel, work=None):
+    def pdf(rel, work):
         # the parts alternate between work's rows "prop0" and "prop1"
         total = 0.0
         for i, (offset, weight) in enumerate(zip(offsets, (0.25, 0.5, 0.25))):

@@ -228,7 +228,8 @@ def test_usage_errors(tmp_path):
         ["fit", "--data", "d.csv", "--out", "o.json", "--free", "sigma,q"],
         ["fit", "--data", "d.csv", "--out", "o.json", "--free", "sigma,sigma"],
         ["oracle-check", "--sigma", "0.5", "--samples", "0", "--out", "r.csv"],
-        ["fit", "--data", "d.csv", "--out", "o.json", "--seed", "-1"],
+        # fit takes no seed: every fit is deterministic without one
+        ["fit", "--data", "d.csv", "--out", "o.json", "--seed", "0"],
         ["synth", "--sigma", "0.5", "--out", "x.csv", "--seed", "-1"],
         ["oracle-check", "--sigma", "0.5", "--seed", "-1", "--out", "r.csv"],
         ["oracle-check", "--sigma", "0.5", "--tol", "0", "--out", "r.csv"],
@@ -242,7 +243,9 @@ def test_config_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
-    assert "error: argument" in capsys.readouterr().err
+    unknown = argv[0] == "fit" and "--seed" in argv
+    want = "error: unrecognized arguments: --seed 0" if unknown else "error: argument"
+    assert want in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -23,6 +23,7 @@ from paircorr.oracle import (
     _COR_TILTS,
     _TINY_Z,
     _UNC_TILTS,
+    _Workspace,
     _direction,
     _frame,
     _p1_proposal,
@@ -305,8 +306,10 @@ def test_strata_are_sorted_so_branches_are_slices():
     # v = 0.5 falls at sample 82,496 and v = 0.75 at 123,744, both
     # inside a block, so the slices cut blocks where the masks did
     count = 2_000_000 - 7 * _CHUNK
-    blocks = _streams(np.random.SeedSequence(3), count, ("strata",))
-    v = np.concatenate([block_v for _, (block_v,) in blocks])
+    work = _Workspace(_BLOCK, 0)
+    # each block's draws land in the same row: copied before the next
+    blocks = _streams(np.random.SeedSequence(3), count, ("strata",), work)
+    v = np.concatenate([block_v.copy() for _, (block_v,) in blocks])
     assert np.all(np.diff(v) >= 0.0)
     assert v[0] >= 0.0 and v[-1] < 1.0
     cuts = np.searchsorted(v, [0.5, 0.75])
@@ -315,10 +318,11 @@ def test_strata_are_sorted_so_branches_are_slices():
         for tilts in (_COR_TILTS, _UNC_TILTS):
             for lo in range(0, count, _BLOCK):
                 b = slice(lo, lo + _BLOCK)
-                u = _tilt_sample(v[b], z, tilts)
+                work.resize(len(v[b]))
+                u = _tilt_sample(v[b], z, tilts, work)
                 want = _masked_tilt_sample(v[b], z, tilts)
                 assert u.tobytes() == want.tobytes(), (z, tilts, lo)
-                pdf = np.broadcast_to(_tilt_pdf(u, z, tilts), u.shape)
+                pdf = np.broadcast_to(_tilt_pdf(u, z, tilts, work), u.shape)
                 assert pdf.tobytes() == _masked_tilt_pdf(u, z, tilts).tobytes(), (z, tilts, lo)
 
 
@@ -330,9 +334,9 @@ def test_tilt_sample_takes_v_of_one():
     v = np.array([0.1, 0.6, 1.0])
     for z, end in ((0.3, -1.0), (0.5 * _TINY_Z, 1.0)):
         for tilts in (_COR_TILTS, _UNC_TILTS):
-            u = _tilt_sample(v, z, tilts)
+            u = _tilt_sample(v, z, tilts, _Workspace(3, 0))
             assert u[2] == end, (z, tilts)
-            head = _tilt_sample(v[:2], z, tilts)
+            head = _tilt_sample(v[:2], z, tilts, _Workspace(2, 0))
             assert u[:2].tobytes() == head.tobytes()
 
 
@@ -555,13 +559,13 @@ def test_accidental_weight_is_azimuth_invariant():
         params = ModelParams(sigma, p_split, p_total, triplet_fraction=f, n_pairs=1.5)
         offsets, spread, pdf = _p1_proposal(params)
         for u in (-0.9, -0.4, 0.25, 0.7, 0.99):
-            q0 = _direction(dp, np.array([u]), frame)[:, 0]
+            q0 = _direction(dp, np.array([u]), frame, _Workspace(1, 0))[:, 0]
             for comp, offset in enumerate(offsets):
                 # a draw of each proposal component: p1 = (P - q)/2 + rel
                 q, rel = rotate(q0), rotate(offset + spread * rng.standard_normal(3))
                 p1 = (p_total - q) / 2.0 + rel
                 weight = mixture_marginal(p1, params) * mixture_marginal(p1 + q, params)
-                weight /= pdf(rel.T)
+                weight /= pdf(rel.T, _Workspace(len(phi), 0))
                 assert weight[0] > 0.0
                 np.testing.assert_allclose(
                     weight[1:], weight[0], rtol=1e-13, atol=0.0, err_msg=f"f={f}, u={u}, {comp}"

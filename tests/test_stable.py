@@ -134,6 +134,16 @@ def test_inv_sinhc_properties(z):
     assert float(inv_sinhc(-z)) == v
 
 
+def test_inv_sinhc_stays_in_range_on_a_scan():
+    # z/sinh(z) is in (0, 1]; 2z e^{-z} / (1 - e^{-2z}) rounded to
+    # 1 + 2^-52 on 2,856 of these points, all in [3.5e-16, 1.5e-8],
+    # before inv_sinhc was held at 1
+    z = np.geomspace(1e-300, 700.0, 2_000_000)
+    v = inv_sinhc(z)
+    assert np.all((0.0 < v) & (v <= 1.0))
+    assert float(inv_sinhc(1.0466851349270204e-10)) == 1.0
+
+
 @given(st.floats(min_value=-700.0, max_value=700.0, allow_nan=False))
 @settings(max_examples=50, deadline=None)
 def test_x_over_expm1_reflection(x):
@@ -146,7 +156,7 @@ def test_x_over_expm1_reflection(x):
 def _unshortcut_inv_sinhc(z):
     z = np.abs(np.asarray(z, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = -2.0 * z * np.exp(-z) / np.expm1(-2.0 * z)
+        val = np.minimum(-2.0 * z * np.exp(-z) / np.expm1(-2.0 * z), 1.0)
     return np.where(z == 0.0, 1.0, val)[()]
 
 
