@@ -74,7 +74,7 @@ _SENSITIVITY_FLOOR = 1e-10
 # leave it. With p_tilde free, 2-d minima of the profile (4 or 8
 # neighbours) gave too few starts, some of which stalled at p_tilde = 0
 # above the random starts' optimum; the minima along sigma at each q
-# met that optimum to 1e-6 on 300 noisy datasets.
+# met that optimum to 1e-9 on 400 noisy datasets.
 _PROFILE_SIGMAS = 61
 _PROFILE_FRACTIONS = 11
 _PROFILE_RATIOS = np.geomspace(0.02, 4.0, 24)
