@@ -20,14 +20,17 @@ sigma^2/2, so the p1 integral is exact: the density at that centre
 over the Gaussian's peak value. What is left depends on n only through
 its polar cosine u about the splitting s, so the azimuth is exact too
 (a factor 2 pi), and the coincidence oracle samples u alone. The
-accidental integrand has several p1 centres; it draws p1 from a
-three-centre Gaussian mixture whose centres lie along s, so its weight
-has the same distribution at every azimuth, and it too takes the
-azimuth at 0 (a factor 2 pi). The polar cosine u is drawn from a
-mixture of a uniform density and cosh-tilted densities matched to the
-exp(z u) factors of the integrand, with stratified inversion per chunk,
-so the realized error falls much faster than the reported
-(conservative) 1/sqrt(N) standard error.
+accidental integrand's terms have several p1 centres, but all of them
+lie on the line through (P - dp*n)/2 along s, so the two components of
+p1 across s are exact as well (a factor pi sigma^2): that oracle draws
+only t, the component along s, from a three-centre normal mixture,
+and it too takes the azimuth at 0 (a factor 2 pi). This is conditional
+Monte Carlo, which cuts both the work per sample and the variance.
+The polar cosine u is drawn from a mixture of a uniform density and
+cosh-tilted densities matched to the exp(z u) factors of the
+integrand, with stratified inversion per chunk, so the realized error
+falls much faster than the reported (conservative) 1/sqrt(N) standard
+error.
 
 Sampling is chunked and streamed. A chunk draws from its own seed
 (spawned from the spec's rng_seed), block by block: PCG64's jump-ahead
@@ -229,10 +232,11 @@ def _streams(seed, count, kinds, work):
     ``kinds``, a tuple naming them, the uniform kinds first. "uniform"
     is count doubles; "strata" is one stratified uniform per stratum of
     [0, 1), non-decreasing in the sample index; "normal" is (count, 3)
-    standard normals. Every stream is drawn block by block, and the
-    block size changes no value. The draws of every block are filled
-    into the same rows of the workspace ``work`` (Generator out=), so
-    they are valid only until the next block.
+    standard normals and "normal1" count standard normals. Every stream
+    is drawn block by block, and the block size changes no value. The
+    draws of every block are filled into the same rows of the workspace
+    ``work`` (Generator out=), so they are valid only until the next
+    block.
 
     All streams run on PCG64(seed). A uniform double takes exactly one
     64-bit output, so uniform stream k starts at output k * count, on a
@@ -247,7 +251,7 @@ def _streams(seed, count, kinds, work):
         rng.bit_generator.advance(start)
         return rng
 
-    uniforms = sum(kind != "normal" for kind in kinds)
+    uniforms = sum(not kind.startswith("normal") for kind in kinds)
     sources = [
         generator(k * count)
         if k <= uniforms
@@ -270,6 +274,8 @@ def _streams(seed, count, kinds, work):
         for k, (kind, source) in enumerate(zip(kinds, sources)):
             if kind == "normal":
                 x = source.standard_normal((m, 3), out=work.take(f"draw{k}", 3).reshape(m, 3))
+            elif kind == "normal1":
+                x = source.standard_normal(m, out=work.take(f"draw{k}"))
             else:
                 x = source.random(m, out=work.take(f"draw{k}"))
                 if kind == "strata":
@@ -555,48 +561,33 @@ def intensity_cor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> 
 # accidental (event-mixed) intensity
 
 
-def _p1_proposal(params: ModelParams):
-    """The accidental oracle's proposal for p1 around base = (P - q)/2: (offsets, spread, pdf).
-
-    Gaussians at the three possible term centers, offsets -s/2, 0 and
-    +s/2 from base with weights 1/4, 1/2 and 1/4, each inflated to
-    variance 0.75 sigma^2 (standard deviation spread) so every product
-    term's sigma^2/2 profile is dominated. pdf(rel, work) is the
-    proposal density at component-first rel = p1 - base. The offsets lie along
-    s, so the proposal is symmetric under rotations about s.
-    """
-    p_split = np.asarray(params.p_split)
-    offsets = np.stack([-0.5 * p_split, np.zeros(3), 0.5 * p_split])
-    var = 0.75 * params.sigma * params.sigma
-    pdf_norm = (2.0 * math.pi * var) ** -1.5
-
-    def pdf(rel, work):
-        # the parts alternate between work's rows "prop0" and "prop1"
-        total = 0.0
-        for i, (offset, weight) in enumerate(zip(offsets, (0.25, 0.5, 0.25))):
-            part = _sq_dist(rel, offset, work, f"prop{i % 2}")
-            np.negative(part, out=part)
-            part /= 2.0 * var
-            np.exp(part, out=part)
-            part *= weight * pdf_norm
-            part += total
-            total = part
-        return total
-
-    return offsets, math.sqrt(var), pdf
+def _on_line(q, t, p_total, axis, work):
+    """p1 = (P - q)/2 + t * axis, as (3, m) rows in work's row "p1", from (3, m) rows q."""
+    p1, tmp = work.take("p1", 3), work.take("tmp")
+    for k in range(3):
+        row = np.subtract(p_total[k], q[k], out=p1[k])
+        row /= 2.0
+        # a zero axis component adds only a signed zero: its product is skipped
+        if axis[k] != 0.0:
+            row += np.multiply(t, axis[k], out=tmp)
+    return p1
 
 
 def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     """Accidental intensity (dp)^2 int d^3p1 dOmega rho(p1) rho(p1+dp*n) / n_pairs.
 
     rho is the closed-form single-particle marginal (itself validated
-    by rho_single). p1 is drawn from _p1_proposal and the polar cosine
-    u from the "strata" stream; the azimuth is exact. The marginals'
-    centers and the proposal's lie on the line through P/2 along s, so
-    rotating q and p1 - P/2 together about s leaves each weight
-    unchanged: its distribution, and so the mean and the SE, are the
-    same at every azimuth. q is taken in the e1-e3 plane of the frame
-    along s, and the azimuth contributes a factor 2 pi.
+    by rho_single), a sum of Gaussians of covariance sigma^2 centred on
+    the line through P/2 along s. Each term of rho(p1) rho(p1 + q) is
+    then a Gaussian in p1 of covariance sigma^2/2 whose centre lies on
+    the line through (P - q)/2 along s, so the two components of p1
+    across s integrate exactly, to pi sigma^2 times the integrand on
+    that line: p1 = (P - q)/2 + t s^. Only t and the polar cosine u are
+    sampled: t from normals at -|s|/2, 0 and +|s|/2 of weights 1/4, 1/2
+    and 1/4 and variance 0.75 sigma^2, drawn by the "uniform" and
+    "normal1" streams, u from the "strata" stream. What is left depends
+    on q only through |q| and q.s, so the azimuth contributes a factor
+    2 pi, and q is taken in the e1-e3 plane of the frame along s.
     """
     started = time.perf_counter()
     delta_p = _intensity_delta_p(delta_p, spec)
@@ -604,10 +595,17 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
         return _finish(spec, "intensity_uncor_oracle", started, 0.0, 0.0, 0)
     sigma = params.sigma
     p_total = np.asarray(params.p_total)
-    z = params.split_magnitude * delta_p / (2.0 * sigma * sigma)
+    split = params.split_magnitude
+    z = split * delta_p / (2.0 * sigma * sigma)
     frame = _frame(params.p_split)
-    offsets, spread, pdf = _p1_proposal(params)
-    n_pairs = params.n_pairs
+    axis = frame[1]
+    # the proposal for t: its centres, weights, spread and peak density
+    offsets = np.array([-0.5 * split, 0.0, 0.5 * split])
+    var = 0.75 * sigma * sigma
+    spread = math.sqrt(var)
+    pdf_norm = (2.0 * math.pi * var) ** -0.5
+    # n_pairs, the exact p1 integral across s and the azimuth's 2 pi
+    scale = params.n_pairs * math.pi * sigma * sigma * delta_p * delta_p * 2.0 * math.pi
 
     def block(work, out, v, pick, xi):
         u = _tilt_sample(v, z, _UNC_TILTS, work)
@@ -615,27 +613,29 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
         # the proposal's component, by its weights 1/4, 1/2, 1/4
         comp = np.greater_equal(pick, 0.25, out=work.take("comp", dtype=np.intp))
         comp += np.greater_equal(pick, 0.75, out=work.take("above", dtype=bool))
-        # p1 = base + offsets[comp] + spread x with base = (P - q)/2,
-        # and rel = p1 - base, one component row at a time
-        p1, rel, base = work.take("p1", 3), work.take("rel", 3), work.take("tmp")
-        for k in range(3):
-            np.subtract(p_total[k], q[k], out=base)
-            base /= 2.0
-            row = np.add(base, np.take(offsets[:, k], comp, out=rel[k], mode="clip"), out=p1[k])
-            row += np.multiply(xi[:, k], spread, out=rel[k])
-            np.subtract(row, base, out=rel[k])
-        pdf1 = pdf(rel, work)
+        t = np.take(offsets, comp, out=work.take("t"), mode="clip")
+        t += np.multiply(xi, spread, out=work.take("tmp"))
+        # the proposal density of t; the parts alternate between rows "prop0" and "prop1"
+        den = 0.0
+        for i, (offset, weight) in enumerate(zip(offsets, (0.25, 0.5, 0.25))):
+            part = np.subtract(t, offset, out=work.take(f"prop{i % 2}"))
+            part *= part
+            part /= -2.0 * var
+            np.exp(part, out=part)
+            part *= weight * pdf_norm
+            part += den
+            den = part
+        p1 = _on_line(q, t, p_total, axis, work)
         # the marginal takes (m, 3) momenta: transposed views of the
         # component rows; its result is a workspace row that the next
         # call reuses, so the first is copied into out by the product
-        rho = np.multiply(mixture_marginal(p1.T, params, work), n_pairs, out=out)
+        rho = np.multiply(mixture_marginal(p1.T, params, work), scale, out=out)
         q += p1
         rho *= mixture_marginal(q.T, params, work)
-        pdf1 *= _tilt_pdf(u, z, _UNC_TILTS, work)
-        rho *= delta_p * delta_p * 2.0 * math.pi
-        rho /= pdf1
+        den *= _tilt_pdf(u, z, _UNC_TILTS, work)
+        rho /= den
 
-    kinds = ("strata", "uniform", "normal")
+    kinds = ("strata", "uniform", "normal1")
     run = _mc_sum(spec.sample_count, np.random.SeedSequence(spec.rng_seed), kinds, block)
     return _finish(spec, "intensity_uncor_oracle", started, *run)
 

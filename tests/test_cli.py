@@ -124,7 +124,8 @@ def test_fit_nonconvergence_still_writes(tmp_path):
     assert payload["converged"] is False
 
 
-def test_oracle_check_passes(tmp_path, capsys):
+def test_oracle_check_passes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PAIRCORR_THREADS", "1")
     out = tmp_path / "report.csv"
     rc = main(
         ["oracle-check", "--sigma", "0.5", "--f", "0.3", "--p-tilde", "0.5",
@@ -136,10 +137,18 @@ def test_oracle_check_passes(tmp_path, capsys):
     assert "coincidence: 3/3 passed" in printed
     assert "accidental:  3/3 passed" in printed
     body = out.read_text().splitlines()
-    assert body.count("delta_p,closed,oracle,err,pass") == 2
-    data_rows = [line for line in body if line and not line.startswith(("#", "delta_p"))]
+    header = "delta_p,closed,oracle,err,pass,est_error,samples,chunks,threads,elapsed_s"
+    assert body.count(header) == 2
+    data_rows = [line.split(",") for line in body if line and not line.startswith(("#", "delta_p"))]
     assert len(data_rows) == 6
-    assert all(row.endswith(",1") for row in data_rows)
+    columns = header.split(",")
+    for row in data_rows:
+        fields = dict(zip(columns, row, strict=True))
+        assert fields["pass"] == "1"
+        assert 0.0 < float(fields["est_error"]) <= 3.0 * abs(float(fields["oracle"]))
+        assert int(fields["samples"]) == 131072
+        assert (int(fields["chunks"]), int(fields["threads"])) == (1, 1)
+        assert float(fields["elapsed_s"]) > 0.0
 
 
 def test_oracle_check_starved_budget_fails(tmp_path):
@@ -151,11 +160,12 @@ def test_oracle_check_starved_budget_fails(tmp_path):
     )
     assert rc == 4
     data_rows = [
-        line
+        line.split(",")
         for line in out.read_text().splitlines()
         if line and not line.startswith(("#", "delta_p"))
     ]
-    assert all(row.endswith(",0") for row in data_rows)
+    assert len(data_rows) == 6
+    assert all(row[4] == "0" for row in data_rows)
 
 
 def test_missing_data_file(tmp_path, capsys):
