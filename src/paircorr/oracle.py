@@ -20,17 +20,14 @@ sigma^2/2, so the p1 integral is exact: the density at that centre
 over the Gaussian's peak value. What is left depends on n only through
 its polar cosine u about the splitting s, so the azimuth is exact too
 (a factor 2 pi), and the coincidence oracle samples u alone. The
-accidental integrand's terms have several p1 centres, but all of them
-lie on the line through (P - dp*n)/2 along s, so the two components of
-p1 across s are exact as well (a factor pi sigma^2): that oracle draws
-only t, the component along s, from a three-centre normal mixture,
-and it too takes the azimuth at 0 (a factor 2 pi). This is conditional
-Monte Carlo, which cuts both the work per sample and the variance.
-The polar cosine u is drawn from a mixture of a uniform density and
-cosh-tilted densities matched to the exp(z u) factors of the
-integrand, with stratified inversion per chunk, so the realized error
-falls much faster than the reported (conservative) 1/sqrt(N) standard
-error.
+accidental integrand's p1 centres all lie on the line through
+(P - dp*n)/2 along s, so p1 across s is exact as well (a factor
+pi sigma^2): that oracle samples u and t, p1's component along s, and
+it too takes the azimuth at 0. The polar cosine u is drawn from a
+mixture of a uniform density and cosh-tilted densities matched to the
+exp(z u) factors of the integrand, with stratified inversion per chunk,
+so the realized error falls much faster than the reported
+(conservative) 1/sqrt(N) standard error.
 
 Sampling is chunked and streamed. A chunk draws from its own seed
 (spawned from the spec's rng_seed), block by block: PCG64's jump-ahead
@@ -576,18 +573,16 @@ def _on_line(q, t, p_total, axis, work):
 def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     """Accidental intensity (dp)^2 int d^3p1 dOmega rho(p1) rho(p1+dp*n) / n_pairs.
 
-    rho is the closed-form single-particle marginal (itself validated
-    by rho_single), a sum of Gaussians of covariance sigma^2 centred on
-    the line through P/2 along s. Each term of rho(p1) rho(p1 + q) is
-    then a Gaussian in p1 of covariance sigma^2/2 whose centre lies on
-    the line through (P - q)/2 along s, so the two components of p1
-    across s integrate exactly, to pi sigma^2 times the integrand on
-    that line: p1 = (P - q)/2 + t s^. Only t and the polar cosine u are
-    sampled: t from normals at -|s|/2, 0 and +|s|/2 of weights 1/4, 1/2
-    and 1/4 and variance 0.75 sigma^2, drawn by the "uniform" and
-    "normal1" streams, u from the "strata" stream. What is left depends
-    on q only through |q| and q.s, so the azimuth contributes a factor
-    2 pi, and q is taken in the e1-e3 plane of the frame along s.
+    rho is the closed-form single-particle marginal (validated by
+    rho_single), a sum of Gaussians of covariance sigma^2 centred on the
+    line through P/2 along s. So each term of rho(p1) rho(p1 + q) is a
+    Gaussian in p1 of covariance sigma^2/2 centred on the line through
+    (P - q)/2 along s, and p1 across s integrates exactly: pi sigma^2
+    times the integrand at p1 = (P - q)/2 + t s^. t is drawn from
+    normals at -|s|/2, 0 and +|s|/2 of weights 1/4, 1/2 and 1/4 and
+    variance 0.75 sigma^2, u from the "strata" stream. The rest depends
+    on q only through |q| and q.s: the azimuth gives a factor 2 pi, and
+    q is taken in the e1-e3 plane of the frame along s.
     """
     started = time.perf_counter()
     delta_p = _intensity_delta_p(delta_p, spec)

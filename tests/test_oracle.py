@@ -592,7 +592,8 @@ def test_accidental_integrand_is_gaussian_across_s():
         value *= np.exp(np.sum(x * x, axis=1) / (sigma * sigma))
         assert np.all(value[:, 0] > 0.0)
         np.testing.assert_allclose(
-            value, value[:, :1] * np.ones_like(value), rtol=1e-13, atol=0.0, err_msg=f"{params}, u={u}"
+            value, np.broadcast_to(value[:, :1], value.shape), rtol=1e-13, atol=0.0,
+            err_msg=f"{params}, u={u}",
         )
 
 
