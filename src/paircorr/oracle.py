@@ -13,21 +13,23 @@ here by direct numerical integration of the two-particle densities:
   the accidental (event-mixed) intensity with integrand
   rho(p1) rho(p1 + dp*n) / N, both by Monte Carlo.
 
-The Monte-Carlo design exploits the model's structure. For a fixed
-detector direction n every term of the pair density has the same
-Gaussian profile in p1, centered at (P - dp*n)/2 with covariance
-sigma^2/2, so the p1 integral is exact: the density at that centre
-over the Gaussian's peak value. What is left depends on n only through
-its polar cosine u about the splitting s, so the azimuth is exact too
-(a factor 2 pi), and the coincidence oracle samples u alone. The
-accidental integrand's p1 centres all lie on the line through
-(P - dp*n)/2 along s, so p1 across s is exact as well (a factor
-pi sigma^2): that oracle samples u and t, p1's component along s, and
-it too takes the azimuth at 0. The polar cosine u is drawn from a
-mixture of a uniform density and cosh-tilted densities matched to the
-exp(z u) factors of the integrand, with stratified inversion per chunk,
-so the realized error falls much faster than the reported
-(conservative) 1/sqrt(N) standard error.
+The Monte-Carlo design exploits the model's structure. An intensity
+integrates over every p1 and detector direction n, so it depends on
+neither the total momentum P nor the direction of the splitting s: the
+intensity oracles put s along +z and P at 0 (_on_axis). For a fixed n
+every term of the pair density then has the same Gaussian profile in
+p1, centred at -dp*n/2 with covariance sigma^2/2, so the p1 integral
+is exact: the density at that centre over the Gaussian's peak value.
+What is left depends on n only through its polar cosine u, so the
+azimuth is exact too (a factor 2 pi), and the coincidence oracle
+samples u alone. The accidental integrand's p1 centres all lie on the
+line through -dp*n/2 along z, so p1 across z is exact as well (a factor
+pi sigma^2): that oracle samples u and t, p1's offset along z, and it
+too takes the azimuth at 0. u is drawn from a mixture of a uniform
+density and cosh-tilted densities matched to the exp(z u) factors of
+the integrand, with stratified inversion per chunk, so the realized
+error falls much faster than the reported (conservative) 1/sqrt(N)
+standard error.
 
 Sampling is chunked and streamed. A chunk draws from its own seed
 (spawned from the spec's rng_seed), block by block: PCG64's jump-ahead
@@ -61,7 +63,7 @@ import queue
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -459,38 +461,29 @@ def _tilt_pdf(u, z, tilts, work):
     return total
 
 
-def _frame(axis):
-    """Orthonormal (e1, e3) with e3 along the 3-vector axis (+z for a zero axis)."""
-    a = np.asarray(axis, dtype=float)
-    # axis=-1 sums the squares by add.reduce, not by the dot product a bare norm takes
-    norm = np.linalg.norm(a, axis=-1)
-    e3 = a / norm if norm > 0.0 else np.array([0.0, 0.0, 1.0])
-    helper = np.array([1.0, 0.0, 0.0] if abs(e3[0]) <= 0.9 else [0.0, 1.0, 0.0])
-    e1 = np.cross(helper, e3)
-    e1 /= np.linalg.norm(e1, axis=-1)
-    return e1, e3
+def _on_axis(params: ModelParams) -> ModelParams:
+    """params with |s| along +z and P = 0, once a degenerate triplet of nonzero weight is refused.
 
-
-def _direction(length, u, frame, work):
-    """length times unit vectors, as (3, m) rows, at polar cosine u around e3 and azimuth 0.
-
-    frame is (e1, e3); the vectors lie in the e1-e3 plane, on the e1
-    side. They land in work's rows "q".
+    An intensity integrates over every p1 and every direction of q, so
+    it depends on neither P nor the direction of s.
     """
-    sin_theta = np.multiply(u, u, out=work.take("sin"))
+    for _, channel in _channel_weights(params.triplet_fraction):
+        _require_nondegenerate(params, channel)
+    split = (0.0, 0.0, params.split_magnitude)
+    return replace(params, p_split=split, p_total=(0.0, 0.0, 0.0))
+
+
+def _direction(length, u, work):
+    """length times unit vectors at polar cosine u about +z, azimuth 0, in work's (3, m) rows "q"."""
+    out = work.take("q", 3)
+    # sin(theta), formed in the x row
+    sin_theta = np.multiply(u, u, out=out[0])
     np.subtract(1.0, sin_theta, out=sin_theta)
     np.clip(sin_theta, 0.0, None, out=sin_theta)
     np.sqrt(sin_theta, out=sin_theta)
-    e1, e3 = frame
-    out = work.take("q", 3)
-    out.fill(0.0)
-    tmp = work.take("tmp")
-    for k, row in enumerate(out):
-        # a zero frame component adds only a signed zero: its product is skipped
-        for x, e in ((sin_theta, e1), (u, e3)):
-            if e[k] != 0.0:
-                row += np.multiply(x, e[k], out=tmp)
-        row *= length
+    sin_theta *= length
+    out[1].fill(0.0)
+    np.multiply(u, length, out=out[2])
     return out
 
 
@@ -506,40 +499,33 @@ def intensity_cor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> 
     convention the closed form uses.
 
     Only the polar cosine u is sampled, from the "strata" stream; p1 and
-    the azimuth are integrated exactly. At a fixed detector direction
-    q = dp*n every exchange term of the pair density is the same
-    Gaussian in p1, centred at (P - q)/2 with covariance sigma^2/2, so
+    the azimuth are integrated exactly, with s along +z and P = 0
+    (_on_axis), which leave the intensity unchanged. At a fixed detector
+    direction q = dp*n every exchange term of the pair density is the
+    same Gaussian in p1, centred at -q/2 with covariance sigma^2/2, so
     the density's ratio to that Gaussian does not depend on p1 and the
-    p1 integral is the density at the centre, p1 = (P - q)/2 and
+    p1 integral is the density at the centre, p1 = -q/2 and
     p2 = p1 + q, over the Gaussian's peak density. That value depends
-    on q only through |q| and q.s, so the azimuth around s contributes
-    a factor 2 pi, and q is taken in the e1-e3 plane of the frame
-    along s. A degenerate triplet of nonzero weight is refused before
-    any draw.
+    on q only through |q| and q_z, so the azimuth about z contributes a
+    factor 2 pi, and q is taken in the x-z plane. A degenerate triplet
+    of nonzero weight is refused before any draw.
     """
     started = time.perf_counter()
     delta_p = _intensity_delta_p(delta_p, spec)
     if delta_p == 0.0:
         return _finish(spec, "intensity_cor_oracle", started, 0.0, 0.0, 0)
-    for _, channel in _channel_weights(params.triplet_fraction):
-        _require_nondegenerate(params, channel)
+    params = _on_axis(params)
     sigma = params.sigma
-    pt = np.asarray(params.p_total)
-    ps = np.asarray(params.p_split)
-    z = np.linalg.norm(ps, axis=-1) * delta_p / (2.0 * sigma * sigma)
-    frame = _frame(ps)
+    z = params.split_magnitude * delta_p / (2.0 * sigma * sigma)
     # the p1 Gaussian's peak density
     pdf_norm = (math.pi * sigma * sigma) ** -1.5
 
     def block(work, out, v):
         u = _tilt_sample(v, z, _COR_TILTS, work)
-        # p1 = (P - q)/2, then p2 = p1 + q, written over q
-        q = _direction(delta_p, u, frame, work)
-        p1 = work.take("p1", 3)
-        for k in range(3):
-            row = np.subtract(pt[k], q[k], out=p1[k])
-            row /= 2.0
-            q[k] += row
+        # p1 = -q/2, then p2 = p1 + q, written over q
+        q = _direction(delta_p, u, work)
+        p1 = np.multiply(q, -0.5, out=work.take("p1", 3))
+        q += p1
         # the density takes (m, 3) momenta: transposed views of the component rows
         total = mixture_density(p1.T, q.T, params, work)
         den = _tilt_pdf(u, z, _COR_TILTS, work)
@@ -558,42 +544,30 @@ def intensity_cor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> 
 # accidental (event-mixed) intensity
 
 
-def _on_line(q, t, p_total, axis, work):
-    """p1 = (P - q)/2 + t * axis, as (3, m) rows in work's row "p1", from (3, m) rows q."""
-    p1, tmp = work.take("p1", 3), work.take("tmp")
-    for k in range(3):
-        row = np.subtract(p_total[k], q[k], out=p1[k])
-        row /= 2.0
-        # a zero axis component adds only a signed zero: its product is skipped
-        if axis[k] != 0.0:
-            row += np.multiply(t, axis[k], out=tmp)
-    return p1
-
-
 def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     """Accidental intensity (dp)^2 int d^3p1 dOmega rho(p1) rho(p1+dp*n) / n_pairs.
 
-    rho is the closed-form single-particle marginal (validated by
-    rho_single), a sum of Gaussians of covariance sigma^2 centred on the
-    line through P/2 along s. So each term of rho(p1) rho(p1 + q) is a
-    Gaussian in p1 of covariance sigma^2/2 centred on the line through
-    (P - q)/2 along s, and p1 across s integrates exactly: pi sigma^2
-    times the integrand at p1 = (P - q)/2 + t s^. t is drawn from
-    normals at -|s|/2, 0 and +|s|/2 of weights 1/4, 1/2 and 1/4 and
-    variance 0.75 sigma^2, u from the "strata" stream. The rest depends
-    on q only through |q| and q.s: the azimuth gives a factor 2 pi, and
-    q is taken in the e1-e3 plane of the frame along s.
+    The mixture is taken with s along +z and P = 0 (_on_axis), which
+    leave the intensity unchanged. rho, the closed-form single-particle
+    marginal (validated by rho_single), is then a sum of Gaussians of
+    covariance sigma^2 centred on the z axis, so each term of
+    rho(p1) rho(p1 + q) is a Gaussian in p1 of covariance sigma^2/2
+    centred on the line through -q/2 along z, and p1 across z integrates
+    exactly: pi sigma^2 times the integrand at p1 = -q/2 + t z^. t is
+    drawn from normals at -|s|/2, 0 and +|s|/2 of weights 1/4, 1/2 and
+    1/4 and variance 0.75 sigma^2, u from the "strata" stream. The rest
+    depends on q only through |q| and q_z: the azimuth gives a factor
+    2 pi, and q is taken in the x-z plane. A degenerate triplet of
+    nonzero weight is refused before any draw.
     """
     started = time.perf_counter()
     delta_p = _intensity_delta_p(delta_p, spec)
     if delta_p == 0.0:
         return _finish(spec, "intensity_uncor_oracle", started, 0.0, 0.0, 0)
+    params = _on_axis(params)
     sigma = params.sigma
-    p_total = np.asarray(params.p_total)
     split = params.split_magnitude
     z = split * delta_p / (2.0 * sigma * sigma)
-    frame = _frame(params.p_split)
-    axis = frame[1]
     # the proposal for t: its centres, weights, spread and peak density
     offsets = np.array([-0.5 * split, 0.0, 0.5 * split])
     var = 0.75 * sigma * sigma
@@ -604,7 +578,7 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
 
     def block(work, out, v, pick, xi):
         u = _tilt_sample(v, z, _UNC_TILTS, work)
-        q = _direction(delta_p, u, frame, work)
+        q = _direction(delta_p, u, work)
         # the proposal's component, by its weights 1/4, 1/2, 1/4
         comp = np.greater_equal(pick, 0.25, out=work.take("comp", dtype=np.intp))
         comp += np.greater_equal(pick, 0.75, out=work.take("above", dtype=bool))
@@ -620,7 +594,9 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
             part *= weight * pdf_norm
             part += den
             den = part
-        p1 = _on_line(q, t, p_total, axis, work)
+        # p1 = -q/2 + t along the splitting
+        p1 = np.multiply(q, -0.5, out=work.take("p1", 3))
+        p1[2] += t
         # the marginal takes (m, 3) momenta: transposed views of the
         # component rows; its result is a workspace row that the next
         # call reuses, so the first is copied into out by the product

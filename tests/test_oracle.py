@@ -25,8 +25,7 @@ from paircorr.oracle import (
     _UNC_TILTS,
     _Workspace,
     _direction,
-    _frame,
-    _on_line,
+    _on_axis,
     _streams,
     _tilt_pdf,
     _tilt_sample,
@@ -129,19 +128,18 @@ def test_draws_stream_block_by_block(monkeypatch):
     # a chunk holds one block of draws at a time, not its whole draws:
     # at one thread a chunk-sized call peaks near one chunk of weights
     # (2 MiB) plus a block's working set, which its workspace keeps for
-    # the call. Measured 6.0 MiB (coincidence, mixture, which draws only
-    # the polar variable), 8.1 MiB (accidental, which draws the polar
-    # variable and p1 along s only; 9.1 MiB when it drew p1 whole) and
-    # 7.5 MiB (Monte-Carlo pair norm). The coincidence bound sits at the
-    # 8.0 MiB of a runner that also draws p1 and the azimuth; the
-    # accidental and norm ones add 25 %, below the 12 MiB whole-chunk
+    # the call. Measured 5.76 MiB (coincidence, mixture, which draws only
+    # the polar variable; 6.01 MiB with a row of its own for sin theta),
+    # 7.86 MiB (accidental, which draws the polar variable and p1 along
+    # s only; 9.1 MiB when it drew p1 whole) and 7.5 MiB (Monte-Carlo
+    # pair norm). Each bound adds 25 %, below the 12 MiB whole-chunk
     # draws alone would take and the 13.0 MiB the norm took with its
     # first momentum drawn whole.
     monkeypatch.setenv("PAIRCORR_THREADS", "1")
     spec = _mc(_CHUNK)
     runs = (
-        (intensity_cor_oracle, 8.0),
-        (intensity_uncor_oracle, 10.1),
+        (intensity_cor_oracle, 7.2),
+        (intensity_uncor_oracle, 9.8),
         (lambda dp, params, spec: phi_norm_oracle(params, spec), 9.5),
     )
     for oracle, bound_mib in runs:
@@ -450,11 +448,15 @@ def test_frozen_oracle_outputs():
     # and the accidental integral. Every est_error moved by a few ulps
     # when the SE became a sum of squared deviations about each chunk's
     # mean; the pins of the one-pass s2/N - mean^2 stay as _near
-    # cross-checks, and no value moved.
+    # cross-checks, and no value moved. Off-axis results moved by an ulp
+    # or two when the intensity oracles took s along +z and P = 0 (the
+    # same integral, rounded on other coordinates); the pins from when
+    # they worked in a frame along s at P stay as _near cross-checks.
     spec = _mc(1 << 18)
     point = ModelParams(0.6, (0.2, 0.1, -0.5), (0.1, 0, 0.2), triplet_fraction=1.0, n_pairs=1.8)
     single = intensity_cor_oracle(0.9, point, spec)
-    assert single == OracleResult(0.3746177523367646, 0.0006301616617569996, 262144)
+    assert single == OracleResult(0.37461775233676453, 0.0006301616617569996, 262144)
+    _near(single, OracleResult(0.3746177523367646, 0.0006301616617569996, 262144))
     _near(single, OracleResult(0.3746177523367646, 0.0006301616617569997, 262144))
     # the pins from when p1 and the azimuth were sampled too, on the same
     # polar cosines, stay as cross-checks of the exact p1 and azimuth
@@ -484,7 +486,8 @@ def test_frozen_oracle_outputs():
     # by mixture_density; the pins from when the oracle weighed them
     # itself, and from when each channel drew its own, stay as cross-checks
     mixed = intensity_cor_oracle(0.9, full, spec)
-    assert mixed == OracleResult(1.1315992032218358, 0.0009688461706777262, 262144)
+    assert mixed == OracleResult(1.131599203221836, 0.0009688461706777262, 262144)
+    _near(mixed, OracleResult(1.1315992032218358, 0.0009688461706777262, 262144))
     _near(mixed, OracleResult(1.1315992032218358, 0.0009688461706777263, 262144))
     _near(mixed, OracleResult(1.131599203221836, 0.0009688461706777258, 262144))
     _near(mixed, OracleResult(1.1315992032218363, 0.0009688461706777268, 262144))
@@ -495,7 +498,8 @@ def test_frozen_oracle_outputs():
     separate = OracleResult(1.1315991582933402, 0.0009515730609372622, 524288)
     assert abs(mixed.value - separate.value) <= 3.0 * (mixed.est_error + separate.est_error)
     accidental = intensity_uncor_oracle(0.9, full, spec)
-    assert accidental == OracleResult(1.6026422441517882, 0.000663079474738045, 262144)
+    assert accidental == OracleResult(1.6026422441517882, 0.0006630794747380451, 262144)
+    _near(accidental, OracleResult(1.6026422441517882, 0.000663079474738045, 262144))
     for old in (
         OracleResult(1.6046135886591082, 0.001311789928758929, 262144),
         OracleResult(1.6046135886591082, 0.0013117899287589277, 262144),
@@ -520,11 +524,80 @@ def test_frozen_oracle_outputs():
         assert abs(pin.value - old.value) <= 3.0 * (pin.est_error + old.est_error)
 
 
+def test_on_axis_results_are_pinned():
+    # a splitting along z at P = 0 is already on the axis the intensity
+    # oracles work on: these results keep their draws and their
+    # arithmetic bit for bit from when the oracles built a frame along
+    # s: the README example at dp = sigma, and the paper's singlet
+    spec = _mc(1 << 18)
+    readme = ModelParams(0.5, 0.05, triplet_fraction=0.3)
+    assert intensity_cor_oracle(0.5, readme, spec) == OracleResult(
+        0.3291982970226356, 3.832789738193624e-05, 262144
+    )
+    assert intensity_uncor_oracle(0.5, readme, spec) == OracleResult(
+        0.3894141678686798, 5.52172929696932e-05, 262144
+    )
+    paper = ModelParams(0.22, 0.022)
+    assert intensity_cor_oracle(0.22, paper, spec) == OracleResult(
+        0.9975761079500554, 7.56089411616813e-11, 262144
+    )
+
+
+def _rotation_onto_z(axis, rng):
+    """A proper rotation R with R axis^ = z^, about a random azimuth."""
+    e3 = np.asarray(axis) / np.linalg.norm(axis)
+    e1 = rng.standard_normal(3)
+    e1 -= (e1 @ e3) * e3
+    e1 /= np.linalg.norm(e1)
+    return np.array([e1, np.cross(e3, e1), e3])
+
+
+def test_densities_are_invariant_on_the_splitting_axis():
+    # the intensity oracles integrate _on_axis(params), s along +z and
+    # P = 0, in place of params; that is the same integral only while
+    # both densities at params equal those at _on_axis(params) on the
+    # momenta shifted by -P/2 and rotated s^ onto z^. The pair density
+    # is held to 1e-13 of the singlet's at the same momenta where that
+    # is larger: near the triplet's node (e^{-A/2} - e^{-B/2})^2 cancels,
+    # and an ulp of a rotated momentum moves it by more than 1e-13 of
+    # itself (5.6e-13 at one of the 256 pure-triplet pairs here)
+    rng = np.random.default_rng(30)
+    for f in (0.0, 0.4, 1.0):
+        params = ModelParams(0.5, (0.3, -0.1, 0.7), (0.1, 0.2, -0.3), triplet_fraction=f, n_pairs=1.5)
+        axis = _on_axis(params)
+        assert axis.p_split == (0.0, 0.0, params.split_magnitude) and axis.p_total == (0.0, 0.0, 0.0)
+        singlet = dataclasses.replace(params, triplet_fraction=0.0)
+        half = np.asarray(params.p_total) / 2.0
+        for _ in range(4):
+            rot = _rotation_onto_z(params.p_split, rng)
+            np.testing.assert_allclose(rot @ params.p_split, [0.0, 0.0, params.split_magnitude], atol=1e-15)
+            p1, p2 = half + 0.6 * rng.standard_normal((2, 64, 3))
+            on1, on2 = ((p - half) @ rot.T for p in (p1, p2))
+            want = mixture_density(p1, p2, params)
+            scale = np.maximum(want, mixture_density(p1, p2, singlet))
+            gap = np.abs(mixture_density(on1, on2, axis) - want)
+            assert np.all(gap <= 1e-13 * scale), (f, np.max(gap / want))
+            np.testing.assert_allclose(
+                mixture_marginal(on1, axis), mixture_marginal(p1, params), rtol=1e-13, atol=0.0,
+                err_msg=f"f={f}",
+            )
+
+
+def test_intensities_at_large_total_momentum():
+    # the intensity oracles drop P, so P = 1e8 (1, 0, 1) costs no digits:
+    # its results are those at P = 0, bit for bit
+    params = ModelParams(0.5, (0.3, -0.1, 0.7), triplet_fraction=0.3)
+    far = dataclasses.replace(params, p_total=(1e8, 0.0, 1e8))
+    for oracle in (intensity_cor_oracle, intensity_uncor_oracle):
+        assert oracle(0.9, far, _mc(1 << 16)) == oracle(0.9, params, _mc(1 << 16)), oracle
+
+
 def test_density_over_the_p1_proposal_depends_on_u_alone():
     # the coincidence oracle samples only the polar cosine u and takes p1
     # at the centre of its Gaussian proposal, (P - q)/2 with covariance
-    # sigma^2/2, and the azimuth phi at 0; that is exact only while the
-    # 6-d pair density over the proposal is the same at every p1 and phi
+    # sigma^2/2 (-q/2 on its axis, at P = 0), and the azimuth phi at 0;
+    # that is exact only while the 6-d pair density over the proposal is
+    # the same at every p1 and phi
     sigma, dp = 0.5, 0.9
     p_split, p_total = np.array([0.3, -0.1, 0.7]), np.array([0.1, 0.2, -0.3])
     e3 = p_split / np.linalg.norm(p_split)
@@ -546,34 +619,32 @@ def test_density_over_the_p1_proposal_depends_on_u_alone():
             np.testing.assert_allclose(ratio[1:], ratio[0], rtol=1e-13, atol=0.0, err_msg=f"f={f}, u={u}")
 
 
-def _on_the_line(params, dp, u, ts, phi=(0.0,)):
-    """q at polar cosine u and each azimuth phi about s, and the accidental
-    oracle's p1 on its line for each t in ts, as (n, 3) rows, one per (phi, t)."""
-    frame = _frame(params.p_split)
-    axis = frame[1]
+def _on_the_line(dp, u, ts, phi=(0.0,)):
+    """q at polar cosine u and each azimuth phi about z, and the accidental
+    oracle's p1 = -q/2 + t z^ for each t in ts, as (n, 3) rows, one per (phi, t)."""
     n = len(phi) * len(ts)
-    work = _Workspace(n, 0)
-    q = _direction(dp, np.full(n, u), frame, work).T.copy()
-    # q rotated about s through each phi (Rodrigues), each for every t
-    angle = np.repeat(phi, len(ts))[:, None]
-    along = np.outer(q @ axis, axis)
-    q = along + (q - along) * np.cos(angle) + np.cross(axis, q) * np.sin(angle)
-    p1 = _on_line(q.T.copy(), np.tile(ts, len(phi)), np.asarray(params.p_total), axis, work)
-    return q, p1.T.copy()
+    q = _direction(dp, np.full(n, u), _Workspace(n, 0)).T.copy()
+    # q, in the x-z plane, rotated about z through each phi, each for every t
+    angle = np.repeat(phi, len(ts))
+    q[:, 1] = q[:, 0] * np.sin(angle)
+    q[:, 0] *= np.cos(angle)
+    p1 = q * -0.5
+    p1[:, 2] += np.tile(ts, len(phi))
+    return q, p1
 
 
 def _line_cases():
-    # off-axis s and P, every channel mix, five polar cosines and five t
+    # the oracle's mixture for an off-axis s and P (_on_axis), every
+    # channel mix, five polar cosines and five t
     for f in (0.0, 0.4, 1.0):
         params = ModelParams(0.5, (0.3, -0.1, 0.7), (0.1, 0.2, -0.3), triplet_fraction=f, n_pairs=1.5)
         for u in (-0.9, -0.4, 0.25, 0.7, 0.99):
-            yield params, u, np.array([-0.6, -0.15, 0.0, 0.35, 0.8])
+            yield _on_axis(params), u, np.array([-0.6, -0.15, 0.0, 0.35, 0.8])
 
 
-def _across(params):
-    """Orthonormal e1, e2 across s."""
-    e1, e3 = _frame(params.p_split)
-    return e1, np.cross(e3, e1)
+def _across(x, y):
+    """Momenta x x^ + y y^ across the splitting axis z, as (n, 3) rows."""
+    return np.stack([x, y, np.zeros_like(x)], axis=-1)
 
 
 def test_accidental_integrand_is_gaussian_across_s():
@@ -583,10 +654,9 @@ def test_accidental_integrand_is_gaussian_across_s():
     dp, rng = 0.9, np.random.default_rng(27)
     for params, u, ts in _line_cases():
         sigma = params.sigma
-        e1, e2 = _across(params)
         x = np.vstack([np.zeros(2), rng.standard_normal((32, 2))]) * sigma
-        x = x[:, :1] * e1 + x[:, 1:] * e2
-        q, p1 = _on_the_line(params, dp, u, ts)
+        x = _across(x[:, 0], x[:, 1])
+        q, p1 = _on_the_line(dp, u, ts)
         at = p1[:, None, :] + x
         value = mixture_marginal(at, params) * mixture_marginal(at + q[:, None, :], params)
         value *= np.exp(np.sum(x * x, axis=1) / (sigma * sigma))
@@ -607,9 +677,8 @@ def test_accidental_integral_across_s_is_pi_sigma_squared_times_the_line():
     rule = np.outer(weights, weights).ravel() * np.exp(a * a + b * b)
     for params, u, ts in _line_cases():
         sigma = params.sigma
-        e1, e2 = _across(params)
-        x = sigma * (a[:, None] * e1 + b[:, None] * e2)
-        q, p1 = _on_the_line(params, dp, u, ts)
+        x = sigma * _across(a, b)
+        q, p1 = _on_the_line(dp, u, ts)
         on_line = mixture_marginal(p1, params) * mixture_marginal(p1 + q, params)
         at = p1[:, None, :] + x
         across = mixture_marginal(at, params) * mixture_marginal(at + q[:, None, :], params)
@@ -621,13 +690,14 @@ def test_accidental_integral_across_s_is_pi_sigma_squared_times_the_line():
 
 def test_accidental_weight_is_azimuth_invariant():
     # the accidental oracle takes the azimuth phi at 0; that is exact only
-    # while rotating q about s, with p1 on the oracle's line, leaves the
-    # weight unchanged. Its other factors, the densities of t and u, do
-    # not depend on phi, so rho(p1) rho(p1 + q) must not
+    # while rotating q about z, the splitting axis, with p1 on the
+    # oracle's line, leaves the weight unchanged. Its other factors, the
+    # densities of t and u, do not depend on phi, so rho(p1) rho(p1 + q)
+    # must not
     dp, rng = 0.9, np.random.default_rng(24)
     phi = np.concatenate([[0.0], rng.uniform(0.0, 2.0 * np.pi, 32)])
     for params, u, ts in _line_cases():
-        q, p1 = _on_the_line(params, dp, u, ts, phi)
+        q, p1 = _on_the_line(dp, u, ts, phi)
         weight = mixture_marginal(p1, params) * mixture_marginal(p1 + q, params)
         weight = weight.reshape(len(phi), len(ts))
         assert np.all(weight[0] > 0.0)
@@ -716,6 +786,17 @@ def test_degenerate_triplet_is_refused():
     for params in (bad, bare):
         with pytest.raises(DegenerateChannelError):
             intensity_cor_oracle(1.0, params, _mc(4096))
+
+
+def test_degenerate_triplet_is_refused_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a degenerate triplet must be refused before any draw")
+
+    monkeypatch.setattr(paircorr.oracle, "_mc_sum", no_draws)
+    bad = ModelParams(0.5, triplet_fraction=0.5)
+    for oracle in (intensity_cor_oracle, intensity_uncor_oracle):
+        with pytest.raises(DegenerateChannelError):
+            oracle(1.0, bad, _mc(1024))
 
 
 def test_degenerate_triplet_in_group_is_refused():
