@@ -48,9 +48,9 @@ mixture_marginal write into it when handed it). Every block of every
 chunk reuses those rows, so no block allocates: ~256 KiB temporaries
 made and freed per block would be handed back to the kernel by glibc
 and faulted in again by the next block. A (3, m) quantity
-is a stack of contiguous component rows, finished one row at a time
-with in-place ufuncs; each element still takes the same floating-point
-operations in the same order as with fresh arrays. The stratified
+is a stack of contiguous component rows, finished with in-place
+ufuncs; each element still takes the same floating-point operations
+in the same order as with fresh arrays. The stratified
 polar variable is non-decreasing within a chunk, so each proposal
 branch is a slice cut by searchsorted, not a boolean mask.
 """
