@@ -176,31 +176,25 @@ def _cmd_oracle_check(args) -> int:
         sample_count=args.samples, rng_seed=args.seed, target_rel_tol=args.tol
     )
     grid = args.grid if args.grid is not None else args.sigma * np.array([0.5, 1.0, 2.0, 4.0])
-    cor_rows, cor_passed = _check_rows(
-        grid,
-        lambda dp: coincidence_intensity(dp, args.sigma, args.f, p_tilde),
-        lambda dp: intensity_cor_oracle(dp, params, spec),
-        args.tol,
-    )
-    unc_rows, unc_passed = _check_rows(
-        grid,
-        lambda dp: accidental_intensity(dp, args.sigma, args.f, p_tilde),
-        lambda dp: intensity_uncor_oracle(dp, params, spec),
-        args.tol,
-    )
     lines = ["# err is |closed - oracle| / |closed|; pass uses max(tol*|closed|, 3*est_error)"]
-    lines.append("# coincidence")
-    lines.append(_CHECK_HEADER)
-    lines.extend(cor_rows)
-    lines.append("# accidental")
-    lines.append(_CHECK_HEADER)
-    lines.extend(unc_rows)
+    passed = {}
+    for name, closed, oracle in (
+        ("coincidence", coincidence_intensity, intensity_cor_oracle),
+        ("accidental", accidental_intensity, intensity_uncor_oracle),
+    ):
+        rows, passed[name] = _check_rows(
+            grid,
+            lambda dp: closed(dp, args.sigma, args.f, p_tilde),
+            lambda dp: oracle(dp, params, spec),
+            args.tol,
+        )
+        lines += [f"# {name}", _CHECK_HEADER, *rows]
     _atomic_write(args.out, "\n".join(lines) + "\n")
     n = len(grid)
-    print(f"coincidence: {cor_passed}/{n} passed")
-    print(f"accidental:  {unc_passed}/{n} passed")
+    for name, count in passed.items():
+        print(f"{name + ':':12} {count}/{n} passed")
     print(f"wrote {args.out}")
-    return 0 if cor_passed == unc_passed == n else 4
+    return 0 if all(count == n for count in passed.values()) else 4
 
 
 def _cmd_synth(args) -> int:

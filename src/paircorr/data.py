@@ -176,17 +176,10 @@ def _atomic_write(path, text: str):
 
 def save_dataset(path, dataset: Dataset):
     """Write a dataset back out in the CSV format load_dataset reads."""
-    lines = []
-    if dataset.label:
-        lines.append(f"# {dataset.label}")
-    if dataset.sigma_r is None:
-        lines.append("delta_p,R")
-        for dp, r in zip(dataset.delta_p, dataset.r):
-            lines.append(f"{dp!r},{r!r}")
-    else:
-        lines.append("delta_p,R,sigma_R")
-        for dp, r, sr in zip(dataset.delta_p, dataset.r, dataset.sigma_r):
-            lines.append(f"{dp!r},{r!r},{sr!r}")
+    columns = [dataset.delta_p, dataset.r] + ([] if dataset.sigma_r is None else [dataset.sigma_r])
+    lines = [f"# {dataset.label}"] if dataset.label else []
+    lines.append(",".join(("delta_p", "R", "sigma_R")[: len(columns)]))
+    lines.extend(",".join(map(repr, row)) for row in zip(*columns))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -13,10 +13,11 @@ here by direct numerical integration of the two-particle densities:
   the accidental (event-mixed) intensity with integrand
   rho(p1) rho(p1 + dp*n) / N, both by Monte Carlo.
 
-The Monte-Carlo design exploits the model's structure. An intensity
-integrates over every p1 and detector direction n, so it depends on
-neither the total momentum P nor the direction of the splitting s: the
-intensity oracles put s along +z and P at 0 (_on_axis). For a fixed n
+The Monte-Carlo design exploits the model's structure. A norm or an
+intensity integrates over every p1 and p2 (or detector direction n), so
+it depends on neither the total momentum P nor the direction of the
+splitting s: every oracle but rho_single puts s along +z and P at 0
+(_on_axis). For a fixed n
 every term of the pair density then has the same Gaussian profile in
 p1, centred at -dp*n/2 with covariance sigma^2/2, so the p1 integral
 is exact: the density at that centre over the Gaussian's peak value.
@@ -33,12 +34,12 @@ standard error.
 
 Sampling is chunked and streamed. A chunk draws from its own seed
 (spawned from the spec's rng_seed), block by block: PCG64's jump-ahead
-starts each uniform stream at the block's own slice, so each block
-gets exactly the values a whole-chunk draw would give, and a thread
-holds one block's draws and one chunk's weights at a time. The chunk
-sums its weights once and math.fsum adds the chunk sums, so neither
-block size nor thread count changes a bit. Set PAIRCORR_THREADS to
-evaluate chunks in a thread pool.
+starts each stream at its own offset, and at most one normal stream is
+drawn, last, so each block gets exactly the values a whole-chunk draw
+would give, and a thread holds one block's draws and one chunk's
+weights at a time. The chunk sums its weights once and math.fsum adds
+the chunk sums, so neither block size nor thread count changes a bit.
+Chunks run in a pool of PAIRCORR_THREADS workers.
 
 Each worker of a call takes one workspace (_Workspace) for the length
 of the call: the chunk's weights, the draw rows, which the generators
@@ -228,21 +229,20 @@ def _streams(seed, count, kinds, work):
     """One chunk's draws, made and handed out block by block.
 
     Yields (block slice, draws): the block's samples of each stream in
-    ``kinds``, a tuple naming them, the uniform kinds first. "uniform"
-    is count doubles; "strata" is one stratified uniform per stratum of
-    [0, 1), non-decreasing in the sample index; "normal" is (count, 3)
-    standard normals and "normal1" count standard normals. Every stream
-    is drawn block by block, and the block size changes no value. The
-    draws of every block are filled into the same rows of the workspace
-    ``work`` (Generator out=), so they are valid only until the next
-    block.
+    ``kinds``, a tuple naming them. "uniform" is count doubles; "strata"
+    is one stratified uniform per stratum of [0, 1), non-decreasing in
+    the sample index; "normal1" is count standard normals and "normal6"
+    (count, 6) of them. Every stream is drawn block by block, and the
+    block size changes no value. The draws of every block are filled
+    into the same rows of the workspace ``work`` (Generator out=), so
+    they are valid only until the next block.
 
-    All streams run on PCG64(seed). A uniform double takes exactly one
-    64-bit output, so uniform stream k starts at output k * count, on a
-    generator of its own advanced there. A normal takes a varying number
-    of outputs, so no later stream can start where a normal stream ends:
-    the first normal stream starts after the uniforms, and normal stream
-    j = 1, 2, ... after it runs on PCG64(seed).jumped(j).
+    All streams run on PCG64(seed): stream k starts at output k * count,
+    on a generator of its own advanced there. A uniform double takes
+    exactly one 64-bit output, so the uniform streams never overlap. A
+    normal takes a varying number of outputs, so no stream can start
+    where a normal stream ends: at most one normal stream is drawn, and
+    it comes last.
     """
 
     def generator(start):
@@ -250,13 +250,7 @@ def _streams(seed, count, kinds, work):
         rng.bit_generator.advance(start)
         return rng
 
-    uniforms = sum(not kind.startswith("normal") for kind in kinds)
-    sources = [
-        generator(k * count)
-        if k <= uniforms
-        else np.random.Generator(np.random.PCG64(seed).jumped(k - uniforms))
-        for k in range(len(kinds))
-    ]
+    sources = [generator(k * count) for k in range(len(kinds))]
     block = min(_BLOCK, count)
     work.resize(block)
     if "strata" in kinds:
@@ -271,8 +265,8 @@ def _streams(seed, count, kinds, work):
         work.resize(m)
         draws = []
         for k, (kind, source) in enumerate(zip(kinds, sources)):
-            if kind == "normal":
-                x = source.standard_normal((m, 3), out=work.take(f"draw{k}", 3).reshape(m, 3))
+            if kind == "normal6":
+                x = source.standard_normal((m, 6), out=work.take(f"draw{k}", 6).reshape(m, 6))
             elif kind == "normal1":
                 x = source.standard_normal(m, out=work.take(f"draw{k}"))
             else:
@@ -325,13 +319,9 @@ def _mc_sum(total: int, seed_seq: np.random.SeedSequence, kinds, block_fn):
         idle.put(work)
         return s1, m2
 
-    seeds = seed_seq.spawn(n_chunks)
     threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(chunk_sums, seeds, counts))
-    else:
-        sums = [chunk_sums(seed, count) for seed, count in zip(seeds, counts)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        sums = list(pool.map(chunk_sums, seed_seq.spawn(n_chunks), counts))
     mean = math.fsum(s1 for s1, _ in sums) / total
     within = math.fsum(m2 for _, m2 in sums)
     between = math.fsum(n * (s1 / n - mean) ** 2 for n, (s1, _) in zip(counts, sums))
@@ -464,8 +454,8 @@ def _tilt_pdf(u, z, tilts, work):
 def _on_axis(params: ModelParams) -> ModelParams:
     """params with |s| along +z and P = 0, once a degenerate triplet of nonzero weight is refused.
 
-    An intensity integrates over every p1 and every direction of q, so
-    it depends on neither P nor the direction of s.
+    A norm or an intensity integrates over every p1 and every p2 (or
+    direction of q), so it depends on neither P nor the direction of s.
     """
     for _, channel in _channel_weights(params.triplet_fraction):
         _require_nondegenerate(params, channel)
@@ -653,71 +643,64 @@ def _pair_norm_quad_value(params: ModelParams, n: int) -> float:
     return _mixed(channel_norm, params)
 
 
-def _pair_norm(params: ModelParams, spec: QuadratureSpec):
-    """(value, est_error, samples, chunks, threads) of the mixture's pair-density norm, unchecked.
-
-    tensor-quadrature exploits separability (the 6-d integral is a
-    product of 1-d Gaussian integrals per axis); monte-carlo importance
-    samples from the two-center product proposal and weighs each draw
-    by the mixture density, so the SE is that of the mixture's joint
-    weight. A degenerate triplet of nonzero weight is refused before
-    any work.
-    """
-    for _, channel in _channel_weights(params.triplet_fraction):
-        _require_nondegenerate(params, channel)
-    if spec.method == "tensor-quadrature":
-        n = spec.nodes_per_axis
-        coarse = _pair_norm_quad_value(params, n // 2)
-        fine = _pair_norm_quad_value(params, n)
-        return fine, abs(fine - coarse), 9 * (n + n // 2), 0, 1
-    c1, c2 = params.centers
-    sigma = params.sigma
-    pdf_norm = (2.0 * math.pi * sigma * sigma) ** -1.5
-
-    def gauss(p, c, work, name):
-        g = _sq_dist(p, c, work, name)
-        np.negative(g, out=g)
-        g /= 2.0 * sigma * sigma
-        np.exp(g, out=g)
-        g *= pdf_norm
-        return g
-
-    # per axis, the centers of p1 and of p2 indexed by swap: (c1, c2) and (c2, c1)
-    ends = [(np.array([a, b]), np.array([b, a])) for a, b in zip(c1, c2)]
-
-    def block(work, out, swap, xi1, xi2):
-        pick = np.less(swap, 0.5, out=work.take("pick", dtype=np.intp))
-        p1, p2, center = work.take("p1", 3), work.take("p2", 3), work.take("tmp")
-        for k, (end1, end2) in enumerate(ends):
-            np.multiply(xi1[:, k], sigma, out=p1[k])
-            p1[k] += np.take(end1, pick, out=center, mode="clip")
-            np.multiply(xi2[:, k], sigma, out=p2[k])
-            p2[k] += np.take(end2, pick, out=center, mode="clip")
-        pdf = gauss(p1, c1, work, "gauss0")
-        pdf *= gauss(p2, c2, work, "gauss1")
-        cross = gauss(p1, c2, work, "gauss1")
-        cross *= gauss(p2, c1, work, "gauss2")
-        pdf += cross
-        pdf *= 0.5
-        dens = mixture_density(p1.T, p2.T, params, work)
-        np.divide(dens, pdf, out=out)
-
-    kinds = ("uniform", "normal", "normal")
-    return _mc_sum(spec.sample_count, np.random.SeedSequence(spec.rng_seed), kinds, block)
-
-
 def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     """Check that the differential pair yield integrates to n_pairs.
 
     The yield is n_pairs times the norm of the mixture, whose singlet
     and triplet pair densities are weighted by 1 - f and f, so f = 0 or
     1 with n_pairs = 1 checks that one pure channel's pair density
-    integrates to 1. The mixture is integrated once: Monte Carlo draws
-    sample_count samples, samples_used counts them once, and the SE is
-    that of the mixture's joint weight.
+    integrates to 1. The norm, like an intensity, depends on neither P
+    nor the direction of s, so it is taken on the axis (_on_axis), and a
+    degenerate triplet of nonzero weight is refused before any work.
+
+    tensor-quadrature exploits separability (the 6-d integral is a
+    product of 1-d Gaussian integrals per axis). monte-carlo samples the
+    two-centre product proposal from one (m, 6) normal stream,
+    p1 = sigma xi[:, :3] + c z^ and p2 = sigma xi[:, 3:] - c z^, with c
+    the z centre of p1 that a uniform picks (c2 = -c1 on the axis), and
+    weighs each draw by the mixture density once: the SE is that of the
+    mixture's joint weight, and samples_used counts sample_count once.
     """
     started = time.perf_counter()
-    value, est, *counts = _pair_norm(params, spec)
+    params = _on_axis(params)
+    if spec.method == "tensor-quadrature":
+        n = spec.nodes_per_axis
+        coarse = _pair_norm_quad_value(params, n // 2)
+        fine = _pair_norm_quad_value(params, n)
+        value, est, *counts = fine, abs(fine - coarse), 9 * (n + n // 2)
+    else:
+        c1, c2 = params.centers
+        sigma = params.sigma
+        pdf_norm = (2.0 * math.pi * sigma * sigma) ** -1.5
+        # the z centres of p1, indexed by swap: c1 and c2
+        ends = np.array([c1[2], c2[2]])
+
+        def gauss(p, c, work, name):
+            g = _sq_dist(p, c, work, name)
+            np.negative(g, out=g)
+            g /= 2.0 * sigma * sigma
+            np.exp(g, out=g)
+            g *= pdf_norm
+            return g
+
+        def block(work, out, swap, xi):
+            p1 = np.multiply(xi[:, :3].T, sigma, out=work.take("p1", 3))
+            p2 = np.multiply(xi[:, 3:].T, sigma, out=work.take("p2", 3))
+            pick = np.less(swap, 0.5, out=work.take("pick", dtype=np.intp))
+            center = np.take(ends, pick, out=work.take("tmp"), mode="clip")
+            p1[2] += center
+            p2[2] -= center
+            pdf = gauss(p1, c1, work, "gauss0")
+            pdf *= gauss(p2, c2, work, "gauss1")
+            cross = gauss(p1, c2, work, "gauss1")
+            cross *= gauss(p2, c1, work, "gauss2")
+            pdf += cross
+            pdf *= 0.5
+            dens = mixture_density(p1.T, p2.T, params, work)
+            np.divide(dens, pdf, out=out)
+
+        seed = np.random.SeedSequence(spec.rng_seed)
+        value, est, *counts = _mc_sum(spec.sample_count, seed, ("uniform", "normal6"), block)
     n_pairs = params.n_pairs
     return _finish(spec, "phi_norm_oracle", started, n_pairs * value, n_pairs * est, *counts)
 

@@ -506,22 +506,27 @@ def test_frozen_oracle_outputs():
         OracleResult(1.60234510201822, 0.0013118720030790413, 262144),
     ):
         _same_accidental(accidental, old, 0.9, full)
-    # the norm's second momentum draws on a jumped generator of its own;
-    # the pins from when it followed the first on one generator bound
-    # the move, and both runs must hold the norm of 1
+    # the norm draws p1 and p2 from one (m, 6) normal stream on the
+    # splitting axis. The pins from when its second momentum drew on a
+    # generator of its own (with the two-pass and the one-pass SE), and
+    # from when it followed the first on one generator, are other draws
+    # of the same integral: each stays within 3 joint SE of the pin, and
+    # the pin must hold the norm of 1
     norms = (
-        (0.0, OracleResult(1.0000650943960032, 0.00037566448838518125, 262144),
-         OracleResult(1.0000650943960032, 0.0003756644883851808, 262144),
-         OracleResult(1.0004253803940717, 0.00037574767872306804, 262144)),
-        (1.0, OracleResult(0.9997729769125979, 0.001310166730433736, 262144),
-         OracleResult(0.9997729769125979, 0.0013101667304337363, 262144),
-         OracleResult(0.9985164441747301, 0.0013104568648924454, 262144)),
+        (0.0, OracleResult(1.0001121512967923, 0.00037532681114451445, 262144),
+         (OracleResult(1.0000650943960032, 0.00037566448838518125, 262144),
+          OracleResult(1.0000650943960032, 0.0003756644883851808, 262144),
+          OracleResult(1.0004253803940717, 0.00037574767872306804, 262144))),
+        (1.0, OracleResult(0.9996088613580071, 0.0013089890479536914, 262144),
+         (OracleResult(0.9997729769125979, 0.001310166730433736, 262144),
+          OracleResult(0.9997729769125979, 0.0013101667304337363, 262144),
+          OracleResult(0.9985164441747301, 0.0013104568648924454, 262144))),
     )
-    for f, pin, one_pass, old in norms:
+    for f, pin, olds in norms:
         assert phi_norm_oracle(_pure(full, f), spec) == pin
-        _near(pin, one_pass)
         assert abs(pin.value - 1.0) <= 3.0 * pin.est_error
-        assert abs(pin.value - old.value) <= 3.0 * (pin.est_error + old.est_error)
+        for old in olds:
+            assert abs(pin.value - old.value) <= 3.0 * (pin.est_error + old.est_error), (f, old)
 
 
 def test_on_axis_results_are_pinned():
@@ -541,6 +546,26 @@ def test_on_axis_results_are_pinned():
     assert intensity_cor_oracle(0.22, paper, spec) == OracleResult(
         0.9975761079500554, 7.56089411616813e-11, 262144
     )
+
+
+def test_quadrature_norm_is_pinned_on_the_axis():
+    # a splitting along z at P = 0 is already on the axis the norm works
+    # on: the README example keeps its nodes and arithmetic bit for bit
+    readme = ModelParams(0.5, 0.05, triplet_fraction=0.3)
+    assert phi_norm_oracle(readme, QUAD) == OracleResult(0.9999999999999596, 3.8890670350788525e-07, 648)
+
+
+def test_norm_at_large_total_momentum():
+    # the norm drops P, as the intensity oracles do: at P = 1e12 (1, 0, 1)
+    # both methods return their P = 0 results bit for bit, and the
+    # quadrature holds the norm of 1 to 1e-13 (it read 1 - 3.3e-5 at
+    # P = 1e12 when its nodes were spread around the centres at P)
+    params = ModelParams(0.5, (0.3, -0.1, 0.7), triplet_fraction=0.3)
+    for total in (0.0, 1e8, 1e12):
+        far = dataclasses.replace(params, p_total=(total, 0.0, total))
+        for spec in (QUAD, _mc(1 << 16)):
+            assert phi_norm_oracle(far, spec) == phi_norm_oracle(params, spec), (total, spec.method)
+        assert abs(phi_norm_oracle(far, QUAD).value - 1.0) <= 1e-13, total
 
 
 def _rotation_onto_z(axis, rng):
@@ -797,6 +822,9 @@ def test_degenerate_triplet_is_refused_before_any_draw(monkeypatch):
     for oracle in (intensity_cor_oracle, intensity_uncor_oracle):
         with pytest.raises(DegenerateChannelError):
             oracle(1.0, bad, _mc(1024))
+    for spec in (_mc(1024), QUAD):
+        with pytest.raises(DegenerateChannelError):
+            phi_norm_oracle(bad, spec)
 
 
 def test_degenerate_triplet_in_group_is_refused():
