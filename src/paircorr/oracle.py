@@ -17,20 +17,19 @@ The Monte-Carlo design exploits the model's structure. A norm or an
 intensity integrates over every p1 and p2 (or detector direction n), so
 it depends on neither the total momentum P nor the direction of the
 splitting s: every oracle but rho_single puts s along +z and P at 0
-(_on_axis). For a fixed n
-every term of the pair density then has the same Gaussian profile in
-p1, centred at -dp*n/2 with covariance sigma^2/2, so the p1 integral
-is exact: the density at that centre over the Gaussian's peak value.
-What is left depends on n only through its polar cosine u, so the
-azimuth is exact too (a factor 2 pi), and the coincidence oracle
-samples u alone. The accidental integrand's p1 centres all lie on the
-line through -dp*n/2 along z, so p1 across z is exact as well (a factor
-pi sigma^2): that oracle samples u and t, p1's offset along z, and it
-too takes the azimuth at 0. u is drawn from a mixture of a uniform
-density and cosh-tilted densities matched to the exp(z u) factors of
-the integrand, with stratified inversion per chunk, so the realized
-error falls much faster than the reported (conservative) 1/sqrt(N)
-standard error.
+(_on_axis). For a fixed n every term of the pair density then has the
+same Gaussian profile in p1, centred at -dp*n/2 with covariance
+sigma^2/2, so the p1 integral is exact: the density at that centre over
+the Gaussian's peak value. What is left depends on n only through its
+polar cosine u, so the azimuth is exact too (a factor 2 pi), and the
+coincidence oracle samples u alone. The accidental integrand's p1
+centres all lie on the line through -dp*n/2 along z, so p1 across z is
+exact as well (a factor pi sigma^2): that oracle samples u and t, p1's
+offset along z, and it too takes the azimuth at 0. u is drawn from a
+mixture of a uniform density and cosh-tilted densities matched to the
+exp(z u) factors of the integrand, with stratified inversion per chunk,
+so the realized error falls much faster than the reported
+(conservative) 1/sqrt(N) standard error.
 
 Sampling is chunked and streamed. A chunk draws from its own seed
 (spawned from the spec's rng_seed), block by block: PCG64's jump-ahead
