@@ -57,22 +57,22 @@ calls, runs on the whole grid without gathering them). Parameter rows
 that share one split ratio share one set of split terms, taken as
 scalars, with no per-row mask. Each entry point runs whole per block:
 on grids longer than two blocks, y = dp/sigma, the brackets, the mix
-and the entry point's finishing step (2 num/den - 1 for R, n_pairs dp^2
-times a constant times its half for an intensity) go _BLOCK points at
-a time into one output array, so the temporaries stay in cache and
-none is grid-sized. Per block, e^{-z} and expm1(-2z) are computed once,
-and inv_sinhc(z) and the envelope's x/expm1(x) at x = -2z are both
-formed from them; sech(z/2), which only the event-mixed brackets take,
-comes from sech itself. A block drops each array once it is dead,
-builds bu1's factored form (its largest set of temporaries) before any
-other event-mixed bracket, mixes into the brackets in place where they
-have the output's shape, and makes no placeholder for a form that
-serves every point, which keeps its heap peak near the size of a
-1e5-point output (at most ~1 MB). glibc returns the heap top to the
-system once it exceeds twice the largest freed mmapped chunk (there,
-the output's size); below that, what a call frees stays mapped for the
-next call instead of being faulted back in. None of this changes any
-point's arithmetic.
+and the entry point's finishing step (2 num/den - 1 for R, dp^2 / (c
+sigma^3) times its half for an intensity, on the block's sigma) go
+_BLOCK points at a time into one output array, so the temporaries stay
+in cache and none is grid-sized. Per block, e^{-z} and expm1(-2z) are
+computed once, and inv_sinhc(z) and the envelope's x/expm1(x) at
+x = -2z are both formed from them; sech(z/2), which only the event-mixed
+brackets take, comes from sech itself. A block drops each array once
+it is dead, builds bu1's factored form (its largest set of
+temporaries) before any other event-mixed bracket, mixes into the
+brackets in place where they have the output's shape, and makes no
+placeholder for a form that serves every point, which keeps its heap
+peak near the size of a 1e5-point output (at most ~1 MB). glibc
+returns the heap top to the system once it exceeds twice the largest
+freed mmapped chunk (there, the output's size); below that, what a
+call frees stays mapped for the next call instead of being faulted
+back in. None of this changes any point's arithmetic.
 Against 50-digit references (in the tests), R is within 5e-15 relative
 to 1 + R below the plain switch, and the tests' full scan reads 4e-14
 at worst, at a d = 701 row. The intensities add the rounding of their
@@ -149,35 +149,19 @@ _MAX_SPLIT_RATIO = math.sqrt(sys.float_info.max)
 
 
 def _check_physical(sigma, triplet_fraction, momentum_split):
-    """Validated (sigma, f, s), each a float, or a float array where given as one.
-
-    A shape-(3,) momentum_split is a vector and contributes its
-    magnitude; any other array holds split magnitudes that broadcast
-    with sigma and f.
-    """
+    """Validated (sigma, f, s), each a float, or a float array where given as one."""
     return (
         _positive("sigma", sigma),
         _fraction("triplet_fraction", triplet_fraction),
-        _nonnegative("momentum_split", _split_magnitude(momentum_split)),
+        _nonnegative("momentum_split", momentum_split),
     )
 
 
-def _split_magnitude(momentum_split):
-    """The magnitude of a shape-(3,) momentum_split; any other value holds magnitudes."""
-    split = np.asarray(momentum_split, dtype=float)
-    return np.linalg.norm(split) if split.shape == (3,) else split
-
-
 def _scalars(*params):
-    """params, refused where one is an array: the rule of the entry points that take one parameter point."""
+    """params, refused where one is an array: correlation_curve's rule."""
     if any(np.ndim(v) for v in params):
         raise ValueError("parameters must be scalars here; correlation_R takes arrays of them")
     return params
-
-
-def _check_scalar_physical(sigma, triplet_fraction, momentum_split, n_pairs):
-    """_check_physical and n_pairs for the entry points that take one parameter point."""
-    return _scalars(*_check_physical(sigma, triplet_fraction, momentum_split), _nonnegative("n_pairs", n_pairs))
 
 
 def _check_delta_p(delta_p):
@@ -382,7 +366,7 @@ def _eds_saturated(delta, z):
 
 
 def _mixture(dp, sigma, f, split, scale, finish, halves=("num", "den")):
-    """finish(dp, *h) for the halves h named in ``halves``, of (num, den), in that order.
+    """finish(dp, sigma, *h) for the halves h named in ``halves``, of (num, den), in that order.
 
     The kernel builds only the brackets behind the halves asked for, on
     the broadcast of (dp, sigma, split) alone: no bracket depends on f.
@@ -403,7 +387,7 @@ def _mixture(dp, sigma, f, split, scale, finish, halves=("num", "den")):
     n = shape[-1] if shape else 1
     if n <= 2 * _BLOCK:
         y = np.broadcast_to(dp / sigma, inner)
-        return finish(dp, *_mix(halves, f, _mixture_block(scale, halves, y, *terms), in_place))
+        return finish(dp, sigma, *_mix(halves, f, _mixture_block(scale, halves, y, *terms), in_place))
     out = np.empty(shape)
     args = (dp, sigma, f, *terms)
     # which arguments run along the grid, and so are cut per block
@@ -411,12 +395,13 @@ def _mixture(dp, sigma, f, split, scale, finish, halves=("num", "den")):
     for lo in range(0, n, _BLOCK):
         cut = np.s_[..., lo : lo + _BLOCK]
         dp_cut, sigma_cut, f_cut, *terms_cut = (a[cut] if c else a for a, c in zip(args, along))
-        block = out[cut]
-        width = block.shape[-1:] if inner[-1:] == (n,) else inner[-1:]
+        width = out[cut].shape[-1:] if inner[-1:] == (n,) else inner[-1:]
         y = np.broadcast_to(dp_cut / sigma_cut, inner[:-1] + width)
         # no name for the brackets or the halves, which would keep them
         # alive into the next block
-        block[...] = finish(dp_cut, *_mix(halves, f_cut, _mixture_block(scale, halves, y, *terms_cut), in_place))
+        out[cut] = finish(
+            dp_cut, sigma_cut, *_mix(halves, f_cut, _mixture_block(scale, halves, y, *terms_cut), in_place)
+        )
     return out
 
 
@@ -544,14 +529,14 @@ def _regimes(delta_p, sigma, split):
     return (form + np.where(delta < _TINY_DELTA, _TINY, 0)).astype(np.int8)
 
 
-def _finish_R(dp, num, den):
+def _finish_R(dp, sigma, num, den):
     """R from the halves of one block."""
     return 2.0 * num / den - 1.0
 
 
-def _finish_intensity(n_pairs, norm):
-    """An intensity's per-point step: n_pairs dp^2 / norm times the half it returns."""
-    return lambda dp, half: n_pairs * dp * dp / norm * half
+def _finish_intensity(factor):
+    """An intensity's per-point step: dp^2 / (factor sqrt(pi) sigma^3) times its half (float_power as in _mix)."""
+    return lambda dp, sigma, half: dp * dp / (factor * _SQRT_PI * np.float_power(sigma, 3.0)) * half
 
 
 def correlation_R(delta_p, sigma, triplet_fraction, momentum_split):
@@ -565,10 +550,10 @@ def correlation_R(delta_p, sigma, triplet_fraction, momentum_split):
         Wavepacket momentum width (a.u.).
     triplet_fraction : float or array_like
         Weight f of the antisymmetric channel, in [0, 1].
-    momentum_split : float, 3-vector or array_like
-        Splitting momentum between the packet centers; only its
-        magnitude matters here. A shape-(3,) array is one vector; any
-        other array holds magnitudes.
+    momentum_split : float or array_like
+        Magnitude |s| of the splitting momentum between the packet
+        centers, >= 0; an array holds one magnitude per element. Pass
+        ``ModelParams.split_magnitude`` for a vector.
 
     Array-valued parameters broadcast against delta_p, so an (m, 1)
     column of each with an n-point grid evaluates m curves in one call;
@@ -593,43 +578,35 @@ def correlation_R(delta_p, sigma, triplet_fraction, momentum_split):
         For a parameter out of its range, and where momentum_split /
         sigma exceeds sqrt of the largest double, ~1.34e154 (or is
         inf): d = (split/sigma)^2/4 overflows there. The intensities
-        refuse the same points.
+        refuse the same points, and take and broadcast the same
+        parameter arrays.
     """
     sigma, f, split = _check_physical(sigma, triplet_fraction, momentum_split)
     return _mixture(_check_delta_p(delta_p), sigma, f, split, _ratio_scale, _finish_R)[()]
 
 
-def coincidence_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pairs=1.0):
-    """True pair-coincidence intensity at relative momentum dp.
+def coincidence_intensity(delta_p, sigma, triplet_fraction, momentum_split):
+    """True pair-coincidence intensity at relative momentum dp, per emitted pair.
 
     Integrates the mixture pair density over all orientations of the
     relative momentum (full 4 pi) and over the absolute momentum scale,
-    leaving a function of dp alone. Scales linearly with ``n_pairs``,
-    which must be finite and >= 0.
-
-    Returns values in (pair count) / (a.u. momentum) such that the
-    integral over dp counts detected pairs.
+    leaving a function of dp alone, whose integral over dp is 1.
+    Parameters and their arrays are those of correlation_R.
     """
-    sigma, f, split, n_pairs = _check_scalar_physical(
-        sigma, triplet_fraction, momentum_split, n_pairs
-    )
-    finish = _finish_intensity(n_pairs, 2.0 * _SQRT_PI * sigma**3)
-    return _mixture(_check_delta_p(delta_p), sigma, f, split, _intensity_scale, finish, ("num",))[()]
+    sigma, f, split = _check_physical(sigma, triplet_fraction, momentum_split)
+    return _mixture(_check_delta_p(delta_p), sigma, f, split, _intensity_scale, _finish_intensity(2.0), ("num",))[()]
 
 
-def accidental_intensity(delta_p, sigma, triplet_fraction, momentum_split, n_pairs=1.0):
-    """Event-mixed (accidental) pair intensity at relative momentum dp.
+def accidental_intensity(delta_p, sigma, triplet_fraction, momentum_split):
+    """Event-mixed (accidental) pair intensity at relative momentum dp, per emitted pair.
 
     Built from products of independently drawn single-particle spectra
     of the same mixture; this is the uncorrelated reference against
-    which R is defined. Scales linearly with ``n_pairs``, which must be
-    finite and >= 0.
+    which R is defined. Its integral over dp is 1. Parameters and their
+    arrays are those of correlation_R.
     """
-    sigma, f, split, n_pairs = _check_scalar_physical(
-        sigma, triplet_fraction, momentum_split, n_pairs
-    )
-    finish = _finish_intensity(n_pairs, 4.0 * _SQRT_PI * sigma**3)
-    return _mixture(_check_delta_p(delta_p), sigma, f, split, _intensity_scale, finish, ("den",))[()]
+    sigma, f, split = _check_physical(sigma, triplet_fraction, momentum_split)
+    return _mixture(_check_delta_p(delta_p), sigma, f, split, _intensity_scale, _finish_intensity(4.0), ("den",))[()]
 
 
 @dataclass(frozen=True)
@@ -655,7 +632,7 @@ def correlation_curve(delta_p, sigma, triplet_fraction, momentum_split):
     correlation_R validates every value; this adds only the rule that
     the parameters are scalars.
     """
-    params = _scalars(sigma, triplet_fraction, _split_magnitude(momentum_split))
+    params = _scalars(sigma, triplet_fraction, momentum_split)
     r = np.atleast_1d(correlation_R(delta_p, sigma, triplet_fraction, momentum_split))
     dp = np.atleast_1d(np.asarray(delta_p, dtype=float))
     return CorrelationCurve(dp, r, *(float(v) for v in params))

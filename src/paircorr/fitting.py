@@ -11,7 +11,9 @@ q and f covers the start space: it gives the chi^2 profile over
 that profile along sigma are the starts. With p_tilde tied or fixed
 the q axis has one value. The call puts f on an axis of its own, so
 the closed-form kernel runs once per (sigma, q) and f costs only the
-mix of its brackets. The starts run
+mix of its brackets. A free p_tilde descends in w = p_tilde^2: R is
+even in p_tilde, so dR/dp_tilde vanishes at p_tilde = 0, where a
+descent in p_tilde stalls, while dR/dw does not. The starts run
 in lockstep, one parameter-batched correlation_R call per round. From
 one Jacobian a descent tries trial points at growing damping until one
 lowers the objective; a round evaluates the first few of those trials
@@ -187,14 +189,14 @@ class FitResult:
 def _resolve(theta, config: FitConfig):
     """Full (sigma, f, p_tilde) from a (k, n_free) stack of free vectors.
 
-    Free parameters come back as (k, 1) columns and fixed ones as
-    floats, ready to broadcast against a delta_p grid.
+    Free parameters (p_tilde as sqrt(w)) come back as (k, 1) columns and
+    fixed ones as floats, ready to broadcast against a delta_p grid.
     """
     values = {name: theta[:, j : j + 1] for j, name in enumerate(config.free)}
     sigma = values.get("sigma", config.sigma)
     f = values.get("f", config.f)
     if "p_tilde" in values:
-        p_tilde = values["p_tilde"]
+        p_tilde = np.sqrt(values["p_tilde"])
     elif config.p_tilde is None:
         p_tilde = 0.1 * sigma
     else:
@@ -203,10 +205,11 @@ def _resolve(theta, config: FitConfig):
 
 
 def _bounds_arrays(config: FitConfig):
+    """Box bounds of the free vectors, which hold a free p_tilde as w = p_tilde^2 (module docstring)."""
     table = {
         "sigma": config.sigma_bounds,
         "f": config.f_bounds,
-        "p_tilde": config.p_tilde_bounds,
+        "p_tilde": tuple(b * b for b in config.p_tilde_bounds),
     }
     lo = np.array([table[name][0] for name in config.free])
     hi = np.array([table[name][1] for name in config.free])
@@ -235,7 +238,7 @@ def _profile_starts(model, dp, lo, hi, config: FitConfig):
     per (sigma, q) and f enters only its final mix. The profile is the
     minimum over f at each (sigma, q), and each of its local minima
     along sigma at one q becomes a start: at most multistart_count
-    distinct ones, lowest first.
+    distinct ones, lowest first, with a free p_tilde as w = p_tilde^2.
     """
     axes = {
         "sigma": np.geomspace(*_sigma_range(config), _PROFILE_SIGMAS),
@@ -267,7 +270,7 @@ def _profile_starts(model, dp, lo, hi, config: FitConfig):
     right = np.concatenate([profile[1:], edge])
     minima = np.flatnonzero((profile <= left) & (profile < right))
     minima = minima[np.argsort(profile.ravel()[minima], kind="stable")]
-    chosen = {"sigma": sigma[minima, 0, 0], "f": f[0, best[minima], 0], "p_tilde": p_tilde[minima, 0, 0]}
+    chosen = {"sigma": sigma[minima, 0, 0], "f": f[0, best[minima], 0], "p_tilde": p_tilde[minima, 0, 0] ** 2}
     # a p_tilde clipped to its bounds can repeat a start: the first runs
     starts = list(dict.fromkeys(zip(*(chosen[name].tolist() for name in config.free))))
     return np.array(starts[: config.multistart_count]).reshape(-1, len(config.free))
@@ -514,14 +517,12 @@ def fit(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
         )
     best_index = int(np.argmin(costs))  # first minimum: ties go to the lower index
     theta = thetas[best_index]
-    sigma, f, p_tilde = (float(np.ravel(v)[0]) for v in _resolve(theta[None], config))
+    resolved = dict(zip(_PARAM_NAMES, (float(np.ravel(v)[0]) for v in _resolve(theta[None], config))))
     # a row of a parameter-batched call equals the one-parameter call
     r_model = curves[best_index]
     result = FitResult(
-        sigma=sigma,
-        f=f,
-        p_tilde=p_tilde,
-        estimates={name: float(v) for name, v in zip(config.free, theta)},
+        **resolved,
+        estimates={name: resolved[name] for name in config.free},
         approx_error_pct=_approx_error_pct(w, robs, r_model),
         residuals=tuple(float(v) for v in (r_model - robs)),
         converged=bool(converged[best_index]),
@@ -546,7 +547,7 @@ def approximation_error(data: Dataset, params: ModelParams) -> float:
     UndefinedMetricError when the data r-values are identically zero.
     """
     r_model = correlation_R(
-        np.asarray(data.delta_p), params.sigma, params.triplet_fraction, params.p_split
+        np.asarray(data.delta_p), params.sigma, params.triplet_fraction, params.split_magnitude
     )
     return _approx_error_pct(data.weights(), np.asarray(data.r), r_model)
 
@@ -572,7 +573,7 @@ def synthesize(params: ModelParams, grid, noise_rel: float = 0.0, rng_seed: int 
     noise_rel = _nonnegative("noise_rel", noise_rel)
     dp = np.asarray(grid, dtype=float)
     r_true = np.atleast_1d(
-        correlation_R(dp, params.sigma, params.triplet_fraction, params.p_split)
+        correlation_R(dp, params.sigma, params.triplet_fraction, params.split_magnitude)
     )
     rng = np.random.default_rng(rng_seed)
     noise = rng.standard_normal(r_true.shape)

@@ -121,16 +121,12 @@ class ModelParams:
     triplet_fraction : float, optional
         Probability f that an emitted pair is in the triplet channel,
         in [0, 1]. Defaults to 0 (pure singlet).
-    n_pairs : float, optional
-        Total pair yield scaling the mixture density and both
-        intensities; an arbitrary positive cross-section scale.
     """
 
     sigma: float
     p_split: tuple[float, float, float] = (0.0, 0.0, 0.0)
     p_total: tuple[float, float, float] = (0.0, 0.0, 0.0)
     triplet_fraction: float = 0.0
-    n_pairs: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "p_split", _as_vec3(self.p_split, "p_split"))
@@ -139,7 +135,6 @@ class ModelParams:
             self,
             sigma=_positive("sigma", self.sigma),
             triplet_fraction=_fraction("triplet_fraction", self.triplet_fraction),
-            n_pairs=_positive("n_pairs", self.n_pairs),
         )
 
     # The per-parameter scalars below are cached properties: each takes

@@ -524,9 +524,8 @@ def intensity_cor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> 
 
     # the first child of rng_seed, not rng_seed itself: the pinned results drew from it
     seed = np.random.SeedSequence(spec.rng_seed).spawn(1)[0]
-    mean, se, *counts = _mc_sum(spec.sample_count, seed, ("strata",), block)
-    n_pairs = params.n_pairs
-    return _finish(spec, "intensity_cor_oracle", started, n_pairs * mean, n_pairs * se, *counts)
+    run = _mc_sum(spec.sample_count, seed, ("strata",), block)
+    return _finish(spec, "intensity_cor_oracle", started, *run)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +533,7 @@ def intensity_cor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> 
 
 
 def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> OracleResult:
-    """Accidental intensity (dp)^2 int d^3p1 dOmega rho(p1) rho(p1+dp*n) / n_pairs.
+    """Accidental intensity (dp)^2 int d^3p1 dOmega rho(p1) rho(p1+dp*n), per emitted pair.
 
     The mixture is taken with s along +z and P = 0 (_on_axis), which
     leave the intensity unchanged. rho, the closed-form single-particle
@@ -562,8 +561,8 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
     var = 0.75 * sigma * sigma
     spread = math.sqrt(var)
     pdf_norm = (2.0 * math.pi * var) ** -0.5
-    # n_pairs, the exact p1 integral across s and the azimuth's 2 pi
-    scale = params.n_pairs * math.pi * sigma * sigma * delta_p * delta_p * 2.0 * math.pi
+    # the exact p1 integral across s and the azimuth's 2 pi
+    scale = math.pi * sigma * sigma * delta_p * delta_p * 2.0 * math.pi
 
     def block(work, out, v, pick, xi):
         u = _tilt_sample(v, z, _UNC_TILTS, work)
@@ -643,11 +642,10 @@ def _pair_norm_quad_value(params: ModelParams, n: int) -> float:
 
 
 def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
-    """Check that the differential pair yield integrates to n_pairs.
+    """Check that the mixture's pair density, per emitted pair, integrates to 1.
 
-    The yield is n_pairs times the norm of the mixture, whose singlet
-    and triplet pair densities are weighted by 1 - f and f, so f = 0 or
-    1 with n_pairs = 1 checks that one pure channel's pair density
+    Its singlet and triplet pair densities are weighted by 1 - f and f,
+    so f = 0 or 1 checks that one pure channel's pair density
     integrates to 1. The norm, like an intensity, depends on neither P
     nor the direction of s, so it is taken on the axis (_on_axis), and a
     degenerate triplet of nonzero weight is refused before any work.
@@ -700,31 +698,32 @@ def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
 
         seed = np.random.SeedSequence(spec.rng_seed)
         value, est, *counts = _mc_sum(spec.sample_count, seed, ("uniform", "normal6"), block)
-    n_pairs = params.n_pairs
-    return _finish(spec, "phi_norm_oracle", started, n_pairs * value, n_pairs * est, *counts)
+    return _finish(spec, "phi_norm_oracle", started, value, est, *counts)
 
 
 def _rho_single_value(p, params: ModelParams, n: int) -> float:
     nodes, weights = zip(*_box_rule(params, n))
     gx, gy, gz = np.meshgrid(*nodes, indexing="ij")
     grid = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=-1)
-    wgt = (
-        weights[0][:, None, None] * weights[1][None, :, None] * weights[2][None, None, :]
-    ).ravel()
-    values = params.n_pairs * mixture_density(np.asarray(p, dtype=float), grid, params)
+    wgt = (weights[0][:, None, None] * weights[1][None, :, None] * weights[2]).ravel()
+    values = mixture_density(p, grid, params)
     return float(np.sum(wgt * values))
 
 
 def rho_single(p, params: ModelParams, spec: QuadratureSpec) -> OracleResult:
-    """Single-particle density at p: the pair yield integrated over the partner.
+    """Single-particle density at p, per emitted pair: the pair density integrated over the partner.
 
     Tensor quadrature only; the integrand is a fixed 3-d Gaussian
     mixture, which Gauss-Legendre nodes resolve to near machine
-    precision, so a Monte-Carlo path would only add noise.
+    precision. The densities see p and the centres (P +/- s)/2 only
+    through their offsets from P/2, so the rule is built at P = 0 on
+    p - P/2, and its nodes do not round at the size of P.
     """
     started = time.perf_counter()
     if spec.method != "tensor-quadrature":
         raise UnsupportedMethodError("rho_single supports method='tensor-quadrature' only")
+    p = np.asarray(p, dtype=float) - 0.5 * np.asarray(params.p_total)
+    params = replace(params, p_total=(0.0, 0.0, 0.0))
     n = spec.nodes_per_axis
     coarse = _rho_single_value(p, params, n // 2)
     fine = _rho_single_value(p, params, n)

@@ -296,28 +296,13 @@ def test_large_dp_asymptote():
 
 
 def test_intensities_integrate_to_pair_count():
-    # integral of either intensity over dp equals n_pairs
+    # the intensities are per emitted pair: each integrates over dp to 1
     dp = np.linspace(0.0, 14.0, 40001)
-    for sigma, f, split, n in [(0.5, 0.5, 0.5, 1.0), (0.22, 0.75, 0.022, 3.0)]:
-        ic = coincidence_intensity(dp, sigma, f, split, n_pairs=n)
-        iu = accidental_intensity(dp, sigma, f, split, n_pairs=n)
-        assert np.trapezoid(ic, dp) == pytest.approx(n, rel=1e-8)
-        assert np.trapezoid(iu, dp) == pytest.approx(n, rel=1e-8)
-
-
-def test_intensity_scales_with_n_pairs():
-    dp = np.linspace(0.1, 6.0, 20)
-    one = coincidence_intensity(dp, 0.5, 0.3, 0.4, n_pairs=1.0)
-    ten = coincidence_intensity(dp, 0.5, 0.3, 0.4, n_pairs=10.0)
-    np.testing.assert_allclose(ten, 10.0 * one, rtol=1e-15)
-
-
-def test_n_pairs_validation():
-    for fn in (coincidence_intensity, accidental_intensity):
-        for bad in (np.nan, np.inf, -3.0):
-            with pytest.raises(ValueError, match="n_pairs"):
-                fn(0.3, 0.22, 0.5, 0.022, n_pairs=bad)
-        assert float(fn(0.3, 0.22, 0.5, 0.022, n_pairs=0.0)) == 0.0
+    for sigma, f, split in [(0.5, 0.5, 0.5), (0.22, 0.75, 0.022)]:
+        ic = coincidence_intensity(dp, sigma, f, split)
+        iu = accidental_intensity(dp, sigma, f, split)
+        assert np.trapezoid(ic, dp) == pytest.approx(1.0, rel=1e-8)
+        assert np.trapezoid(iu, dp) == pytest.approx(1.0, rel=1e-8)
 
 
 def test_intensities_vanish_at_contact():
@@ -325,11 +310,16 @@ def test_intensities_vanish_at_contact():
     assert float(accidental_intensity(0.0, 0.5, 0.5, 0.5)) == 0.0
 
 
-def test_vector_split_uses_magnitude():
-    v = np.array([0.3, 0.0, 0.4])
-    a = correlation_R(1.0, 0.5, 0.5, v)
-    b = correlation_R(1.0, 0.5, 0.5, 0.5)
-    assert float(a) == pytest.approx(float(b), rel=1e-15)
+def test_three_splits_are_three_magnitudes():
+    # a shape-(3,) split array holds three magnitudes, as any other
+    # array does, never one vector: each value is its own scalar call
+    splits = [0.01, 0.02, 0.03]
+    for fn in _CLOSED_FORMS:
+        for sigma in (0.2, [0.2] * 3):
+            got = fn(0.1, sigma, 0.5, splits)
+            assert got.shape == (3,)
+            _assert_same_bytes(got, [fn(0.1, 0.2, 0.5, s) for s in splits])
+    assert len(set(correlation_R(0.1, 0.2, 0.5, splits).tolist())) == 3
 
 
 def test_parameter_batch_matches_scalar_calls():
@@ -429,22 +419,45 @@ def test_intensities_match_the_two_half_kernel(monkeypatch):
     kernel = paircorr.correlation._mixture
 
     def both_halves(dp, sigma, f, split, scale, finish, halves=("num", "den")):
-        def pick(dp, num, den):
-            return finish(dp, *(dict(num=num, den=den)[h] for h in halves))
+        def pick(dp, sigma, num, den):
+            return finish(dp, sigma, *(dict(num=num, den=den)[h] for h in halves))
 
         return kernel(dp, sigma, f, split, scale, pick)
 
     n = 2 * _BLOCK + 3  # long enough for the blocked path
     calls = [
-        (fn, (sigma * np.linspace(0.0, top, n), sigma, f, split), n_pairs)
+        (fn, (sigma * np.linspace(0.0, top, n), sigma, f, split))
         for sigma, split, f, top in _SWEEP
         for fn in (coincidence_intensity, accidental_intensity)
-        for n_pairs in (0.0, 1.0, 30.0)
     ]
-    alone = [fn(*args, n_pairs=n_pairs) for fn, args, n_pairs in calls]
+    alone = [fn(*args) for fn, args in calls]
     monkeypatch.setattr(paircorr.correlation, "_mixture", both_halves)
-    for (fn, args, n_pairs), got in zip(calls, alone):
-        _assert_same_bytes(got, fn(*args, n_pairs=n_pairs))
+    for (fn, args), got in zip(calls, alone):
+        _assert_same_bytes(got, fn(*args))
+
+
+@pytest.mark.parametrize("n", [30, 20_000])
+def test_intensities_take_parameter_arrays(n):
+    # the intensities broadcast parameter arrays as R does: with (m, 1)
+    # columns over the curve-sweep regimes, on one shared grid and on
+    # per-row grids, each row equals its one-parameter call bit for bit
+    sigma, split, f, top = (np.array(col)[:, None] for col in zip(*_SWEEP))
+    x = np.linspace(0.0, 1.0, n)
+    for fn in (coincidence_intensity, accidental_intensity):
+        for dp in (x * 12.0, x * top * sigma):
+            batch = fn(dp, sigma, f, split)
+            assert batch.shape == (len(_SWEEP), n)
+            for k, (s, sp, fr, _) in enumerate(_SWEEP):
+                _assert_same_bytes(batch[k], fn(np.broadcast_to(dp, batch.shape)[k], s, fr, sp))
+    # sigma along the grid, cut with it per block: each point is its
+    # one-point call, normalization sigma^3 included
+    picks = np.unique(np.linspace(0, n - 1, 30).astype(int))
+    for s, sp, fr, top in _SWEEP:
+        sigmas = s * np.linspace(0.8, 1.25, n)
+        dp = x * top * s
+        for fn in (coincidence_intensity, accidental_intensity):
+            got = fn(dp, sigmas, fr, sp)[picks]
+            _assert_same_bytes(got, [fn(dp[i], sigmas[i], fr, sp) for i in picks.tolist()])
 
 
 def test_coincidence_intensity_builds_no_event_mixed_bracket(monkeypatch):
@@ -559,7 +572,7 @@ def test_f_axis_matches_scalar_calls():
     # at d = 900 den is inf, and R has pinned to -1 at f = 0 and f = 1
     with np.errstate(over="ignore"):
         den = paircorr.correlation._mixture(
-            dp[:5], 0.1, 0.5, 6.0, paircorr.correlation._ratio_scale, lambda dp, num, den: den
+            dp[:5], 0.1, 0.5, 6.0, paircorr.correlation._ratio_scale, lambda dp, sigma, num, den: den
         )
     assert np.all(np.isinf(den))
     assert np.all(got[-1, [0, -1], :5] == -1.0)
@@ -706,9 +719,13 @@ def test_input_validation():
         correlation_R(1.0, 0.5, np.array([[0.5], [np.nan]]), 0.5)
     with pytest.raises(ValueError):
         correlation_R(1.0, 0.5, 0.5, np.array([[0.5], [-0.1]]))
-    # the intensities take one parameter point
-    with pytest.raises(ValueError):
-        coincidence_intensity(1.0, np.array([[0.5], [0.6]]), 0.5, 0.5)
+    # the intensities broadcast parameter arrays, each value checked
+    for fn in (coincidence_intensity, accidental_intensity):
+        got = fn(1.0, np.array([[0.5], [0.6]]), 0.5, 0.5)
+        assert got.shape == (2, 1)
+        _assert_same_bytes(got[:, 0], [fn(1.0, s, 0.5, 0.5) for s in (0.5, 0.6)])
+        with pytest.raises(ValueError):
+            fn(1.0, 0.5, 0.5, np.array([[0.5], [-0.1]]))
 
 
 @given(
@@ -802,17 +819,20 @@ def test_curve_bundles_parameters():
 def test_curve_validates_once(monkeypatch):
     # correlation_R checks sigma, f, the split and dp; the curve makes
     # no second pass over them and returns correlation_R's values
+    split = paircorr.model.ModelParams(0.5, (0.1, -0.2, 0.3)).split_magnitude
     names = []
     checked = paircorr.model._checked
     monkeypatch.setattr(
         paircorr.model, "_checked", lambda name, *rest: names.append(name) or checked(name, *rest)
     )
     dp = np.linspace(0.0, 5.0, 11)
-    split = (0.1, -0.2, 0.3)
     curve = correlation_curve(dp, 0.5, 0.25, split)
     assert sorted(names) == ["delta_p", "momentum_split", "sigma", "triplet_fraction"]
     assert curve.r.tobytes() == correlation_R(dp, 0.5, 0.25, split).tobytes()
-    assert curve.momentum_split == float(np.linalg.norm(split))
+    assert curve.momentum_split == split
+    # a vector is three magnitudes, which the curve's scalar rule refuses
+    with pytest.raises(ValueError, match="scalars"):
+        correlation_curve(dp, 0.5, 0.25, (0.1, -0.2, 0.3))
     with pytest.raises(ValueError, match="scalars"):
         correlation_curve(dp, np.array([0.5, 0.6]), 0.25, 0.3)
     with pytest.raises(ValueError, match="scalars"):

@@ -167,7 +167,7 @@ def test_synthesize_noise_statistics():
     grid = np.linspace(0.01, 1.3, 1000)
     noise_rel = 0.08
     data = synthesize(TRUTH, grid, noise_rel=noise_rel, rng_seed=3)
-    r_true = correlation_R(grid, TRUTH.sigma, TRUTH.triplet_fraction, TRUTH.p_split)
+    r_true = correlation_R(grid, TRUTH.sigma, TRUTH.triplet_fraction, TRUTH.split_magnitude)
     # multiplicative noise: (r/r_true - 1)/noise_rel recovers unit normals
     xi = (np.asarray(data.r) - r_true) / (r_true * noise_rel)
     assert abs(xi.std() - 1.0) < 0.1
@@ -181,7 +181,7 @@ def test_synthesize_noise_statistics():
 
 def test_synthesize_noise_free_is_exact():
     data = synthesize(TRUTH, GRID)
-    r_true = correlation_R(GRID, TRUTH.sigma, TRUTH.triplet_fraction, TRUTH.p_split)
+    r_true = correlation_R(GRID, TRUTH.sigma, TRUTH.triplet_fraction, TRUTH.split_magnitude)
     assert data.sigma_r is None
     np.testing.assert_array_equal(np.asarray(data.r), r_true)
 
@@ -305,7 +305,10 @@ def test_starts_converge_with_few_model_calls(monkeypatch):
 # p_tilde-free rows were recorded again when their starts moved from a
 # Latin hypercube to the profile grid: each objective fell (by 9e-15,
 # 1.4e-10 and 6e-15 relative), and the model calls went 254 -> 103,
-# 255 -> 159 and 251 -> 20.
+# 255 -> 159 and 251 -> 20. They were recorded again when a free
+# p_tilde began to descend in w = p_tilde^2: the objectives moved by
+# +1.3e-15, -1.2e-15 and +2.6e-15 relative, and the model calls went
+# 103 -> 9, 159 -> 8 and 20 -> 20.
 EXACT_FITS = {
     (0.22, 0, "tied"): (
         "0x1.c294aaa2409d1p-3 0x1.fa3692178eb82p-2 0x1.3a0e29f20822fp+4",
@@ -328,11 +331,11 @@ EXACT_FITS = {
         """,
     ),
     (0.22, 0, "free"): (
-        "0x1.c2bc46766b988p-3 0x1.faff703e8b55cp-2 0x1.39cba24cf3753p+4",
+        "0x1.c2bc4674b1e15p-3 0x1.faff70494910bp-2 0x1.39cba24cf375ap+4",
         5,
         """
-        0x1.c35855dfbe25ep+4 0x1.3ac6f7d3b0f2ep+4 0x1.39cba2b5281b1p+4
-        0x1.39cba24cf37eap+4 0x1.39cba24cf3753p+4
+        0x1.c35855dfbe25ep+4 0x1.3ac6f2b4c4c17p+4 0x1.39cba2b524379p+4
+        0x1.39cba24cf37e7p+4 0x1.39cba24cf375ap+4
         """,
     ),
     (0.39, 1011, "tied"): (
@@ -354,11 +357,12 @@ EXACT_FITS = {
         """,
     ),
     (0.39, 1011, "free"): (
-        "0x1.902df9d2e32cfp-2 0x1.03a4718c1b0d3p-1 0x1.13cffbfb245c0p+5",
-        5,
+        "0x1.902df9d2dea2cp-2 0x1.03a4718d05bd8p-1 0x1.13cffbfb245bap+5",
+        7,
         """
-        0x1.51466fd9366cfp+7 0x1.1fbfce84639f2p+5 0x1.13d04bb0987f8p+5
-        0x1.13cffbfb24e5fp+5 0x1.13cffbfb245c0p+5
+        0x1.5c28a86ee933dp+6 0x1.2d172a62448acp+5 0x1.252a77bcebd63p+5
+        0x1.13d08130ce718p+5 0x1.13cffbfb265e2p+5 0x1.13cffbfb245fbp+5
+        0x1.13cffbfb245bap+5
         """,
     ),
     (0.55, 2016, "tied"): (
@@ -380,12 +384,12 @@ EXACT_FITS = {
         """,
     ),
     (0.55, 2016, "free"): (
-        "0x1.19120bd661c94p-1 0x1.f7315110fe3d0p-2 0x1.194b39d408901p+4",
-        7,
+        "0x1.19120bd7c3ac9p-1 0x1.f731511bd6d7ap-2 0x1.194b39d40890ep+4",
+        9,
         """
-        0x1.2e0c0dcae2b7bp+4 0x1.194caf571f08ep+4 0x1.194b39d414112p+4
-        0x1.194b39d408b45p+4 0x1.194b39d40897dp+4 0x1.194b39d40894dp+4
-        0x1.194b39d408901p+4
+        0x1.2c983c2a492fcp+4 0x1.194bcda85b1dfp+4 0x1.194b39d41abfep+4
+        0x1.194b39d409fc0p+4 0x1.194b39d408dc7p+4 0x1.194b39d4089b3p+4
+        0x1.194b39d408985p+4 0x1.194b39d408930p+4 0x1.194b39d40890ep+4
         """,
     ),
 }
@@ -512,22 +516,31 @@ def test_p_tilde_free_profile_starts_reach_the_latin_hypercube_optimum(monkeypat
     # q = p_tilde / sigma axis; they must find the basin the Latin
     # hypercube found, to 1e-6. The grid ends more than 1e-12 lower on 6
     # of these 100, and median model calls per fit fell from 252 to 24.
+    # Since p_tilde descends in w = p_tilde^2, no start stalls near
+    # p_tilde = 0 until max_iterations (16 of these fits had one that
+    # did), and the median fell to 15.
     captured = []
     real_lm = paircorr.fitting._lm_lockstep
 
     def recorded(*args):
-        captured.append(args)
-        return real_lm(*args)
+        out = real_lm(*args)
+        captured.append((args, out))
+        return out
 
     monkeypatch.setattr(paircorr.fitting, "_lm_lockstep", recorded)
     config = FitConfig(free=("sigma", "f", "p_tilde"))
     for i, data in enumerate(_free_cases(2024, len(LATIN_OPTIMA))):
+        captured.clear()
         assert fit(data, config).objective <= LATIN_OPTIMA[i] * (1.0 + 1e-6), i
+        (evaluate, _, lo, hi, _), (_, _, _, iterations, _, _) = captured[0]
+        assert np.all(iterations < config.max_iterations), i
         if i == 0:
             # the table is the reference's: one of its fits, again, to the
-            # last bits that inv_sinhc's clamp at 1 moved near p_tilde = 0
-            evaluate, _, lo, hi, _ = captured[0]
-            latin = real_lm(evaluate, _latin_starts(config), lo, hi, config)[1].min()
+            # last bits that inv_sinhc's clamp at 1 moved near p_tilde = 0;
+            # its starts' p_tilde column is squared into w
+            starts = _latin_starts(config)
+            starts[:, 2] **= 2
+            latin = real_lm(evaluate, starts, lo, hi, config)[1].min()
             assert latin == pytest.approx(LATIN_OPTIMA[0], rel=1e-12, abs=0.0)
 
 
@@ -638,5 +651,7 @@ def test_p_tilde_starts_when_the_bounds_miss_the_start_range(bounds):
         return correlation_R(grid, sigma, f, p_tilde) - r, None
 
     starts = _profile_starts(model, dp, *_bounds_arrays(config), config)
-    assert np.all((bounds[0] <= starts[:, 2]) & (starts[:, 2] <= bounds[1]))
+    # the starts hold a free p_tilde as w = p_tilde^2
+    p_tilde = np.sqrt(starts[:, 2])
+    assert np.all((bounds[0] <= p_tilde) & (p_tilde <= bounds[1]))
     assert len(np.unique(starts, axis=0)) == len(starts) <= config.multistart_count

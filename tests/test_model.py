@@ -224,7 +224,6 @@ def test_densities_are_frozen():
             p_split=(0.3, -0.1, 0.7),
             p_total=(0.1, 0.2, -0.3),
             triplet_fraction=f,
-            n_pairs=2.5,
         )
         if f in pair:
             assert digest(mixture_density(grid, point, params)) == pair[f]
@@ -240,8 +239,9 @@ def test_params_validation():
         ModelParams(sigma=-1.0)
     with pytest.raises(ValueError):
         ModelParams(sigma=1.0, triplet_fraction=1.5)
-    with pytest.raises(ValueError):
-        ModelParams(sigma=1.0, n_pairs=0.0)
+    # densities are per emitted pair: there is no pair-count scale
+    with pytest.raises(TypeError):
+        ModelParams(sigma=1.0, n_pairs=1.0)
     with pytest.raises(ValueError):
         ModelParams(sigma=1.0, p_split=(1.0, 2.0))
     # non-finite vectors and numbers, and array-valued scalar fields
@@ -255,7 +255,6 @@ def test_params_validation():
         dict(sigma=1.0, p_total=np.inf),
         dict(sigma=1.0, triplet_fraction=np.nan),
         dict(sigma=1.0, triplet_fraction=np.array([0.2, 0.4])),
-        dict(sigma=1.0, n_pairs=np.inf),
     ):
         with pytest.raises(ValueError):
             ModelParams(**bad)

@@ -42,15 +42,14 @@ PARAMS = ModelParams(
     p_split=(0.3, -0.1, 0.7),
     p_total=(0.2, 0.0, -0.4),
     triplet_fraction=0.3,
-    n_pairs=2.0,
 )
 
 QUAD = QuadratureSpec(method="tensor-quadrature", nodes_per_axis=48)
 
 
 def _pure(params, f):
-    """One unit-yield pure channel of params: singlet at f = 0, triplet at f = 1."""
-    return dataclasses.replace(params, triplet_fraction=f, n_pairs=1.0)
+    """One pure channel of params: singlet at f = 0, triplet at f = 1."""
+    return dataclasses.replace(params, triplet_fraction=f)
 
 
 def _mc(samples, seed=0):
@@ -75,10 +74,11 @@ def test_pair_norm_monte_carlo():
 
 
 def test_phi_norm_counts_pairs():
+    # per emitted pair: the mixture's norm is 1
     res = phi_norm_oracle(PARAMS, QUAD)
-    assert abs(res.value - PARAMS.n_pairs) < 1e-7
+    assert abs(res.value - 1.0) < 1e-7
     res = phi_norm_oracle(PARAMS, _mc(1 << 19))
-    assert abs(res.value - PARAMS.n_pairs) <= 3.0 * res.est_error
+    assert abs(res.value - 1.0) <= 3.0 * res.est_error
 
 
 def test_phi_norm_integrates_the_mixture_once():
@@ -90,7 +90,7 @@ def test_phi_norm_integrates_the_mixture_once():
     assert mixed.samples_used == spec.sample_count
     f = PARAMS.triplet_fraction
     singlet, triplet = (phi_norm_oracle(_pure(PARAMS, g), spec).value for g in (0.0, 1.0))
-    weighed = PARAMS.n_pairs * ((1.0 - f) * singlet + f * triplet)
+    weighed = (1.0 - f) * singlet + f * triplet
     assert abs(mixed.value - weighed) <= 1e-12 * weighed
     # by quadrature, one run at n and one at n/2 nodes per axis, each
     # of three per-axis products on three axes
@@ -154,12 +154,27 @@ def test_draws_stream_block_by_block(monkeypatch):
 
 
 def test_rho_single_matches_marginal():
-    # the partner integral of the pair yield must reproduce the
+    # the partner integral of the pair density must reproduce the
     # closed-form single-particle density
     for p in ((0.4, -0.2, 0.1), (0.0, 0.0, 0.0), (-0.6, 0.3, 0.9)):
         res = rho_single(np.array(p), PARAMS, QUAD)
-        want = PARAMS.n_pairs * float(mixture_marginal(np.array(p), PARAMS))
+        want = float(mixture_marginal(np.array(p), PARAMS))
         assert abs(res.value - want) < 1e-10 * want
+
+
+def test_rho_single_at_large_total_momentum():
+    # rho_single integrates at P = 0 on the offset p - P/2, so its nodes
+    # do not round at the size of P: at P = 1e12 (1, 0, 1) it stays within
+    # 1e-13 of the P = 0 marginal at the offset (it read 2.2e-9 at 1e8 and
+    # 5.3e-6 at 1e12 with its nodes around the centres at P). The
+    # closed-form marginal at p itself rounds there (1.2e-5 at 1e12).
+    params = ModelParams(0.5, (0.3, -0.1, 0.7), triplet_fraction=0.3)
+    for total in (1e4, 1e8, 1e12):
+        half = np.array([total, 0.0, total]) / 2.0
+        p = half + np.array([0.1, 0.05, -0.2])
+        want = float(mixture_marginal(p - half, params))
+        far = dataclasses.replace(params, p_total=tuple(2.0 * half))
+        assert abs(rho_single(p, far, QUAD).value - want) <= 1e-13 * want, total
 
 
 def test_method_restrictions():
@@ -356,18 +371,15 @@ def test_independent_seeds_agree():
 
 def test_mixture_channels_share_draws():
     # singlet and triplet run on one set of draws, so the mixture counts
-    # sample_count samples and agrees with its pure channels, each at
-    # its share of the yield, run one at a time
+    # sample_count samples and agrees with its pure channels, weighed by
+    # 1 - f and f, run one at a time
     spec = _mc(1 << 18)
     f = PARAMS.triplet_fraction
     both = intensity_cor_oracle(1.2, PARAMS, spec)
-    singlet, triplet = (
-        intensity_cor_oracle(1.2, dataclasses.replace(PARAMS, triplet_fraction=g, n_pairs=n), spec)
-        for g, n in ((0.0, PARAMS.n_pairs * (1.0 - f)), (1.0, PARAMS.n_pairs * f))
-    )
+    singlet, triplet = (intensity_cor_oracle(1.2, _pure(PARAMS, g), spec) for g in (0.0, 1.0))
     assert both.samples_used == spec.sample_count
-    budget = 3.0 * (both.est_error + singlet.est_error + triplet.est_error)
-    assert abs(both.value - singlet.value - triplet.value) <= budget
+    budget = 3.0 * (both.est_error + (1.0 - f) * singlet.est_error + f * triplet.est_error)
+    assert abs(both.value - (1.0 - f) * singlet.value - f * triplet.value) <= budget
 
 
 def test_oracles_integrate_mixture_density(monkeypatch):
@@ -436,10 +448,13 @@ def _same_accidental(res, old, dp, params):
     # within 3 joint SE of the old pin, a smaller SE, and within 3 SE of the closed form
     assert abs(res.value - old.value) <= 3.0 * (res.est_error + old.est_error), (res, old)
     assert res.est_error < old.est_error, (res, old)
-    closed = accidental_intensity(
-        dp, params.sigma, params.triplet_fraction, params.p_split, n_pairs=params.n_pairs
-    )
+    closed = accidental_intensity(dp, params.sigma, params.triplet_fraction, params.split_magnitude)
     assert abs(res.value - closed) <= 3.0 * res.est_error, (res, closed)
+
+
+def _per_pair(pin, count):
+    """A pin recorded when the oracles scaled by a pair count, here count, taken per emitted pair."""
+    return OracleResult(pin.value / count, pin.est_error / count, pin.samples_used)
 
 
 def test_frozen_oracle_outputs():
@@ -452,60 +467,67 @@ def test_frozen_oracle_outputs():
     # or two when the intensity oracles took s along +z and P = 0 (the
     # same integral, rounded on other coordinates); the pins from when
     # they worked in a frame along s at P stay as _near cross-checks.
+    # The oracles are per emitted pair: the pins from when they scaled
+    # by a pair count (1.8, 2 for PARAMS and 2.5) stay as cross-checks,
+    # divided by it; the latest ones divide to the new pins bit for bit.
     spec = _mc(1 << 18)
-    point = ModelParams(0.6, (0.2, 0.1, -0.5), (0.1, 0, 0.2), triplet_fraction=1.0, n_pairs=1.8)
+    point = ModelParams(0.6, (0.2, 0.1, -0.5), (0.1, 0, 0.2), triplet_fraction=1.0)
     single = intensity_cor_oracle(0.9, point, spec)
-    assert single == OracleResult(0.37461775233676453, 0.0006301616617569996, 262144)
-    _near(single, OracleResult(0.3746177523367646, 0.0006301616617569996, 262144))
-    _near(single, OracleResult(0.3746177523367646, 0.0006301616617569997, 262144))
+    assert single == OracleResult(0.20812097352042475, 0.000350089812087222, 262144)
+    _near(single, _per_pair(OracleResult(0.37461775233676453, 0.0006301616617569996, 262144), 1.8))
+    _near(single, _per_pair(OracleResult(0.3746177523367646, 0.0006301616617569996, 262144), 1.8))
+    _near(single, _per_pair(OracleResult(0.3746177523367646, 0.0006301616617569997, 262144), 1.8))
     # the pins from when p1 and the azimuth were sampled too, on the same
     # polar cosines, stay as cross-checks of the exact p1 and azimuth
-    _near(single, OracleResult(0.37461775233676486, 0.000630161661757, 262144))
+    _near(single, _per_pair(OracleResult(0.37461775233676486, 0.000630161661757, 262144), 1.8))
     # the accidental pins moved when its azimuth became exact, and again
     # when p1 across s did (its t along s draws on the normal stream
     # that drew p1 whole); the pins from when it drew p1 whole and from
     # when it drew the azimuth too, on the same polar cosines, stay as
     # cross-checks of the value and of the smaller variance
     accidental = intensity_uncor_oracle(1.2, PARAMS, spec)
-    assert accidental == OracleResult(1.4728474924333261, 0.0004941890071104561, 262144)
+    assert accidental == OracleResult(0.7364237462166631, 0.00024709450355522806, 262144)
+    assert accidental == _per_pair(OracleResult(1.4728474924333261, 0.0004941890071104561, 262144), 2.0)
     for old in (
         OracleResult(1.4728886000427193, 0.0011448225065081464, 262144),
         OracleResult(1.4728886000427193, 0.0011448225065081468, 262144),
         OracleResult(1.47115023682443, 0.0011432407007761398, 262144),
     ):
-        _same_accidental(accidental, old, 1.2, PARAMS)
+        _same_accidental(accidental, _per_pair(old, 2.0), 1.2, PARAMS)
     # a split and a total momentum with every frame component nonzero
     full = ModelParams(
         sigma=0.5,
         p_split=(0.3, -0.1, 0.7),
         p_total=(0.1, 0.2, -0.3),
         triplet_fraction=0.7,
-        n_pairs=2.5,
     )
     # the mixture's singlet and triplet share one set of draws, weighed
     # by mixture_density; the pins from when the oracle weighed them
     # itself, and from when each channel drew its own, stay as cross-checks
     mixed = intensity_cor_oracle(0.9, full, spec)
-    assert mixed == OracleResult(1.131599203221836, 0.0009688461706777262, 262144)
-    _near(mixed, OracleResult(1.1315992032218358, 0.0009688461706777262, 262144))
-    _near(mixed, OracleResult(1.1315992032218358, 0.0009688461706777263, 262144))
-    _near(mixed, OracleResult(1.131599203221836, 0.0009688461706777258, 262144))
-    _near(mixed, OracleResult(1.1315992032218363, 0.0009688461706777268, 262144))
-    closed = coincidence_intensity(
-        0.9, full.sigma, full.triplet_fraction, full.p_split, n_pairs=full.n_pairs
-    )
+    assert mixed == OracleResult(0.45263968128873444, 0.00038753846827109046, 262144)
+    for old in (
+        OracleResult(1.131599203221836, 0.0009688461706777262, 262144),
+        OracleResult(1.1315992032218358, 0.0009688461706777262, 262144),
+        OracleResult(1.1315992032218358, 0.0009688461706777263, 262144),
+        OracleResult(1.131599203221836, 0.0009688461706777258, 262144),
+        OracleResult(1.1315992032218363, 0.0009688461706777268, 262144),
+    ):
+        _near(mixed, _per_pair(old, 2.5))
+    closed = coincidence_intensity(0.9, full.sigma, full.triplet_fraction, full.split_magnitude)
     assert abs(mixed.value - closed) <= 3.0 * mixed.est_error
-    separate = OracleResult(1.1315991582933402, 0.0009515730609372622, 524288)
+    separate = _per_pair(OracleResult(1.1315991582933402, 0.0009515730609372622, 524288), 2.5)
     assert abs(mixed.value - separate.value) <= 3.0 * (mixed.est_error + separate.est_error)
     accidental = intensity_uncor_oracle(0.9, full, spec)
-    assert accidental == OracleResult(1.6026422441517882, 0.0006630794747380451, 262144)
-    _near(accidental, OracleResult(1.6026422441517882, 0.000663079474738045, 262144))
+    assert accidental == OracleResult(0.6410568976607153, 0.000265231789895218, 262144)
+    _near(accidental, _per_pair(OracleResult(1.6026422441517882, 0.0006630794747380451, 262144), 2.5))
+    _near(accidental, _per_pair(OracleResult(1.6026422441517882, 0.000663079474738045, 262144), 2.5))
     for old in (
         OracleResult(1.6046135886591082, 0.001311789928758929, 262144),
         OracleResult(1.6046135886591082, 0.0013117899287589277, 262144),
         OracleResult(1.60234510201822, 0.0013118720030790413, 262144),
     ):
-        _same_accidental(accidental, old, 0.9, full)
+        _same_accidental(accidental, _per_pair(old, 2.5), 0.9, full)
     # the norm draws p1 and p2 from one (m, 6) normal stream on the
     # splitting axis. The pins from when its second momentum drew on a
     # generator of its own (with the two-pass and the one-pass SE), and
@@ -588,7 +610,7 @@ def test_densities_are_invariant_on_the_splitting_axis():
     # itself (5.6e-13 at one of the 256 pure-triplet pairs here)
     rng = np.random.default_rng(30)
     for f in (0.0, 0.4, 1.0):
-        params = ModelParams(0.5, (0.3, -0.1, 0.7), (0.1, 0.2, -0.3), triplet_fraction=f, n_pairs=1.5)
+        params = ModelParams(0.5, (0.3, -0.1, 0.7), (0.1, 0.2, -0.3), triplet_fraction=f)
         axis = _on_axis(params)
         assert axis.p_split == (0.0, 0.0, params.split_magnitude) and axis.p_total == (0.0, 0.0, 0.0)
         singlet = dataclasses.replace(params, triplet_fraction=0.0)
@@ -631,7 +653,7 @@ def test_density_over_the_p1_proposal_depends_on_u_alone():
     e2 = np.cross(e3, e1)
     rng = np.random.default_rng(8)
     for f in (0.0, 1.0, 0.4):
-        params = ModelParams(sigma, p_split, p_total, triplet_fraction=f, n_pairs=1.5)
+        params = ModelParams(sigma, p_split, p_total, triplet_fraction=f)
         for u in (-0.9, -0.4, 0.25, 0.7, 0.99):
             x = np.vstack([np.zeros(3), rng.standard_normal((64, 3))])
             phi = np.concatenate([[0.0], rng.uniform(0.0, 2.0 * np.pi, 64)])
@@ -662,7 +684,7 @@ def _line_cases():
     # the oracle's mixture for an off-axis s and P (_on_axis), every
     # channel mix, five polar cosines and five t
     for f in (0.0, 0.4, 1.0):
-        params = ModelParams(0.5, (0.3, -0.1, 0.7), (0.1, 0.2, -0.3), triplet_fraction=f, n_pairs=1.5)
+        params = ModelParams(0.5, (0.3, -0.1, 0.7), (0.1, 0.2, -0.3), triplet_fraction=f)
         for u in (-0.9, -0.4, 0.25, 0.7, 0.99):
             yield _on_axis(params), u, np.array([-0.6, -0.15, 0.0, 0.35, 0.8])
 
@@ -741,13 +763,11 @@ def test_accidental_se_is_honest():
     cases = (
         (ModelParams(0.5, 0.05, triplet_fraction=0.3), 1.0),
         (ModelParams(0.22, 0.022), 0.22),
-        (ModelParams(0.5, (0.3, -0.1, 0.7), (0.1, 0.2, -0.3), triplet_fraction=0.7, n_pairs=2.5), 0.9),
+        (ModelParams(0.5, (0.3, -0.1, 0.7), (0.1, 0.2, -0.3), triplet_fraction=0.7), 0.9),
     )
     z = []
     for params, dp in cases:
-        closed = accidental_intensity(
-            dp, params.sigma, params.triplet_fraction, params.p_split, n_pairs=params.n_pairs
-        )
+        closed = accidental_intensity(dp, params.sigma, params.triplet_fraction, params.split_magnitude)
         for seed in range(40):
             res = intensity_uncor_oracle(dp, params, _mc(1 << 17, seed))
             z.append(abs(res.value - closed) / res.est_error)
@@ -758,27 +778,10 @@ def test_accidental_se_is_honest():
 def test_zero_weight_channel_is_skipped():
     # a pure singlet at zero splitting, where the triplet of weight
     # f = 0 is degenerate: it is never touched, and the singlet runs
-    singlet = ModelParams(sigma=0.4, triplet_fraction=0.0, n_pairs=0.7)
+    singlet = ModelParams(sigma=0.4, triplet_fraction=0.0)
     res = intensity_cor_oracle(0.9, singlet, _mc(1 << 18))
-    closed = coincidence_intensity(0.9, singlet.sigma, 0.0, 0.0, n_pairs=singlet.n_pairs)
+    closed = coincidence_intensity(0.9, singlet.sigma, 0.0, 0.0)
     assert abs(res.value - closed) <= 3.0 * res.est_error
-
-
-def test_intensity_scales_with_n_pairs():
-    spec = _mc(1 << 18)
-    one = intensity_cor_oracle(1.2, PARAMS, spec)
-    five = intensity_cor_oracle(
-        1.2,
-        ModelParams(
-            sigma=PARAMS.sigma,
-            p_split=PARAMS.p_split,
-            p_total=PARAMS.p_total,
-            triplet_fraction=PARAMS.triplet_fraction,
-            n_pairs=5.0 * PARAMS.n_pairs,
-        ),
-        spec,
-    )
-    np.testing.assert_allclose(five.value, 5.0 * one.value, rtol=1e-13)
 
 
 def test_zero_separation_is_exactly_zero():
@@ -794,7 +797,7 @@ def test_tolerance_failure_carries_partial_result():
     partial = excinfo.value.result
     assert partial.samples_used == 4096
     assert partial.est_error > 0.0
-    assert abs(partial.value - 1.47) < 0.2  # the estimate itself is sound
+    assert abs(partial.value - 0.735) < 0.1  # the estimate itself is sound
 
 
 def test_degenerate_triplet_is_refused():
@@ -840,14 +843,10 @@ def test_oracles_match_closed_forms():
     spec = _mc(1 << 19)
     for dp in (0.6, 1.2):
         cor = intensity_cor_oracle(dp, PARAMS, spec)
-        want = coincidence_intensity(
-            dp, PARAMS.sigma, PARAMS.triplet_fraction, PARAMS.p_split, n_pairs=PARAMS.n_pairs
-        )
+        want = coincidence_intensity(dp, PARAMS.sigma, PARAMS.triplet_fraction, PARAMS.split_magnitude)
         assert abs(cor.value - want) <= max(3.0 * cor.est_error, 1e-6 * want)
         unc = intensity_uncor_oracle(dp, PARAMS, spec)
-        want = accidental_intensity(
-            dp, PARAMS.sigma, PARAMS.triplet_fraction, PARAMS.p_split, n_pairs=PARAMS.n_pairs
-        )
+        want = accidental_intensity(dp, PARAMS.sigma, PARAMS.triplet_fraction, PARAMS.split_magnitude)
         assert abs(unc.value - want) <= 3.0 * unc.est_error
 
 
