@@ -12,6 +12,13 @@ of the two exchange contributions cancel identically, which the test
 suite checks by comparing |amplitude|^2 at several times against the
 closed-form density. The coordinate-space width does spread with time;
 ``coordinate_uncertainty`` gives it.
+
+Both densities take momenta of shape (..., 3), refuse any other last
+axis, and share one exchange form: with a and b a density's two
+exponents, lo = min(a, b) and x = e^{-|a - b|}, each channel is
+e^{-2 lo} [(1 +/- x)^2 -/+ 2 (1 - k) x], with k = 1 for the pair density
+(e^{-A/2} +/- e^{-B/2})^2 and k = J, the packets' overlap, for the
+single-particle marginal g1 + g2 +/- 2 J sqrt(g1 g2).
 """
 
 from __future__ import annotations
@@ -214,6 +221,10 @@ def pair_amplitude(p1, p2, params: ModelParams, channel: SpinChannel, t=0.0):
     (phi_a(p1) phi_b(p2) +/- phi_a(p2) phi_b(p1)) / sqrt(2 (1 +/- J^2))
     with the sign set by the channel. Raises DegenerateChannelError for
     a triplet with vanishing splitting momentum.
+
+    The densities' independent reference: it works in absolute
+    coordinates and subtracts the direct and exchanged products, so it
+    keeps the rounding losses they avoid at small splitting and large P.
     """
     _require_nondegenerate(params, channel)
     c1, c2 = params.centers
@@ -224,12 +235,14 @@ def pair_amplitude(p1, p2, params: ModelParams, channel: SpinChannel, t=0.0):
 
 
 def _components(p):
-    """The (3, ...) component-first view of (..., 3) momenta.
+    """The (3, ...) component-first view of (..., 3) momenta; any other last axis is refused.
 
     A transpose, not np.moveaxis: the oracles call this once per block,
     and np.moveaxis costs several times as much a call.
     """
     p = np.asarray(p, dtype=float)
+    if p.shape[-1:] != (3,):
+        raise ValueError(f"momenta must have shape (..., 3), got shape {p.shape}")
     return p.transpose(-1, *range(p.ndim - 1))
 
 
@@ -262,46 +275,6 @@ def _sq_dist(p, c, work=None, name="sq"):
     return total
 
 
-def _exchange_exponents(p1, p2, c1, c2, sigma, work=None):
-    """(e^{-2 lo}, gap) of the exponents A/2 and B/2: lo the smaller, gap |A/2 - B/2|.
-
-    They do not depend on the channel, so both channels share them.
-    Shapes may grow here (p1 and p2 broadcast), so each step that could
-    widen its result writes through out= rather than in place.
-    """
-    sig2 = sigma * sigma
-    a2 = _sq_dist(p1, c1, work, "a2")
-    a2 = np.add(a2, _sq_dist(p2, c2, work), out=_out(work, "a2"))
-    a2 /= 4.0 * sig2
-    b2 = _sq_dist(p1, c2, work, "b2")
-    b2 = np.add(b2, _sq_dist(p2, c1, work), out=_out(work, "b2"))
-    b2 /= 4.0 * sig2
-    lo = np.minimum(a2, b2, out=_out(work, "lo"))
-    lo *= -2.0
-    a2 -= b2
-    return np.exp(lo, out=_out(work, "lo")), np.abs(a2, out=_out(work, "a2"))
-
-
-def _exchange_combination(base, gap, sigma, sign, work=None, name="comb"):
-    """Unnormalized pair density (e^{-A/2} +/- e^{-B/2})^2 (2 pi sigma^2)^-3 from the _exchange_exponents.
-
-    The antisymmetric difference is written through expm1 so it stays
-    accurate when the two exponents nearly coincide.
-    """
-    sig2 = sigma * sigma
-    row = _out(work, name)
-    comb = np.negative(gap, out=row)
-    if sign > 0:
-        comb = np.exp(comb, out=row)
-        comb += 1.0
-    else:
-        comb = np.expm1(comb, out=row)
-    comb **= 2
-    comb *= base
-    comb *= (2.0 * np.pi * sig2) ** (-3.0)
-    return comb
-
-
 def _channel_weights(f: float):
     """(weight, channel) pairs of the singlet/triplet mixture with weight 1 - f and f.
 
@@ -328,10 +301,44 @@ def _mixed(density, params: ModelParams):
     return total
 
 
+def _exchange(a, b, scale, one_minus_k, params: ModelParams, work=None):
+    """The mixture of the exchange form (module docstring) times scale / norm over its channels.
+
+    a and b are the exponents, both spent. The triplet's 1 - x goes through
+    expm1 and the singlet takes away at most half its square, so neither
+    cancels. Rows: the singlet b's, the triplet "sq", the cross term "tmp".
+    """
+    lo = np.minimum(a, b, out=_out(work, "lo"))
+    lo *= -2.0
+    a -= b
+    base, gap = np.exp(lo, out=_out(work, "lo")), np.abs(a, out=_out(work, "a"))
+
+    def density(channel: SpinChannel):
+        _require_nondegenerate(params, channel)
+        sign, row = channel.sign, _out(work, "b" if channel is SpinChannel.SINGLET else "sq")
+        comb = (np.exp if sign > 0 else np.expm1)(np.negative(gap, out=row), out=row)
+        if one_minus_k:  # x is the exp, or 1 + the expm1
+            cross = np.add(comb, float(sign < 0), out=_out(work, "tmp"))
+            cross *= -2.0 * sign * one_minus_k
+        if sign > 0:
+            comb += 1.0
+        comb **= 2
+        if one_minus_k:
+            comb += cross
+        comb *= base
+        comb *= scale
+        comb /= params._channel_norms[channel]
+        return comb
+
+    return _mixed(density, params)
+
+
 def mixture_density(p1, p2, params: ModelParams, _work=None):
     """Incoherent singlet/triplet mixture of the pair densities |Psi(p1, p2)|^2.
 
-    p1 and p2 have shape (..., 3) and broadcast together.
+    p1 and p2 have shape (..., 3) and broadcast together. Each channel
+    is the exchange form at k = 1 on the direct and exchanged exponents
+    A/2 and B/2, times (2 pi sigma^2)^-3 / (2 (1 +/- J^2)).
     ``params.triplet_fraction`` f weights the triplet channel; f = 0 and
     f = 1 are the pure channels, exactly. Any f > 0 requires a
     non-degenerate triplet state. Time independent: the free-evolution
@@ -341,65 +348,32 @@ def mixture_density(p1, p2, params: ModelParams, _work=None):
     reused rows of it, valid until its next use.
     """
     c1, c2 = params.centers
-    sigma = params.sigma
-    exponents = _exchange_exponents(_components(p1), _components(p2), c1, c2, sigma, _work)
-
-    def density(channel: SpinChannel):
-        _require_nondegenerate(params, channel)
-        # B/2 and the squared distances are spent once the exponents are formed
-        row = "b2" if channel is SpinChannel.SINGLET else "sq"
-        comb = _exchange_combination(*exponents, sigma, channel.sign, _work, row)
-        comb /= params._channel_norms[channel]
-        return comb
-
-    return _mixed(density, params)
-
-
-def _marginal(p, params: ModelParams, work=None):
-    """channel -> its single-particle density at component-first p, sharing e1, e2, cross.
-
-    Closed form: [g1 + g2 +/- 2 J sqrt(g1 g2)] / (2 (1 +/- J^2)) times
-    the Gaussian normalization, with g_i the squared packet envelopes.
-    The triplet numerator is assembled from two non-negative pieces,
-    (sqrt(g1) - sqrt(g2))^2 + 2 (1 - J) sqrt(g1 g2), so no cancellation
-    occurs for small splitting.
-    """
-    c1, c2 = params.centers
-    sig2 = params.sigma**2
-    e1 = _sq_dist(p, c1, work, "e1")  # exponent of sqrt(g1)
-    e1 /= 4.0 * sig2
-    e2 = _sq_dist(p, c2, work, "e2")
-    e2 /= 4.0 * sig2
-    cross_row = _out(work, "cross")
-    cross = np.add(e1, e2, out=cross_row)
-    cross = np.exp(np.negative(cross, out=cross_row), out=cross_row)  # sqrt(g1 g2)
-
-    def rho(channel: SpinChannel):
-        _require_nondegenerate(params, channel)
-        row, tmp = _out(work, channel.value), _out(work, "tmp")
-        if channel is SpinChannel.SINGLET:
-            num = np.exp(np.multiply(e1, -2.0, out=row), out=row)
-            num += np.exp(np.multiply(e2, -2.0, out=tmp), out=tmp)
-            num += np.multiply(cross, 2.0 * params.overlap(), out=tmp)
-        else:
-            num = np.minimum(e1, e2, out=row)
-            num = np.exp(np.negative(num, out=row), out=row)
-            gap = np.abs(np.subtract(e1, e2, out=tmp), out=tmp)
-            num *= np.expm1(np.negative(gap, out=tmp), out=tmp)
-            num **= 2
-            one_minus_j = -np.expm1(-params.split_magnitude**2 / (8.0 * sig2))
-            num += np.multiply(cross, 2.0 * one_minus_j, out=tmp)
-        num *= (2.0 * np.pi * sig2) ** (-1.5) / params._channel_norms[channel]
-        return num
-
-    return rho
+    p1, p2 = _components(p1), _components(p2)
+    sig2 = params.sigma * params.sigma
+    # p1 and p2 broadcast in the sum, so it is written through out=
+    a = np.add(_sq_dist(p1, c1, _work, "a"), _sq_dist(p2, c2, _work), out=_out(_work, "a"))
+    a /= 4.0 * sig2
+    b = np.add(_sq_dist(p1, c2, _work, "b"), _sq_dist(p2, c1, _work), out=_out(_work, "b"))
+    b /= 4.0 * sig2
+    return _exchange(a, b, (2.0 * np.pi * sig2) ** (-3.0), 0.0, params, _work)
 
 
 def mixture_marginal(p, params: ModelParams, _work=None):
     """Single-particle momentum density at (..., 3) momenta p: the mixture's
     pair density integrated over the partner momentum.
 
-    f = 0 and f = 1 are the pure singlet and triplet marginals, exactly.
-    ``_work`` is private to the Monte-Carlo oracles, as in mixture_density.
+    Each channel is the exchange form at k = J on the exponents e1 and
+    e2 of the packet envelopes sqrt(g_i), times
+    (2 pi sigma^2)^-1.5 / (2 (1 +/- J^2)). f = 0 and f = 1 are the pure
+    singlet and triplet marginals, exactly. ``_work`` is private to the
+    Monte-Carlo oracles, as in mixture_density.
     """
-    return _mixed(_marginal(_components(p), params, _work), params)
+    c1, c2 = params.centers
+    p = _components(p)
+    sig2 = params.sigma * params.sigma
+    e1 = _sq_dist(p, c1, _work, "a")  # exponent of sqrt(g1)
+    e1 /= 4.0 * sig2
+    e2 = _sq_dist(p, c2, _work, "b")
+    e2 /= 4.0 * sig2
+    one_minus_j = -np.expm1(-params.split_magnitude**2 / (8.0 * sig2))
+    return _exchange(e1, e2, (2.0 * np.pi * sig2) ** (-1.5), one_minus_j, params, _work)

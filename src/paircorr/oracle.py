@@ -713,16 +713,19 @@ def _rho_single_value(p, params: ModelParams, n: int) -> float:
 def rho_single(p, params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     """Single-particle density at p, per emitted pair: the pair density integrated over the partner.
 
-    Tensor quadrature only; the integrand is a fixed 3-d Gaussian
-    mixture, which Gauss-Legendre nodes resolve to near machine
-    precision. The densities see p and the centres (P +/- s)/2 only
-    through their offsets from P/2, so the rule is built at P = 0 on
-    p - P/2, and its nodes do not round at the size of P.
+    Tensor quadrature only, at one finite 3-vector p; the integrand is a
+    fixed 3-d Gaussian mixture, which Gauss-Legendre nodes resolve to
+    near machine precision. The densities see p and the centres
+    (P +/- s)/2 only through their offsets from P/2, so the rule is built
+    at P = 0 on p - P/2, and its nodes do not round at the size of P.
     """
     started = time.perf_counter()
     if spec.method != "tensor-quadrature":
         raise UnsupportedMethodError("rho_single supports method='tensor-quadrature' only")
-    p = np.asarray(p, dtype=float) - 0.5 * np.asarray(params.p_total)
+    p = np.asarray(p, dtype=float)
+    if p.shape != (3,) or not np.isfinite(p).all():
+        raise ValueError(f"p must be a finite 3-vector, got {p!r}")
+    p = p - 0.5 * np.asarray(params.p_total)
     params = replace(params, p_total=(0.0, 0.0, 0.0))
     n = spec.nodes_per_axis
     coarse = _rho_single_value(p, params, n // 2)

@@ -177,13 +177,15 @@ def _mp_marginal(p, params, sign):
     return float(norm * num)
 
 
-@pytest.mark.parametrize("split", [1e-5, 0.01, 0.5, 3.0])
+@pytest.mark.parametrize("split", [1e-6, 1e-5, 0.01, 0.5, 3.0, 10.0])
 def test_marginal_matches_reference(split):
     # the triplet marginal divides a cancelling numerator by a cancelling
     # normalization; it must survive splittings all the way down to the
     # degeneracy threshold. At split = 1e-5 the exponent difference
     # e1 - e2 ~ 1e-5 is itself formed from O(1) exponents, which floors
     # the achievable accuracy near 1e-11; the tolerance reflects that.
+    # split = 1e-6 sits near the degeneracy threshold, and split = 10 at
+    # split/sigma = 20, where the overlap J ~ e^-50 leaves the squares alone.
     rel = 1e-9 if split < 1e-3 else 5e-12
     params = ModelParams(sigma=0.5, p_split=split, p_total=(0.1, 0.2, -0.3))
     pts = [(0.05, 0.1, -0.15), (0.0, 0.0, 0.0), (0.3, -0.4, 0.8)]
@@ -214,22 +216,47 @@ def test_densities_are_frozen():
         return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:16]
 
     # pure channels (f = 0 singlet, f = 1 triplet) of the pair density
-    # and of the marginal, and the marginal of one mixture
-    pair = {0.0: "d930783b71f8c311", 1.0: "e9a22be4938e425b"}
-    rho = {0.0: "13ae51df20d6ebde", 1.0: "f487fddeb5f282cf"}
-    mix = {**rho, 0.3: "67298e2b91bcee4b"}
-    for f, want in mix.items():
-        params = ModelParams(
-            sigma=0.5,
-            p_split=(0.3, -0.1, 0.7),
-            p_total=(0.1, 0.2, -0.3),
-            triplet_fraction=f,
-        )
-        if f in pair:
-            assert digest(mixture_density(grid, point, params)) == pair[f]
-            assert digest(mixture_density(point, grid, params)) == pair[f]
-        assert mixture_marginal(grid, params).shape == (4, 5)
-        assert digest(mixture_marginal(grid, params)) == want
+    # and of the marginal, and the marginal of one mixture, at a total
+    # momentum off zero and at P = 0. The marginal hashes were re-pinned
+    # when the marginal took the pair density's exchange form, which
+    # moved it in its last bits; the pair hashes did not move
+    pins = {
+        (0.1, 0.2, -0.3): (
+            {0.0: "d930783b71f8c311", 1.0: "e9a22be4938e425b"},
+            {0.0: "6d5beb444f764c87", 1.0: "7a9958cc285ac6d0", 0.3: "c9fdbf3efcfff9fa"},
+        ),
+        (0.0, 0.0, 0.0): (
+            {0.0: "de6bf7597467e848", 1.0: "284d46ded3ff5b83"},
+            {0.0: "297b6f60eab7646f", 1.0: "ed8fda4c53107c94", 0.3: "d691ee915d0fc39d"},
+        ),
+    }
+    for total, (pair, mix) in pins.items():
+        for f, want in mix.items():
+            params = ModelParams(
+                sigma=0.5,
+                p_split=(0.3, -0.1, 0.7),
+                p_total=total,
+                triplet_fraction=f,
+            )
+            if f in pair:
+                assert digest(mixture_density(grid, point, params)) == pair[f]
+                assert digest(mixture_density(point, grid, params)) == pair[f]
+            assert mixture_marginal(grid, params).shape == (4, 5)
+            assert digest(mixture_marginal(grid, params)) == want
+
+
+def test_densities_refuse_momenta_not_of_three_components():
+    # a last axis of 4 was read as its first three components, and one
+    # of 2 raised IndexError; a scalar has no last axis at all
+    params = ModelParams(sigma=0.5, p_split=(0.3, -0.1, 0.7), triplet_fraction=0.3)
+    good = np.array([0.1, 0.2, 0.3])
+    for bad in ([0.1, 0.2, 0.3, 99.0], [0.1, 0.2], np.zeros((4, 2)), 0.5):
+        with pytest.raises(ValueError, match=r"\(\.\.\., 3\)"):
+            mixture_marginal(bad, params)
+        with pytest.raises(ValueError, match=r"\(\.\.\., 3\)"):
+            mixture_density(bad, good, params)
+        with pytest.raises(ValueError, match=r"\(\.\.\., 3\)"):
+            mixture_density(good, bad, params)
 
 
 def test_params_validation():

@@ -177,6 +177,14 @@ def test_rho_single_at_large_total_momentum():
         assert abs(rho_single(p, far, QUAD).value - want) <= 1e-13 * want, total
 
 
+def test_rho_single_takes_one_finite_vector():
+    # a NaN or inf returned a NaN result that counted as meeting its
+    # tolerance, and a scalar was integrated at (p, p, p)
+    for bad in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), 5.0, np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="finite 3-vector"):
+            rho_single(bad, PARAMS, QUAD)
+
+
 def test_method_restrictions():
     with pytest.raises(UnsupportedMethodError):
         intensity_cor_oracle(1.0, PARAMS, QUAD)
@@ -518,8 +526,11 @@ def test_frozen_oracle_outputs():
     assert abs(mixed.value - closed) <= 3.0 * mixed.est_error
     separate = _per_pair(OracleResult(1.1315991582933402, 0.0009515730609372622, 524288), 2.5)
     assert abs(mixed.value - separate.value) <= 3.0 * (mixed.est_error + separate.est_error)
+    # the accidental pins moved by an ulp when the marginal took the pair
+    # density's exchange form; the pin from before stays as a cross-check
     accidental = intensity_uncor_oracle(0.9, full, spec)
-    assert accidental == OracleResult(0.6410568976607153, 0.000265231789895218, 262144)
+    assert accidental == OracleResult(0.6410568976607152, 0.00026523178989521797, 262144)
+    _near(accidental, OracleResult(0.6410568976607153, 0.000265231789895218, 262144))
     _near(accidental, _per_pair(OracleResult(1.6026422441517882, 0.0006630794747380451, 262144), 2.5))
     _near(accidental, _per_pair(OracleResult(1.6026422441517882, 0.000663079474738045, 262144), 2.5))
     for old in (
@@ -561,9 +572,11 @@ def test_on_axis_results_are_pinned():
     assert intensity_cor_oracle(0.5, readme, spec) == OracleResult(
         0.3291982970226356, 3.832789738193624e-05, 262144
     )
-    assert intensity_uncor_oracle(0.5, readme, spec) == OracleResult(
-        0.3894141678686798, 5.52172929696932e-05, 262144
-    )
+    # the accidental result moved by two ulps when the marginal took the
+    # pair density's exchange form; the pin from before is a cross-check
+    accidental = intensity_uncor_oracle(0.5, readme, spec)
+    assert accidental == OracleResult(0.38941416786867966, 5.5217292969693186e-05, 262144)
+    _near(accidental, OracleResult(0.3894141678686798, 5.52172929696932e-05, 262144))
     paper = ModelParams(0.22, 0.022)
     assert intensity_cor_oracle(0.22, paper, spec) == OracleResult(
         0.9975761079500554, 7.56089411616813e-11, 262144
