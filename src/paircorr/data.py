@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+import secrets
 import warnings
 from dataclasses import dataclass
 
@@ -161,9 +161,14 @@ def load_dataset(path, label: str = "") -> Dataset:
 
 
 def _atomic_write(path, text: str):
-    """Write text to path via a temp file so readers never see a partial file."""
+    """Write text to path via a temp file so readers never see a partial file.
+
+    The temp file is opened with mode 0o666, so the umask applies as for
+    a plain open(); mkstemp's 0o600 would survive os.replace.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -177,7 +182,7 @@ def _atomic_write(path, text: str):
 def save_dataset(path, dataset: Dataset):
     """Write a dataset back out in the CSV format load_dataset reads."""
     columns = [dataset.delta_p, dataset.r] + ([] if dataset.sigma_r is None else [dataset.sigma_r])
-    lines = [f"# {dataset.label}"] if dataset.label else []
+    lines = [f"# {line}" for line in dataset.label.splitlines()]
     lines.append(",".join(("delta_p", "R", "sigma_R")[: len(columns)]))
     lines.extend(",".join(map(repr, row)) for row in zip(*columns))
     _atomic_write(path, "\n".join(lines) + "\n")

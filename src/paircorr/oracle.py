@@ -4,10 +4,11 @@ Everything the closed-form module computes analytically is recomputed
 here by direct numerical integration of the two-particle densities:
 
 * the mixture's yield normalization, the integral of its pair density
-  (singlet and triplet weighted by 1 - f and f), by separable
-  Gauss-Legendre quadrature or by importance-sampled Monte Carlo;
+  (singlet and triplet weighted by 1 - f and f), by Gauss-Legendre
+  quadrature along the splitting in p1 and p2 or by importance-sampled
+  Monte Carlo;
 * the single-particle density rho(p) = integral of the pair density over
-  the partner momentum, by 3-d tensor quadrature;
+  the partner momentum, by Gauss-Legendre quadrature along the splitting;
 * the coincidence intensity, the 5-d integral
   (dp)^2 * int d^3p1 dOmega  Phi(p1, p1 + dp*n) of the mixture, and
   the accidental (event-mixed) intensity with integrand
@@ -74,7 +75,6 @@ from .errors import (
 from .model import (
     ModelParams,
     _channel_weights,
-    _mixed,
     _nonnegative,
     _positive,
     _require_nondegenerate,
@@ -118,8 +118,9 @@ class QuadratureSpec:
     sample_count : int
         Monte-Carlo samples per integral.
     nodes_per_axis : int
-        Gauss-Legendre nodes per axis for tensor quadrature; the error
-        estimate compares against a run at half the nodes.
+        Gauss-Legendre nodes along the splitting, per momentum, for
+        quadrature; the error estimate compares against a run at half
+        the nodes.
     rng_seed : int
         Seed; identical specs give bit-identical results.
     target_rel_tol : float
@@ -154,9 +155,10 @@ class OracleResult:
     refinement delta for quadrature; comparisons against closed forms
     should use max(analytic_tol * |closed|, 3 * est_error). samples_used
     counts the Monte-Carlo samples drawn, sample_count per integral, or
-    the quadrature nodes evaluated. chunks counts the Monte-Carlo chunks
-    those samples drew (0 for quadrature and at
-    delta_p = 0), threads is the worker count they ran on, and elapsed_s
+    the density calls of both quadrature runs, n^2 + (n/2)^2 for the norm
+    and n + n/2 for rho_single. chunks counts the Monte-Carlo chunks
+    those samples drew (0 for quadrature and at delta_p = 0), threads is
+    the worker count they ran on, and elapsed_s
     is the call's wall time. These three describe how the number was
     made, not the number, so equality ignores them.
     """
@@ -603,42 +605,24 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
 # normalization and marginal checks
 
 
-def _box_rule(params: ModelParams, n: int):
-    """Per-axis n-node Gauss-Legendre (nodes, weights) over both centers +/- 8 sigma."""
-    c1, c2 = params.centers
-    x, w = np.polynomial.legendre.leggauss(n)
-    rule = []
-    for ax in range(3):
-        lo = min(c1[ax], c2[ax]) - 8.0 * params.sigma
-        hi = max(c1[ax], c2[ax]) + 8.0 * params.sigma
-        half = 0.5 * (hi - lo)
-        rule.append((lo + half * (x + 1.0), half * w))
-    return rule
+def _line_rule(params: ModelParams, n: int):
+    """n Gauss-Legendre nodes, as (n, 3) points at P = 0, and weights along s^ (z^ at s = 0).
 
-
-def _pair_norm_quad_value(params: ModelParams, n: int) -> float:
-    """Separable Gauss-Legendre evaluation of the mixture's pair-density norm.
-
-    The three per-axis products serve both channels; only the exchange
-    sign and the channel norm differ between them.
+    The line runs over [-|s|/2 - 8 sigma, |s|/2 + 8 sigma]: both centres
+    +/- s/2 with 8 sigma to spare.
     """
-    c1, c2 = params.centers
-    sig2 = params.sigma * params.sigma
-    j = params.overlap()
-    prod1 = prod2 = prod_cross = 1.0
-    for ax, (x, w) in enumerate(_box_rule(params, n)):
-        prod1 *= float(np.sum(w * np.exp(-((x - c1[ax]) ** 2) / (2.0 * sig2))))
-        prod2 *= float(np.sum(w * np.exp(-((x - c2[ax]) ** 2) / (2.0 * sig2))))
-        prod_cross *= float(
-            np.sum(w * np.exp(-((x - c1[ax]) ** 2 + (x - c2[ax]) ** 2) / (4.0 * sig2)))
-        )
+    split = params.split_magnitude
+    axis = np.asarray(params.p_split) / split if split else np.array([0.0, 0.0, 1.0])
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * split + 8.0 * params.sigma
+    return half * x[:, None] * axis, half * w
 
-    def channel_norm(channel):
-        sign = channel.sign
-        total = 2.0 * prod1 * prod2 + sign * 2.0 * prod_cross * prod_cross
-        return total * (2.0 * math.pi * sig2) ** -3.0 / (2.0 * (1.0 + sign * j * j))
 
-    return _mixed(channel_norm, params)
+def _pair_norm_value(params: ModelParams, n: int) -> float:
+    """The on-axis norm by the n-node line rule in p1 and in p2 (see phi_norm_oracle)."""
+    line, w = _line_rule(params, n)
+    dens = mixture_density(line[:, None], line[None], params)
+    return (2.0 * math.pi * params.sigma**2) ** 2 * float(w @ dens @ w)
 
 
 def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
@@ -650,8 +634,10 @@ def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     nor the direction of s, so it is taken on the axis (_on_axis), and a
     degenerate triplet of nonzero weight is refused before any work.
 
-    tensor-quadrature exploits separability (the 6-d integral is a
-    product of 1-d Gaussian integrals per axis). monte-carlo samples the
+    tensor-quadrature sums the mixture density on the line rule along z
+    in p1 and in p2: every exchange term has the same Gaussian across the
+    axis in p1 and in p2, so those integrals are exact, a factor
+    (2 pi sigma^2)^2. monte-carlo samples the
     two-centre product proposal from one (m, 6) normal stream,
     p1 = sigma xi[:, :3] + c z^ and p2 = sigma xi[:, 3:] - c z^, with c
     the z centre of p1 that a uniform picks (c2 = -c1 on the axis), and
@@ -662,9 +648,9 @@ def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     params = _on_axis(params)
     if spec.method == "tensor-quadrature":
         n = spec.nodes_per_axis
-        coarse = _pair_norm_quad_value(params, n // 2)
-        fine = _pair_norm_quad_value(params, n)
-        value, est, *counts = fine, abs(fine - coarse), 9 * (n + n // 2)
+        coarse = _pair_norm_value(params, n // 2)
+        fine = _pair_norm_value(params, n)
+        value, est, *counts = fine, abs(fine - coarse), n * n + (n // 2) ** 2
     else:
         c1, c2 = params.centers
         sigma = params.sigma
@@ -702,22 +688,21 @@ def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
 
 
 def _rho_single_value(p, params: ModelParams, n: int) -> float:
-    nodes, weights = zip(*_box_rule(params, n))
-    gx, gy, gz = np.meshgrid(*nodes, indexing="ij")
-    grid = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=-1)
-    wgt = (weights[0][:, None, None] * weights[1][None, :, None] * weights[2]).ravel()
-    values = mixture_density(p, grid, params)
-    return float(np.sum(wgt * values))
+    """rho at p by the n-node line rule in the partner, at P = 0 (see rho_single)."""
+    line, w = _line_rule(params, n)
+    return 2.0 * math.pi * params.sigma**2 * float(w @ mixture_density(p, line, params))
 
 
 def rho_single(p, params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     """Single-particle density at p, per emitted pair: the pair density integrated over the partner.
 
-    Tensor quadrature only, at one finite 3-vector p; the integrand is a
-    fixed 3-d Gaussian mixture, which Gauss-Legendre nodes resolve to
-    near machine precision. The densities see p and the centres
-    (P +/- s)/2 only through their offsets from P/2, so the rule is built
-    at P = 0 on p - P/2, and its nodes do not round at the size of P.
+    Tensor quadrature only, at one finite 3-vector p. The densities see
+    p and the centres (P +/- s)/2 only through their offsets from P/2,
+    so the rule is built at P = 0 on p - P/2, and its nodes do not round
+    at the size of P. There every exchange term has the same Gaussian in
+    the partner across the splitting, so that integral is exact, a
+    factor 2 pi sigma^2, and the mixture density is summed on the line
+    rule along s^ (z^ at zero splitting).
     """
     started = time.perf_counter()
     if spec.method != "tensor-quadrature":
@@ -730,5 +715,5 @@ def rho_single(p, params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     n = spec.nodes_per_axis
     coarse = _rho_single_value(p, params, n // 2)
     fine = _rho_single_value(p, params, n)
-    used = n**3 + (n // 2) ** 3
+    used = n + n // 2
     return _finish(spec, "rho_single", started, fine, abs(fine - coarse), used)

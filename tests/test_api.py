@@ -1,6 +1,8 @@
 """The public surface: pinned so that a name cannot be added or come back unnoticed."""
 
+import ast
 import importlib
+import pathlib
 
 import paircorr
 
@@ -90,3 +92,25 @@ def test_removed_names_stay_removed():
     for name in REMOVED:
         assert name not in paircorr.__all__
         assert not hasattr(paircorr, name), name
+
+
+def test_module_imports_are_used():
+    # no linter runs on the package: a name imported at module level must
+    # be used, re-exported in __all__, or on a line marked "noqa: F401"
+    for path in sorted(pathlib.Path(paircorr.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        name = "paircorr" if path.stem == "__init__" else f"paircorr.{path.stem}"
+        exported = set(getattr(importlib.import_module(name), "__all__", ()))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                continue
+            if any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                assert bound in used or bound in exported, f"{path.name}: {bound} unused"

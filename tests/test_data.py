@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -32,6 +33,19 @@ def test_roundtrip_is_byte_identical(tmp_path):
     save_dataset(first, POINTS)
     loaded = load_dataset(first, label=POINTS.label)
     assert loaded == POINTS
+    save_dataset(second, loaded)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_roundtrip_keeps_a_label_of_several_lines(tmp_path):
+    # each line of the label is its own comment line; a bare second line
+    # was read as a malformed header
+    labelled = Dataset(POINTS.delta_p, POINTS.r, POINTS.sigma_r, label="He run 1\nbeam 2 keV")
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_dataset(first, labelled)
+    assert first.read_text().startswith("# He run 1\n# beam 2 keV\ndelta_p,R,sigma_R\n")
+    loaded = load_dataset(first, label=labelled.label)
+    assert loaded == labelled
     save_dataset(second, loaded)
     assert first.read_bytes() == second.read_bytes()
 
@@ -153,6 +167,21 @@ def test_atomic_write_cleans_up_on_failure(tmp_path):
         _atomic_write(target, "text\n")
     assert target.is_dir()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_atomic_write_applies_the_umask(tmp_path):
+    # a new file and an overwritten one get 0o666 less the umask, as
+    # open() gives; a mkstemp temp file kept its 0o600
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("old\n")
+    old.chmod(0o644)
+    mask = os.umask(0o022)
+    try:
+        for path in (new, old):
+            _atomic_write(path, "text\n")
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644, path
+    finally:
+        os.umask(mask)
 
 
 def test_save_curve_formats(tmp_path):

@@ -92,10 +92,10 @@ def test_phi_norm_integrates_the_mixture_once():
     singlet, triplet = (phi_norm_oracle(_pure(PARAMS, g), spec).value for g in (0.0, 1.0))
     weighed = (1.0 - f) * singlet + f * triplet
     assert abs(mixed.value - weighed) <= 1e-12 * weighed
-    # by quadrature, one run at n and one at n/2 nodes per axis, each
-    # of three per-axis products on three axes
+    # by quadrature, one run at n and one at n/2 nodes, each evaluating
+    # the density on the square of its line rule in p1 and p2
     n = QUAD.nodes_per_axis
-    assert phi_norm_oracle(PARAMS, QUAD).samples_used == 9 * (n + n // 2)
+    assert phi_norm_oracle(PARAMS, QUAD).samples_used == n * n + (n // 2) ** 2
 
 
 def test_oracle_result_refuses_negative_error():
@@ -175,6 +175,14 @@ def test_rho_single_at_large_total_momentum():
         want = float(mixture_marginal(p - half, params))
         far = dataclasses.replace(params, p_total=tuple(2.0 * half))
         assert abs(rho_single(p, far, QUAD).value - want) <= 1e-13 * want, total
+
+
+def test_rho_single_at_zero_splitting():
+    # with no splitting to run along, the line rule runs along z
+    params = ModelParams(0.5, 0.0, p_total=(1.0, 2.0, 3.0))
+    p = np.array([0.3, 1.2, 1.1])
+    want = float(mixture_marginal(p, params))
+    assert abs(rho_single(p, params, QUAD).value - want) <= 1e-13 * want
 
 
 def test_rho_single_takes_one_finite_vector():
@@ -585,9 +593,27 @@ def test_on_axis_results_are_pinned():
 
 def test_quadrature_norm_is_pinned_on_the_axis():
     # a splitting along z at P = 0 is already on the axis the norm works
-    # on: the README example keeps its nodes and arithmetic bit for bit
+    # on: the README example keeps its nodes and arithmetic bit for bit.
+    # The pin moved when the norm became a line-rule sum of the density
+    # itself; the value from before, by per-axis Gaussian products, is a
+    # cross-check
     readme = ModelParams(0.5, 0.05, triplet_fraction=0.3)
-    assert phi_norm_oracle(readme, QUAD) == OracleResult(0.9999999999999596, 3.8890670350788525e-07, 648)
+    res = phi_norm_oracle(readme, QUAD)
+    assert res == OracleResult(0.9999999999999731, 8.996887237433526e-07, 2880)
+    assert abs(res.value - 0.9999999999999596) <= 1e-13
+
+
+def test_quadrature_norm_at_the_degeneracy_edge():
+    # near split = 1e-6 sigma the per-axis products and 2 (1 - J^2) both
+    # cancelled: a pure triplet read 1 + 4.3e-4 with est_error 0 at 64
+    # nodes, and missed its tolerance at 48 nodes and at sigma = 0.22
+    for sigma in (0.22, 1.0):
+        for ratio in (1.0001e-6, 1e-5):
+            params = ModelParams(sigma, ratio * sigma, triplet_fraction=1.0)
+            for n in (48, 64):
+                spec = dataclasses.replace(QUAD, nodes_per_axis=n)
+                res = phi_norm_oracle(params, spec)
+                assert abs(res.value - 1.0) <= 1e-9, (sigma, ratio, n, res)
 
 
 def test_norm_at_large_total_momentum():
