@@ -112,18 +112,22 @@ _HEADERS = {
 }
 
 
-def load_dataset(path, label: str = "") -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read a dataset CSV (header ``delta_p,R[,sigma_R]``, ``#`` comments).
 
-    Raises DataFormatError with the 1-based line number on any malformed
-    content.
+    The ``#`` lines before the header are the label, as save_dataset
+    writes it: each loses its ``#`` and one space after it, and the lines
+    are joined by newlines. Raises DataFormatError with the 1-based line
+    number on any malformed content.
     """
     header = None
     has_sigma = False
-    dp, r, sr = [], [], []
+    dp, r, sr, label = [], [], [], []
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
+            if line.startswith("#") and header is None:
+                label.append(raw.lstrip()[1:].rstrip("\n").removeprefix(" "))
             if not line or line.startswith("#"):
                 continue
             fields = tuple(part.strip() for part in line.split(","))
@@ -155,7 +159,7 @@ def load_dataset(path, label: str = "") -> Dataset:
     if header is None:
         raise DataFormatError("no header line found")
     try:
-        return Dataset(tuple(dp), tuple(r), tuple(sr) if has_sigma else None, label=label)
+        return Dataset(tuple(dp), tuple(r), tuple(sr) if has_sigma else None, "\n".join(label))
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 

@@ -12,7 +12,7 @@ here by direct numerical integration of the two-particle densities:
 * the coincidence intensity, the 5-d integral
   (dp)^2 * int d^3p1 dOmega  Phi(p1, p1 + dp*n) of the mixture, and
   the accidental (event-mixed) intensity with integrand
-  rho(p1) rho(p1 + dp*n) / N, both by Monte Carlo.
+  rho(p1) rho(p1 + dp*n) / N, both by stratified Monte Carlo.
 
 The Monte-Carlo design exploits the model's structure. A norm or an
 intensity integrates over every p1 and p2 (or detector direction n), so
@@ -26,20 +26,28 @@ polar cosine u, so the azimuth is exact too (a factor 2 pi), and the
 coincidence oracle samples u alone. The accidental integrand's p1
 centres all lie on the line through -dp*n/2 along z, so p1 across z is
 exact as well (a factor pi sigma^2): that oracle samples u and t, p1's
-offset along z, and it too takes the azimuth at 0. u is drawn from a
-mixture of a uniform density and cosh-tilted densities matched to the
-exp(z u) factors of the integrand, with stratified inversion per chunk,
-so the realized error falls much faster than the reported
-(conservative) 1/sqrt(N) standard error.
+offset along z, and it too takes the azimuth at 0.
 
-Sampling is chunked and streamed. A chunk draws from its own seed
-(spawned from the spec's rng_seed), block by block: PCG64's jump-ahead
-starts each stream at its own offset, and at most one normal stream is
-drawn, last, so each block gets exactly the values a whole-chunk draw
-would give, and a thread holds one block's draws and one chunk's
-weights at a time. The chunk sums its weights once and math.fsum adds
-the chunk sums, so neither block size nor thread count changes a bit.
-Chunks run in a pool of PAIRCORR_THREADS workers.
+Both intensity oracles draw uniformly, two samples per equal cell. A
+chunk of n samples cuts its domain into n/2 equal cells and puts sample
+i in cell floor(i/2): u in [-1, 1] for the coincidence, and for the
+accidental n/1024 u-rows by _COLUMNS t-columns over u in [-1, 1] and
+t in [-h, h], with h = |s|/2 + 8 sigma as for the line rule. Every
+Monte-Carlo oracle reports the SE sqrt(sum_k (w_2k - w_2k+1)^2) / N
+over the adjacent pairs of each chunk. For two draws per equal cell
+that is the unbiased variance estimate of the stratified mean (Owen,
+Monte Carlo theory, methods and examples, ch. 8); for the pair norm's
+iid draws it is the unbiased iid one.
+
+Sampling is chunked and streamed. A chunk holds whole cells and draws
+from its own seed (spawned from the spec's rng_seed), block by block:
+PCG64's jump-ahead starts each stream at its own offset, and at most
+one normal stream is drawn, last, so each block gets exactly the values
+a whole-chunk draw would give, and a thread holds one block's draws and
+one chunk's weights at a time. The chunk sums its weights once, then
+its squared pair differences, and math.fsum adds the chunk sums, so
+neither block size nor thread count changes a bit. Chunks run in a pool
+of PAIRCORR_THREADS workers.
 
 Each worker of a call takes one workspace (_Workspace) for the length
 of the call: the chunk's weights, the draw rows, which the generators
@@ -51,9 +59,7 @@ made and freed per block would be handed back to the kernel by glibc
 and faulted in again by the next block. A (3, m) quantity
 is a stack of contiguous component rows, finished with in-place
 ufuncs; each element still takes the same floating-point operations
-in the same order as with fresh arrays. The stratified
-polar variable is non-decreasing within a chunk, so each proposal
-branch is a slice cut by searchsorted, not a boolean mask.
+in the same order as with fresh arrays.
 """
 
 from __future__ import annotations
@@ -98,9 +104,11 @@ _CHUNK = 1 << 18
 # Samples per block of a chunk: smaller blocks stay in cache but pay
 # NumPy's per-call cost (and, threaded, a lock handover) more often.
 _BLOCK = 1 << 15
-# Below this z the cosh-tilted polar density is indistinguishable from
-# uniform; sampler and density must switch together.
-_TINY_Z = 1e-8
+# t-columns of the accidental's cells. Over 24 rows at 2M samples the
+# worst 3*SE/value (sigma 0.5, p_tilde 2, f 1, dp 4 sigma) read 8.4e-4,
+# 4.3e-4, 2.3e-4, 2.1e-4, 3.7e-4 and 7.3e-4 at 64, 128, ..., 2,048
+# columns: past 512 the u-rows grow too coarse for the exp(z u) factors.
+_COLUMNS = 512
 
 _METHODS = ("monte-carlo", "tensor-quadrature")
 
@@ -116,7 +124,10 @@ class QuadratureSpec:
         supports both; unsupported combinations raise
         UnsupportedMethodError rather than silently substituting.
     sample_count : int
-        Monte-Carlo samples per integral.
+        Monte-Carlo samples per integral. The last chunk is rounded up
+        to whole cells: to an even count for the coincidence intensity
+        and the norm, and to whole 1,024-sample rows for the accidental
+        intensity.
     nodes_per_axis : int
         Gauss-Legendre nodes along the splitting, per momentum, for
         quadrature; the error estimate compares against a run at half
@@ -154,13 +165,14 @@ class OracleResult:
     est_error is one standard error for Monte Carlo and the last
     refinement delta for quadrature; comparisons against closed forms
     should use max(analytic_tol * |closed|, 3 * est_error). samples_used
-    counts the Monte-Carlo samples drawn, sample_count per integral, or
-    the density calls of both quadrature runs, n^2 + (n/2)^2 for the norm
-    and n + n/2 for rho_single. chunks counts the Monte-Carlo chunks
-    those samples drew (0 for quadrature and at delta_p = 0), threads is
-    the worker count they ran on, and elapsed_s
-    is the call's wall time. These three describe how the number was
-    made, not the number, so equality ignores them.
+    counts the Monte-Carlo samples drawn, sample_count per integral
+    rounded up to whole cells (see QuadratureSpec), or the density calls
+    of both quadrature runs, n^2 + (n/2)^2 for the norm and n + n/2 for
+    rho_single. chunks counts the Monte-Carlo chunks those samples drew
+    (0 for quadrature and at delta_p = 0), threads is the worker count
+    they ran on, and elapsed_s is the call's wall time. These three
+    describe how the number was made, not the number, so equality
+    ignores them.
     """
 
     value: float
@@ -209,6 +221,7 @@ class _Workspace:
         self.m = self._block = block
         self._buffers = {}
         self._views = {}
+        self._halves = None
 
     def resize(self, m):
         if m != self.m:
@@ -225,18 +238,24 @@ class _Workspace:
             self._views[name] = view = view.reshape(rows, self.m) if rows else view
         return view
 
+    def cells(self, lo):
+        """Row "cell": the cell floor(i / 2), formed exactly, of each sample i = lo, lo + 1, ... of the block."""
+        if self._halves is None:
+            self._halves = np.arange(self._block, dtype=float)
+            self._halves *= 0.5
+        cell = np.add(self._halves[: self.m], 0.5 * lo, out=self.take("cell"))
+        return np.floor(cell, out=cell)
+
 
 def _streams(seed, count, kinds, work):
     """One chunk's draws, made and handed out block by block.
 
     Yields (block slice, draws): the block's samples of each stream in
-    ``kinds``, a tuple naming them. "uniform" is count doubles; "strata"
-    is one stratified uniform per stratum of [0, 1), non-decreasing in
-    the sample index; "normal1" is count standard normals and "normal6"
-    (count, 6) of them. Every stream is drawn block by block, and the
-    block size changes no value. The draws of every block are filled
-    into the same rows of the workspace ``work`` (Generator out=), so
-    they are valid only until the next block.
+    ``kinds``, a tuple naming them. "uniform" is count doubles in
+    [0, 1), "normal6" (count, 6) standard normals. Every stream is drawn
+    block by block, and the block size changes no value. The draws of
+    every block are filled into the same rows of the workspace ``work``
+    (Generator out=), so they are valid only until the next block.
 
     All streams run on PCG64(seed): stream k starts at output k * count,
     on a generator of its own advanced there. A uniform double takes
@@ -253,14 +272,6 @@ def _streams(seed, count, kinds, work):
 
     sources = [generator(k * count) for k in range(len(kinds))]
     block = min(_BLOCK, count)
-    work.resize(block)
-    if "strata" in kinds:
-        # the strata offsets lo + i of the current block, whole numbers
-        # formed exactly: 0, 1, ... by a cumulative sum, then a block on
-        index = work.take("index")
-        index.fill(1.0)
-        index[0] = 0.0
-        np.cumsum(index, out=index)
     for lo in range(0, count, block):
         m = min(block, count - lo)
         work.resize(m)
@@ -268,40 +279,34 @@ def _streams(seed, count, kinds, work):
         for k, (kind, source) in enumerate(zip(kinds, sources)):
             if kind == "normal6":
                 x = source.standard_normal((m, 6), out=work.take(f"draw{k}", 6).reshape(m, 6))
-            elif kind == "normal1":
-                x = source.standard_normal(m, out=work.take(f"draw{k}"))
             else:
                 x = source.random(m, out=work.take(f"draw{k}"))
-                if kind == "strata":
-                    x += index[:m]
-                    x /= count
             draws.append(x)
-        if "strata" in kinds:
-            index += block
         yield slice(lo, lo + m), draws
 
 
-def _mc_sum(total: int, seed_seq: np.random.SeedSequence, kinds, block_fn):
+def _mc_sum(total: int, seed_seq: np.random.SeedSequence, kinds, block_fn, multiple=2):
     """Mean, SE, samples, chunks and threads of the weights w over fixed-size chunks.
 
-    A chunk streams its draws of ``kinds`` (see _streams) from its own
-    seed, and block_fn(work, out, *draws) writes each block's w into
-    out, a slice of the chunk's weights, taking every other array from
-    work. A worker takes one _Workspace for the whole call and reuses it
-    for every block of every chunk it runs, so no block allocates.
+    A chunk holds _CHUNK samples, the last one the rest rounded up to a
+    multiple of ``multiple``, so that it holds whole cells. It streams
+    its draws of ``kinds`` (see _streams) from its own seed, and
+    block_fn(work, out, lo, count, *draws) writes the w of its samples
+    lo, lo + 1, ... into out, a slice of the chunk's weights, taking
+    every other array from work: one _Workspace per worker for the whole
+    call, so no block allocates.
 
-    Each chunk, holding its w whole, sums w and then the squared
-    deviations of w about its own mean; the chunks are combined in chunk
-    order by M2 = sum M2_c + sum n_c (mean_c - mean)^2, each sum by
-    math.fsum. No step subtracts two near-equal sums of squares, so the
-    SE stays a spread where the weights barely vary. It is never below
-    one machine epsilon of the mean: weights that do not vary at all
-    still carry their rounding. The chunk layout and seeds depend only
-    on (total, seed_seq), so neither the block size nor the thread
-    count changes a bit.
+    Each chunk sums w, then the squares of its adjacent pair differences,
+    formed in place. The mean is the fsum of the chunk sums over N, the
+    samples drawn, and the SE sqrt(fsum of the squared differences) / N,
+    never below one machine epsilon of the mean: weights that do not
+    vary still carry their rounding. The chunk layout and seeds depend
+    only on (total, seed_seq, multiple), so neither the block size nor
+    the thread count changes a bit.
     """
     n_chunks = (total + _CHUNK - 1) // _CHUNK
-    counts = [_CHUNK] * (n_chunks - 1) + [total - _CHUNK * (n_chunks - 1)]
+    last = total - _CHUNK * (n_chunks - 1)
+    counts = [_CHUNK] * (n_chunks - 1) + [-(-last // multiple) * multiple]
     # workspaces between chunks: at most one is made per concurrent worker
     idle = queue.SimpleQueue()
 
@@ -312,23 +317,22 @@ def _mc_sum(total: int, seed_seq: np.random.SeedSequence, kinds, block_fn):
             work = _Workspace(min(_BLOCK, counts[0]), counts[0])
         w = work.weights[:count]
         for block, draws in _streams(seed, count, kinds, work):
-            block_fn(work, w[block], *draws)
+            block_fn(work, w[block], block.start, count, *draws)
         s1 = float(np.sum(w))
-        w -= s1 / count
-        w *= w
-        m2 = float(np.sum(w))
+        diff = w[::2]
+        diff -= w[1::2]
+        diff *= diff
+        s2 = float(np.sum(diff))
         idle.put(work)
-        return s1, m2
+        return s1, s2
 
     threads = _thread_count()
     with ThreadPoolExecutor(max_workers=threads) as pool:
         sums = list(pool.map(chunk_sums, seed_seq.spawn(n_chunks), counts))
-    mean = math.fsum(s1 for s1, _ in sums) / total
-    within = math.fsum(m2 for _, m2 in sums)
-    between = math.fsum(n * (s1 / n - mean) ** 2 for n, (s1, _) in zip(counts, sums))
-    variance = (within + between) / total
-    se = max(math.sqrt(variance / total), sys.float_info.epsilon * abs(mean))
-    return mean, se, total, n_chunks, threads
+    used = sum(counts)
+    mean = math.fsum(s1 for s1, _ in sums) / used
+    se = max(math.sqrt(math.fsum(s2 for _, s2 in sums)) / used, sys.float_info.epsilon * abs(mean))
+    return mean, se, used, n_chunks, threads
 
 
 def _finish(
@@ -360,96 +364,6 @@ def _intensity_delta_p(delta_p, spec: QuadratureSpec) -> float:
             "the 5-d intensity integrals support method='monte-carlo' only"
         )
     return _nonnegative("delta_p", float(delta_p))
-
-
-def _sample_cosh_tilt(xi, z, out):
-    """Invert the CDF of z*cosh(z*u)/(2 sinh z) on [-1, 1] into out, overwriting xi.
-
-    The first bit of xi picks the exp(+z u) or exp(-z u) half; the rest
-    inverts the exponential tilt through log/expm1-safe algebra. Falls
-    back to uniform below _TINY_Z. xi must be non-decreasing, so the
-    exp(+z u) half is the slice xi < 0.5.
-    """
-    if z < _TINY_Z:
-        np.multiply(xi, 2.0, out=out)
-        out -= 1.0
-        return
-    half = np.searchsorted(xi, 0.5)
-    eta = xi
-    eta *= 2.0
-    eta[half:] -= 1.0
-    np.clip(eta, 0.0, 1.0, out=eta)
-    u = np.subtract(1.0, eta, out=out)
-    u *= np.exp(-2.0 * z)
-    u += eta
-    np.log(u, out=u)
-    u /= z
-    u += 1.0
-    np.negative(u[half:], out=u[half:])
-    np.clip(u, -1.0, 1.0, out=u)
-
-
-def _cosh_tilt_pdf(u, z, out, tmp):
-    """Density z*cosh(z*u)/(2 sinh z) on [-1, 1], stable at any z >= 0, in out (tmp is scratch)."""
-    if z < _TINY_Z:
-        return 0.5
-    val = np.subtract(u, 1.0, out=out)
-    val *= z
-    np.exp(val, out=val)
-    minus = np.add(u, 1.0, out=tmp)
-    minus *= -z
-    val += np.exp(minus, out=minus)
-    val *= z
-    val /= -2.0 * np.expm1(-2.0 * z)
-    return val
-
-
-# Polar proposals: u uniform for v < 1/2, then per (lo, hi, factor) the
-# cosh tilt at factor * z for lo <= v < hi. The event-mixed integrand
-# carries exp(z u), exp(z u / 2) and flat angular factors (center
-# offsets of s, s/2 and 0), the coincidence one only exp(z u). The
-# tilts tile [1/2, 1) in order, which _tilt_sample's slices rely on.
-_COR_TILTS = ((0.5, 1.0, 1.0),)
-_UNC_TILTS = ((0.5, 0.75, 0.5), (0.75, 1.0, 1.0))
-
-
-def _tilt_sample(v, z, tilts, work):
-    """Polar cosines of the proposal at non-decreasing v, as a "strata" stream gives it.
-
-    Sorted v makes each branch a slice, cut by searchsorted at 1/2 and
-    at each tilt's hi; every branch runs on its own samples only. The
-    last tilt runs to the end, so it also takes a v that rounded to 1.
-    The cosines land in work's row "u", whose length must be len(v).
-    """
-    edges = np.searchsorted(v, [0.5] + [hi for _, hi, _ in tilts[:-1]]).tolist() + [len(v)]
-    u = work.take("u")
-    low = u[: edges[0]]
-    np.multiply(4.0, v[: edges[0]], out=low)
-    low -= 1.0
-    np.clip(low, -1.0, 1.0, out=low)
-    xi_row = work.take("tmp")
-    for (lo, hi, factor), start, stop in zip(tilts, edges, edges[1:]):
-        branch = slice(start, stop)
-        xi = np.subtract(v[branch], lo, out=xi_row[branch])
-        xi /= hi - lo
-        np.clip(xi, 0.0, 1.0, out=xi)
-        _sample_cosh_tilt(xi, factor * z, u[branch])
-    return u
-
-
-def _tilt_pdf(u, z, tilts, work):
-    """Density of the proposal at u; each tilt has weight hi - lo.
-
-    The parts alternate between work's rows "tilt0" and "tilt1", so the
-    density lands in one of them.
-    """
-    total = 0.25
-    for i, (lo, hi, factor) in enumerate(tilts):
-        part = _cosh_tilt_pdf(u, factor * z, work.take(f"tilt{i % 2}"), work.take("tmp"))
-        part *= hi - lo
-        part += total
-        total = part
-    return total
 
 
 def _on_axis(params: ModelParams) -> ModelParams:
@@ -489,44 +403,43 @@ def intensity_cor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> 
     unnormalized solid-angle measure (int dOmega = 4 pi), the same
     convention the closed form uses.
 
-    Only the polar cosine u is sampled, from the "strata" stream; p1 and
-    the azimuth are integrated exactly, with s along +z and P = 0
-    (_on_axis), which leave the intensity unchanged. At a fixed detector
-    direction q = dp*n every exchange term of the pair density is the
-    same Gaussian in p1, centred at -q/2 with covariance sigma^2/2, so
-    the density's ratio to that Gaussian does not depend on p1 and the
-    p1 integral is the density at the centre, p1 = -q/2 and
-    p2 = p1 + q, over the Gaussian's peak density. That value depends
-    on q only through |q| and q_z, so the azimuth about z contributes a
-    factor 2 pi, and q is taken in the x-z plane. A degenerate triplet
-    of nonzero weight is refused before any draw.
+    Only the polar cosine u is sampled, uniformly, two samples per equal
+    cell of [-1, 1]; p1 and the azimuth are integrated exactly, with s
+    along +z and P = 0 (_on_axis), which leave the intensity unchanged.
+    At a fixed detector direction q = dp*n every exchange term of the
+    pair density is the same Gaussian in p1, centred at -q/2 with
+    covariance sigma^2/2, so the density's ratio to that Gaussian does
+    not depend on p1 and the p1 integral is the density at the centre,
+    p1 = -q/2 and p2 = p1 + q, over the Gaussian's peak density. That
+    value depends on q only through |q| and q_z, so the azimuth about z
+    contributes a factor 2 pi, and q is taken in the x-z plane. A
+    weight is 2 * 2 pi dp^2 times that value, 2 being the length of the
+    u range. A degenerate triplet of nonzero weight is refused before
+    any draw.
     """
     started = time.perf_counter()
     delta_p = _intensity_delta_p(delta_p, spec)
     if delta_p == 0.0:
         return _finish(spec, "intensity_cor_oracle", started, 0.0, 0.0, 0)
     params = _on_axis(params)
-    sigma = params.sigma
-    z = params.split_magnitude * delta_p / (2.0 * sigma * sigma)
-    # the p1 Gaussian's peak density
-    pdf_norm = (math.pi * sigma * sigma) ** -1.5
+    # the u range, the azimuth and the p1 Gaussian's peak density
+    scale = 2.0 * 2.0 * math.pi * delta_p * delta_p / (math.pi * params.sigma**2) ** -1.5
 
-    def block(work, out, v):
-        u = _tilt_sample(v, z, _COR_TILTS, work)
+    def block(work, out, lo, count, x):
+        # u in cell floor(i/2) of count/2 equal cells, drawn over its uniform
+        u = np.add(work.cells(lo), x, out=x)
+        u *= 4.0 / count
+        u -= 1.0
         # p1 = -q/2, then p2 = p1 + q, written over q
         q = _direction(delta_p, u, work)
         p1 = np.multiply(q, -0.5, out=work.take("p1", 3))
         q += p1
         # the density takes (m, 3) momenta: transposed views of the component rows
-        total = mixture_density(p1.T, q.T, params, work)
-        den = _tilt_pdf(u, z, _COR_TILTS, work)
-        den *= pdf_norm
-        total *= delta_p * delta_p * 2.0 * math.pi
-        np.divide(total, den, out=out)
+        np.multiply(mixture_density(p1.T, q.T, params, work), scale, out=out)
 
     # the first child of rng_seed, not rng_seed itself: the pinned results drew from it
     seed = np.random.SeedSequence(spec.rng_seed).spawn(1)[0]
-    run = _mc_sum(spec.sample_count, seed, ("strata",), block)
+    run = _mc_sum(spec.sample_count, seed, ("uniform",), block)
     return _finish(spec, "intensity_cor_oracle", started, *run)
 
 
@@ -543,48 +456,41 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
     covariance sigma^2 centred on the z axis, so each term of
     rho(p1) rho(p1 + q) is a Gaussian in p1 of covariance sigma^2/2
     centred on the line through -q/2 along z, and p1 across z integrates
-    exactly: pi sigma^2 times the integrand at p1 = -q/2 + t z^. t is
-    drawn from normals at -|s|/2, 0 and +|s|/2 of weights 1/4, 1/2 and
-    1/4 and variance 0.75 sigma^2, u from the "strata" stream. The rest
-    depends on q only through |q| and q_z: the azimuth gives a factor
-    2 pi, and q is taken in the x-z plane. A degenerate triplet of
-    nonzero weight is refused before any draw.
+    exactly: pi sigma^2 times the integrand at p1 = -q/2 + t z^. Those
+    centres lie within |s|/2 of -q/2, so t covers [-h, h] with
+    h = |s|/2 + 8 sigma, as the line rule does. u and t are drawn
+    uniformly, two samples per equal cell of a grid of u-rows by
+    _COLUMNS t-columns over [-1, 1] x [-h, h]. The rest depends on q
+    only through |q| and q_z: the azimuth gives a factor 2 pi, and q is
+    taken in the x-z plane. A weight is pi sigma^2 2 pi dp^2 4h times
+    the integrand, 4h being the area of the (u, t) range. A degenerate
+    triplet of nonzero weight is refused before any draw.
     """
     started = time.perf_counter()
     delta_p = _intensity_delta_p(delta_p, spec)
     if delta_p == 0.0:
         return _finish(spec, "intensity_uncor_oracle", started, 0.0, 0.0, 0)
     params = _on_axis(params)
-    sigma = params.sigma
-    split = params.split_magnitude
-    z = split * delta_p / (2.0 * sigma * sigma)
-    # the proposal for t: its centres, weights, spread and peak density
-    offsets = np.array([-0.5 * split, 0.0, 0.5 * split])
-    var = 0.75 * sigma * sigma
-    spread = math.sqrt(var)
-    pdf_norm = (2.0 * math.pi * var) ** -0.5
-    # the exact p1 integral across s and the azimuth's 2 pi
-    scale = math.pi * sigma * sigma * delta_p * delta_p * 2.0 * math.pi
+    half = _half_line(params)
+    # the exact p1 integral across s, the azimuth's 2 pi and the (u, t) area
+    scale = math.pi * params.sigma**2 * 2.0 * math.pi * delta_p * delta_p * 4.0 * half
 
-    def block(work, out, v, pick, xi):
-        u = _tilt_sample(v, z, _UNC_TILTS, work)
-        q = _direction(delta_p, u, work)
-        # the proposal's component, by its weights 1/4, 1/2, 1/4
-        comp = np.greater_equal(pick, 0.25, out=work.take("comp", dtype=np.intp))
-        comp += np.greater_equal(pick, 0.75, out=work.take("above", dtype=bool))
-        t = np.take(offsets, comp, out=work.take("t"), mode="clip")
-        t += np.multiply(xi, spread, out=work.take("tmp"))
-        # the proposal density of t; the parts alternate between rows "prop0" and "prop1"
-        den = 0.0
-        for i, (offset, weight) in enumerate(zip(offsets, (0.25, 0.5, 0.25))):
-            part = np.subtract(t, offset, out=work.take(f"prop{i % 2}"))
-            part *= part
-            part /= -2.0 * var
-            np.exp(part, out=part)
-            part *= weight * pdf_norm
-            part += den
-            den = part
+    def block(work, out, lo, count, xu, xt):
+        # cell c = floor(i/2) of count/2: u-row floor(c / _COLUMNS) of
+        # count / (2 _COLUMNS), t-column c mod _COLUMNS, all formed exactly
+        col = work.cells(lo)
+        col /= _COLUMNS
+        u = np.floor(col, out=work.take("u"))
+        col -= u
+        col *= _COLUMNS
+        u += xu
+        u *= 4.0 * _COLUMNS / count
+        u -= 1.0
+        t = np.add(col, xt, out=xt)
+        t *= 2.0 * half / _COLUMNS
+        t -= half
         # p1 = -q/2 + t along the splitting
+        q = _direction(delta_p, u, work)
         p1 = np.multiply(q, -0.5, out=work.take("p1", 3))
         p1[2] += t
         # the marginal takes (m, 3) momenta: transposed views of the
@@ -593,11 +499,9 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
         rho = np.multiply(mixture_marginal(p1.T, params, work), scale, out=out)
         q += p1
         rho *= mixture_marginal(q.T, params, work)
-        den *= _tilt_pdf(u, z, _UNC_TILTS, work)
-        rho /= den
 
-    kinds = ("strata", "uniform", "normal1")
-    run = _mc_sum(spec.sample_count, np.random.SeedSequence(spec.rng_seed), kinds, block)
+    seed = np.random.SeedSequence(spec.rng_seed)
+    run = _mc_sum(spec.sample_count, seed, ("uniform", "uniform"), block, 2 * _COLUMNS)
     return _finish(spec, "intensity_uncor_oracle", started, *run)
 
 
@@ -605,16 +509,20 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
 # normalization and marginal checks
 
 
+def _half_line(params: ModelParams) -> float:
+    """Half the length of the line along s through P/2 that covers both centres +/- s/2 with 8 sigma to spare."""
+    return 0.5 * params.split_magnitude + 8.0 * params.sigma
+
+
 def _line_rule(params: ModelParams, n: int):
     """n Gauss-Legendre nodes, as (n, 3) points at P = 0, and weights along s^ (z^ at s = 0).
 
-    The line runs over [-|s|/2 - 8 sigma, |s|/2 + 8 sigma]: both centres
-    +/- s/2 with 8 sigma to spare.
+    The line runs over [-h, h], h = _half_line(params).
     """
     split = params.split_magnitude
     axis = np.asarray(params.p_split) / split if split else np.array([0.0, 0.0, 1.0])
     x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * split + 8.0 * params.sigma
+    half = _half_line(params)
     return half * x[:, None] * axis, half * w
 
 
@@ -666,7 +574,7 @@ def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
             g *= pdf_norm
             return g
 
-        def block(work, out, swap, xi):
+        def block(work, out, lo, count, swap, xi):
             p1 = np.multiply(xi[:, :3].T, sigma, out=work.take("p1", 3))
             p2 = np.multiply(xi[:, 3:].T, sigma, out=work.take("p2", 3))
             pick = np.less(swap, 0.5, out=work.take("pick", dtype=np.intp))

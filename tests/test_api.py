@@ -114,3 +114,36 @@ def test_module_imports_are_used():
             for alias in node.names:
                 bound = (alias.asname or alias.name).split(".")[0]
                 assert bound in used or bound in exported, f"{path.name}: {bound} unused"
+
+
+# private names that only tests load: correlation._regimes labels which
+# regime of the bracket kernel serves each point, for the seam tests
+TEST_ONLY = {("correlation", "_regimes")}
+
+
+def test_private_names_are_used():
+    # a module-level private function, class or constant must be loaded
+    # somewhere in the package, so that a removed code path leaves none behind
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(pathlib.Path(paircorr.__file__).parent.glob("*.py"))
+    }
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__") and (stem, name) not in TEST_ONLY:
+                    assert name in loaded, f"{stem}.{name} is never loaded"

@@ -155,7 +155,7 @@ def test_oracle_check_starved_budget_fails(tmp_path):
     out = tmp_path / "report.csv"
     rc = main(
         ["oracle-check", "--sigma", "0.5", "--f", "0.3", "--p-tilde", "0.5",
-         "--grid", "0.5:2.0:3", "--samples", "1000", "--tol", "1e-4",
+         "--grid", "0.5:2.0:3", "--samples", "64", "--tol", "1e-4",
          "--out", str(out)]
     )
     assert rc == 4
@@ -166,6 +166,21 @@ def test_oracle_check_starved_budget_fails(tmp_path):
     ]
     assert len(data_rows) == 6
     assert all(row[4] == "0" for row in data_rows)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--sigma", "0.22", "--f", "1.0"], ["--sigma", "0.5", "--f", "0.3", "--samples", "500000"]],
+)
+def test_oracle_check_verifies_the_paper_and_readme_regimes(tmp_path, capsys, flags):
+    # both intensity oracles at the oracle-check defaults meet the
+    # default tolerance on every row: the paper's sigma = 0.22 at f = 1,
+    # and the README mixture at a quarter of the default samples
+    rc = main(["oracle-check", *flags, "--out", str(tmp_path / "report.csv")])
+    printed = capsys.readouterr().out
+    assert rc == 0, printed
+    assert "coincidence: 4/4 passed" in printed
+    assert "accidental:  4/4 passed" in printed
 
 
 def test_missing_data_file(tmp_path, capsys):

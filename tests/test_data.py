@@ -31,7 +31,7 @@ def test_roundtrip_is_byte_identical(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     save_dataset(first, POINTS)
-    loaded = load_dataset(first, label=POINTS.label)
+    loaded = load_dataset(first)
     assert loaded == POINTS
     save_dataset(second, loaded)
     assert first.read_bytes() == second.read_bytes()
@@ -44,10 +44,22 @@ def test_roundtrip_keeps_a_label_of_several_lines(tmp_path):
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     save_dataset(first, labelled)
     assert first.read_text().startswith("# He run 1\n# beam 2 keV\ndelta_p,R,sigma_R\n")
-    loaded = load_dataset(first, label=labelled.label)
+    loaded = load_dataset(first)
     assert loaded == labelled
     save_dataset(second, loaded)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_load_reads_the_saved_label(tmp_path):
+    # the comment lines before the header are the label, blank and
+    # indented lines included; comments after the header are not
+    path = tmp_path / "a.csv"
+    for label in ("", "He 2 keV", "a\nb", "a\n\nb", "  indented"):
+        dataset = Dataset(POINTS.delta_p, POINTS.r, POINTS.sigma_r, label=label)
+        save_dataset(path, dataset)
+        assert load_dataset(path) == dataset, label
+    path.write_text("#bare\n#\ndelta_p,R\n# interior note\n0.5,0.1\n")
+    assert load_dataset(path).label == "bare\n"
 
 
 def test_roundtrip_without_uncertainties(tmp_path):
@@ -146,7 +158,7 @@ def test_load_reads_past_a_byte_order_mark(tmp_path):
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     save_dataset(plain, POINTS)
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-    assert load_dataset(marked, label=POINTS.label) == load_dataset(plain, label=POINTS.label)
+    assert load_dataset(marked) == load_dataset(plain) == POINTS
     assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")  # writers add none
 
 

@@ -53,7 +53,7 @@ def _readme_block(heading, lang):
 def test_readme_examples_run(tmp_path):
     # the Quick start, then the curve, synth and fit command lines in
     # order (fit reads what synth writes); oracle-check is left out, as
-    # it takes seconds and exits 4 until the oracles verify its rows
+    # it takes seconds (test_cli runs the README's oracle-check)
     commands = [[sys.executable, "-c", _readme_block("Quick start", "python")]]
     for line in _readme_block("Command line", "sh").splitlines():
         args = shlex.split(line)
