@@ -144,17 +144,18 @@ _CHECK_HEADER = "delta_p,closed,oracle,err,pass,est_error,samples,chunks,threads
 def _check_rows(grid, closed_fn, oracle_fn, tol):
     """One report row per grid point, and the number of rows that pass.
 
-    A row passes only if the oracle reached the requested tolerance
-    (otherwise its error bar is too wide to verify anything) and the
-    closed form agrees within max(tol * |closed|, 3 * est_error).
+    oracle_fn(row, dp) evaluates row number row. A row passes only if the
+    oracle reached the requested tolerance (otherwise its error bar is
+    too wide to verify anything) and the closed form agrees within
+    max(tol * |closed|, 3 * est_error).
     """
     rows = []
     passed = 0
-    for dp in grid:
+    for row, dp in enumerate(grid):
         closed = float(closed_fn(dp))
         met = True
         try:
-            res = oracle_fn(dp)
+            res = oracle_fn(row, dp)
         except ToleranceNotMetError as exc:
             res = exc.result
             met = False
@@ -169,23 +170,30 @@ def _check_rows(grid, closed_fn, oracle_fn, tol):
     return rows, passed
 
 
+def _row_spec(args, intensity: int, row: int) -> QuadratureSpec:
+    """The spec of one oracle-check row, seeded by SeedSequence([--seed, intensity, row]).
+
+    Each row draws its own samples, so the rows are independent checks,
+    and the same --seed gives the same seeds.
+    """
+    seed = int(np.random.SeedSequence([args.seed, intensity, row]).generate_state(1)[0])
+    return QuadratureSpec(sample_count=args.samples, rng_seed=seed, target_rel_tol=args.tol)
+
+
 def _cmd_oracle_check(args) -> int:
     p_tilde = _resolve_p_tilde(args)
     params = ModelParams(args.sigma, p_tilde, triplet_fraction=args.f)
-    spec = QuadratureSpec(
-        sample_count=args.samples, rng_seed=args.seed, target_rel_tol=args.tol
-    )
     grid = args.grid if args.grid is not None else args.sigma * np.array([0.5, 1.0, 2.0, 4.0])
     lines = ["# err is |closed - oracle| / |closed|; pass uses max(tol*|closed|, 3*est_error)"]
     passed = {}
-    for name, closed, oracle in (
+    for intensity, (name, closed, oracle) in enumerate((
         ("coincidence", coincidence_intensity, intensity_cor_oracle),
         ("accidental", accidental_intensity, intensity_uncor_oracle),
-    ):
+    )):
         rows, passed[name] = _check_rows(
             grid,
             lambda dp: closed(dp, args.sigma, args.f, p_tilde),
-            lambda dp: oracle(dp, params, spec),
+            lambda row, dp: oracle(dp, params, _row_spec(args, intensity, row)),
             args.tol,
         )
         lines += [f"# {name}", _CHECK_HEADER, *rows]
@@ -262,7 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="delta_p grid MIN:MAX:COUNT (default 0.5,1,2,4 times sigma)",
     )
     check.add_argument("--samples", type=_positive_int, default=2_000_000, help="Monte-Carlo samples per oracle call")
-    check.add_argument("--seed", type=_nonneg_int, default=0)
+    check.add_argument(
+        "--seed", type=_nonneg_int, default=0, help="seed from which each row derives its own Monte-Carlo seed"
+    )
     check.add_argument("--tol", type=_positive_float, default=1e-3, help="relative tolerance")
     check.add_argument("--out", required=True, help="output report CSV path")
     check.set_defaults(func=_cmd_oracle_check)

@@ -19,6 +19,13 @@ exponents, lo = min(a, b) and x = e^{-|a - b|}, each channel is
 e^{-2 lo} [(1 +/- x)^2 -/+ 2 (1 - k) x], with k = 1 for the pair density
 (e^{-A/2} +/- e^{-B/2})^2 and k = J, the packets' overlap, for the
 single-particle marginal g1 + g2 +/- 2 J sqrt(g1 g2).
+
+The densities see a momentum p and the centres (P +/- s)/2 only through
+p - P/2 and +/- s/2, so they work on those offsets and do not round at
+the size of P; at P = 0 the offsets are the momenta themselves. Each
+momentum's squared distances to both centres come as one (2, ...) stack
+(_sq_dists), each exponent is a distance times one 1/(4 sigma^2), and
+each channel is scaled by one factor, its scale over its norm.
 """
 
 from __future__ import annotations
@@ -163,6 +170,12 @@ class ModelParams:
             c.flags.writeable = False
         return centers
 
+    @functools.cached_property
+    def _halves(self) -> tuple[np.ndarray | None, tuple[float, float, float]]:
+        """(P/2, s/2), P/2 as an array or None at P = 0: the densities take p - P/2 against +/- s/2."""
+        half_total = np.asarray(self.p_total) / 2.0
+        return (half_total if half_total.any() else None), tuple(x / 2.0 for x in self.p_split)
+
     def overlap(self) -> float:
         """Overlap magnitude J = exp(-s^2 / (8 sigma^2)) of the two packets."""
         split, sigma = self.split_magnitude, self.sigma
@@ -234,44 +247,67 @@ def pair_amplitude(p1, p2, params: ModelParams, channel: SpinChannel, t=0.0):
     return (direct + s * exchanged) / np.sqrt(params._channel_norms[channel])
 
 
-def _components(p):
-    """The (3, ...) component-first view of (..., 3) momenta; any other last axis is refused.
+def _offsets(p, params: ModelParams):
+    """Component-first (3, ...) offsets p - P/2 of (..., 3) momenta p; any other last axis is refused.
 
-    A transpose, not np.moveaxis: the oracles call this once per block,
-    and np.moveaxis costs several times as much a call.
+    At P = 0 this is a view of p: a transpose, not np.moveaxis, as the
+    oracles call this once per block, and np.moveaxis costs several
+    times as much a call.
     """
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (3,):
         raise ValueError(f"momenta must have shape (..., 3), got shape {p.shape}")
-    return p.transpose(-1, *range(p.ndim - 1))
+    p = p.transpose(-1, *range(p.ndim - 1))
+    half_total = params._halves[0]
+    return p if half_total is None else p - half_total.reshape((3,) + (1,) * (p.ndim - 1))
 
 
-def _out(work, name):
+def _out(work, name, rows=0):
     """The row called name of a Monte-Carlo worker's workspace, or None without one.
 
     As the out= of a ufunc, None makes a fresh result, so a core written
     with out=_out(work, ...) allocates when work is None and writes into
     reused rows of the current block length (oracle._Workspace.take) when
-    it is given; the arithmetic is the same either way.
+    it is given; the arithmetic is the same either way. With rows, the
+    name holds a (rows, m) stack.
     """
-    return None if work is None else work.take(name)
+    return None if work is None else work.take(name, rows)
 
 
-def _sq_dist(p, c, work=None, name="sq"):
-    """|p - c|^2 of component-first p and c (c may lack trailing axes), summed as np.sum does.
+def _sq_dists(p, half, work=None, name="sq"):
+    """The (2, ...) stack of |p - h|^2 and |p + h|^2 at component-first p, h = half.
 
-    Row by row: each squared difference is added in place to the first,
-    so no (3, ...) temporary is made. Augmented assignment keeps 0-d
-    results working: on a NumPy scalar it rebinds instead of writing.
-    The sum lands in work's row called name.
+    With p the offsets from P/2 and h = s/2, the squared distances to
+    both packet centres. Where h is 0 the centres agree and p is squared
+    once for both (z is always taken apart, so the result is a stack).
+    x, y and z are added in that order, so each distance is bit for bit
+    a length-3 sum of (p - c)^2. Augmented assignment keeps 0-d
+    components working: on a NumPy scalar it rebinds instead of writing.
+    The stack lands in work's two rows called name; "tmp" and "tmp2"
+    are scratch.
     """
-    c = np.reshape(c, np.shape(c) + (1,) * (np.ndim(p) - np.ndim(c)))
-    total = np.subtract(p[0], c[0], out=_out(work, name))
-    total *= total
-    for k in (1, 2):
-        d = np.subtract(p[k], c[k], out=_out(work, "tmp"))
-        d *= d
-        total += d
+    stack = _out(work, name, 2)
+    col = (2,) + (1,) * (np.ndim(p) - 1)
+    total, split = None, False  # the running sum, and whether it is a stack yet
+    for k, h in enumerate(half):
+        if h != 0.0 or (k == 2 and not split):
+            d = np.subtract(p[k], np.reshape((h, -h), col), out=_out(work, "tmp2" if split else name, 2))
+            d *= d
+            if split:
+                total += d
+            else:
+                if total is not None:
+                    d += total
+                total, split = d, True
+        else:
+            # one square for both centres; a second one before the split
+            # goes in the stack's first row, not yet in use
+            second = total is not None and not split and stack is not None
+            d = np.multiply(p[k], p[k], out=stack[0] if second else _out(work, "tmp"))
+            if total is None:
+                total = d
+            else:
+                total += d
     return total
 
 
@@ -301,33 +337,46 @@ def _mixed(density, params: ModelParams):
     return total
 
 
-def _exchange(a, b, scale, one_minus_k, params: ModelParams, work=None):
+def _exchange(e, scale, one_minus_k, params: ModelParams, work=None):
     """The mixture of the exchange form (module docstring) times scale / norm over its channels.
 
-    a and b are the exponents, both spent. The triplet's 1 - x goes through
-    expm1 and the singlet takes away at most half its square, so neither
-    cancels. Rows: the singlet b's, the triplet "sq", the cross term "tmp".
+    e is the (2, ...) stack of the exponents a and b, spent. lo = min(a, b)
+    and -|a - b| = lo - max(a, b) are formed once for both channels, and
+    each channel is scaled by one factor, scale / norm. The triplet's
+    1 - x goes through expm1 and the singlet takes away at most half its
+    square, so neither cancels. Rows: e^{-2 lo} in "tmp", the singlet
+    over a, the triplet over -|a - b| in b (it is the last channel to
+    read it), and the cross term in "cross".
     """
-    lo = np.minimum(a, b, out=_out(work, "lo"))
+    a, b = e
+
+    def into(row):  # a row of e as out=, or a fresh result without a workspace
+        return None if work is None else row
+
+    lo = np.minimum(a, b, out=_out(work, "tmp"))
+    gap = np.maximum(a, b, out=into(b))
+    gap = np.subtract(lo, gap, out=into(b))
     lo *= -2.0
-    a -= b
-    base, gap = np.exp(lo, out=_out(work, "lo")), np.abs(a, out=_out(work, "a"))
+    base = np.exp(lo, out=_out(work, "tmp"))
 
     def density(channel: SpinChannel):
         _require_nondegenerate(params, channel)
-        sign, row = channel.sign, _out(work, "b" if channel is SpinChannel.SINGLET else "sq")
-        comb = (np.exp if sign > 0 else np.expm1)(np.negative(gap, out=row), out=row)
-        if one_minus_k:  # x is the exp, or 1 + the expm1
-            cross = np.add(comb, float(sign < 0), out=_out(work, "tmp"))
-            cross *= -2.0 * sign * one_minus_k
-        if sign > 0:
+        factor = scale / params._channel_norms[channel]
+        if channel is SpinChannel.SINGLET:
+            comb = np.exp(gap, out=into(a))  # x
+            if one_minus_k:
+                cross = np.multiply(comb, -2.0 * one_minus_k, out=_out(work, "cross"))
             comb += 1.0
-        comb **= 2
+        else:
+            comb = np.expm1(gap, out=into(b))  # x - 1
+            if one_minus_k:
+                cross = np.add(comb, 1.0, out=_out(work, "cross"))
+                cross *= 2.0 * one_minus_k
+        comb *= comb
         if one_minus_k:
             comb += cross
         comb *= base
-        comb *= scale
-        comb /= params._channel_norms[channel]
+        comb *= factor
         return comb
 
     return _mixed(density, params)
@@ -347,15 +396,17 @@ def mixture_density(p1, p2, params: ModelParams, _work=None):
     oracles: given their workspace, the result and every temporary are
     reused rows of it, valid until its next use.
     """
-    c1, c2 = params.centers
-    p1, p2 = _components(p1), _components(p2)
+    half = params._halves[1]
+    p1, p2 = _offsets(p1, params), _offsets(p2, params)
+    if p1.ndim != p2.ndim:  # the stacks lead with their own axis: pad the lower rank after it
+        rank = max(p1.ndim, p2.ndim)
+        p1, p2 = (p.reshape((3,) + (1,) * (rank - p.ndim) + p.shape[1:]) for p in (p1, p2))
     sig2 = params.sigma * params.sigma
-    # p1 and p2 broadcast in the sum, so it is written through out=
-    a = np.add(_sq_dist(p1, c1, _work, "a"), _sq_dist(p2, c2, _work), out=_out(_work, "a"))
-    a /= 4.0 * sig2
-    b = np.add(_sq_dist(p1, c2, _work, "b"), _sq_dist(p2, c1, _work), out=_out(_work, "b"))
-    b /= 4.0 * sig2
-    return _exchange(a, b, (2.0 * np.pi * sig2) ** (-3.0), 0.0, params, _work)
+    # (A/2, B/2) = (|p1 - c1|^2 + |p2 - c2|^2, |p1 - c2|^2 + |p2 - c1|^2) / (4 sigma^2):
+    # one add of the two stacks, written through out= as p1 and p2 broadcast in it
+    e = np.add(_sq_dists(p1, half, _work, "a"), _sq_dists(p2, half, _work, "b")[::-1], out=_out(_work, "a", 2))
+    e *= 1.0 / (4.0 * sig2)
+    return _exchange(e, (2.0 * np.pi * sig2) ** (-3.0), 0.0, params, _work)
 
 
 def mixture_marginal(p, params: ModelParams, _work=None):
@@ -368,12 +419,8 @@ def mixture_marginal(p, params: ModelParams, _work=None):
     singlet and triplet marginals, exactly. ``_work`` is private to the
     Monte-Carlo oracles, as in mixture_density.
     """
-    c1, c2 = params.centers
-    p = _components(p)
     sig2 = params.sigma * params.sigma
-    e1 = _sq_dist(p, c1, _work, "a")  # exponent of sqrt(g1)
-    e1 /= 4.0 * sig2
-    e2 = _sq_dist(p, c2, _work, "b")
-    e2 /= 4.0 * sig2
+    e = _sq_dists(_offsets(p, params), params._halves[1], _work, "a")
+    e *= 1.0 / (4.0 * sig2)  # the exponents (e1, e2) of sqrt(g1) and sqrt(g2)
     one_minus_j = -np.expm1(-params.split_magnitude**2 / (8.0 * sig2))
-    return _exchange(e1, e2, (2.0 * np.pi * sig2) ** (-1.5), one_minus_j, params, _work)
+    return _exchange(e, (2.0 * np.pi * sig2) ** (-1.5), one_minus_j, params, _work)

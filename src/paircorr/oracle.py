@@ -51,15 +51,17 @@ of PAIRCORR_THREADS workers.
 
 Each worker of a call takes one workspace (_Workspace) for the length
 of the call: the chunk's weights, the draw rows, which the generators
-fill in place, and every (m,) and (3, m) temporary of a block, the
+fill in place, every (m,), (2, m) and (3, m) temporary of a block, the
 model's density temporaries included (mixture_density and
-mixture_marginal write into it when handed it). Every block of every
-chunk reuses those rows, so no block allocates: ~256 KiB temporaries
-made and freed per block would be handed back to the kernel by glibc
-and faulted in again by the next block. A (3, m) quantity
-is a stack of contiguous component rows, finished with in-place
-ufuncs; each element still takes the same floating-point operations
-in the same order as with fresh arrays.
+mixture_marginal write into it when handed it), and the whole-number
+cell patterns of a block, made once. Every block of every chunk reuses
+those rows, so no block allocates: ~256 KiB temporaries made and freed
+per block would be handed back to the kernel by glibc and faulted in
+again by the next block. A (2, m) or (3, m) quantity is a stack of
+contiguous rows, finished with in-place ufuncs: one NumPy call covers
+every row, so a block makes fewer calls, each of which takes the
+interpreter lock. Each element still takes the same floating-point
+operations in the same order as with fresh arrays.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from .model import (
     _positive,
     _require_nondegenerate,
     _set_scalars,
-    _sq_dist,
+    _sq_dists,
     _whole,
     mixture_marginal,
     mixture_density,
@@ -208,12 +210,14 @@ class _Workspace:
     weights holds a chunk's weights. take(name) hands out the row called
     name, a C-contiguous (m,) array of the current block length m, and
     take(name, rows) a (rows, m) one; each name keeps one buffer of
-    ``block`` samples per row, made on its first use. A caller owns a
-    name only until the next block, or until a callee that writes it
-    runs; the row "tmp" is scratch that no function holds across a call
-    of another. The views of the current length are kept until resize
-    changes it: a block takes ~50 rows, and slicing each anew cost as
-    much as a ufunc call on it, time held under the interpreter lock.
+    ``block`` samples per row, made on its first use, and is always
+    taken with the same rows. A caller owns a name only until the next
+    block, or until a callee that writes it runs; the rows "tmp" and
+    "tmp2" are scratch that no function holds across a call of another.
+    The views of the current length are kept until resize changes it:
+    slicing each anew cost as much as a ufunc call on it, time held
+    under the interpreter lock. pattern hands out whole-number patterns
+    of a sample's place in its block, which callers only read.
     """
 
     def __init__(self, block, chunk):
@@ -221,7 +225,7 @@ class _Workspace:
         self.m = self._block = block
         self._buffers = {}
         self._views = {}
-        self._halves = None
+        self._patterns = {}
 
     def resize(self, m):
         if m != self.m:
@@ -238,13 +242,20 @@ class _Workspace:
             self._views[name] = view = view.reshape(rows, self.m) if rows else view
         return view
 
-    def cells(self, lo):
-        """Row "cell": the cell floor(i / 2), formed exactly, of each sample i = lo, lo + 1, ... of the block."""
-        if self._halves is None:
-            self._halves = np.arange(self._block, dtype=float)
-            self._halves *= 0.5
-        cell = np.add(self._halves[: self.m], 0.5 * lo, out=self.take("cell"))
-        return np.floor(cell, out=cell)
+    def pattern(self, name, index, lo, period):
+        """The pattern called name: index(lo % period + j) at each sample j of the block from lo.
+
+        index is a whole-number function of a sample's place whose values
+        repeat, up to a whole-number offset, every period samples; the
+        caller adds that offset for lo // period periods. The values for
+        one block and one period are made once per workspace, exactly,
+        and every block reads a slice of them.
+        """
+        values = self._patterns.get(name)
+        if values is None:
+            values = self._patterns[name] = index(np.arange(self._block + period, dtype=float))
+        start = lo % period
+        return values[start : start + self.m]
 
 
 def _streams(seed, count, kinds, work):
@@ -379,7 +390,10 @@ def _on_axis(params: ModelParams) -> ModelParams:
 
 
 def _direction(length, u, work):
-    """length times unit vectors at polar cosine u about +z, azimuth 0, in work's (3, m) rows "q"."""
+    """length times unit vectors at polar cosine u about +z, azimuth 0, in work's (3, m) rows "q".
+
+    A negative length gives the opposite points, -|length| n.
+    """
     out = work.take("q", 3)
     # sin(theta), formed in the x row
     sin_theta = np.multiply(u, u, out=out[0])
@@ -410,7 +424,7 @@ def intensity_cor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> 
     pair density is the same Gaussian in p1, centred at -q/2 with
     covariance sigma^2/2, so the density's ratio to that Gaussian does
     not depend on p1 and the p1 integral is the density at the centre,
-    p1 = -q/2 and p2 = p1 + q, over the Gaussian's peak density. That
+    p1 = -q/2 and p2 = p1 + q = -p1, over the Gaussian's peak density. That
     value depends on q only through |q| and q_z, so the azimuth about z
     contributes a factor 2 pi, and q is taken in the x-z plane. A
     weight is 2 * 2 pi dp^2 times that value, 2 being the length of the
@@ -427,15 +441,16 @@ def intensity_cor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> 
 
     def block(work, out, lo, count, x):
         # u in cell floor(i/2) of count/2 equal cells, drawn over its uniform
-        u = np.add(work.cells(lo), x, out=x)
+        cell = work.pattern("cell", lambda i: i // 2, lo, 2)
+        cell = np.add(cell, lo // 2, out=work.take("cell"))
+        u = np.add(cell, x, out=x)
         u *= 4.0 / count
         u -= 1.0
-        # p1 = -q/2, then p2 = p1 + q, written over q
-        q = _direction(delta_p, u, work)
-        p1 = np.multiply(q, -0.5, out=work.take("p1", 3))
-        q += p1
+        # p1 = -q/2 and p2 = p1 + q = q/2 = -p1, q/2 being exact
+        p1 = _direction(-0.5 * delta_p, u, work)
+        p2 = np.negative(p1, out=work.take("p2", 3))
         # the density takes (m, 3) momenta: transposed views of the component rows
-        np.multiply(mixture_density(p1.T, q.T, params, work), scale, out=out)
+        np.multiply(mixture_density(p1.T, p2.T, params, work), scale, out=out)
 
     # the first child of rng_seed, not rng_seed itself: the pinned results drew from it
     seed = np.random.SeedSequence(spec.rng_seed).spawn(1)[0]
@@ -478,15 +493,14 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
     def block(work, out, lo, count, xu, xt):
         # cell c = floor(i/2) of count/2: u-row floor(c / _COLUMNS) of
         # count / (2 _COLUMNS), t-column c mod _COLUMNS, all formed exactly
-        col = work.cells(lo)
-        col /= _COLUMNS
-        u = np.floor(col, out=work.take("u"))
-        col -= u
-        col *= _COLUMNS
+        period = 2 * _COLUMNS
+        row = work.pattern("u-row", lambda i: i // period, lo, period)
+        u = np.add(row, lo // period, out=work.take("u"))
         u += xu
         u *= 4.0 * _COLUMNS / count
         u -= 1.0
-        t = np.add(col, xt, out=xt)
+        column = work.pattern("t-column", lambda i: i // 2 % _COLUMNS, lo, period)
+        t = np.add(column, xt, out=xt)
         t *= 2.0 * half / _COLUMNS
         t -= half
         # p1 = -q/2 + t along the splitting
@@ -565,9 +579,11 @@ def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
         pdf_norm = (2.0 * math.pi * sigma * sigma) ** -1.5
         # the z centres of p1, indexed by swap: c1 and c2
         ends = np.array([c1[2], c2[2]])
+        half = params._halves[1]
 
-        def gauss(p, c, work, name):
-            g = _sq_dist(p, c, work, name)
+        def gauss(p, work, name):
+            # the normal pdfs of covariance sigma^2 about c1 and c2 at p, as a stack
+            g = _sq_dists(p, half, work, name)
             np.negative(g, out=g)
             g /= 2.0 * sigma * sigma
             np.exp(g, out=g)
@@ -581,11 +597,11 @@ def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
             center = np.take(ends, pick, out=work.take("tmp"), mode="clip")
             p1[2] += center
             p2[2] -= center
-            pdf = gauss(p1, c1, work, "gauss0")
-            pdf *= gauss(p2, c2, work, "gauss1")
-            cross = gauss(p1, c2, work, "gauss1")
-            cross *= gauss(p2, c1, work, "gauss2")
-            pdf += cross
+            # g(p1, c1) g(p2, c2) and g(p1, c2) g(p2, c1), then their mean;
+            # the second stack is dead before the density reuses its rows
+            pdf = gauss(p1, work, "gauss")
+            pdf *= gauss(p2, work, "b")[::-1]
+            pdf = np.add(pdf[0], pdf[1], out=pdf[0])
             pdf *= 0.5
             dens = mixture_density(p1.T, p2.T, params, work)
             np.divide(dens, pdf, out=out)

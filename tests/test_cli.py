@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+import paircorr.cli
 from paircorr.cli import main
 from paircorr.correlation import correlation_R
 from paircorr.data import load_dataset
+from paircorr.oracle import OracleResult
 
 
 def test_curve_csv(tmp_path, capsys):
@@ -181,6 +183,37 @@ def test_oracle_check_verifies_the_paper_and_readme_regimes(tmp_path, capsys, fl
     assert rc == 0, printed
     assert "coincidence: 4/4 passed" in printed
     assert "accidental:  4/4 passed" in printed
+
+
+def test_oracle_check_rows_draw_their_own_seeds(tmp_path, monkeypatch):
+    # each row of each intensity gets its own rng_seed, derived from
+    # --seed, so the rows are independent checks; the same --seed gives
+    # the same seeds, and another --seed other ones
+    seeds = []
+
+    def spy(name):
+        def oracle(dp, params, spec):
+            seeds.append((name, float(dp), spec.rng_seed))
+            return OracleResult(1.0, 0.0, spec.sample_count)
+
+        return oracle
+
+    monkeypatch.setattr(paircorr.cli, "intensity_cor_oracle", spy("cor"))
+    monkeypatch.setattr(paircorr.cli, "intensity_uncor_oracle", spy("uncor"))
+
+    def run(seed):
+        seeds.clear()
+        argv = ["oracle-check", "--sigma", "0.5", "--seed", str(seed), "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 4  # the spies' value 1 misses every closed form
+        return list(seeds)
+
+    first = run(7)
+    assert [(name, dp) for name, dp, _ in first] == [
+        (name, dp) for name in ("cor", "uncor") for dp in (0.25, 0.5, 1.0, 2.0)
+    ]
+    assert len({seed for _, _, seed in first}) == 8
+    assert run(7) == first
+    assert not {seed for _, _, seed in run(8)} & {seed for _, _, seed in first}
 
 
 def test_missing_data_file(tmp_path, capsys):

@@ -16,12 +16,14 @@ from paircorr.model import (
     _fraction,
     _nonnegative,
     _positive,
+    _sq_dists,
     _whole,
     coordinate_uncertainty,
     mixture_density,
     mixture_marginal,
     pair_amplitude,
 )
+from paircorr.oracle import _Workspace
 
 mpmath.mp.dps = 50
 
@@ -35,6 +37,10 @@ PARAMS = ModelParams(
 
 # a pure channel is the mixture at f = 0 (singlet) or f = 1 (triplet)
 PURE_F = {SpinChannel.SINGLET: 0.0, SpinChannel.TRIPLET: 1.0}
+
+# how near a density must stay to the same density by another rounding:
+# an ulp or two of an exponent of size ~20 moves it by ~20 ulps, 4e-15
+_NEAR = 1e-13
 
 
 def _with_f(f, params=PARAMS):
@@ -204,6 +210,45 @@ def test_mixture_marginal_is_convex_combination():
     np.testing.assert_array_equal(mixture_marginal(p, PARAMS), 0.7 * s + 0.3 * t)
 
 
+def _sq_dist(p, c):
+    """|p - c|^2 of component-first p, its squared components added in x, y, z order."""
+    c = np.reshape(c, np.shape(c) + (1,) * (np.ndim(p) - np.ndim(c)))
+    total = (p[0] - c[0]) * (p[0] - c[0])
+    for k in (1, 2):
+        total = total + (p[k] - c[k]) * (p[k] - c[k])
+    return total
+
+
+def _divided_densities(grid, point, params):
+    """The pair density at (grid, point) and the marginal at grid, formed as they were
+    before the stacked distances: distances to the absolute centres, exponents divided
+    by 4 sigma^2, and each channel multiplied by its scale, then divided by its norm."""
+    c1, c2 = params.centers
+    p, q = grid.transpose(2, 0, 1), point
+    sig2 = params.sigma**2
+    ok = [(1.0 - params.triplet_fraction, 1.0), (params.triplet_fraction, -1.0)]
+
+    def exchange(a, b, scale, one_minus_k):
+        base, gap = np.exp(-2.0 * np.minimum(a, b)), np.abs(a - b)
+        total = 0.0
+        for w, sign in ((w, sign) for w, sign in ok if w != 0.0):
+            comb = np.exp(-gap) if sign > 0 else np.expm1(-gap)
+            cross = (comb + float(sign < 0)) * (-2.0 * sign * one_minus_k)
+            comb = (comb + 1.0 if sign > 0 else comb) ** 2
+            if one_minus_k:
+                comb = comb + cross
+            norm = params._channel_norms[SpinChannel.SINGLET if sign > 0 else SpinChannel.TRIPLET]
+            total = total + comb * base * scale / norm * w
+        return total
+
+    a = (_sq_dist(p, c1) + _sq_dist(q, c2)) / (4.0 * sig2)
+    b = (_sq_dist(p, c2) + _sq_dist(q, c1)) / (4.0 * sig2)
+    pair = exchange(a, b, (2.0 * np.pi * sig2) ** -3.0, 0.0)
+    e1, e2 = _sq_dist(p, c1) / (4.0 * sig2), _sq_dist(p, c2) / (4.0 * sig2)
+    one_minus_j = -np.expm1(-params.split_magnitude**2 / (8.0 * sig2))
+    return pair, exchange(e1, e2, (2.0 * np.pi * sig2) ** -1.5, one_minus_j)
+
+
 def test_densities_are_frozen():
     # sha256 prefixes of the output bytes pin every bit, for a (4, 5, 3)
     # grid broadcast against one (3,) point either way: the densities
@@ -217,32 +262,98 @@ def test_densities_are_frozen():
 
     # pure channels (f = 0 singlet, f = 1 triplet) of the pair density
     # and of the marginal, and the marginal of one mixture, at a total
-    # momentum off zero and at P = 0. The marginal hashes were re-pinned
-    # when the marginal took the pair density's exchange form, which
-    # moved it in its last bits; the pair hashes did not move
+    # momentum off zero and at P = 0, as (pin, old pin). The pins moved
+    # when the densities came to multiply by 1/(4 sigma^2), to scale each
+    # channel by one factor and to work on offsets from P/2. The old pins
+    # hash _divided_densities, the arithmetic from before, bit for bit,
+    # and the densities stay within rounding of it
     pins = {
         (0.1, 0.2, -0.3): (
-            {0.0: "d930783b71f8c311", 1.0: "e9a22be4938e425b"},
-            {0.0: "6d5beb444f764c87", 1.0: "7a9958cc285ac6d0", 0.3: "c9fdbf3efcfff9fa"},
+            {0.0: ("41552dbb8f95f085", "d930783b71f8c311"), 1.0: ("a74995b1646f52bc", "e9a22be4938e425b")},
+            {
+                0.0: ("447d87f06bce88eb", "6d5beb444f764c87"),
+                1.0: ("eb6f4148f4ba82a9", "7a9958cc285ac6d0"),
+                0.3: ("fba0c1d258aff652", "c9fdbf3efcfff9fa"),
+            },
         ),
         (0.0, 0.0, 0.0): (
-            {0.0: "de6bf7597467e848", 1.0: "284d46ded3ff5b83"},
-            {0.0: "297b6f60eab7646f", 1.0: "ed8fda4c53107c94", 0.3: "d691ee915d0fc39d"},
+            {0.0: ("76da94360acaf4d7", "de6bf7597467e848"), 1.0: ("b33aeec77659723d", "284d46ded3ff5b83")},
+            {
+                0.0: ("3c3c31734f31413f", "297b6f60eab7646f"),
+                1.0: ("d9fccbb72b519580", "ed8fda4c53107c94"),
+                0.3: ("1982046dfb3abe15", "d691ee915d0fc39d"),
+            },
         ),
     }
     for total, (pair, mix) in pins.items():
-        for f, want in mix.items():
+        for f, (want, old) in mix.items():
             params = ModelParams(
                 sigma=0.5,
                 p_split=(0.3, -0.1, 0.7),
                 p_total=total,
                 triplet_fraction=f,
             )
+            divided_pair, divided = _divided_densities(grid, point, params)
             if f in pair:
-                assert digest(mixture_density(grid, point, params)) == pair[f]
-                assert digest(mixture_density(point, grid, params)) == pair[f]
-            assert mixture_marginal(grid, params).shape == (4, 5)
-            assert digest(mixture_marginal(grid, params)) == want
+                dens = mixture_density(grid, point, params)
+                assert digest(dens) == pair[f][0]
+                assert digest(mixture_density(point, grid, params)) == pair[f][0]
+                assert digest(divided_pair) == pair[f][1]
+                np.testing.assert_allclose(dens, divided_pair, rtol=_NEAR, atol=0.0)
+            marginal = mixture_marginal(grid, params)
+            assert marginal.shape == (4, 5)
+            assert digest(marginal) == want
+            assert digest(divided) == old
+            np.testing.assert_allclose(marginal, divided, rtol=_NEAR, atol=0.0)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("split", [(0.0, 0.0, 0.7), (0.3, -0.1, 0.7), (0.3, 0.0, 0.7), (0.0, 0.0, 0.0)])
+def test_sq_dists_are_the_sums_to_each_centre(split):
+    # the stack is |p - c1|^2 and |p - c2|^2 at P = 0, bit for bit, with
+    # a component shared by both centres squared once: on the axis, off
+    # it, with one component shared between two apart, and at s = 0;
+    # with and without a workspace, at the quadrature's (n, 1) x (1, n)
+    # shapes, and through -0.0, infinities and NaN
+    params = ModelParams(sigma=0.5, p_split=split)
+    c1, c2 = params.centers
+    half = params._halves[1]
+    rng = np.random.default_rng(41)
+    p = rng.normal(size=(3, 64))
+    p[:, :6] = [[-0.0, 0.0, np.inf, -np.inf, np.nan, 1.0]] * 3
+    p[1, 6:9] = (-0.0, np.inf, np.nan)
+    work = _Workspace(64, 64)
+    for got in (_sq_dists(p, half), _sq_dists(p, half, work, "sq")):
+        assert got.shape == (2, 64)
+        assert _bits(got[0]) == _bits(_sq_dist(p, c1))
+        assert _bits(got[1]) == _bits(_sq_dist(p, c2))
+    assert np.shares_memory(got, work.take("sq", 2))
+    for shape in ((3, 16, 1), (3, 1, 16), (3,)):
+        q = p[:, 6 : 6 + math.prod(shape[1:])].reshape(shape)
+        got = _sq_dists(q, half)
+        assert got.shape == (2,) + shape[1:]
+        assert _bits(got[0]) == _bits(_sq_dist(q, c1)) and _bits(got[1]) == _bits(_sq_dist(q, c2))
+
+
+def test_densities_work_on_offsets_from_half_the_total_momentum():
+    # the densities see p and the centres (P +/- s)/2 only through p - P/2
+    # and +/- s/2, and take those offsets before any distance, so at a
+    # large P each equals its P = 0 value at p - P/2, bit for bit; formed
+    # in absolute coordinates the marginal missed by up to 1.2e-5 at 1e12
+    off = np.array([[0.1, 0.05, -0.2], [0.3, -0.25, 0.4], [-0.6, 0.1, 0.05]])
+    for size in (1e4, 1e8, 1e12):
+        total = size * np.array([1.0, 0.0, 1.0])
+        far = ModelParams(sigma=0.5, p_split=(0.3, -0.1, 0.7), p_total=total, triplet_fraction=0.3)
+        near = dataclasses.replace(far, p_total=(0.0, 0.0, 0.0))
+        p = total / 2.0 + off
+        q = total / 2.0 + off[::-1]
+        shifted_p, shifted_q = p - total / 2.0, q - total / 2.0
+        assert _bits(mixture_marginal(p, far)) == _bits(mixture_marginal(shifted_p, near))
+        assert _bits(mixture_density(p, q, far)) == _bits(mixture_density(shifted_p, shifted_q, near))
+        assert np.all(mixture_marginal(p, far) > 0.0)
 
 
 def test_densities_refuse_momenta_not_of_three_components():
