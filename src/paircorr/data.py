@@ -184,9 +184,16 @@ def _atomic_write(path, text: str):
 
 
 def save_dataset(path, dataset: Dataset):
-    """Write a dataset back out in the CSV format load_dataset reads."""
+    """Write a dataset back out in the CSV format load_dataset reads.
+
+    Each line of the label, split at "\\n" alone, is one comment line. A
+    label with a "\\r" is refused with ValueError: a text-mode reader ends
+    a line there, so the file would not load.
+    """
+    if "\r" in dataset.label:
+        raise ValueError(f"a dataset label must not contain '\\r', got {dataset.label!r}")
     columns = [dataset.delta_p, dataset.r] + ([] if dataset.sigma_r is None else [dataset.sigma_r])
-    lines = [f"# {line}" for line in dataset.label.splitlines()]
+    lines = [f"# {line}" for line in dataset.label.split("\n")] if dataset.label else []
     lines.append(",".join(("delta_p", "R", "sigma_R")[: len(columns)]))
     lines.extend(",".join(map(repr, row)) for row in zip(*columns))
     _atomic_write(path, "\n".join(lines) + "\n")

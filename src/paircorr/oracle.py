@@ -5,8 +5,8 @@ here by direct numerical integration of the two-particle densities:
 
 * the mixture's yield normalization, the integral of its pair density
   (singlet and triplet weighted by 1 - f and f), by Gauss-Legendre
-  quadrature along the splitting in p1 and p2 or by importance-sampled
-  Monte Carlo;
+  quadrature or by stratified Monte Carlo along the splitting in p1 and
+  p2;
 * the single-particle density rho(p) = integral of the pair density over
   the partner momentum, by Gauss-Legendre quadrature along the splitting;
 * the coincidence intensity, the 5-d integral
@@ -26,28 +26,30 @@ polar cosine u, so the azimuth is exact too (a factor 2 pi), and the
 coincidence oracle samples u alone. The accidental integrand's p1
 centres all lie on the line through -dp*n/2 along z, so p1 across z is
 exact as well (a factor pi sigma^2): that oracle samples u and t, p1's
-offset along z, and it too takes the azimuth at 0.
+offset along z, and it too takes the azimuth at 0. Every term of the
+pair density has the same Gaussian across z in p1 and in p2, so the
+norm samples t1 and t2, their offsets along z, alone.
 
-Both intensity oracles draw uniformly, two samples per equal cell. A
+Every Monte-Carlo oracle draws uniformly, two samples per equal cell. A
 chunk of n samples cuts its domain into n/2 equal cells and puts sample
-i in cell floor(i/2): u in [-1, 1] for the coincidence, and for the
-accidental n/1024 u-rows by _COLUMNS t-columns over u in [-1, 1] and
-t in [-h, h], with h = |s|/2 + 8 sigma as for the line rule. Every
-Monte-Carlo oracle reports the SE sqrt(sum_k (w_2k - w_2k+1)^2) / N
-over the adjacent pairs of each chunk. For two draws per equal cell
-that is the unbiased variance estimate of the stratified mean (Owen,
-Monte Carlo theory, methods and examples, ch. 8); for the pair norm's
-iid draws it is the unbiased iid one.
+i in cell c = floor(i/2), in u-row floor(c / C) and t-column c mod C
+(_u_rows, _t_columns): the coincidence takes C = 1 over u in [-1, 1];
+the accidental n/1024 u-rows by C = _COLUMNS t-columns over u in
+[-1, 1] and t in [-h, h], with h = |s|/2 + 8 sigma as for the line
+rule; and the norm the same grid over t1 = h u and t2 in [-h, h]. Each
+reports the SE sqrt(sum_k (w_2k - w_2k+1)^2) / N over the adjacent
+pairs of each chunk: for two draws per equal cell, the unbiased
+variance estimate of the stratified mean (Owen, Monte Carlo theory,
+methods and examples, ch. 8).
 
 Sampling is chunked and streamed. A chunk holds whole cells and draws
 from its own seed (spawned from the spec's rng_seed), block by block:
-PCG64's jump-ahead starts each stream at its own offset, and at most
-one normal stream is drawn, last, so each block gets exactly the values
-a whole-chunk draw would give, and a thread holds one block's draws and
-one chunk's weights at a time. The chunk sums its weights once, then
-its squared pair differences, and math.fsum adds the chunk sums, so
-neither block size nor thread count changes a bit. Chunks run in a pool
-of PAIRCORR_THREADS workers.
+PCG64's jump-ahead starts each uniform stream at its own offset, so
+each block gets exactly the values a whole-chunk draw would give, and a
+thread holds one block's draws and one chunk's weights at a time. The
+chunk sums its weights once, then its squared pair differences, and
+math.fsum adds the chunk sums, so neither block size nor thread count
+changes a bit. Chunks run in a pool of PAIRCORR_THREADS workers.
 
 Each worker of a call takes one workspace (_Workspace) for the length
 of the call: the chunk's weights, the draw rows, which the generators
@@ -87,7 +89,6 @@ from .model import (
     _positive,
     _require_nondegenerate,
     _set_scalars,
-    _sq_dists,
     _whole,
     mixture_marginal,
     mixture_density,
@@ -127,9 +128,9 @@ class QuadratureSpec:
         UnsupportedMethodError rather than silently substituting.
     sample_count : int
         Monte-Carlo samples per integral. The last chunk is rounded up
-        to whole cells: to an even count for the coincidence intensity
-        and the norm, and to whole 1,024-sample rows for the accidental
-        intensity.
+        to whole cells: to an even count for the coincidence intensity,
+        and to whole 1,024-sample rows for the accidental intensity and
+        the norm.
     nodes_per_axis : int
         Gauss-Legendre nodes along the splitting, per momentum, for
         quadrature; the error estimate compares against a run at half
@@ -232,12 +233,12 @@ class _Workspace:
             self.m = m
             self._views.clear()
 
-    def take(self, name, rows=0, dtype=float):
+    def take(self, name, rows=0):
         view = self._views.get(name)
         if view is None:
             buf = self._buffers.get(name)
             if buf is None:
-                buf = self._buffers[name] = np.empty(max(rows, 1) * self._block, dtype)
+                buf = self._buffers[name] = np.empty(max(rows, 1) * self._block)
             view = buf[: max(rows, 1) * self.m]
             self._views[name] = view = view.reshape(rows, self.m) if rows else view
         return view
@@ -258,50 +259,34 @@ class _Workspace:
         return values[start : start + self.m]
 
 
-def _streams(seed, count, kinds, work):
-    """One chunk's draws, made and handed out block by block.
+def _streams(seed, count, streams, work):
+    """One chunk's uniform draws, made and handed out block by block.
 
-    Yields (block slice, draws): the block's samples of each stream in
-    ``kinds``, a tuple naming them. "uniform" is count doubles in
-    [0, 1), "normal6" (count, 6) standard normals. Every stream is drawn
-    block by block, and the block size changes no value. The draws of
-    every block are filled into the same rows of the workspace ``work``
-    (Generator out=), so they are valid only until the next block.
+    Yields (block slice, draws): the block's samples of each of the
+    ``streams`` streams, doubles in [0, 1). The draws of every block are
+    filled into the same rows of the workspace ``work`` (Generator out=),
+    so they are valid only until the next block.
 
     All streams run on PCG64(seed): stream k starts at output k * count,
     on a generator of its own advanced there. A uniform double takes
-    exactly one 64-bit output, so the uniform streams never overlap. A
-    normal takes a varying number of outputs, so no stream can start
-    where a normal stream ends: at most one normal stream is drawn, and
-    it comes last.
+    exactly one 64-bit output, so the streams never overlap, and the
+    block size changes no value.
     """
-
-    def generator(start):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        rng.bit_generator.advance(start)
-        return rng
-
-    sources = [generator(k * count) for k in range(len(kinds))]
+    sources = [np.random.Generator(np.random.PCG64(seed).advance(k * count)) for k in range(streams)]
     block = min(_BLOCK, count)
     for lo in range(0, count, block):
         m = min(block, count - lo)
         work.resize(m)
-        draws = []
-        for k, (kind, source) in enumerate(zip(kinds, sources)):
-            if kind == "normal6":
-                x = source.standard_normal((m, 6), out=work.take(f"draw{k}", 6).reshape(m, 6))
-            else:
-                x = source.random(m, out=work.take(f"draw{k}"))
-            draws.append(x)
+        draws = [source.random(m, out=work.take(f"draw{k}")) for k, source in enumerate(sources)]
         yield slice(lo, lo + m), draws
 
 
-def _mc_sum(total: int, seed_seq: np.random.SeedSequence, kinds, block_fn, multiple=2):
+def _mc_sum(total: int, seed_seq: np.random.SeedSequence, streams, block_fn, multiple=2):
     """Mean, SE, samples, chunks and threads of the weights w over fixed-size chunks.
 
     A chunk holds _CHUNK samples, the last one the rest rounded up to a
     multiple of ``multiple``, so that it holds whole cells. It streams
-    its draws of ``kinds`` (see _streams) from its own seed, and
+    ``streams`` uniform draws (see _streams) from its own seed, and
     block_fn(work, out, lo, count, *draws) writes the w of its samples
     lo, lo + 1, ... into out, a slice of the chunk's weights, taking
     every other array from work: one _Workspace per worker for the whole
@@ -327,7 +312,7 @@ def _mc_sum(total: int, seed_seq: np.random.SeedSequence, kinds, block_fn, multi
         except queue.Empty:
             work = _Workspace(min(_BLOCK, counts[0]), counts[0])
         w = work.weights[:count]
-        for block, draws in _streams(seed, count, kinds, work):
+        for block, draws in _streams(seed, count, streams, work):
             block_fn(work, w[block], block.start, count, *draws)
         s1 = float(np.sum(w))
         diff = w[::2]
@@ -406,6 +391,30 @@ def _direction(length, u, work):
     return out
 
 
+def _u_rows(work, x, lo, count, columns):
+    """u in [-1, 1] over the uniforms x of samples lo, lo + 1, ... of a chunk of count, in work's row "u".
+
+    Sample i lies in cell c = floor(i/2), and c in u-row floor(c / columns)
+    of count / (2 columns) equal rows, formed exactly.
+    """
+    period = 2 * columns
+    row = work.pattern("u-row", lambda i: i // period, lo, period)
+    u = np.add(row, lo // period, out=work.take("u"))
+    u += x
+    u *= 4.0 * columns / count
+    u -= 1.0
+    return u
+
+
+def _t_columns(work, x, lo, half):
+    """t in [-half, half] over the uniforms x, in place: cell c in t-column c mod _COLUMNS of _COLUMNS equal ones."""
+    column = work.pattern("t-column", lambda i: i // 2 % _COLUMNS, lo, 2 * _COLUMNS)
+    t = np.add(column, x, out=x)
+    t *= 2.0 * half / _COLUMNS
+    t -= half
+    return t
+
+
 # ---------------------------------------------------------------------------
 # coincidence intensity (5-d: p1 and the detector direction)
 
@@ -440,12 +449,8 @@ def intensity_cor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> 
     scale = 2.0 * 2.0 * math.pi * delta_p * delta_p / (math.pi * params.sigma**2) ** -1.5
 
     def block(work, out, lo, count, x):
-        # u in cell floor(i/2) of count/2 equal cells, drawn over its uniform
-        cell = work.pattern("cell", lambda i: i // 2, lo, 2)
-        cell = np.add(cell, lo // 2, out=work.take("cell"))
-        u = np.add(cell, x, out=x)
-        u *= 4.0 / count
-        u -= 1.0
+        # u in cell floor(i/2) of count/2 equal cells: one column
+        u = _u_rows(work, x, lo, count, 1)
         # p1 = -q/2 and p2 = p1 + q = q/2 = -p1, q/2 being exact
         p1 = _direction(-0.5 * delta_p, u, work)
         p2 = np.negative(p1, out=work.take("p2", 3))
@@ -454,7 +459,7 @@ def intensity_cor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -> 
 
     # the first child of rng_seed, not rng_seed itself: the pinned results drew from it
     seed = np.random.SeedSequence(spec.rng_seed).spawn(1)[0]
-    run = _mc_sum(spec.sample_count, seed, ("uniform",), block)
+    run = _mc_sum(spec.sample_count, seed, 1, block)
     return _finish(spec, "intensity_cor_oracle", started, *run)
 
 
@@ -491,18 +496,8 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
     scale = math.pi * params.sigma**2 * 2.0 * math.pi * delta_p * delta_p * 4.0 * half
 
     def block(work, out, lo, count, xu, xt):
-        # cell c = floor(i/2) of count/2: u-row floor(c / _COLUMNS) of
-        # count / (2 _COLUMNS), t-column c mod _COLUMNS, all formed exactly
-        period = 2 * _COLUMNS
-        row = work.pattern("u-row", lambda i: i // period, lo, period)
-        u = np.add(row, lo // period, out=work.take("u"))
-        u += xu
-        u *= 4.0 * _COLUMNS / count
-        u -= 1.0
-        column = work.pattern("t-column", lambda i: i // 2 % _COLUMNS, lo, period)
-        t = np.add(column, xt, out=xt)
-        t *= 2.0 * half / _COLUMNS
-        t -= half
+        u = _u_rows(work, xu, lo, count, _COLUMNS)
+        t = _t_columns(work, xt, lo, half)
         # p1 = -q/2 + t along the splitting
         q = _direction(delta_p, u, work)
         p1 = np.multiply(q, -0.5, out=work.take("p1", 3))
@@ -515,7 +510,7 @@ def intensity_uncor_oracle(delta_p, params: ModelParams, spec: QuadratureSpec) -
         rho *= mixture_marginal(q.T, params, work)
 
     seed = np.random.SeedSequence(spec.rng_seed)
-    run = _mc_sum(spec.sample_count, seed, ("uniform", "uniform"), block, 2 * _COLUMNS)
+    run = _mc_sum(spec.sample_count, seed, 2, block, 2 * _COLUMNS)
     return _finish(spec, "intensity_uncor_oracle", started, *run)
 
 
@@ -556,15 +551,14 @@ def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
     nor the direction of s, so it is taken on the axis (_on_axis), and a
     degenerate triplet of nonzero weight is refused before any work.
 
-    tensor-quadrature sums the mixture density on the line rule along z
-    in p1 and in p2: every exchange term has the same Gaussian across the
-    axis in p1 and in p2, so those integrals are exact, a factor
-    (2 pi sigma^2)^2. monte-carlo samples the
-    two-centre product proposal from one (m, 6) normal stream,
-    p1 = sigma xi[:, :3] + c z^ and p2 = sigma xi[:, 3:] - c z^, with c
-    the z centre of p1 that a uniform picks (c2 = -c1 on the axis), and
-    weighs each draw by the mixture density once: the SE is that of the
-    mixture's joint weight, and samples_used counts sample_count once.
+    Both methods integrate the mixture density over p1 = t1 z^ and
+    p2 = t2 z^ on [-h, h]^2, h = _half_line(params): every exchange term
+    has the same Gaussian across the axis in p1 and in p2, so those
+    integrals are exact, a factor (2 pi sigma^2)^2. tensor-quadrature
+    sums the density on the line rule in t1 and t2. monte-carlo draws
+    (t1, t2) uniformly, two per equal cell of u-rows by _COLUMNS
+    t-columns, as the accidental intensity does, and weighs each draw by
+    (2 pi sigma^2)^2 4h^2 times the density, 4h^2 being the square's area.
     """
     started = time.perf_counter()
     params = _on_axis(params)
@@ -574,40 +568,20 @@ def phi_norm_oracle(params: ModelParams, spec: QuadratureSpec) -> OracleResult:
         fine = _pair_norm_value(params, n)
         value, est, *counts = fine, abs(fine - coarse), n * n + (n // 2) ** 2
     else:
-        c1, c2 = params.centers
-        sigma = params.sigma
-        pdf_norm = (2.0 * math.pi * sigma * sigma) ** -1.5
-        # the z centres of p1, indexed by swap: c1 and c2
-        ends = np.array([c1[2], c2[2]])
-        half = params._halves[1]
+        half = _half_line(params)
+        # the exact integrals across the axis and the (t1, t2) area
+        scale = (2.0 * math.pi * params.sigma**2) ** 2 * 4.0 * half * half
 
-        def gauss(p, work, name):
-            # the normal pdfs of covariance sigma^2 about c1 and c2 at p, as a stack
-            g = _sq_dists(p, half, work, name)
-            np.negative(g, out=g)
-            g /= 2.0 * sigma * sigma
-            np.exp(g, out=g)
-            g *= pdf_norm
-            return g
-
-        def block(work, out, lo, count, swap, xi):
-            p1 = np.multiply(xi[:, :3].T, sigma, out=work.take("p1", 3))
-            p2 = np.multiply(xi[:, 3:].T, sigma, out=work.take("p2", 3))
-            pick = np.less(swap, 0.5, out=work.take("pick", dtype=np.intp))
-            center = np.take(ends, pick, out=work.take("tmp"), mode="clip")
-            p1[2] += center
-            p2[2] -= center
-            # g(p1, c1) g(p2, c2) and g(p1, c2) g(p2, c1), then their mean;
-            # the second stack is dead before the density reuses its rows
-            pdf = gauss(p1, work, "gauss")
-            pdf *= gauss(p2, work, "b")[::-1]
-            pdf = np.add(pdf[0], pdf[1], out=pdf[0])
-            pdf *= 0.5
-            dens = mixture_density(p1.T, p2.T, params, work)
-            np.divide(dens, pdf, out=out)
+        def block(work, out, lo, count, x1, x2):
+            # p1 = t1 z^ and p2 = t2 z^, t1 = h u on the u-rows and t2 on the t-columns
+            p1, p2 = work.take("p1", 3), work.take("p2", 3)
+            p1[:2] = p2[:2] = 0.0
+            np.multiply(_u_rows(work, x1, lo, count, _COLUMNS), half, out=p1[2])
+            p2[2] = _t_columns(work, x2, lo, half)
+            np.multiply(mixture_density(p1.T, p2.T, params, work), scale, out=out)
 
         seed = np.random.SeedSequence(spec.rng_seed)
-        value, est, *counts = _mc_sum(spec.sample_count, seed, ("uniform", "normal6"), block)
+        value, est, *counts = _mc_sum(spec.sample_count, seed, 2, block, 2 * _COLUMNS)
     return _finish(spec, "phi_norm_oracle", started, value, est, *counts)
 
 

@@ -1,5 +1,6 @@
 """Dataset container and the strict CSV/JSON file formats."""
 
+import dataclasses
 import json
 import os
 import stat
@@ -48,6 +49,24 @@ def test_roundtrip_keeps_a_label_of_several_lines(tmp_path):
     assert loaded == labelled
     save_dataset(second, loaded)
     assert first.read_bytes() == second.read_bytes()
+    # the label splits at "\n" alone: a trailing newline and the
+    # characters that str.splitlines also takes for line ends survive
+    odd_ends = ("a\x0bb", "a\x0cb", "a\x1cb", "a\x1db", "a\x1eb", "a\x85b", "a\u2028b", "a\u2029b")
+    for label in ("He\n", "\n", "a\n\n", *odd_ends):
+        labelled = dataclasses.replace(POINTS, label=label)
+        save_dataset(first, labelled)
+        assert load_dataset(first) == labelled, repr(label)
+        save_dataset(second, load_dataset(first))
+        assert first.read_bytes() == second.read_bytes(), repr(label)
+
+
+def test_save_refuses_a_label_with_a_carriage_return(tmp_path):
+    # a text-mode reader ends a line at "\r", so the file would not load
+    path = tmp_path / "a.csv"
+    for label in ("a\rb", "a\r\nb", "a\r"):
+        with pytest.raises(ValueError, match="label"):
+            save_dataset(path, dataclasses.replace(POINTS, label=label))
+    assert not path.exists()
 
 
 def test_load_reads_the_saved_label(tmp_path):

@@ -123,18 +123,19 @@ def test_draws_stream_block_by_block(monkeypatch):
     # at one thread a chunk-sized call peaks near one chunk of weights
     # (2 MiB) plus a block's working set, which its workspace keeps for
     # the call. Measured 5.52 MiB (coincidence, which draws only the
-    # polar variable), 6.02 MiB (accidental, which draws the polar
+    # polar variable), 5.78 MiB (accidental, which draws the polar
     # variable and p1 along s only; 7.61 MiB with importance-sampled
-    # proposals, 9.1 MiB when it drew p1 whole) and 7.5 MiB (Monte-Carlo
-    # pair norm). Each bound adds 25 %, below the 12 MiB whole-chunk
-    # draws alone would take and the 13.0 MiB the norm took with its
-    # first momentum drawn whole.
+    # proposals, 9.1 MiB when it drew p1 whole) and 6.03 MiB (Monte-Carlo
+    # pair norm, which draws both momenta along s only; 7.28 MiB when it
+    # drew them whole from a normal proposal). Each bound adds 25 %,
+    # below the 12 MiB whole-chunk draws alone would take and the
+    # 13.0 MiB the norm took with its first momentum drawn whole.
     monkeypatch.setenv("PAIRCORR_THREADS", "1")
     spec = _mc(_CHUNK)
     runs = (
         (intensity_cor_oracle, 6.9),
         (intensity_uncor_oracle, 7.5),
-        (lambda dp, params, spec: phi_norm_oracle(params, spec), 9.5),
+        (lambda dp, params, spec: phi_norm_oracle(params, spec), 7.5),
     )
     for oracle, bound_mib in runs:
         oracle(1.2, PARAMS, _mc(1024))  # first-call set-up stays out of the peak
@@ -244,12 +245,12 @@ def test_blocks_reuse_one_workspace(monkeypatch):
     seen, results = [], []
     mc_sum = paircorr.oracle._mc_sum
 
-    def spy(total, seed_seq, kinds, block_fn, *multiple):
+    def spy(total, seed_seq, streams, block_fn, *multiple):
         def block(work, out, lo, count, *draws):
             seen.append((_address(out), tuple(_address(d) for d in draws)))
             block_fn(work, out, lo, count, *draws)
 
-        return mc_sum(total, seed_seq, kinds, block, *multiple)
+        return mc_sum(total, seed_seq, streams, block, *multiple)
 
     def recorded(density):
         def run(*args):
@@ -295,8 +296,11 @@ def test_blocks_do_not_page_fault(monkeypatch):
 
 
 def test_error_estimate_scales_like_sqrt_n():
-    coarse = phi_norm_oracle(_pure(PARAMS, 0.0), _mc(1 << 16))
-    fine = phi_norm_oracle(_pure(PARAMS, 0.0), _mc(1 << 20))
+    # whole chunks are independent replicates, so 16 of them cut the SE
+    # by about 4; within one chunk the cells shrink as the samples grow,
+    # and the SE falls faster (by 14.5 from 2^16 to 2^20 samples)
+    coarse = phi_norm_oracle(_pure(PARAMS, 0.0), _mc(_CHUNK))
+    fine = phi_norm_oracle(_pure(PARAMS, 0.0), _mc(16 * _CHUNK))
     ratio = coarse.est_error / fine.est_error
     assert 2.5 < ratio < 6.5  # 16x the samples, expect about 4
 
@@ -356,12 +360,12 @@ def test_se_is_the_spread_of_weights_that_barely_vary(monkeypatch):
     weights = []
     mc_sum = paircorr.oracle._mc_sum
 
-    def gathered(total, seed_seq, kinds, block_fn, *multiple):
+    def gathered(total, seed_seq, streams, block_fn, *multiple):
         def block(work, out, *args):
             block_fn(work, out, *args)
             weights.append(out.copy())
 
-        return mc_sum(total, seed_seq, kinds, block, *multiple)
+        return mc_sum(total, seed_seq, streams, block, *multiple)
 
     monkeypatch.setattr(paircorr.oracle, "_mc_sum", gathered)
     singlet = ModelParams(0.22, 0.022)
@@ -410,8 +414,7 @@ def test_frozen_oracle_outputs():
     # (value, est_error, samples_used) pinned bit for bit: a restructured
     # sampler must keep the draws and the arithmetic. The intensity pins
     # moved when both oracles came to draw uniformly, two samples per
-    # equal cell, with the SE of the pair differences; the MC norm kept
-    # its draws and its values, and only its est_error moved. Every
+    # equal cell, with the SE of the pair differences. Every
     # earlier intensity pin (some per pair count: 1.8, 2 for PARAMS and
     # 2.5) is another estimate of the same integral, and stays as a
     # cross-check within 3 joint SE; the accidental's, from samplers of
@@ -488,31 +491,31 @@ def test_frozen_oracle_outputs():
         OracleResult(1.60234510201822, 0.0013118720030790413, 262144),
     ):
         _same_accidental(accidental, _per_pair(old, 2.5), 0.9, full)
-    # the norm draws p1 and p2 from one (m, 6) normal stream on the
-    # splitting axis; its values keep the pins from the iid SE (the
-    # second figure) within _near's 1e-13. The singlet's pin held bit
-    # for bit through the stacked densities, the triplet's moved by an
-    # ulp. The pins from when its second momentum drew on a generator of
-    # its own (with the two-pass and the one-pass SE), and from when it
-    # followed the first on one generator, are other draws of the same
-    # integral: each stays within 3 joint SE of the pin, and the pin must
-    # hold the norm of 1
+    # the norm draws (t1, t2) on the splitting axis, two per equal cell
+    # of u-rows by _COLUMNS t-columns, and its pins moved. Every earlier
+    # pin is another draw of the same integral and stays within 3 joint
+    # SE of the pin: those from the two-centre normal proposal (with the
+    # pair-difference and the iid SE), from when its second momentum
+    # drew on a generator of its own (with the two-pass and the one-pass
+    # SE), and from when it followed the first on one generator. The pin
+    # must hold the norm of 1
     norms = (
-        (0.0, OracleResult(1.0001121512967923, 0.0003758550094204861, 262144),
-         OracleResult(1.0001121512967923, 0.00037532681114451445, 262144),
-         (OracleResult(1.0000650943960032, 0.00037566448838518125, 262144),
+        (0.0, OracleResult(0.9999954659954083, 0.00011502208580498867, 262144),
+         (OracleResult(1.0001121512967923, 0.0003758550094204861, 262144),
+          OracleResult(1.0001121512967923, 0.00037532681114451445, 262144),
+          OracleResult(1.0000650943960032, 0.00037566448838518125, 262144),
           OracleResult(1.0000650943960032, 0.0003756644883851808, 262144),
           OracleResult(1.0004253803940717, 0.00037574767872306804, 262144))),
-        (1.0, OracleResult(0.999608861358007, 0.001310831191221545, 262144),
-         OracleResult(0.9996088613580071, 0.0013089890479536914, 262144),
-         (OracleResult(0.9997729769125979, 0.001310166730433736, 262144),
+        (1.0, OracleResult(0.9998925336531057, 0.00015232509248064722, 262144),
+         (OracleResult(0.999608861358007, 0.001310831191221545, 262144),
+          OracleResult(0.9996088613580071, 0.0013089890479536914, 262144),
+          OracleResult(0.9997729769125979, 0.001310166730433736, 262144),
           OracleResult(0.9997729769125979, 0.0013101667304337363, 262144),
           OracleResult(0.9985164441747301, 0.0013104568648924454, 262144))),
     )
-    for f, pin, iid, olds in norms:
+    for f, pin, olds in norms:
         res = phi_norm_oracle(_pure(full, f), spec)
         assert res == pin
-        assert abs(res.value - iid.value) <= 1e-13 * iid.value  # as in _near
         assert abs(pin.value - 1.0) <= 3.0 * pin.est_error
         for old in olds:
             _redrawn(pin, old)
@@ -749,6 +752,51 @@ def test_accidental_weight_is_azimuth_invariant():
         )
 
 
+def _norm_cases():
+    # the norm's mixture for an off-axis s and P (_on_axis) at every
+    # channel mix, and five (t1, t2) on the axis, off the triplet's node
+    # t1 = t2, as (5, 1, 3) momenta p1 and p2
+    ts = np.array([[-0.9, 0.4], [-0.2, 0.0], [0.0, 0.35], [0.35, -0.6], [0.8, 0.1]])
+    p1, p2 = (t[:, None, None] * np.array([0.0, 0.0, 1.0]) for t in ts.T)
+    for f in (0.0, 0.3, 1.0):
+        params = ModelParams(0.5, (0.3, -0.1, 0.7), (0.1, 0.2, -0.3), triplet_fraction=f)
+        yield _on_axis(params), p1, p2
+
+
+def test_norm_integrand_is_gaussian_across_the_axis():
+    # the pair norm samples p1 and p2 along z alone; that holds only while
+    # Phi(t1 z^ + x1, t2 z^ + x2) exp((|x1|^2 + |x2|^2) / (2 sigma^2)) is
+    # the same at every x1 and x2 across z
+    rng = np.random.default_rng(38)
+    for params, p1, p2 in _norm_cases():
+        sigma = params.sigma
+        x = np.vstack([np.zeros(4), rng.standard_normal((32, 4))]) * sigma
+        value = mixture_density(p1 + _across(x[:, 0], x[:, 1]), p2 + _across(x[:, 2], x[:, 3]), params)
+        value *= np.exp(np.sum(x * x, axis=1) / (2.0 * sigma * sigma))
+        assert np.all(value[:, 0] > 0.0)
+        np.testing.assert_allclose(
+            value, np.broadcast_to(value[:, :1], value.shape), rtol=1e-13, atol=0.0, err_msg=f"{params}"
+        )
+
+
+def test_norm_integral_across_the_axis_is_two_pi_sigma_squared_squared_times_the_axis():
+    # a 6-node Gauss-Hermite rule in each of the four coordinates across
+    # z, exact for a Gaussian of covariance sigma^2 in each, against the
+    # norm's factor (2 pi sigma^2)^2 times the density on the axis
+    nodes, weights = np.polynomial.hermite.hermgauss(6)
+    y = np.stack([g.ravel() for g in np.meshgrid(*[nodes] * 4, indexing="ij")], axis=1)
+    rule = np.einsum("i,j,k,l->ijkl", *[weights] * 4).ravel() * np.exp(np.sum(y * y, axis=1))
+    for params, p1, p2 in _norm_cases():
+        sigma = params.sigma
+        x = math.sqrt(2.0) * sigma * y
+        across = mixture_density(p1 + _across(x[:, 0], x[:, 1]), p2 + _across(x[:, 2], x[:, 3]), params)
+        integral = 4.0 * sigma**4 * (across @ rule)
+        on_axis = mixture_density(p1, p2, params)[:, 0]
+        np.testing.assert_allclose(
+            integral, (2.0 * math.pi * sigma * sigma) ** 2 * on_axis, rtol=1e-13, atol=0.0, err_msg=f"{params}"
+        )
+
+
 # the README example (f = 0.3), the paper's singlet and triplet (sigma =
 # 0.22, p_tilde = 0.022), an off-axis split and total at f = 0.7, and a
 # wide split at z = |s| dp / (2 sigma^2) = 8
@@ -784,6 +832,11 @@ def test_accidental_se_is_honest():
 
 def test_coincidence_se_is_honest():
     _se_is_honest(intensity_cor_oracle, coincidence_intensity)
+
+
+def test_norm_se_is_honest():
+    # the norm takes no dp, and integrates to 1
+    _se_is_honest(lambda dp, params, spec: phi_norm_oracle(params, spec), lambda *args: 1.0)
 
 
 def test_zero_weight_channel_is_skipped():
