@@ -35,7 +35,7 @@ from .errors import (
     ToleranceNotMetError,
 )
 from .fitting import FitConfig, fit, synthesize
-from .model import ModelParams, _nonnegative
+from .model import ModelParams, _nonnegative, _positive, _whole
 from .oracle import QuadratureSpec, intensity_cor_oracle, intensity_uncor_oracle
 
 __all__ = ["main"]
@@ -58,25 +58,26 @@ def _grid_type(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _checked(cast, ok, expected):
-    """argparse type: ``cast`` the flag, then require ``ok`` of the value."""
+def _flag(cast, check, *bound):
+    """argparse type: ``cast`` the flag, then check("value", v, *bound), a model validator; either failure exits 2."""
 
     def parse(text: str):
         try:
             value = cast(text)
         except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-        return value
+            raise argparse.ArgumentTypeError(f"expected {cast.__name__}, got {text!r}") from None
+        try:
+            return check("value", value, *bound)
+        except (ValueError, OverflowError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
-_nonneg_float = _checked(float, lambda v: np.isfinite(v) and v >= 0.0, "a non-negative number")
-_positive_float = _checked(float, lambda v: np.isfinite(v) and v > 0.0, "a positive number")
-_nonneg_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
-_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonneg_float = _flag(float, _nonnegative)
+_positive_float = _flag(float, _positive)
+_nonneg_int = _flag(int, _whole, 0)
+_positive_int = _flag(int, _whole, 1)
 
 
 def _free_list(text: str) -> tuple:

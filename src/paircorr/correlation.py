@@ -366,7 +366,7 @@ def _eds_saturated(delta, z):
 
 
 def _mixture(dp, sigma, f, split, scale, finish, halves=("num", "den")):
-    """finish(dp, sigma, *h) for the halves h named in ``halves``, of (num, den), in that order.
+    """finish(y, sigma, *h), y = dp/sigma, for the halves h named in ``halves``, of (num, den), in that order.
 
     The kernel builds only the brackets behind the halves asked for, on
     the broadcast of (dp, sigma, split) alone: no bracket depends on f.
@@ -387,7 +387,7 @@ def _mixture(dp, sigma, f, split, scale, finish, halves=("num", "den")):
     n = shape[-1] if shape else 1
     if n <= 2 * _BLOCK:
         y = np.broadcast_to(dp / sigma, inner)
-        return finish(dp, sigma, *_mix(halves, f, _mixture_block(scale, halves, y, *terms), in_place))
+        return finish(y, sigma, *_mix(halves, f, _mixture_block(scale, halves, y, *terms), in_place))
     out = np.empty(shape)
     args = (dp, sigma, f, *terms)
     # which arguments run along the grid, and so are cut per block
@@ -399,9 +399,7 @@ def _mixture(dp, sigma, f, split, scale, finish, halves=("num", "den")):
         y = np.broadcast_to(dp_cut / sigma_cut, inner[:-1] + width)
         # no name for the brackets or the halves, which would keep them
         # alive into the next block
-        out[cut] = finish(
-            dp_cut, sigma_cut, *_mix(halves, f_cut, _mixture_block(scale, halves, y, *terms_cut), in_place)
-        )
+        out[cut] = finish(y, sigma_cut, *_mix(halves, f_cut, _mixture_block(scale, halves, y, *terms_cut), in_place))
     return out
 
 
@@ -529,14 +527,14 @@ def _regimes(delta_p, sigma, split):
     return (form + np.where(delta < _TINY_DELTA, _TINY, 0)).astype(np.int8)
 
 
-def _finish_R(dp, sigma, num, den):
+def _finish_R(y, sigma, num, den):
     """R from the halves of one block."""
     return 2.0 * num / den - 1.0
 
 
 def _finish_intensity(factor):
-    """An intensity's per-point step: dp^2 / (factor sqrt(pi) sigma^3) times its half (float_power as in _mix)."""
-    return lambda dp, sigma, half: dp * dp / (factor * _SQRT_PI * np.float_power(sigma, 3.0)) * half
+    """An intensity's per-point step, dp^2 half / (factor sqrt(pi) sigma^3), without dp^2 or sigma^3 to overflow."""
+    return lambda y, sigma, half: y * half * y / (factor * _SQRT_PI * sigma)
 
 
 def correlation_R(delta_p, sigma, triplet_fraction, momentum_split):

@@ -311,43 +311,33 @@ def _sq_dists(p, half, work=None, name="sq"):
     return total
 
 
-def _channel_weights(f: float):
+def _channels(params: ModelParams):
     """(weight, channel) pairs of the singlet/triplet mixture with weight 1 - f and f.
 
     A channel of weight zero is left out, so f = 0 and f = 1 give the
-    pure channels exactly and a degenerate triplet is never touched.
+    pure channels exactly and a degenerate triplet of weight zero is
+    never touched; one of nonzero weight raises DegenerateChannelError.
     """
-    pairs = ((1.0 - f, SpinChannel.SINGLET), (f, SpinChannel.TRIPLET))
-    return [(w, channel) for w, channel in pairs if w != 0.0]
-
-
-def _mixed(density, params: ModelParams):
-    """Sum of weight * density(channel) over the mixture's channels.
-
-    Each density(channel) is its own array, fresh or a workspace row of
-    its channel, so the sum is formed in place in the first.
-    """
-    (w, channel), *rest = _channel_weights(params.triplet_fraction)
-    total = density(channel)
-    total *= w
-    for w, channel in rest:
-        part = density(channel)
-        part *= w
-        total += part
-    return total
+    f = params.triplet_fraction
+    pairs = [(w, channel) for w, channel in ((1.0 - f, SpinChannel.SINGLET), (f, SpinChannel.TRIPLET)) if w != 0.0]
+    for _, channel in pairs:
+        _require_nondegenerate(params, channel)
+    return pairs
 
 
 def _exchange(e, scale, one_minus_k, params: ModelParams, work=None):
-    """The mixture of the exchange form (module docstring) times scale / norm over its channels.
+    """The mixture of the exchange form (module docstring) times scale / norm over its channels (_channels).
 
     e is the (2, ...) stack of the exponents a and b, spent. lo = min(a, b)
     and -|a - b| = lo - max(a, b) are formed once for both channels, and
-    each channel is scaled by one factor, scale / norm. The triplet's
-    1 - x goes through expm1 and the singlet takes away at most half its
-    square, so neither cancels. Rows: e^{-2 lo} in "tmp", the singlet
-    over a, the triplet over -|a - b| in b (it is the last channel to
-    read it), and the cross term in "cross".
+    each channel is scaled by one factor, scale / norm, then by its
+    weight, and summed in place into the first. The triplet's 1 - x goes
+    through expm1 and the singlet takes away at most half its square, so
+    neither cancels. Rows: e^{-2 lo} in "tmp", the singlet over a, the
+    triplet over -|a - b| in b (it is the last channel to read it), and
+    the cross term in "cross".
     """
+    channels = _channels(params)
     a, b = e
 
     def into(row):  # a row of e as out=, or a fresh result without a workspace
@@ -358,10 +348,8 @@ def _exchange(e, scale, one_minus_k, params: ModelParams, work=None):
     gap = np.subtract(lo, gap, out=into(b))
     lo *= -2.0
     base = np.exp(lo, out=_out(work, "tmp"))
-
-    def density(channel: SpinChannel):
-        _require_nondegenerate(params, channel)
-        factor = scale / params._channel_norms[channel]
+    total = None
+    for w, channel in channels:
         if channel is SpinChannel.SINGLET:
             comb = np.exp(gap, out=into(a))  # x
             if one_minus_k:
@@ -376,10 +364,13 @@ def _exchange(e, scale, one_minus_k, params: ModelParams, work=None):
         if one_minus_k:
             comb += cross
         comb *= base
-        comb *= factor
-        return comb
-
-    return _mixed(density, params)
+        comb *= scale / params._channel_norms[channel]
+        comb *= w
+        if total is None:
+            total = comb
+        else:
+            total += comb
+    return total
 
 
 def mixture_density(p1, p2, params: ModelParams, _work=None):

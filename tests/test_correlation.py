@@ -115,6 +115,12 @@ def _scan_points():
             for ydp in (1e-6, 0.3, 1.0, 3.0, 8.0, 20.0):
                 for f in (0.0, 0.3, 1.0):
                     seams.append((sigma, ratio * sigma, f, ydp * sigma))
+    # extreme scales, at p_tilde = 0.1 sigma, where dp^2 or sigma^3 alone
+    # overflows or underflows but the intensities are normal doubles,
+    # and y = dp/sigma so large that y^2 overflows and they are 0
+    for sigma, ydp in ((1e-110, 10.0), (1e110, 10.0), (1e-300, 3.0), (1e300, 3.0)):
+        seams.append((sigma, 0.1 * sigma, 0.3, ydp * sigma))
+    seams += [(1.0, 0.3, 0.3, dp) for dp in (1e155, 1e300)]
     return pts + seams
 
 
@@ -122,9 +128,10 @@ def test_closed_forms_match_reference():
     worst = 0.0
     for sigma, p_tilde, f, dp in _scan_points():
         icor_ref, iunc_ref, r_ref = _mp_reference(dp, sigma, f, p_tilde)
-        icor = float(coincidence_intensity(dp, sigma, f, p_tilde))
-        iunc = float(accidental_intensity(dp, sigma, f, p_tilde))
-        r = float(correlation_R(dp, sigma, f, p_tilde))
+        with np.errstate(over="ignore" if dp > 1e154 * sigma else "warn"):  # y^2 overflows on the way
+            icor = float(coincidence_intensity(dp, sigma, f, p_tilde))
+            iunc = float(accidental_intensity(dp, sigma, f, p_tilde))
+            r = float(correlation_R(dp, sigma, f, p_tilde))
         for got, want in ((icor, icor_ref), (iunc, iunc_ref)):
             want = float(want)
             err = abs(got - want) / abs(want) if want != 0.0 else abs(got)
@@ -800,7 +807,7 @@ def test_huge_split_ratio_is_refused():
     # before the check
     assert float(correlation_R(1.0, 1.0, 0.5, limit)) == -1.0
     assert float(coincidence_intensity(1.0, 1.0, 0.5, limit)) == 0.0
-    assert float(accidental_intensity(1.0, 1.0, 0.5, limit)) == 0.1098478223669306
+    assert float(accidental_intensity(1.0, 1.0, 0.5, limit)) == 0.10984782236693061
 
 
 def test_curve_bundles_parameters():

@@ -283,9 +283,11 @@ def test_blocks_reuse_one_workspace(monkeypatch):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults")
 def test_blocks_do_not_page_fault(monkeypatch):
-    # a block allocates nothing, so after a warm-up a call faults in only
-    # its workspace (~2.4k minor faults at 4 chunks), not its blocks'
-    # temporaries: ~48k when each block made and freed its own
+    # a block allocates nothing, so after a warm-up a call faults in at
+    # most its workspace (~5.5 MiB, ~1.4k pages): at 4 chunks this read 1
+    # minor fault inside the full test run and ~1.2k in a fresh process.
+    # Densities' temporaries made and freed per block read about the
+    # same (~1.5k fresh), as glibc keeps them on its heap
     monkeypatch.setenv("PAIRCORR_THREADS", "1")
     spec = _mc(4 * _CHUNK)
     intensity_uncor_oracle(1.2, PARAMS, spec)
